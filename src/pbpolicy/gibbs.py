@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from pbpolicy.data import IPWScores, LinearPolicy
 
@@ -32,6 +31,7 @@ __all__ = [
     "empirical_budget_curve",
     "solve_u_hat",
     "grid_kl",
+    "logsumexp",
     "welfare_cost_matrix",
     "InfeasibleBudgetError",
 ]
@@ -80,12 +80,39 @@ class IsotropicNormalPrior:
         return norm - 0.5 * np.sum(thetas**2, axis=1) / self.sigma**2
 
 
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D float array, bit for bit as scipy's.
+
+    The steps are those of scipy.special.logsumexp (scipy 1.17) without its
+    argument handling: the m entries equal to the maximum are split out of
+    the shifted sum s, the result is log1p(s / m) + log(m) + max, and
+    log(sum(exp(a))) stands in wherever that is not finite.  An all -inf
+    input therefore returns -inf.
+    """
+    a_max = a.max()
+    out = a_max
+    if np.isfinite(a_max):
+        ties = a == a_max
+        m = float(np.count_nonzero(ties))
+        s = np.exp(np.where(ties, -np.inf, a) - a_max).sum()
+        if s != 0.0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+    if not np.isfinite(out):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.log(np.exp(a).sum())
+    return out
+
+
 def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
                         features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical welfare and cost of each row of thetas, as two (m,) arrays."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     features = np.asarray(features, dtype=float)
-    dec = (features @ thetas.T > 0.0)
+    # the 0/1 decisions, written as floats over the margins in place so that
+    # the two reductions below do not each cast a boolean matrix
+    dec = features @ thetas.T
+    np.greater(dec, 0.0, out=dec, casting="unsafe")
     n = scores.n
     w = (scores.delta_y @ dec) / n
     k = (scores.delta_c @ dec) / n

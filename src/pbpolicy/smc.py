@@ -13,11 +13,15 @@ evaluated at the pre-move particle positions, then renormalizes.  Weights are
 kept in log space throughout; the raw exponentials underflow long before
 lambda reaches its final value.
 
-Determinism: stage t consumes a dedicated counter-based RNG stream keyed by
-(seed, t), drawing in a fixed order (resampling uniform if triggered, then per
-Metropolis step a proposal block and an acceptance block).  Truncating the
-ladder therefore reproduces the prefix of a longer run bit for bit, which is
-what makes mid-ladder checkpoints trustworthy.
+Determinism: stage t consumes a dedicated counter-based RNG stream, the one
+np.random.Philox(key=[seed, t]) gives, drawing in a fixed order (resampling
+uniform if triggered, then per Metropolis step a proposal block and an
+acceptance block).  Truncating the ladder therefore reproduces the prefix of a
+longer run bit for bit, which is what makes mid-ladder checkpoints
+trustworthy.  The first key word is the seed itself only below 2^63: numpy
+turns the list [seed, t] into float64 when the seed does not fit an int64, so
+a larger seed (about half of the harness's 64-bit subseeds) is rounded to 53
+significant bits, and seeds that round alike share their stage streams.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from pbpolicy.data import IPWScores
-from pbpolicy.gibbs import IsotropicNormalPrior, welfare_cost_matrix
+from pbpolicy.gibbs import IsotropicNormalPrior, logsumexp, welfare_cost_matrix
 
 __all__ = [
     "TemperatureLadder",
@@ -244,8 +247,32 @@ def mh_move(particles: WeightedParticles, target_log_density,
     return replace(particles, thetas=new), float(accept.mean())
 
 
-def _stage_rng(seed: int, step: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, step]))
+class _StageStreams:
+    """The stage-t stream of Generator(Philox(key=[seed, t])), without
+    building a new bit generator per stage: one Philox is re-keyed in place.
+    Its first key word is the one Philox(key=[seed, 0]) stores (see the
+    module docstring), and every stage restarts the counter and the buffer.
+    """
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=[seed, 0])
+        self._state = self._bitgen.state
+        self._rng = np.random.Generator(self._bitgen)
+
+    def at(self, step: int) -> np.random.Generator:
+        self._state["state"]["key"][1] = step
+        self._bitgen.state = self._state
+        return self._rng
+
+
+def _cov(thetas: np.ndarray) -> np.ndarray:
+    """np.cov(thetas, rowvar=False, ddof=1) as a (q, q) array, through the
+    same steps without np.cov's argument handling."""
+    x = np.array(thetas, dtype=float).T
+    x -= x.mean(axis=1)[:, None]
+    c = np.dot(x, x.T)
+    c *= np.true_divide(1, x.shape[1] - 1)
+    return c
 
 
 def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
@@ -268,10 +295,12 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
         raise ValueError("normalized variant undefined: mean welfare score is zero")
     scale = 1.0 / sample_scores.mean_delta_y if config.normalized else 1.0
 
-    rng0 = _stage_rng(config.seed, 0)
+    streams = _StageStreams(config.seed)
+    rng0 = streams.at(0)
     sampler = prior_sampler if prior_sampler is not None else prior.sample
     thetas = np.asarray(sampler(n_p, rng0), dtype=float)
-    if thetas.shape != (n_p, prior.q):
+    q = prior.q
+    if thetas.shape != (n_p, q):
         raise ValueError("prior sampler returned the wrong shape")
 
     w_raw, k_raw = welfare_cost_matrix(thetas, sample_scores, features)
@@ -290,11 +319,11 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
     lam_prev, u_prev = ladder.steps[0]
     for t in range(1, ladder.T + 1):
         lam_t, u_t = ladder.steps[t]
-        rng = _stage_rng(config.seed, t)
+        rng = streams.at(t)
 
         # Step 2: resample when the weights have degenerated
         psi = np.exp(log_psi)
-        stage_ess = 1.0 / np.sum(psi**2)
+        stage_ess = 1.0 / (psi * psi).sum()
         resampled = stage_ess < config.tau_ess * n_p
         if resampled:
             u0 = rng.uniform(0.0, 1.0 / n_p)
@@ -308,13 +337,13 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
                    - lam_prev * (wbar - u_prev * kbar))
 
         # Step 3: Metropolis sweeps targeting the stage-t posterior
-        cov = np.cov(thetas, rowvar=False, ddof=1)
-        cov = np.atleast_2d(cov) * t**(-config.covariance_scale_exponent)
-        cov[np.diag_indices_from(cov)] += 1e-8
+        cov = _cov(thetas)
+        cov *= t**(-config.covariance_scale_exponent)
+        cov.flat[::q + 1] += 1e-8
         root = np.linalg.cholesky(cov)
         accepted = 0
         for _ in range(config.mh_steps_per_stage):
-            noise = rng.standard_normal(size=(n_p, prior.q))
+            noise = rng.standard_normal(size=(n_p, q))
             proposed = thetas + noise @ root.T
             w_prop, k_prop = welfare_cost_matrix(proposed, sample_scores, features)
             w_prop, k_prop = scale * w_prop, scale * k_prop

@@ -15,6 +15,7 @@ from pbpolicy.gibbs import (
     grid_kl,
     grid_posterior,
     log_score,
+    logsumexp,
     solve_u_hat,
     welfare_cost_matrix,
 )
@@ -218,3 +219,30 @@ def test_grid_kl_basics():
     q = np.array([0.25, 0.25, 0.5])
     assert grid_kl(p, p) == pytest.approx(0.0)
     assert grid_kl(p, q) == pytest.approx(math.log(2.0))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(17)
+    cases = [np.array([-np.inf, -np.inf]), np.array([-np.inf]),
+             np.array([3.0, 3.0, 3.0]), np.array([-np.inf, 2.0, 2.0]),
+             np.array([np.inf, 1.0]), np.array([np.nan, 1.0])]
+    for _ in range(4000):
+        n = int(rng.integers(1, 1200))
+        a = rng.normal(loc=rng.normal(scale=100.0),
+                       scale=10.0 ** rng.uniform(-3, 4), size=n)
+        kind = int(rng.integers(4))
+        if kind == 1:  # ties at the maximum
+            a[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = a.max()
+        elif kind == 2:  # vanished entries
+            a[rng.random(n) < rng.uniform()] = -np.inf
+        elif kind == 3:  # both
+            a[rng.random(n) < 0.5] = -np.inf
+            a[rng.integers(0, n, size=3)] = 7.5
+        cases.append(a)
+    for a in cases:
+        got, want = logsumexp(a), scipy_logsumexp(a)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), a
+    # run_smc raises on vanished weights because this is not finite
+    assert logsumexp(np.full(5, -np.inf)) == -np.inf

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gridprior import GridMixturePrior, random_grid_problem
-from pbpolicy.data import IPWScores
+from reference_smc import reference_run_smc
+from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
+from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import (
     GibbsParams,
     IsotropicNormalPrior,
@@ -23,6 +25,8 @@ from pbpolicy.smc import (
     resample_systematic,
     run_smc,
 )
+from pbpolicy.harness import subseed
+from pbpolicy.smc import _cov, _StageStreams
 
 
 def test_default_ladder_shapes():
@@ -357,3 +361,69 @@ def test_smc_config_validation():
         SMCConfig(mh_steps_per_stage=0)
     with pytest.raises(ValueError):
         SMCConfig(seed=-1)
+
+
+def test_cov_matches_numpy_cov_bit_for_bit():
+    rng = np.random.default_rng(23)
+    shapes = [(2, 1), (2, 3), (5, 1), (500, 6), (1000, 10), (37, 4)]
+    for n, q in shapes:
+        for scale in (1e-6, 1.0, 1e3):
+            x = rng.normal(scale=scale, size=(n, q)) + rng.normal(size=q)
+            want = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
+            got = _cov(x)
+            assert got.shape == (q, q)
+            assert got.tobytes() == want.tobytes()
+    # a cloud with repeated rows, as after resampling
+    x = rng.normal(size=(40, 3))[rng.integers(0, 40, size=200)]
+    assert _cov(x).tobytes() == np.cov(x, rowvar=False, ddof=1).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, subseed(5, "probe", 2)])
+def test_stage_streams_draw_what_a_fresh_philox_draws(seed):
+    streams = _StageStreams(seed)
+    # stages out of order and repeated: every reset restarts the stream
+    for step in (0, 1, 7, 1, 800, 0):
+        got = streams.at(step)
+        want = np.random.Generator(np.random.Philox(key=[seed, step]))
+        assert got.uniform(0.0, 0.002) == want.uniform(0.0, 0.002)
+        np.testing.assert_array_equal(got.standard_normal(size=(33, 5)),
+                                      want.standard_normal(size=(33, 5)))
+        np.testing.assert_array_equal(got.uniform(size=33),
+                                      want.uniform(size=33))
+        np.testing.assert_array_equal(got.normal(size=(4, 3)),
+                                      want.normal(size=(4, 3)))
+
+
+def test_stage_key_for_large_seeds_is_not_the_seed():
+    # numpy sends [seed, t] through float64 when the seed does not fit an
+    # int64; run_smc keeps that key so that cached studies stay valid
+    seed = 15339685712211426920
+    key = np.random.Philox(key=[seed, 3]).state["state"]["key"]
+    assert int(key[0]) == 15339685712211427328 != seed
+    assert int(np.random.Philox(key=[2**63 - 1, 3])
+               .state["state"]["key"][0]) == 2**63 - 1
+
+
+@pytest.mark.parametrize("normalized,mh_steps,tau", [(True, 1, 0.5),
+                                                     (False, 2, 0.8)])
+def test_run_smc_matches_frozen_reference_loop(normalized, mh_steps, tau):
+    training = generate(DGPSpec("DGP1", 5, 200)).sample
+    fmap = poly_feature_map(2, training.x.shape[1]).fit_normalization(
+        training.x)
+    scores = ipw_transform(training)
+    feats = fmap.transform(training.x)
+    prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=1.0)
+    ladder = build_default_ladder(1.6, 256.0).with_checkpoints([150, 470])
+    seed = subseed(5, "probe", 2)
+    assert seed >= 2**63
+    cfg = SMCConfig(n_particles=200, seed=seed, normalized=normalized,
+                    mh_steps_per_stage=mh_steps, tau_ess=tau)
+    trace = []
+    got = run_smc(scores, feats, prior, ladder, cfg, trace=trace)
+    want, want_trace = reference_run_smc(scores, feats, prior, ladder, cfg)
+    assert sum(rec["resampled"] for rec in trace) >= 3
+    assert trace == want_trace
+    assert set(got) == set(want) == {150, 470}
+    for step, (thetas, weights) in want.items():
+        assert np.array_equal(got[step].thetas, thetas)
+        assert np.array_equal(got[step].weights, weights)
