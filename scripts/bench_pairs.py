@@ -5,8 +5,9 @@
 The base ref is extracted with `git archive` into a temporary directory.
 Each pair runs `python3 bench/run_bench.py --workload W --seed S --seconds T
 --trace X` once from each tree, with a fresh seed per pair, and alternates
-which tree runs first.  Both trees must hold identical `bench/` files, so
-the two sides measure the same benchmark; the script stops otherwise.
+which tree runs first; T is BENCHMARK.json's run_seconds.  Both trees must
+hold identical `bench/` files, so the two sides measure the same benchmark;
+the script stops otherwise.
 
 For every metric it prints each side's median and quartiles, how many pairs
 the working tree won (ties count for neither side), and whether the
@@ -42,8 +43,6 @@ def _parse_args(argv):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1,
                    help="seed of the first pair; pair i uses seed + i")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length (default: BENCHMARK.json run_seconds)")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -120,8 +119,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None \
-        else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     spec = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:

@@ -31,7 +31,6 @@ __all__ = [
     "empirical_budget_curve",
     "solve_u_hat",
     "grid_kl",
-    "logsumexp",
     "welfare_cost_matrix",
     "InfeasibleBudgetError",
 ]
@@ -80,14 +79,16 @@ class IsotropicNormalPrior:
         return norm - 0.5 * np.sum(thetas**2, axis=1) / self.sigma**2
 
 
-def logsumexp(a: np.ndarray) -> float:
+def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) of a 1-D float array, bit for bit as scipy's.
 
-    The steps are those of scipy.special.logsumexp (scipy 1.17) without its
-    argument handling: the m entries equal to the maximum are split out of
-    the shifted sum s, the result is log1p(s / m) + log(m) + max, and
-    log(sum(exp(a))) stands in wherever that is not finite.  An all -inf
-    input therefore returns -inf.
+    The steps are those of scipy.special.logsumexp as scipy 1.15 rewrote it,
+    without its argument handling: the m entries equal to the maximum are
+    split out of the shifted sum s, the result is log1p(s / m) + log(m) + max,
+    and log(sum(exp(a))) stands in wherever that is not finite.  An all -inf
+    input therefore returns -inf.  Earlier scipy releases compute
+    log(sum(exp(a - max))) + max, whose last bits differ; hence the scipy
+    floor in pyproject.toml.
     """
     a_max = a.max()
     out = a_max
@@ -187,7 +188,7 @@ def grid_posterior(grid, prior_masses, params: GibbsParams,
         raise ValueError("prior masses must sum to 1")
     w, k = welfare_cost_matrix(thetas, scores, features)
     logw = np.log(pm) + _scaled(params, scores) * (w - params.u * k)
-    logw = logw - logsumexp(logw)
+    logw = logw - _logsumexp(logw)
     return GridPosterior(thetas=thetas, log_weights=logw,
                          probs=np.exp(logw), params=params)
 
@@ -207,7 +208,7 @@ def grid_cost_evaluator(grid, prior_masses, scores: IPWScores, features,
     def evaluate(lam: float, u: float) -> float:
         scale = _scaled(GibbsParams(lam, max(u, 0.0), normalized), scores)
         logw = logpm + scale * (w - u * k)
-        logw = logw - logsumexp(logw)
+        logw = logw - _logsumexp(logw)
         return float(np.exp(logw) @ k)
 
     return evaluate

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from pbpolicy.data import IPWScores
-from pbpolicy.gibbs import IsotropicNormalPrior, logsumexp, welfare_cost_matrix
+from pbpolicy.gibbs import IsotropicNormalPrior, _logsumexp, welfare_cost_matrix
 
 __all__ = [
     "TemperatureLadder",
@@ -368,7 +368,7 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
             })
 
         log_psi = log_psi + log_inc
-        norm = logsumexp(log_psi)
+        norm = _logsumexp(log_psi)
         if not np.isfinite(norm):
             raise RuntimeError(
                 f"all particle weights vanished at step {t} "
