@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -35,8 +36,11 @@ import numpy as np
 from pbpolicy.bounds import BoundInputs, bound_report
 from pbpolicy.data import ipw_transform, load_sample_csv, poly_feature_map
 from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
-from pbpolicy.gibbs import IsotropicNormalPrior, solve_u_hat
-from pbpolicy.harness import GridSpec, StudyConfig, run_study, subseed
+from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
+                            IsotropicNormalPrior, solve_u_hat,
+                            tilted_cost_evaluator, tilted_weights,
+                            welfare_cost_matrix)
+from pbpolicy.harness import GridSpec, StudyConfig, run_study
 from pbpolicy.oracle import known_simulated, oracle_report, solve_eta_B
 from pbpolicy.persist import (SCHEMA_VERSION, _particles_payload,
                               _particles_restore, _read_versioned,
@@ -44,7 +48,7 @@ from pbpolicy.persist import (SCHEMA_VERSION, _particles_payload,
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import SMCConfig, build_default_ladder, run_smc
+from pbpolicy.smc import SMCConfig, build_default_ladder, ess, run_smc
 
 __all__ = ["main", "build_parser"]
 
@@ -53,6 +57,10 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 _RULE_KIND = "fitted_rule"
+
+# SMC runs a budget fit may make before it gives up; an infeasible budget
+# takes 22 (u = 0, then doubling from 1 to the bracket cap 2^20)
+_MAX_SMC_RUNS = 50
 
 # flag spellings for post-merge required-value errors, where the argparse
 # dest differs from the flag users type
@@ -200,12 +208,72 @@ def _fit_defaults() -> dict:
     }
 
 
+def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
+                scores, feats, normalized: bool, tau_ess: float):
+    """The posterior at u_hat(budget, lam) from as few SMC runs as it takes.
+
+    Each run is a pilot at penalty u_p.  Its cloud, tilted across penalties
+    (gibbs.tilted_cost_evaluator), gives a cost curve that is exactly
+    monotone in u, and solve_u_hat inverts that curve.  The cloud tilted to
+    u_hat is the answer when its effective sample size is at least
+    tau_ess * N, or at least the pilot's own (the tilt then cost nothing).
+
+    Otherwise the next pilot runs at u_hat, or, when no penalty brings the
+    tilted cost down to the budget, at twice u_p (1 from 0); past the
+    bracket cap the budget is infeasible.  A tilt is trustworthy only near
+    its pilot, so earlier pilots bracket the next one: a pilot whose own
+    cost is over the budget bounds u_hat from below, one within it from
+    above, and a step that would leave the bracket bisects it instead.
+
+    Returns the particles at u_hat, the last pilot's stage trace and the
+    budget-solve diagnostics.
+    """
+    u_pilot, u_lo, u_hi = 0.0, 0.0, math.inf
+    runs = 0
+    while True:
+        trace: list = []
+        pilot = posterior_at(u_pilot, trace)
+        runs += 1
+        _, costs = welfare_cost_matrix(pilot.thetas, scores, feats)
+        curve = tilted_cost_evaluator(pilot.weights, costs, lam, u_pilot,
+                                      scores, normalized)
+        if curve(lam, u_pilot) > budget:
+            u_lo = u_pilot
+        else:
+            u_hi = u_pilot
+        try:
+            u_hat = solve_u_hat(budget, lam, curve, tolerance=tol)
+        except InfeasibleBudgetError:
+            if u_pilot >= U_BRACKET_CAP:
+                raise
+            u_next = max(2.0 * u_pilot, 1.0)
+        else:
+            weights = tilted_weights(pilot.weights, costs, lam, u_pilot,
+                                     u_hat, scores, normalized)
+            tilted_ess = ess(weights)
+            if tilted_ess >= min(tau_ess * pilot.n_particles,
+                                 ess(pilot.weights)):
+                solved = replace(pilot, weights=weights, u=u_hat)
+                return solved, trace, {"smc_runs": runs, "pilot_u": u_pilot,
+                                       "tilted_ess": tilted_ess}
+            u_next = u_hat
+        if not u_lo < u_next < u_hi:
+            u_next = 0.5 * (u_lo + u_hi)
+        if runs == _MAX_SMC_RUNS:
+            raise RuntimeError(
+                f"budget solve did not settle after {runs} SMC runs: the "
+                f"penalty is bracketed in [{u_lo!r}, {u_hi!r}]")
+        u_pilot = u_next
+
+
 def _cmd_fit(args) -> int:
     cfg = _resolve_config(args, _fit_defaults())
     cfg["raw"] = bool(cfg["raw"])
     _require(cfg, "fit", "out", "lam")
     if (cfg["u"] is None) == (cfg["budget"] is None):
         raise ValueError("fit requires exactly one of --u or --budget")
+    if not cfg["budget_tol"] > 0:
+        raise ValueError("--budget-tol must be positive")
     out = _ensure_out(cfg["out"])
     _echo_config(out, "fit", cfg, {"data": args.data})
 
@@ -218,25 +286,23 @@ def _cmd_fit(args) -> int:
     prior = IsotropicNormalPrior(q=fmap.dimension, sigma=cfg["sigma"])
     normalized = not cfg["raw"]
     lam = float(cfg["lam"])
-    seed = int(cfg["seed"])
+    # every run, budget pilots included, uses the fit's own seed
+    smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=int(cfg["seed"]),
+                        normalized=normalized)
 
-    def posterior_at(u_value: float, run_seed: int, trace=None):
+    def posterior_at(u_value: float, trace: list):
         ladder = build_default_ladder(u_value, lam)
-        smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=run_seed,
-                            normalized=normalized)
-        got = run_smc(scores, feats, prior, ladder, smc_cfg, trace=trace)
-        return got[ladder.T]
+        return run_smc(scores, feats, prior, ladder, smc_cfg,
+                       trace=trace)[ladder.T]
 
+    solve_report = None
     if cfg["budget"] is not None:
         budget = float(cfg["budget"])
-
-        def lambda_hat(_lam, u_value):
-            probe_seed = subseed(seed, "uhat", repr(float(u_value)))
-            p = posterior_at(float(u_value), probe_seed)
-            return rule_empirical_cost(GibbsRule(p, fmap), scores, feats)
-
-        u_final = solve_u_hat(budget, lam, lambda_hat,
-                              tolerance=cfg["budget_tol"])
+        tol = float(cfg["budget_tol"])
+        particles, trace, solve_report = _fit_budget(
+            budget, tol, lam, posterior_at, scores, feats, normalized,
+            smc_cfg.tau_ess)
+        u_final = particles.u
         u_solved = True
     else:
         budget = None
@@ -244,24 +310,35 @@ def _cmd_fit(args) -> int:
         if u_final < 0:
             raise ValueError("--u must be non-negative")
         u_solved = False
+        trace = []
+        particles = posterior_at(u_final, trace)
 
-    trace: list = []
-    particles = posterior_at(u_final, seed, trace=trace)
     rule = GibbsRule(particles, fmap)
     _write_rule(os.path.join(out, "rule.json"), particles, fmap, normalized)
+    cost = rule_empirical_cost(rule, scores, feats)
     diagnostics = {
         "lam": lam,
         "u": u_final,
         "u_solved": u_solved,
         "budget": budget,
         "normalized": normalized,
-        "estimated_cost": rule_empirical_cost(rule, scores, feats),
+        "estimated_cost": cost,
         "estimated_welfare": rule_empirical_welfare(rule, scores, feats),
         "n": int(sample.n),
         "q": int(fmap.dimension),
-        "stages": trace,
     }
+    if solve_report is not None:
+        # at u = 0 the budget does not bind, so only an overrun is a miss
+        miss = abs(cost - budget) if u_final > 0 else max(cost - budget, 0.0)
+        diagnostics["budget_gap"] = miss / tol
+        diagnostics.update(solve_report)
+    diagnostics["stages"] = trace
     _write_atomic(os.path.join(out, "diagnostics.json"), diagnostics)
+    if solve_report is not None and diagnostics["budget_gap"] > 1.0:
+        raise RuntimeError(
+            f"estimated cost {cost!r} misses the budget {budget!r} by "
+            f"budget_gap = {diagnostics['budget_gap']:.3g} tolerances "
+            f"(--budget-tol {tol!r})")
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ where W_n and K_n are the empirical IPW welfare and cost of the rule.  The
 normalized variant (the default) divides both functionals by the mean welfare
 score, which rescales the effective inverse temperature by that mean.  Exact
 finite-grid posteriors double as oracles for the SMC sampler, and the budget
-map Lambda_hat(u) with its inverse u_hat(B, lambda) lives here too.
+map Lambda_hat(u) with its inverse u_hat(B, lambda) lives here too, on a grid
+or on a weighted particle cloud reweighted ("tilted") across penalties.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "log_score",
     "grid_posterior",
     "grid_cost_evaluator",
+    "tilted_weights",
+    "tilted_cost_evaluator",
     "empirical_budget_curve",
     "solve_u_hat",
     "grid_kl",
@@ -214,6 +217,49 @@ def grid_cost_evaluator(grid, prior_masses, scores: IPWScores, features,
     return evaluate
 
 
+def tilted_weights(weights, costs, lam: float, u_from: float, u: float,
+                   scores: IPWScores, normalized: bool = True) -> np.ndarray:
+    """Reweight a cloud that targets the posterior at (lam, u_from) to target
+    the posterior at (lam, u).
+
+    Only the penalty term of the exponent moves, so each weight is multiplied
+    by exp[-lam (u - u_from) K_n(theta_j)], with lambda scaled as the variant
+    scales it, and the weights are renormalized.  costs are the raw empirical
+    costs K_n of the cloud's members.  At u = u_from the weights come back
+    unchanged.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if u == u_from:
+        return weights.copy()
+    scale = _scaled(GibbsParams(lam, 0.0, normalized), scores)
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights) - scale * (u - u_from) * np.asarray(costs, float)
+    return np.exp(logw - _logsumexp(logw))
+
+
+def tilted_cost_evaluator(weights, costs, lam: float, u_from: float,
+                          scores: IPWScores, normalized: bool = True
+                          ) -> Callable[[float, float], float]:
+    """Posterior expected cost (lam, u) -> integral of K_n, estimated by
+    tilting one weighted cloud harvested at (lam, u_from) to each u.
+
+    The derivative in u is -lambda Var_u(K_n) <= 0 (lambda scaled as the
+    variant scales it), so the curve is non-increasing whatever the Monte
+    Carlo error of the cloud, and strictly decreasing unless every weighted
+    member has the same cost.  It answers at the harvest lambda only.
+    """
+    costs = np.asarray(costs, dtype=float)
+
+    def evaluate(lam_value: float, u: float) -> float:
+        if lam_value != lam:
+            raise ValueError(f"the cloud was harvested at lambda={lam:g}, "
+                             f"not {lam_value:g}")
+        return float(tilted_weights(weights, costs, lam, u_from, u, scores,
+                                    normalized) @ costs)
+
+    return evaluate
+
+
 def empirical_budget_curve(u_grid: Sequence[float], lam: float,
                            posterior_evaluator) -> list[tuple[float, float]]:
     """Evaluate u -> posterior expected cost along an ascending grid of u."""
@@ -232,30 +278,38 @@ def solve_u_hat(B: float, lam: float, posterior_evaluator,
     Returns 0 when the unpenalized posterior is already within budget, else
     the root of Lambda_hat(u) = B.  The curve is strictly decreasing, so a
     doubling bracket followed by bisection suffices; the stopping rule is on
-    the curve value, |Lambda_hat(u) - B| <= tolerance.
+    the curve value, |Lambda_hat(u) - B| <= tolerance.  A curve that jumps
+    across the budget instead raises RuntimeError as soon as its bracket can
+    no longer be split.
     """
     val0 = float(posterior_evaluator(lam, 0.0))
     if val0 <= B:
         return 0.0
+    lo, val_lo = 0.0, val0
     hi = 1.0
     val_hi = float(posterior_evaluator(lam, hi))
     while val_hi >= B:
         if hi >= U_BRACKET_CAP:
             raise InfeasibleBudgetError(
                 f"posterior cost stays above the budget {B} out to u={hi:g}")
+        lo, val_lo = hi, val_hi
         hi *= 2.0
         val_hi = float(posterior_evaluator(lam, hi))
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(500):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            raise RuntimeError(
+                f"budget inversion cannot reach tolerance {tolerance:g}: the "
+                f"bracket [{lo!r}, {hi!r}] cannot be split further, and the "
+                f"posterior cost jumps from {val_lo!r} to {val_hi!r} across "
+                f"the budget {B!r}")
         val = float(posterior_evaluator(lam, mid))
         if abs(val - B) <= tolerance:
             return mid
         if val > B:
-            lo = mid
+            lo, val_lo = mid, val
         else:
-            hi = mid
-    raise RuntimeError("budget inversion failed to reach tolerance")
+            hi, val_hi = mid, val
 
 
 def grid_kl(p, prior_masses) -> float:

@@ -29,6 +29,7 @@ from .rules import (
     BatchCandidates,
     GibbsRule,
     MajorityVoteRule,
+    _weighted_votes,
     batch_assign,
     mv_decide,
     rule_empirical_cost,
@@ -319,7 +320,7 @@ def cross_validate_lambda(u: float, lambda_grid, training: Sample,
 
 
 def _mv_empirical_cost(rule: MajorityVoteRule, scores, features) -> float:
-    shares = (features @ rule.particles.thetas.T > 0.0) @ rule.particles.weights
+    shares = _weighted_votes(features, rule.particles)
     return float(scores.delta_c @ (shares > 0.5) / scores.n)
 
 

@@ -45,11 +45,20 @@ class MajorityVoteRule(GibbsRule):
     """Deterministic rule: treat when the vote share strictly exceeds 1/2."""
 
 
+def _weighted_votes(features: np.ndarray,
+                    particles: WeightedParticles) -> np.ndarray:
+    """Weighted share of the particles that treat each row of features."""
+    # the 0/1 decisions, written as floats over the margins in place so that
+    # the product with the weights does not first cast a boolean matrix
+    dec = features @ particles.thetas.T
+    np.greater(dec, 0.0, out=dec, casting="unsafe")
+    return dec @ particles.weights
+
+
 def _vote_shares(rule: GibbsRule, x: np.ndarray) -> np.ndarray:
     feats = rule.feature_map.transform(np.atleast_2d(np.asarray(x, dtype=float)))
-    dec = feats @ rule.particles.thetas.T > 0.0
     # rounding in the dot product can spill a hair past the unit interval
-    return np.clip(dec @ rule.particles.weights, 0.0, 1.0)
+    return np.clip(_weighted_votes(feats, rule.particles), 0.0, 1.0)
 
 
 def treat_probability(rule: GibbsRule, x):
@@ -85,7 +94,7 @@ def rule_empirical_cost(rule: GibbsRule, scores: IPWScores, features) -> float:
     """
     features = np.asarray(features, dtype=float)
     _check_aligned(scores, features)
-    shares = (features @ rule.particles.thetas.T > 0.0) @ rule.particles.weights
+    shares = _weighted_votes(features, rule.particles)
     return float(scores.delta_c @ shares / scores.n)
 
 
@@ -93,7 +102,7 @@ def rule_empirical_welfare(rule: GibbsRule, scores: IPWScores, features) -> floa
     """Empirical IPW welfare of the stochastic rule on transformed features."""
     features = np.asarray(features, dtype=float)
     _check_aligned(scores, features)
-    shares = (features @ rule.particles.thetas.T > 0.0) @ rule.particles.weights
+    shares = _weighted_votes(features, rule.particles)
     return float(scores.delta_y @ shares / scores.n)
 
 

@@ -11,6 +11,9 @@ expectations can be checked against grid_posterior values directly.
 import numpy as np
 from scipy.special import logsumexp
 
+# exp of anything below this underflows to exactly 0.0 in float64
+_EXP_UNDERFLOW = -800.0
+
 
 class GridMixturePrior:
     def __init__(self, grid, masses, sigma=1e-6):
@@ -27,11 +30,50 @@ class GridMixturePrior:
         return self.grid[idx] + self.sigma * rng.standard_normal((n, self.q))
 
     def log_density(self, thetas):
+        """logsumexp over the components for finite thetas, bit for bit as
+        log_density_reference, at about a third of its cost."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        comp = (self._log_masses[None, :] + self._log_norm
+                - _squared_distances(thetas, self.grid) / (2 * self.sigma**2))
+        return _row_logsumexp(comp)
+
+    def log_density_reference(self, thetas):
+        """The dense (n, m, q) tensor and scipy's logsumexp along axis 1."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         # (n, m) squared distances to the component centers
         d2 = ((thetas[:, None, :] - self.grid[None, :, :]) ** 2).sum(axis=2)
         comp = self._log_masses[None, :] + self._log_norm - d2 / (2 * self.sigma**2)
         return logsumexp(comp, axis=1)
+
+
+def _squared_distances(thetas, grid):
+    """(n, m) squared distances, summed over the coordinates in the order
+    numpy's reduction over a short last axis adds them."""
+    d2 = np.subtract(thetas[:, 0, None], grid[:, 0])
+    np.multiply(d2, d2, out=d2)
+    diff = np.empty_like(d2)
+    for k in range(1, grid.shape[1]):
+        np.subtract(thetas[:, k, None], grid[:, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
+    return d2
+
+
+def _row_logsumexp(a):
+    """scipy.special.logsumexp(a, axis=1) for a finite (n, m) array, through
+    the same steps (maxima split out, log1p(s / m) + log(m) + max), but
+    taking exp only of the shifted entries that do not underflow to 0."""
+    a_max = a.max(axis=1, keepdims=True)
+    shifted = a - a_max
+    ties = shifted == 0.0
+    m = np.count_nonzero(ties, axis=1).astype(float)[:, None]
+    keep = shifted > _EXP_UNDERFLOW
+    keep &= ~ties
+    e = np.zeros_like(a)
+    e[keep] = np.exp(shifted[keep])
+    s = e.sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 def random_grid_problem(rng, n_units=40, grid_size=8, q=2, margin=1e-2):

@@ -4,9 +4,8 @@ This is run_smc's stage loop and the welfare/cost kernel as they stood
 before the stage was stripped of per-call library overhead: scipy's
 logsumexp, np.cov, a boolean decision matrix, and a Philox bit generator and
 Generator built afresh for every stage.  run_smc must reproduce it bit for
-bit; tests/test_smc.py holds it to that.  Keep it unchanged, the way
-tests/gridprior.py is kept: a change here would move the reference, not the
-sampler.
+bit; tests/test_smc.py holds it to that.  Keep it unchanged: a change here
+would move the reference, not the sampler.
 """
 
 import numpy as np

@@ -14,6 +14,7 @@ import pytest
 
 from pbpolicy import cli
 from pbpolicy.persist import load
+from pbpolicy.smc import build_default_ladder
 
 
 @pytest.fixture(autouse=True)
@@ -144,6 +145,71 @@ def test_fit_infeasible_budget(tmp_path, sample_csv, capsys):
                  "--budget", "-1000", "--particles", 16, "--seed", 2)
     assert rc == 1
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def budget_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("budget_sim")
+    assert cli.main(["simulate", "--dgp", "dgp1", "--n", "300",
+                     "--seed", "8", "--out", str(out)]) == 0
+    return out / "sample.csv"
+
+
+@pytest.mark.parametrize("seed,budget", [(0, 0.3), (1, 0.45), (2, 0.6),
+                                         (3, 0.45)])
+def test_fit_budget_meets_its_tolerance(tmp_path, budget_csv, seed, budget):
+    tol = 1e-3
+    out = tmp_path / "solved"
+    assert run_cli("fit", budget_csv, "--out", out, "--lambda", "8",
+                   "--budget", budget, "--budget-tol", tol,
+                   "--particles", 100, "--seed", seed) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["u"] > 0.0 and diag["u_solved"] is True
+    assert abs(diag["estimated_cost"] - budget) <= tol
+    assert diag["budget_gap"] == pytest.approx(
+        abs(diag["estimated_cost"] - budget) / tol)
+    assert 1 <= diag["smc_runs"] <= 6
+    assert 50.0 <= diag["tilted_ess"] <= 100.0
+    assert diag["pilot_u"] >= 0.0
+    # the rule is the last pilot's cloud, reweighted to the solved penalty
+    particles = json.loads((out / "rule.json").read_text())[
+        "payload"]["particles"]
+    assert particles["u"] == diag["u"]
+    assert len(diag["stages"]) == build_default_ladder(diag["u"], 8.0).T
+
+
+def test_fit_slack_budget_is_the_unpenalized_fit(tmp_path, budget_csv):
+    args = ["--lambda", "8", "--particles", 40, "--seed", 5]
+    assert run_cli("fit", budget_csv, "--out", tmp_path / "u0",
+                   "--u", "0", *args) == 0
+    assert run_cli("fit", budget_csv, "--out", tmp_path / "slack",
+                   "--budget", "50", *args) == 0
+    assert ((tmp_path / "u0" / "rule.json").read_bytes()
+            == (tmp_path / "slack" / "rule.json").read_bytes())
+    diag = json.loads((tmp_path / "slack" / "diagnostics.json").read_text())
+    assert diag["smc_runs"] == 1 and diag["budget_gap"] == 0.0
+    fixed = json.loads((tmp_path / "u0" / "diagnostics.json").read_text())
+    assert not {"budget_gap", "smc_runs", "pilot_u", "tilted_ess"} & set(fixed)
+
+
+def test_fit_budget_miss_exits_with_runtime_code(monkeypatch, tmp_path,
+                                                 budget_csv, capsys):
+    monkeypatch.setattr(cli, "rule_empirical_cost", lambda *args: 0.5)
+    out = tmp_path / "miss"
+    rc = run_cli("fit", budget_csv, "--out", out, "--lambda", "8",
+                 "--budget", "0.45", "--particles", 40, "--seed", 1)
+    assert rc == 2
+    assert "budget_gap = 50" in capsys.readouterr().err
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["budget_gap"] == pytest.approx(50.0)
+
+
+def test_fit_rejects_nonpositive_budget_tolerance(tmp_path, sample_csv,
+                                                  capsys):
+    assert run_cli("fit", sample_csv, "--out", tmp_path / "tol",
+                   "--lambda", "4", "--budget", "0.5",
+                   "--budget-tol", "0") == 1
+    assert "--budget-tol" in capsys.readouterr().err
 
 
 def test_fit_flag_validation(tmp_path, sample_csv, capsys):

@@ -16,6 +16,8 @@ from pbpolicy.gibbs import (
     grid_posterior,
     log_score,
     solve_u_hat,
+    tilted_cost_evaluator,
+    tilted_weights,
     welfare_cost_matrix,
 )
 from pbpolicy.gibbs import _logsumexp
@@ -112,6 +114,79 @@ def test_u_hat_infeasible_budget():
     ev = logistic_problem()
     with pytest.raises(InfeasibleBudgetError):
         solve_u_hat(-0.5, 1.0, ev)  # below the min cost on the grid
+
+
+def test_u_hat_stops_once_a_jump_collapses_the_bracket():
+    # the cost jumps from 0.6 to 0.4 across the budget 0.5 at u = 1.1, so no
+    # penalty meets any tolerance: bisection must stop when it cannot split
+    calls = []
+
+    def step(lam, u):
+        calls.append(u)
+        return 0.6 if u < 1.1 else 0.4
+
+    with pytest.raises(RuntimeError, match=r"bracket \[1\.0999") as caught:
+        solve_u_hat(0.5, 1.0, step, tolerance=1e-3)
+    assert "0.6" in str(caught.value) and "0.4" in str(caught.value)
+    assert len(calls) <= 60
+    assert len(set(calls)) == len(calls)
+
+
+def test_tilted_weights_at_the_harvest_penalty_are_the_harvest():
+    rng = np.random.default_rng(5)
+    w = rng.dirichlet(np.ones(30))
+    k = rng.normal(size=30)
+    s = scores_of(rng.normal(size=8) + 1.0, rng.normal(size=8))
+    for normalized in (True, False):
+        got = tilted_weights(w, k, 4.0, 0.7, 0.7, s, normalized)
+        assert got.tobytes() == w.tobytes()
+        assert got is not w
+
+
+def test_tilted_cost_curve_strictly_decreasing_on_random_clouds():
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        n = int(rng.integers(2, 400))
+        w = rng.dirichlet(np.ones(n) * rng.uniform(0.1, 5.0))
+        k = rng.uniform(size=n)
+        s = scores_of(rng.normal(size=20) + 1.0, rng.normal(size=20))
+        u_from = float(rng.uniform(0.0, 3.0))
+        curve = tilted_cost_evaluator(w, k, 8.0, u_from, s, normalized=False)
+        vals = np.array([curve(8.0, u) for u in np.linspace(0.0, 3.0, 25)])
+        assert np.all(np.diff(vals) < 0.0)
+        # bounded by the extreme members it reweights
+        assert vals.max() <= k.max() and vals.min() >= k.min()
+
+
+def test_tilted_cost_evaluator_answers_only_at_its_lambda():
+    s = scores_of([1.0, 2.0], [0.5, 0.5])
+    curve = tilted_cost_evaluator([0.5, 0.5], [0.1, 0.2], 4.0, 0.0, s)
+    with pytest.raises(ValueError, match="lambda=4"):
+        curve(8.0, 1.0)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_tilting_the_exact_posterior_matches_the_grid_curve(normalized):
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        n, m, q = 40, 15, 3
+        s = scores_of(rng.normal(size=n) + 1.0, rng.normal(size=n) + 0.5)
+        feats = rng.normal(size=(n, q))
+        grid = rng.normal(size=(m, q))
+        pm = rng.dirichlet(np.ones(m))
+        lam, u_from = 4.0, float(rng.uniform(0.0, 2.0))
+        post = grid_posterior(grid, pm, GibbsParams(lam, u_from, normalized),
+                              s, feats)
+        _, k = welfare_cost_matrix(grid, s, feats)
+        exact = grid_cost_evaluator(grid, pm, s, feats, normalized=normalized)
+        tilted = tilted_cost_evaluator(post.probs, k, lam, u_from, s,
+                                       normalized=normalized)
+        for u in (0.0, 0.5 * u_from, u_from, u_from + 0.3, 3.0, 7.5):
+            assert abs(tilted(lam, u) - exact(lam, u)) <= 1e-12
+            want = grid_posterior(grid, pm, GibbsParams(lam, u, normalized),
+                                  s, feats).probs
+            got = tilted_weights(post.probs, k, lam, u_from, u, s, normalized)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
 
 
 def test_budget_curve_strictly_decreasing_on_random_grids():

@@ -17,6 +17,7 @@ from pbpolicy.rules import (
     sample_assignments,
     treat_probability,
 )
+from pbpolicy.rules import _weighted_votes
 from pbpolicy.smc import WeightedParticles
 
 
@@ -204,3 +205,17 @@ def test_batch_plan_invariant():
         BatchPlan(bin_edges=np.array([1.0]), selected_u=(0.0,),
                   treated_by_bin=(np.array([True]),),
                   realized_cost_by_bin=(1.5,), assignment_log=())
+
+
+def test_weighted_votes_match_the_boolean_matrix_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        n, m, q = (int(rng.integers(1, 700)), int(rng.integers(2, 400)),
+                   int(rng.integers(1, 12)))
+        feats = rng.normal(size=(n, q))
+        thetas = rng.normal(size=(m, q))
+        thetas[: m // 4] = 0.0  # margins of exactly zero do not treat
+        particles = cloud(thetas, rng.dirichlet(np.ones(m)))
+        want = (feats @ thetas.T > 0.0) @ particles.weights
+        got = _weighted_votes(feats, particles)
+        assert got.tobytes() == want.tobytes()

@@ -417,3 +417,20 @@ def test_run_smc_matches_frozen_reference_loop(normalized, mh_steps, tau):
     for step, (thetas, weights) in want.items():
         assert np.array_equal(got[step].thetas, thetas)
         assert np.array_equal(got[step].weights, weights)
+
+
+def test_grid_mixture_log_density_matches_its_reference_bit_for_bit():
+    rng = np.random.default_rng(88)
+    for trial in range(200):
+        m, q = int(rng.integers(1, 51)), int(rng.integers(1, 6))
+        sigma = (1e-6, 1e-2, 1.0, 10.0)[trial % 4]
+        prior = GridMixturePrior(rng.normal(size=(m, q)),
+                                 rng.dirichlet(np.ones(m)), sigma=sigma)
+        n = int(rng.integers(1, 400))
+        thetas = (prior.sample(n, rng)
+                  + rng.normal(size=(n, q)) * 10.0 ** rng.integers(-8, 1))
+        if trial % 7 == 0:  # exact centers, and ties between components
+            thetas[: n // 2] = prior.grid[rng.integers(0, m, n // 2)]
+            prior.grid[-1] = prior.grid[0]
+        got = prior.log_density(thetas)
+        assert got.tobytes() == prior.log_density_reference(thetas).tobytes()
