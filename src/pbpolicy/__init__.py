@@ -7,7 +7,6 @@ finite-sample certificate calculators."""
 __version__ = "0.1.0"
 
 from pbpolicy.data import (
-    Observation,
     Sample,
     IPWScores,
     FeatureMap,
@@ -15,8 +14,6 @@ from pbpolicy.data import (
     IdentityFeatureMap,
     LinearPolicy,
     ipw_transform,
-    empirical_welfare,
-    empirical_cost,
     poly_feature_map,
     load_sample_csv,
 )

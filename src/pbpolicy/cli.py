@@ -24,7 +24,6 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -34,7 +33,8 @@ from dataclasses import replace
 import numpy as np
 
 from pbpolicy.bounds import BoundInputs, bound_report
-from pbpolicy.data import ipw_transform, load_sample_csv, poly_feature_map
+from pbpolicy.data import (_read_csv, ipw_transform, load_sample_csv,
+                           poly_feature_map)
 from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             IsotropicNormalPrior, solve_u_hat,
@@ -42,9 +42,8 @@ from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             welfare_cost_matrix)
 from pbpolicy.harness import GridSpec, StudyConfig, run_study
 from pbpolicy.oracle import known_simulated, oracle_report, solve_eta_B
-from pbpolicy.persist import (SCHEMA_VERSION, _particles_payload,
-                              _particles_restore, _read_versioned,
-                              _write_atomic, save)
+from pbpolicy.persist import (_open_atomic, _write_atomic, load_rule, save,
+                              save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
@@ -55,8 +54,6 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-_RULE_KIND = "fitted_rule"
 
 # SMC runs a budget fit may make before it gives up; an infeasible budget
 # takes 22 (u = 0, then doubling from 1 to the bracket cap 2^20)
@@ -146,12 +143,10 @@ def _echo_config(out_dir: str, command: str, cfg: dict, inputs=None):
 
 
 def _write_csv(path: str, header, rows):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with _open_atomic(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    os.replace(tmp, path)
 
 
 def _fmt(value) -> str:
@@ -162,42 +157,6 @@ def _fmt(value) -> str:
 
 # ---------------------------------------------------------------------------
 # fit / score
-
-def _write_rule(path: str, particles, fmap, normalized: bool):
-    payload = {
-        "particles": _particles_payload(particles),
-        "feature_map": {
-            "degree": int(fmap.degree),
-            "d_x": int(fmap.d_x),
-            "means": None if fmap.means is None else [float(v) for v in fmap.means],
-            "sds": None if fmap.sds is None else [float(v) for v in fmap.sds],
-        },
-        "normalized": bool(normalized),
-    }
-    doc = {"schema_version": SCHEMA_VERSION, "kind": _RULE_KIND,
-           "payload": payload}
-    _write_atomic(path, doc)
-
-
-def _read_rule(path: str):
-    doc = _read_versioned(path)
-    if doc.get("kind") != _RULE_KIND:
-        raise ValueError(f"{path} is not a fitted rule file")
-    try:
-        payload = doc["payload"]
-        particles = _particles_restore(payload["particles"])
-        fm = payload["feature_map"]
-        fmap = poly_feature_map(int(fm["degree"]), int(fm["d_x"]))
-        if fm.get("means") is not None:
-            fmap = replace(fmap,
-                           means=np.asarray(fm["means"], dtype=float),
-                           sds=np.asarray(fm["sds"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path} holds an inconsistent rule payload: {exc}") from exc
-    if particles.thetas.shape[1] != fmap.dimension:
-        raise ValueError(f"{path}: particle dimension does not match the feature map")
-    return particles, fmap
-
 
 def _fit_defaults() -> dict:
     return {
@@ -314,7 +273,7 @@ def _cmd_fit(args) -> int:
         particles = posterior_at(u_final, trace)
 
     rule = GibbsRule(particles, fmap)
-    _write_rule(os.path.join(out, "rule.json"), particles, fmap, normalized)
+    save_rule(particles, fmap, normalized, os.path.join(out, "rule.json"))
     cost = rule_empirical_cost(rule, scores, feats)
     diagnostics = {
         "lam": lam,
@@ -342,22 +301,6 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _load_covariates(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty CSV")
-        xcols = sorted((c for c in reader.fieldnames
-                        if c.startswith("x") and c[1:].isdigit()),
-                       key=lambda c: int(c[1:]))
-        if not xcols:
-            raise ValueError(f"{path}: no covariate columns x1..xk found")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.array([[float(r[c]) for c in xcols] for r in rows])
-
-
 def _score_defaults() -> dict:
     return {"out": None, "mode": "prob", "seed": _default_seed()}
 
@@ -371,8 +314,8 @@ def _cmd_score(args) -> int:
     _echo_config(out, "score", cfg,
                  {"rule": args.rule, "covariates": args.covariates})
 
-    particles, fmap = _read_rule(args.rule)
-    x = _load_covariates(args.covariates)
+    particles, fmap = load_rule(args.rule)
+    _, _, x = _read_csv(args.covariates)
     if x.shape[1] != fmap.d_x:
         raise ValueError(f"rule expects {fmap.d_x} covariates but "
                          f"{args.covariates} has {x.shape[1]}")

@@ -1,5 +1,5 @@
 """Data model, feature maps, linear threshold policies, and the inverse
-propensity weighted welfare/cost functionals consumed by every other module.
+propensity weighted scores consumed by every other module.
 
 Scores are the per-unit transforms
 
@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "Observation",
     "Sample",
     "IPWScores",
     "FeatureMap",
@@ -28,36 +27,18 @@ __all__ = [
     "IdentityFeatureMap",
     "LinearPolicy",
     "ipw_transform",
-    "empirical_welfare",
-    "empirical_cost",
     "poly_feature_map",
-    "decisions",
     "load_sample_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One treatment record (y, c, d, x)."""
-
-    y: float
-    c: float
-    d: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.d not in (0, 1):
-            raise ValueError(f"treatment indicator must be 0 or 1, got {self.d}")
 
 
 @dataclass
 class Sample:
     """An i.i.d. collection of observations with a known propensity function.
 
-    Arrays are column views of the records; `observations` materializes the
-    record view on demand.  `m_y` and `m_c` are optional declared outcome/cost
-    bounds (|y| <= m_y/2, |c| <= m_c/2); operations that need them refuse to
-    run when they are absent rather than estimating them from data.
+    `m_y` and `m_c` are optional declared outcome/cost bounds (|y| <= m_y/2,
+    |c| <= m_c/2); operations that need them refuse to run when they are
+    absent rather than estimating them from data.
     """
 
     y: np.ndarray
@@ -100,27 +81,6 @@ class Sample:
         if e.shape == ():
             e = np.full(self.n, float(e))
         return e
-
-    @property
-    def observations(self) -> list[Observation]:
-        return [
-            Observation(float(self.y[i]), float(self.c[i]), int(self.d[i]), self.x[i])
-            for i in range(self.n)
-        ]
-
-    @classmethod
-    def from_observations(cls, obs: Sequence[Observation], propensity, kappa,
-                          m_y=None, m_c=None) -> "Sample":
-        return cls(
-            y=np.array([o.y for o in obs]),
-            c=np.array([o.c for o in obs]),
-            d=np.array([o.d for o in obs]),
-            x=np.vstack([o.x for o in obs]),
-            propensity=propensity,
-            kappa=kappa,
-            m_y=m_y,
-            m_c=m_c,
-        )
 
     def subset(self, idx: np.ndarray) -> "Sample":
         return Sample(self.y[idx], self.c[idx], self.d[idx], self.x[idx],
@@ -171,28 +131,6 @@ class LinearPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-
-
-def decisions(theta, features: np.ndarray) -> np.ndarray:
-    """0/1 decisions of a linear policy on a feature matrix (n, q)."""
-    th = theta.theta if isinstance(theta, LinearPolicy) else np.asarray(theta, float)
-    return (np.asarray(features, dtype=float) @ th > 0.0).astype(float)
-
-
-def empirical_welfare(theta, scores: IPWScores, features: np.ndarray) -> float:
-    """(1/n) sum_i delta_y_i 1{phi(x_i)' theta > 0}."""
-    features = np.asarray(features, dtype=float)
-    if features.shape[0] != scores.n:
-        raise ValueError("scores and features have mismatched lengths")
-    return float(scores.delta_y @ decisions(theta, features) / scores.n)
-
-
-def empirical_cost(theta, scores: IPWScores, features: np.ndarray) -> float:
-    """(1/n) sum_i delta_c_i 1{phi(x_i)' theta > 0}."""
-    features = np.asarray(features, dtype=float)
-    if features.shape[0] != scores.n:
-        raise ValueError("scores and features have mismatched lengths")
-    return float(scores.delta_c @ decisions(theta, features) / scores.n)
 
 
 class FeatureMap:
@@ -289,25 +227,10 @@ def load_sample_csv(path, propensity_const: Optional[float] = None,
     optional propensity column e.  When no e column exists, a constant
     propensity must be supplied.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty CSV")
-        cols = list(reader.fieldnames)
-        xcols = sorted((c for c in cols if c.startswith("x") and c[1:].isdigit()),
-                       key=lambda c: int(c[1:]))
-        for required in ("y", "c", "d"):
-            if required not in cols:
-                raise ValueError(f"{path}: missing column {required!r}")
-        if not xcols:
-            raise ValueError(f"{path}: no covariate columns x1..xk found")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    cols, rows, x = _read_csv(path, required=("y", "c", "d"))
     y = np.array([float(r["y"]) for r in rows])
     c = np.array([float(r["c"]) for r in rows])
     d = np.array([int(r["d"]) for r in rows])
-    x = np.array([[float(r[cc]) for cc in xcols] for r in rows])
     if "e" in cols:
         e = np.array([float(r["e"]) for r in rows])
         prop = _TabulatedPropensity(x, e)
@@ -322,6 +245,28 @@ def load_sample_csv(path, propensity_const: Optional[float] = None,
         if kappa <= 0:
             raise ValueError("propensities leave no room for a positive kappa")
     return Sample(y, c, d, x, prop, kappa, m_y=m_y, m_c=m_c)
+
+
+def _read_csv(path, required=()) -> tuple[list, list, np.ndarray]:
+    """The header, the rows and the covariate matrix (columns x1..xk, in
+    index order) of a CSV that must hold the required columns."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty CSV")
+        cols = list(reader.fieldnames)
+        xcols = sorted((c for c in cols if c.startswith("x") and c[1:].isdigit()),
+                       key=lambda c: int(c[1:]))
+        for name in required:
+            if name not in cols:
+                raise ValueError(f"{path}: missing column {name!r}")
+        if not xcols:
+            raise ValueError(f"{path}: no covariate columns x1..xk found")
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    x = np.array([[float(r[c]) for c in xcols] for r in rows])
+    return cols, rows, x
 
 
 @dataclass

@@ -108,15 +108,27 @@ def _logsumexp(a: np.ndarray) -> float:
     return out
 
 
+def _decisions(thetas, features, scores: IPWScores | None = None) -> np.ndarray:
+    """The (n, m) matrix of 1.0 where unit i's features treat under rule j
+    (features[i] @ thetas[j] > 0), else 0.0.
+
+    When scores are given, features must hold one row per scored unit.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    features = np.asarray(features, dtype=float)
+    if scores is not None and features.shape[0] != scores.n:
+        raise ValueError("scores and features have mismatched lengths")
+    # written as floats over the margins in place, so that the products that
+    # follow do not each cast a boolean matrix
+    dec = features @ thetas.T
+    np.greater(dec, 0.0, out=dec, casting="unsafe")
+    return dec
+
+
 def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
                         features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical welfare and cost of each row of thetas, as two (m,) arrays."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    features = np.asarray(features, dtype=float)
-    # the 0/1 decisions, written as floats over the margins in place so that
-    # the two reductions below do not each cast a boolean matrix
-    dec = features @ thetas.T
-    np.greater(dec, 0.0, out=dec, casting="unsafe")
+    dec = _decisions(thetas, features, scores)
     n = scores.n
     w = (scores.delta_y @ dec) / n
     k = (scores.delta_c @ dec) / n
@@ -157,10 +169,6 @@ class GridPosterior:
     @property
     def m(self) -> int:
         return self.thetas.shape[0]
-
-    @property
-    def policies(self) -> list[LinearPolicy]:
-        return [LinearPolicy(t) for t in self.thetas]
 
     def expectation(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)

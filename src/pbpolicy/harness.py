@@ -13,7 +13,6 @@ effects; study reports carry a note saying so.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from . import __version__
 from .data import Sample, ipw_transform, poly_feature_map
 from .dgp import DGPSpec, SimulatedPopulation, generate, true_gain_cost
 from .gibbs import IsotropicNormalPrior
+from .persist import _open_atomic, _write_atomic
 from .rules import (
     BatchCandidates,
     GibbsRule,
@@ -476,7 +476,7 @@ def _write_artifacts(report: StudyReport, grids: GridSpec,
         for c, g, s in zip(curve.costs, curve.gains, se):
             lines.append(f"{float(c)!r},{float(g)!r},{float(s)!r},"
                          f"{n_reps.get(method, 1)}")
-        with open(os.path.join(out, f"cost_curves_{method}.csv"), "w") as fh:
+        with _open_atomic(os.path.join(out, f"cost_curves_{method}.csv")) as fh:
             fh.write("\n".join(lines) + "\n")
 
     for rep in report.replications:
@@ -487,10 +487,7 @@ def _write_artifacts(report: StudyReport, grids: GridSpec,
                            "gains": c.gains.tolist()}
                        for m, c in rep.curves.items()},
         }
-        path = os.path.join(out, f"replication_{rep.index}.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        _write_atomic(os.path.join(out, f"replication_{rep.index}.json"), doc)
 
     echo = {
         "package_version": __version__,
@@ -506,6 +503,4 @@ def _write_artifacts(report: StudyReport, grids: GridSpec,
         "query_budgets": report.query_budgets.tolist(),
         "notes": report.notes,
     }
-    with open(os.path.join(config.out_dir, "study_config.json"), "w") as fh:
-        json.dump(echo, fh, indent=1)
-        fh.write("\n")
+    _write_atomic(os.path.join(out, "study_config.json"), echo)

@@ -1,4 +1,5 @@
-"""Versioned JSON serialization for checkpoints, posteriors, and fixtures.
+"""Versioned JSON serialization for checkpoints, posteriors, fitted rules
+and fixtures.
 
 Every file carries a schema version and a kind tag; loading a file written
 under a different schema version is a hard error.  Floats pass through
@@ -10,12 +11,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from .bounds import BoundReport
+from .data import PolyFeatureMap, poly_feature_map
 from .dgp import DGPSpec, SimulatedPopulation, generate
 from .gibbs import GibbsParams, GridPosterior
 from .smc import WeightedParticles
@@ -29,7 +32,11 @@ __all__ = [
     "load",
     "save_fixture_set",
     "load_fixture_set",
+    "save_rule",
+    "load_rule",
 ]
+
+_RULE_KIND = "fitted_rule"
 
 
 def _particles_payload(p: WeightedParticles) -> dict:
@@ -142,13 +149,21 @@ def _decode(doc: dict, path: os.PathLike):
         raise ValueError(f"{path}: inconsistent payload: {exc}") from exc
 
 
-def _write_atomic(path, doc: dict) -> None:
+@contextmanager
+def _open_atomic(path):
+    """A text file that replaces path, by an atomic rename, once the block
+    that writes it ends."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", newline="") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def _write_atomic(path, doc: dict) -> None:
+    with _open_atomic(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _read_versioned(path) -> dict:
@@ -198,3 +213,43 @@ def load_fixture_set(path) -> FixtureSet:
         raise ValueError(f"{path} is missing its entries table")
     return FixtureSet(entries={name: _decode(sub, path)
                                for name, sub in entries.items()})
+
+
+def save_rule(particles: WeightedParticles, fmap: PolyFeatureMap,
+              normalized: bool, path) -> None:
+    """Write a fitted rule: its particle cloud, the polynomial feature map
+    it reads covariates through, and the criterion variant."""
+    payload = {
+        "particles": _particles_payload(particles),
+        "feature_map": {
+            "degree": int(fmap.degree),
+            "d_x": int(fmap.d_x),
+            "means": None if fmap.means is None else [float(v) for v in fmap.means],
+            "sds": None if fmap.sds is None else [float(v) for v in fmap.sds],
+        },
+        "normalized": bool(normalized),
+    }
+    doc = {"schema_version": SCHEMA_VERSION, "kind": _RULE_KIND,
+           "payload": payload}
+    _write_atomic(path, doc)
+
+
+def load_rule(path) -> tuple[WeightedParticles, PolyFeatureMap]:
+    """Read back the particle cloud and feature map written by save_rule."""
+    doc = _read_versioned(path)
+    if doc.get("kind") != _RULE_KIND:
+        raise ValueError(f"{path} is not a fitted rule file")
+    try:
+        payload = doc["payload"]
+        particles = _particles_restore(payload["particles"])
+        fm = payload["feature_map"]
+        fmap = poly_feature_map(int(fm["degree"]), int(fm["d_x"]))
+        if fm.get("means") is not None:
+            fmap = replace(fmap,
+                           means=np.asarray(fm["means"], dtype=float),
+                           sds=np.asarray(fm["sds"], dtype=float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} holds an inconsistent rule payload: {exc}") from exc
+    if particles.thetas.shape[1] != fmap.dimension:
+        raise ValueError(f"{path}: particle dimension does not match the feature map")
+    return particles, fmap

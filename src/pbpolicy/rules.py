@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from pbpolicy.data import FeatureMap, IPWScores
+from pbpolicy.gibbs import _decisions
 from pbpolicy.smc import WeightedParticles
 
 __all__ = [
@@ -45,14 +46,10 @@ class MajorityVoteRule(GibbsRule):
     """Deterministic rule: treat when the vote share strictly exceeds 1/2."""
 
 
-def _weighted_votes(features: np.ndarray,
-                    particles: WeightedParticles) -> np.ndarray:
+def _weighted_votes(features: np.ndarray, particles: WeightedParticles,
+                    scores: IPWScores | None = None) -> np.ndarray:
     """Weighted share of the particles that treat each row of features."""
-    # the 0/1 decisions, written as floats over the margins in place so that
-    # the product with the weights does not first cast a boolean matrix
-    dec = features @ particles.thetas.T
-    np.greater(dec, 0.0, out=dec, casting="unsafe")
-    return dec @ particles.weights
+    return _decisions(particles.thetas, features, scores) @ particles.weights
 
 
 def _vote_shares(rule: GibbsRule, x: np.ndarray) -> np.ndarray:
@@ -81,28 +78,19 @@ def sample_assignments(rule: GibbsRule, x, rng: np.random.Generator) -> np.ndarr
     return (rng.uniform(size=shares.shape[0]) < shares).astype(int)
 
 
-def _check_aligned(scores: IPWScores, features: np.ndarray):
-    if features.shape[0] != scores.n:
-        raise ValueError("scores and features have mismatched lengths")
-
-
 def rule_empirical_cost(rule: GibbsRule, scores: IPWScores, features) -> float:
     """Empirical IPW cost of the stochastic rule on transformed features.
 
     Equals the particle-weighted average of the per-rule costs exactly, by
     exchanging the two sums.
     """
-    features = np.asarray(features, dtype=float)
-    _check_aligned(scores, features)
-    shares = _weighted_votes(features, rule.particles)
+    shares = _weighted_votes(features, rule.particles, scores)
     return float(scores.delta_c @ shares / scores.n)
 
 
 def rule_empirical_welfare(rule: GibbsRule, scores: IPWScores, features) -> float:
     """Empirical IPW welfare of the stochastic rule on transformed features."""
-    features = np.asarray(features, dtype=float)
-    _check_aligned(scores, features)
-    shares = _weighted_votes(features, rule.particles)
+    shares = _weighted_votes(features, rule.particles, scores)
     return float(scores.delta_y @ shares / scores.n)
 
 

@@ -27,7 +27,7 @@ significant bits, and seeds that round alike share their stage streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "build_default_ladder",
     "ess",
     "resample_systematic",
-    "resample_multinomial",
     "mh_move",
     "run_smc",
 ]
@@ -189,62 +188,52 @@ def ess(weights: np.ndarray) -> float:
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("weights must be normalized")
-    return float(1.0 / np.sum(weights**2))
+    return float(1.0 / (weights * weights).sum())
 
 
-def _systematic_indices(weights: np.ndarray, u0: float) -> np.ndarray:
+def resample_systematic(weights: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Indices of a systematic resample: particle j is drawn floor(N w_j) or
+    ceil(N w_j) times, from one uniform draw."""
+    weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
+    u0 = rng.uniform(0.0, 1.0 / n)
     cum = np.cumsum(weights)
     cum[-1] = 1.0  # guard against cumulative rounding
     points = u0 + np.arange(n) / n
     return np.searchsorted(cum, points, side="right")
 
 
-def resample_systematic(particles: WeightedParticles,
-                        rng: np.random.Generator) -> WeightedParticles:
-    """Equal-weight cloud where particle j appears floor(N w_j) or ceil(N w_j) times."""
-    n = particles.n_particles
-    u0 = rng.uniform(0.0, 1.0 / n)
-    idx = _systematic_indices(particles.weights, u0)
-    return replace(particles, thetas=particles.thetas[idx],
-                   weights=np.full(n, 1.0 / n))
-
-
-def resample_multinomial(particles: WeightedParticles,
-                         rng: np.random.Generator) -> WeightedParticles:
-    """Independent draws from the weights; kept for unbiasedness comparisons."""
-    n = particles.n_particles
-    idx = rng.choice(n, size=n, p=particles.weights)
-    return replace(particles, thetas=particles.thetas[idx],
-                   weights=np.full(n, 1.0 / n))
-
-
 def _proposal_root(cov: np.ndarray) -> np.ndarray:
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise ValueError("proposal covariance is not finite")
-    if not np.any(cov):
+    if not cov.any():
         return np.zeros_like(cov)
     return np.linalg.cholesky(cov)
 
 
-def mh_move(particles: WeightedParticles, target_log_density,
+def mh_move(thetas: np.ndarray, state: tuple, evaluate, log_ratio,
             proposal_covariance, rng: np.random.Generator
-            ) -> tuple[WeightedParticles, float]:
+            ) -> tuple[np.ndarray, tuple, np.ndarray]:
     """One random-walk Metropolis sweep of every particle.
 
-    target_log_density maps an (N, q) matrix to N log densities.  Weights are
-    untouched; the kernel leaves the target invariant.
+    state is a tuple of per-particle (N,) arrays cached at thetas;
+    evaluate(proposed) returns the same tuple at an (N, q) matrix of
+    proposals, and log_ratio(new, old) maps the two tuples to the N log
+    acceptance ratios.  Returns the moved thetas, their state and the
+    boolean acceptance of each particle.  Weights are not involved; the
+    kernel leaves the target invariant.
     """
     root = _proposal_root(proposal_covariance)
-    thetas = particles.thetas
-    n = particles.n_particles
+    n = thetas.shape[0]
     noise = rng.standard_normal(size=thetas.shape)
     proposed = thetas + noise @ root.T
-    delta = target_log_density(proposed) - target_log_density(thetas)
-    accept = np.log(rng.uniform(size=n)) < delta
-    new = np.where(accept[:, None], proposed, thetas)
-    return replace(particles, thetas=new), float(accept.mean())
+    new = evaluate(proposed)
+    accept = np.log(rng.uniform(size=n)) < log_ratio(new, state)
+    thetas = np.where(accept[:, None], proposed, thetas)
+    state = tuple(np.where(accept, a, b) for a, b in zip(new, state))
+    return thetas, state, accept
 
 
 class _StageStreams:
@@ -303,9 +292,12 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
     if thetas.shape != (n_p, q):
         raise ValueError("prior sampler returned the wrong shape")
 
-    w_raw, k_raw = welfare_cost_matrix(thetas, sample_scores, features)
-    wbar, kbar = scale * w_raw, scale * k_raw
-    log_prior = prior.log_density(thetas)
+    def evaluate(th: np.ndarray) -> tuple:
+        # the cached per-particle state: scaled welfare, cost and log prior
+        w, k = welfare_cost_matrix(th, sample_scores, features)
+        return scale * w, scale * k, prior.log_density(th)
+
+    state = evaluate(thetas)
     log_psi = np.full(n_p, -np.log(n_p))
 
     def harvest(step: int, lam: float, u: float) -> WeightedParticles:
@@ -323,39 +315,33 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
 
         # Step 2: resample when the weights have degenerated
         psi = np.exp(log_psi)
-        stage_ess = 1.0 / (psi * psi).sum()
+        stage_ess = ess(psi)
         resampled = stage_ess < config.tau_ess * n_p
         if resampled:
-            u0 = rng.uniform(0.0, 1.0 / n_p)
-            idx = _systematic_indices(psi, u0)
+            idx = resample_systematic(psi, rng)
             thetas = thetas[idx]
-            wbar, kbar, log_prior = wbar[idx], kbar[idx], log_prior[idx]
+            state = tuple(a[idx] for a in state)
             log_psi = np.full(n_p, -np.log(n_p))
 
         # incremental weight from the pre-move scores
+        wbar, kbar, _ = state
         log_inc = (lam_t * (wbar - u_t * kbar)
                    - lam_prev * (wbar - u_prev * kbar))
 
         # Step 3: Metropolis sweeps targeting the stage-t posterior
+        def log_ratio(new: tuple, old: tuple) -> np.ndarray:
+            (w_new, k_new, lp_new), (w_old, k_old, lp_old) = new, old
+            return (lam_t * ((w_new - w_old) - u_t * (k_new - k_old))
+                    + lp_new - lp_old)
+
         cov = _cov(thetas)
         cov *= t**(-config.covariance_scale_exponent)
         cov.flat[::q + 1] += 1e-8
-        root = np.linalg.cholesky(cov)
         accepted = 0
         for _ in range(config.mh_steps_per_stage):
-            noise = rng.standard_normal(size=(n_p, q))
-            proposed = thetas + noise @ root.T
-            w_prop, k_prop = welfare_cost_matrix(proposed, sample_scores, features)
-            w_prop, k_prop = scale * w_prop, scale * k_prop
-            lp_prop = prior.log_density(proposed)
-            delta = (lam_t * ((w_prop - wbar) - u_t * (k_prop - kbar))
-                     + lp_prop - log_prior)
-            accept = np.log(rng.uniform(size=n_p)) < delta
+            thetas, state, accept = mh_move(thetas, state, evaluate,
+                                            log_ratio, cov, rng)
             accepted += int(np.count_nonzero(accept))
-            thetas = np.where(accept[:, None], proposed, thetas)
-            wbar = np.where(accept, w_prop, wbar)
-            kbar = np.where(accept, k_prop, kbar)
-            log_prior = np.where(accept, lp_prop, log_prior)
 
         if trace is not None:
             trace.append({

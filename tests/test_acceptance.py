@@ -53,7 +53,6 @@ from pbpolicy.oracle import (
 from pbpolicy.rules import GibbsRule, MajorityVoteRule, mv_decide, treat_probability
 from pbpolicy.smc import (
     SMCConfig,
-    WeightedParticles,
     build_default_ladder,
     resample_systematic,
     run_smc,
@@ -338,23 +337,16 @@ def test_c08_systematic_resampling_counts_and_unbiasedness():
     for trial in range(1000):
         size = int(rng.integers(5, 301))
         weights = rng.dirichlet(np.full(size, alphas[trial % 3]))
-        cloud = WeightedParticles(
-            thetas=np.arange(size, dtype=float)[:, None],
-            weights=weights, step_index=0, lam=0.0, u=0.0, seed=0)
-        res = resample_systematic(cloud, rng)
-        counts = np.bincount(res.thetas[:, 0].astype(int), minlength=size)
+        counts = np.bincount(resample_systematic(weights, rng), minlength=size)
         target = size * weights
         assert np.all((counts == np.floor(target)) | (counts == np.ceil(target)))
 
     size, draws = 8, 10_000
     weights = rng.dirichlet(np.full(size, 5.0))
-    cloud = WeightedParticles(
-        thetas=np.arange(size, dtype=float)[:, None],
-        weights=weights, step_index=0, lam=0.0, u=0.0, seed=0)
     counts = np.empty((draws, size))
     for i in range(draws):
-        res = resample_systematic(cloud, rng)
-        counts[i] = np.bincount(res.thetas[:, 0].astype(int), minlength=size)
+        counts[i] = np.bincount(resample_systematic(weights, rng),
+                                minlength=size)
     se = counts.std(axis=0, ddof=1) / math.sqrt(draws)
     deviation = np.abs(counts.mean(axis=0) - size * weights)
     assert np.all(deviation <= 3.0 * se + 1e-12)

@@ -6,14 +6,12 @@ import pytest
 from pbpolicy.data import (
     IdentityFeatureMap,
     LinearPolicy,
-    Observation,
     Sample,
-    empirical_cost,
-    empirical_welfare,
     ipw_transform,
     load_sample_csv,
     poly_feature_map,
 )
+from pbpolicy.gibbs import GibbsParams, log_score, welfare_cost_matrix
 
 
 def half(x):
@@ -45,10 +43,12 @@ def test_welfare_cost_hand_values():
     scores = ipw_transform(sample)
     feats = sample.x  # treat iff x > 0 under theta = (1,)
     theta = np.array([1.0])
-    assert empirical_welfare(theta, scores, feats) == pytest.approx(2.0)
-    assert empirical_cost(theta, scores, feats) == pytest.approx(1.0)
+    w, k = welfare_cost_matrix(theta, scores, feats)
+    assert w[0] == pytest.approx(2.0)
+    assert k[0] == pytest.approx(1.0)
     # LinearPolicy wrapper gives the same numbers
-    assert empirical_welfare(LinearPolicy(theta), scores, feats) == pytest.approx(2.0)
+    raw = GibbsParams(lam=1.0, u=0.0, normalized=False)
+    assert log_score(LinearPolicy(theta), raw, scores, feats) == pytest.approx(2.0)
 
 
 def test_ipw_matches_direct_formula():
@@ -101,14 +101,13 @@ def test_welfare_scale_invariance_and_ties():
     scores = ipw_transform(sample)
     feats = rng.normal(size=(2, 4))
     theta = rng.normal(size=4)
-    w = empirical_welfare(theta, scores, feats)
-    k = empirical_cost(theta, scores, feats)
+    w, k = welfare_cost_matrix(theta, scores, feats)
     for scale in [1e-6, 0.5, 3.0, 1e8]:
-        assert empirical_welfare(scale * theta, scores, feats) == w
-        assert empirical_cost(scale * theta, scores, feats) == k
+        assert welfare_cost_matrix(scale * theta, scores, feats)[0] == w
+        assert welfare_cost_matrix(scale * theta, scores, feats)[1] == k
     # strict threshold: theta = 0 treats nobody
-    assert empirical_welfare(np.zeros(4), scores, feats) == 0.0
-    assert empirical_cost(np.zeros(4), scores, feats) == 0.0
+    assert welfare_cost_matrix(np.zeros(4), scores, feats)[0] == 0.0
+    assert welfare_cost_matrix(np.zeros(4), scores, feats)[1] == 0.0
 
 
 def test_monomial_counts():
@@ -173,17 +172,11 @@ def test_propensity_overlap_enforced():
                np.array([[0.0]]), extreme, kappa=0.25)
 
 
-def test_observation_validation():
-    Observation(1.0, 0.0, 1, np.array([0.0]))
-    with pytest.raises(ValueError):
-        Observation(1.0, 0.0, 3, np.array([0.0]))
-
-
 def test_feature_length_mismatch():
     sample = two_unit_sample()
     scores = ipw_transform(sample)
     with pytest.raises(ValueError, match="mismatched"):
-        empirical_welfare(np.array([1.0]), scores, np.zeros((3, 1)))
+        welfare_cost_matrix(np.array([1.0]), scores, np.zeros((3, 1)))
 
 
 def test_identity_feature_map():
@@ -194,13 +187,11 @@ def test_identity_feature_map():
         fm.transform(np.zeros((4, 3)))
 
 
-def test_sample_subset_and_observations():
+def test_sample_subset():
     sample = two_unit_sample()
     sub = sample.subset(np.array([1]))
     assert sub.n == 1
     assert sub.y[0] == 1.0
-    obs = sample.observations
-    assert len(obs) == 2 and obs[0].d == 1 and obs[1].d == 0
 
 
 def test_csv_roundtrip(tmp_path):
@@ -232,3 +223,9 @@ def test_csv_constant_propensity_and_errors(tmp_path):
     bad.write_text("y,c,x1\n1.0,0.0,0.3\n")
     with pytest.raises(ValueError, match="missing column"):
         load_sample_csv(bad, propensity_const=0.5)
+    for text, message in [("", "empty CSV"),
+                          ("y,c,d,z1\n1.0,0.0,1,0.3\n", "no covariate columns"),
+                          ("y,c,d,x1\n", "no data rows")]:
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_sample_csv(bad, propensity_const=0.5)

@@ -14,13 +14,15 @@ from pbpolicy.persist import (
     FixtureSet,
     load,
     load_fixture_set,
+    load_rule,
     save,
     save_fixture_set,
+    save_rule,
 )
 from pbpolicy.smc import WeightedParticles
 
 from gridprior import random_grid_problem
-from pbpolicy.data import IPWScores
+from pbpolicy.data import IPWScores, poly_feature_map
 from pbpolicy.gibbs import grid_posterior
 
 FIXTURE_FILE = Path(__file__).parent / "fixtures" / "fixture_set.json"
@@ -49,6 +51,26 @@ def test_particles_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(q.weights, p.weights)
         assert (q.step_index, q.lam, q.u, q.seed) == \
             (p.step_index, p.lam, p.u, p.seed)
+
+
+def test_fitted_rule_round_trip_and_dimension_check(tmp_path):
+    rng = np.random.default_rng(64)
+    x = rng.normal(size=(50, 2))
+    fmap = poly_feature_map(2, 2).fit_normalization(x)
+    p = random_particles(rng, q=fmap.dimension)
+    path = tmp_path / "rule.json"
+    save_rule(p, fmap, False, path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["schema_version", "kind", "payload"]
+    assert doc["kind"] == "fitted_rule" and doc["payload"]["normalized"] is False
+    got, got_map = load_rule(path)
+    np.testing.assert_array_equal(got.thetas, p.thetas)
+    np.testing.assert_array_equal(got.weights, p.weights)
+    np.testing.assert_array_equal(got_map.transform(x), fmap.transform(x))
+    doc["payload"]["feature_map"]["d_x"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="particle dimension"):
+        load_rule(path)
 
 
 def test_grid_posterior_round_trip_is_bit_exact(tmp_path):

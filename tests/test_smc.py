@@ -21,7 +21,6 @@ from pbpolicy.smc import (
     build_default_ladder,
     ess,
     mh_move,
-    resample_multinomial,
     resample_systematic,
     run_smc,
 )
@@ -107,18 +106,18 @@ def particles_with_weights(weights, rng=None):
 
 def test_resample_point_mass():
     p = particles_with_weights([1.0, 0.0, 0.0, 0.0])
-    out = resample_systematic(p, np.random.default_rng(3))
-    for row in out.thetas:
+    idx = resample_systematic(p.weights, np.random.default_rng(3))
+    for row in p.thetas[idx]:
         np.testing.assert_array_equal(row, p.thetas[0])
-    np.testing.assert_allclose(out.weights, 0.25)
+    assert idx.shape == (4,)
 
 
 def test_resample_uniform_keeps_everyone():
     p = particles_with_weights(np.full(6, 1 / 6))
     for seed in range(5):
-        out = resample_systematic(p, np.random.default_rng(seed))
+        idx = resample_systematic(p.weights, np.random.default_rng(seed))
         # each particle appears exactly once, in order
-        np.testing.assert_array_equal(out.thetas, p.thetas)
+        np.testing.assert_array_equal(p.thetas[idx], p.thetas)
 
 
 def _count_oracle(weights, u0):
@@ -143,11 +142,11 @@ def test_resample_counts_match_literal_walk():
         w = rng.dirichlet(np.ones(n) * rng.uniform(0.3, 3.0))
         p = particles_with_weights(w, rng=np.random.default_rng(1))
         seed = int(rng.integers(1 << 31))
-        out = resample_systematic(p, np.random.default_rng(seed))
+        idx = resample_systematic(p.weights, np.random.default_rng(seed))
         u0 = np.random.default_rng(seed).uniform(0, 1 / n)
         want = _count_oracle(w, u0)
         got = np.zeros(n, dtype=int)
-        for row in out.thetas:
+        for row in p.thetas[idx]:
             matches = np.where((p.thetas == row).all(axis=1))[0]
             got[matches[0]] += 1
         np.testing.assert_array_equal(got, want)
@@ -163,21 +162,14 @@ def test_resample_unbiasedness_quick():
     total = np.zeros(4)
     rng = np.random.default_rng(5)
     for _ in range(draws):
-        out = resample_systematic(p, rng)
-        for row in out.thetas:
+        drawn = resample_systematic(p.weights, rng)
+        for row in p.thetas[drawn]:
             idx = np.where((p.thetas == row).all(axis=1))[0][0]
             total[idx] += 1
     freq = total / (draws * 4)
     se = np.sqrt(w * (1 - w) / (draws * 4))
     assert np.all(np.abs(freq - w) < 3 * se + 1e-3)
     assert abs(freq @ g - w @ g) < 0.05
-
-
-def test_resample_multinomial_basic():
-    p = particles_with_weights([0.0, 1.0])
-    out = resample_multinomial(p, np.random.default_rng(0))
-    for row in out.thetas:
-        np.testing.assert_array_equal(row, p.thetas[1])
 
 
 def test_weighted_particles_validation():
@@ -192,14 +184,25 @@ def test_weighted_particles_validation():
                           0, 0.0, 0.0, 0)
 
 
+def _mh_sweep(thetas, target, cov, rng):
+    # mh_move with the target log density as the only cached state
+    evaluate = lambda th: (target(th),)
+    log_ratio = lambda new, old: new[0] - old[0]
+    moved, _, accept = mh_move(thetas, evaluate(thetas), evaluate, log_ratio,
+                               cov, rng)
+    return moved, float(accept.mean())
+
+
 def test_mh_zero_covariance_accepts_everything():
     p = particles_with_weights(np.full(5, 0.2))
     target = lambda th: -0.5 * (th**2).sum(axis=1)
-    out, rate = mh_move(p, target, np.zeros((2, 2)), np.random.default_rng(1))
+    out, rate = _mh_sweep(p.thetas, target, np.zeros((2, 2)),
+                          np.random.default_rng(1))
     assert rate == 1.0
-    np.testing.assert_array_equal(out.thetas, p.thetas)
+    np.testing.assert_array_equal(out, p.thetas)
     with pytest.raises(ValueError, match="finite"):
-        mh_move(p, target, np.full((2, 2), np.nan), np.random.default_rng(1))
+        _mh_sweep(p.thetas, target, np.full((2, 2), np.nan),
+                  np.random.default_rng(1))
 
 
 def test_mh_invariance_gaussian_target():
@@ -210,14 +213,15 @@ def test_mh_invariance_gaussian_target():
                           0, 0.0, 0.0, 0)
     target = lambda th: -0.5 * (th**2).sum(axis=1) / s**2
     dens_before = target(p.thetas).mean()
+    thetas = p.thetas
     rates = []
     for _ in range(300):
-        p, rate = mh_move(p, target, 0.6 * s**2 * np.eye(q), rng)
+        thetas, rate = _mh_sweep(thetas, target, 0.6 * s**2 * np.eye(q), rng)
         rates.append(rate)
-    assert target(p.thetas).mean() > dens_before  # drifted toward the mode
+    assert target(thetas).mean() > dens_before  # drifted toward the mode
     se_mean = s / np.sqrt(n)
-    assert np.all(np.abs(p.thetas.mean(axis=0)) < 3.5 * se_mean)
-    assert abs(p.thetas.std() - s) < 3.5 * s / np.sqrt(2 * n * q)
+    assert np.all(np.abs(thetas.mean(axis=0)) < 3.5 * se_mean)
+    assert abs(thetas.std() - s) < 3.5 * s / np.sqrt(2 * n * q)
     assert 0.05 < np.mean(rates) < 0.95
 
 
