@@ -12,7 +12,6 @@ from pbpolicy.data import (
     FeatureMap,
     PolyFeatureMap,
     IdentityFeatureMap,
-    LinearPolicy,
     ipw_transform,
     poly_feature_map,
     load_sample_csv,
@@ -77,17 +76,13 @@ from pbpolicy.oracle import (
     mv_loss_L_B,
 )
 from pbpolicy.persist import (
-    FixtureSet,
     save,
     load,
-    save_fixture_set,
-    load_fixture_set,
 )
 from pbpolicy.harness import (
     GridSpec,
     CostCurve,
     StudyConfig,
     StudyReport,
-    cross_validate_lambda,
     run_study,
 )

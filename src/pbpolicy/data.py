@@ -1,5 +1,5 @@
-"""Data model, feature maps, linear threshold policies, and the inverse
-propensity weighted scores consumed by every other module.
+"""Data model, feature maps, and the inverse propensity weighted scores
+consumed by every other module.
 
 Scores are the per-unit transforms
 
@@ -25,7 +25,6 @@ __all__ = [
     "FeatureMap",
     "PolyFeatureMap",
     "IdentityFeatureMap",
-    "LinearPolicy",
     "ipw_transform",
     "poly_feature_map",
     "load_sample_csv",
@@ -121,16 +120,6 @@ def ipw_transform(sample: Sample) -> IPWScores:
         if np.any(np.abs(dc) > cap):
             raise ValueError("cost score exceeds m_c/(2 kappa)")
     return IPWScores(dy, dc, float(np.mean(dy)))
-
-
-@dataclass(frozen=True)
-class LinearPolicy:
-    """Threshold rule: treat x iff phi(x)' theta > 0."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
 
 
 class FeatureMap:

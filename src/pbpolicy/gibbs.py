@@ -20,13 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from pbpolicy.data import IPWScores, LinearPolicy
+from pbpolicy.data import IPWScores
 
 __all__ = [
     "GibbsParams",
     "IsotropicNormalPrior",
     "GridPosterior",
-    "log_score",
     "grid_posterior",
     "grid_cost_evaluator",
     "tilted_weights",
@@ -145,13 +144,6 @@ def _scaled(params: GibbsParams, scores: IPWScores) -> float:
     return params.lam / scores.mean_delta_y
 
 
-def log_score(theta, params: GibbsParams, scores: IPWScores, features) -> float:
-    """Log of the unnormalized posterior weight, -lambda (u K_n - W_n)."""
-    th = theta.theta if isinstance(theta, LinearPolicy) else np.asarray(theta, float)
-    w, k = welfare_cost_matrix(th[None, :], scores, features)
-    return float(_scaled(params, scores) * (w[0] - params.u * k[0]))
-
-
 @dataclass
 class GridPosterior:
     """Exact posterior over a finite set of candidate rules."""
@@ -180,8 +172,7 @@ class GridPosterior:
 def _as_theta_matrix(grid) -> np.ndarray:
     if isinstance(grid, np.ndarray):
         return np.atleast_2d(grid.astype(float))
-    return np.vstack([g.theta if isinstance(g, LinearPolicy) else np.asarray(g, float)
-                      for g in grid])
+    return np.vstack([np.asarray(g, float) for g in grid])
 
 
 def grid_posterior(grid, prior_masses, params: GibbsParams,

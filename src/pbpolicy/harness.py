@@ -35,7 +35,7 @@ from .rules import (
     rule_empirical_cost,
     treat_probability,
 )
-from .smc import SMCConfig, build_default_ladder, run_smc
+from .smc import LAMBDA_CAP, SMCConfig, build_default_ladder, run_smc
 
 __all__ = [
     "GridSpec",
@@ -46,9 +46,7 @@ __all__ = [
     "subseed",
     "default_lambda_grid",
     "default_query_budgets",
-    "cross_validate_lambda",
     "build_cost_curve",
-    "average_curves",
     "oracle_ratio_baseline",
     "oracle_cate_baseline",
     "random_line_slope",
@@ -63,6 +61,7 @@ BASELINE_NOTE = (
 
 FEATURE_DEGREE = 2
 PRIOR_SIGMA = 1.0
+CV_FOLDS = 2
 
 _LAMBDA_TARGETS = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0,
                    96.0, 128.0, 192.0, 256.0, 384.0, 512.0, 768.0, 1024.0)
@@ -112,6 +111,9 @@ class GridSpec:
                 raise ValueError(f"{name} is empty")
             if np.any(np.diff(g) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
+        lam = self.lambda_grid
+        if not np.all((lam > 0) & (lam <= LAMBDA_CAP)):
+            raise ValueError(f"lambda_grid values must lie in (0, {LAMBDA_CAP:g}]")
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,15 @@ class StudyConfig:
             raise ValueError("particles, n_test, and n_bins must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.query_budgets is not None:
+            # negative budgets stay legal: a rule may save cost
+            q = np.asarray(self.query_budgets, dtype=float)
+            if q.ndim != 1 or q.size < 2:
+                raise ValueError("query_budgets needs at least 2 values")
+            if not np.all(np.isfinite(q)):
+                raise ValueError("query_budgets must be finite")
+            if np.any(np.diff(q) <= 0):
+                raise ValueError("query_budgets must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -198,15 +209,6 @@ def build_cost_curve(points, method: str = "") -> CostCurve:
     costs = np.array(sorted(best))
     return CostCurve(method=method, costs=costs,
                      gains=np.array([best[c] for c in costs]))
-
-
-def average_curves(curves: Sequence[CostCurve], query_grid) -> CostCurve:
-    """Vertical mean of several curves on a common cost grid."""
-    if len(curves) == 0:
-        raise ValueError("no curves to average")
-    query = np.asarray(query_grid, dtype=float)
-    gains = np.mean([c.gain_at(query) for c in curves], axis=0)
-    return CostCurve(method=curves[0].method, costs=query, gains=gains)
 
 
 def _greedy_baseline(score: np.ndarray, population: SimulatedPopulation,
@@ -260,34 +262,45 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(perm, folds)
 
 
-def _cv_ladder(u: float, lambda_grid: np.ndarray):
-    """Full ladder with a harvest point at the rung nearest each candidate."""
-    rungs = sorted({_nearest_rung(lam) for lam in lambda_grid})
-    top = _LADDER_LAMBDAS[rungs[-1]]
-    ladder = build_default_ladder(u, top).with_checkpoints(rungs)
-    return ladder, rungs
+def _rungs(lambdas) -> list[int]:
+    """Ladder steps nearest each candidate inverse temperature, ascending."""
+    return sorted({_nearest_rung(lam) for lam in lambdas})
 
 
-def _holdout_objectives(u: float, lambda_grid, training: Sample, folds: int,
+def _tempered_clouds(u: float, rungs: list[int], sample: Sample,
+                     particles: int, seed: int):
+    """One tempering run on sample, cut at the highest rung and harvesting
+    every rung, with the feature map it was normalized under and its IPW
+    scores."""
+    fmap = poly_feature_map(FEATURE_DEGREE, sample.x.shape[1])
+    fmap = fmap.fit_normalization(sample.x)
+    scores = ipw_transform(sample)
+    prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=PRIOR_SIGMA)
+    ladder = build_default_ladder(u, _LADDER_LAMBDAS[rungs[-1]])
+    harvested = run_smc(scores, fmap.transform(sample.x), prior,
+                        ladder.with_checkpoints(rungs),
+                        SMCConfig(n_particles=particles, seed=seed))
+    return harvested, fmap, scores
+
+
+def _holdout_objectives(u: float, lambda_grid, training: Sample,
                         particles: int, seed: int) -> dict[str, np.ndarray]:
-    """Mean held-out penalized welfare per candidate, for both rule kinds."""
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0:
+    """Mean held-out penalized welfare per rung, for both rule kinds.
+
+    "lambda" holds the ascending rung values nearest the candidates; "gibbs"
+    and "mv" hold the objective of each rule kind at those rungs.
+    """
+    rungs = _rungs(lambda_grid)
+    if not rungs:
         raise ValueError("lambda grid is empty")
-    ladder, rungs = _cv_ladder(u, lambda_grid)
     totals = {"gibbs": np.zeros(len(rungs)), "mv": np.zeros(len(rungs))}
-    halves = _fold_indices(training.n, folds, subseed(seed, "folds"))
+    halves = _fold_indices(training.n, CV_FOLDS, subseed(seed, "folds"))
     for f, hold_idx in enumerate(halves):
         fit_idx = np.concatenate([h for g, h in enumerate(halves) if g != f])
-        fit = training.subset(np.sort(fit_idx))
+        harvested, fmap, _ = _tempered_clouds(
+            u, rungs, training.subset(np.sort(fit_idx)), particles,
+            subseed(seed, "cv", f))
         hold = training.subset(np.sort(hold_idx))
-        fmap = poly_feature_map(FEATURE_DEGREE, training.x.shape[1])
-        fmap = fmap.fit_normalization(fit.x)
-        scores = ipw_transform(fit)
-        prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=PRIOR_SIGMA)
-        harvested = run_smc(scores, fmap.transform(fit.x), prior, ladder,
-                            SMCConfig(n_particles=particles,
-                                      seed=subseed(seed, "cv", f)))
         hold_scores = ipw_transform(hold)
         for j, step in enumerate(rungs):
             rule = GibbsRule(harvested[step], fmap)
@@ -297,26 +310,22 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample, folds: int,
                 np.mean((hold_scores.delta_y - u * hold_scores.delta_c) * prob))
             totals["mv"][j] += float(
                 np.mean((hold_scores.delta_y - u * hold_scores.delta_c) * dec))
-    return {kind: v / folds for kind, v in totals.items()}
+    return {"lambda": _LADDER_LAMBDAS[rungs],
+            **{kind: v / CV_FOLDS for kind, v in totals.items()}}
 
 
-def cross_validate_lambda(u: float, lambda_grid, training: Sample,
-                          folds: int = 2, rule_kind: str = "gibbs", *,
-                          particles: int = 1000, seed: int = 0) -> float:
-    """Pick the inverse temperature with the best held-out penalized welfare.
+def _select_lambdas(u: float, lambda_grid, training: Sample, particles: int,
+                    seed: int) -> tuple[float, float]:
+    """Inverse temperatures (stochastic rule, majority vote) with the best
+    held-out penalized welfare.
 
-    Fits snap each candidate to the nearest ladder value so one tempering
-    run serves the whole grid; ties resolve to the smaller candidate.
+    Each candidate snaps to its nearest ladder rung, so one tempering run per
+    fold serves the whole grid, and the rung value is what comes back; ties
+    resolve to the smaller rung.
     """
-    if rule_kind not in ("gibbs", "mv"):
-        raise ValueError(f"unknown rule kind {rule_kind!r}")
-    grid = np.sort(np.asarray(lambda_grid, dtype=float))
-    obj = _holdout_objectives(u, grid, training, folds, particles,
-                              seed)[rule_kind]
-    _, rungs = _cv_ladder(u, grid)
-    pos = {step: j for j, step in enumerate(rungs)}
-    per_candidate = np.array([obj[pos[_nearest_rung(lam)]] for lam in grid])
-    return float(grid[int(np.argmax(per_candidate))])
+    table = _holdout_objectives(u, lambda_grid, training, particles, seed)
+    return tuple(float(table["lambda"][int(np.argmax(table[kind]))])
+                 for kind in ("gibbs", "mv"))
 
 
 def _mv_empirical_cost(rule: MajorityVoteRule, scores, features) -> float:
@@ -328,15 +337,8 @@ def _fit_both_rules(u: float, lam_sa: float, lam_mv: float, training: Sample,
                     particles: int, seed: int):
     """One tempering run, cut at the larger target, harvesting both rungs."""
     step_sa, step_mv = _nearest_rung(lam_sa), _nearest_rung(lam_mv)
-    top = _LADDER_LAMBDAS[max(step_sa, step_mv)]
-    ladder = build_default_ladder(u, top).with_checkpoints(
-        sorted({step_sa, step_mv}))
-    fmap = poly_feature_map(FEATURE_DEGREE, training.x.shape[1])
-    fmap = fmap.fit_normalization(training.x)
-    scores = ipw_transform(training)
-    prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=PRIOR_SIGMA)
-    harvested = run_smc(scores, fmap.transform(training.x), prior, ladder,
-                        SMCConfig(n_particles=particles, seed=seed))
+    harvested, fmap, scores = _tempered_clouds(
+        u, _rungs([lam_sa, lam_mv]), training, particles, seed)
     rule_sa = GibbsRule(harvested[step_sa], fmap)
     rule_mv = MajorityVoteRule(harvested[step_mv], fmap)
     return rule_sa, rule_mv, fmap, scores
@@ -353,11 +355,8 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
     mv_rules_by_u = {}
     for i, u in enumerate(grids.u_grid):
         u_seed = subseed(rep_seed, "u", i)
-        obj = _holdout_objectives(u, grids.lambda_grid, training, 2,
-                                  config.particles, u_seed)
-        _, rungs = _cv_ladder(u, grids.lambda_grid)
-        lam_sa = float(_LADDER_LAMBDAS[rungs[int(np.argmax(obj["gibbs"]))]])
-        lam_mv = float(_LADDER_LAMBDAS[rungs[int(np.argmax(obj["mv"]))]])
+        lam_sa, lam_mv = _select_lambdas(u, grids.lambda_grid, training,
+                                         config.particles, u_seed)
         rule_sa, rule_mv, fmap, scores = _fit_both_rules(
             u, lam_sa, lam_mv, training, config.particles,
             subseed(u_seed, "fit"))

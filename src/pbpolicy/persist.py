@@ -1,41 +1,37 @@
-"""Versioned JSON serialization for checkpoints, posteriors, fitted rules
-and fixtures.
+"""Versioned JSON serialization for the two documents the program writes,
+bound reports and fitted rules, and the atomic write every output file goes
+through.
 
-Every file carries a schema version and a kind tag; loading a file written
-under a different schema version is a hard error.  Floats pass through
-Python's shortest round-trip decimal form, so numeric fields survive a
-save/load cycle bit for bit.  Writes go to a temporary file in the target
+Every document carries a schema version and a kind tag; loading a file
+written under a different schema version is a hard error.  Floats pass
+through Python's shortest round-trip decimal form, so numeric fields survive
+a save/load cycle bit for bit.  Writes go to a temporary file in the target
 directory followed by an atomic rename.
 """
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Mapping
+from contextlib import contextmanager, suppress
+from dataclasses import replace
 
 import numpy as np
 
 from .bounds import BoundReport
 from .data import PolyFeatureMap, poly_feature_map
-from .dgp import DGPSpec, SimulatedPopulation, generate
-from .gibbs import GibbsParams, GridPosterior
 from .smc import WeightedParticles
 
 SCHEMA_VERSION = 1
 
 __all__ = [
     "SCHEMA_VERSION",
-    "FixtureSet",
     "save",
     "load",
-    "save_fixture_set",
-    "load_fixture_set",
     "save_rule",
     "load_rule",
 ]
 
+_BOUNDS_KIND = "bound_report"
 _RULE_KIND = "fitted_rule"
 
 
@@ -61,103 +57,21 @@ def _particles_restore(d: dict) -> WeightedParticles:
     )
 
 
-def _grid_payload(g: GridPosterior) -> dict:
-    return {
-        "thetas": g.thetas.tolist(),
-        "log_weights": g.log_weights.tolist(),
-        "probs": g.probs.tolist(),
-        "lam": float(g.params.lam),
-        "u": float(g.params.u),
-        "normalized": bool(g.params.normalized),
-    }
-
-
-def _grid_restore(d: dict) -> GridPosterior:
-    return GridPosterior(
-        thetas=np.asarray(d["thetas"], dtype=float),
-        log_weights=np.asarray(d["log_weights"], dtype=float),
-        probs=np.asarray(d["probs"], dtype=float),
-        params=GibbsParams(lam=float(d["lam"]), u=float(d["u"]),
-                           normalized=bool(d["normalized"])),
-    )
-
-
-def _population_payload(p: SimulatedPopulation) -> dict:
-    # A simulated population is a pure function of its spec (one RNG
-    # stream per unit), so the spec is the whole state.
-    return {"id": p.spec.id, "seed": int(p.spec.seed), "n": int(p.spec.n)}
-
-
-def _population_restore(d: dict) -> SimulatedPopulation:
-    return generate(DGPSpec(id=d["id"], seed=int(d["seed"]), n=int(d["n"])))
-
-
-def _bounds_payload(b: BoundReport) -> dict:
-    return {"values": {k: float(v) for k, v in b.values.items()}}
-
-
-def _bounds_restore(d: dict) -> BoundReport:
-    return BoundReport(values=dict(d["values"]))
-
-
-_KINDS = {
-    WeightedParticles: ("weighted_particles", _particles_payload),
-    GridPosterior: ("grid_posterior", _grid_payload),
-    SimulatedPopulation: ("simulated_population", _population_payload),
-    BoundReport: ("bound_report", _bounds_payload),
-}
-
-_RESTORERS = {
-    "weighted_particles": _particles_restore,
-    "grid_posterior": _grid_restore,
-    "simulated_population": _population_restore,
-    "bound_report": _bounds_restore,
-}
-
-
-@dataclass(frozen=True)
-class FixtureSet:
-    """Named collection of serializable objects stored in one file."""
-
-    entries: Mapping[str, object]
-
-    def __post_init__(self):
-        for name, obj in self.entries.items():
-            if type(obj) not in _KINDS:
-                raise TypeError(f"entry {name!r} has unsupported type "
-                                f"{type(obj).__name__}")
-
-    def __getitem__(self, name: str):
-        return self.entries[name]
-
-
-def _encode(obj) -> dict:
-    try:
-        kind, payload_fn = _KINDS[type(obj)]
-    except KeyError:
-        raise TypeError(f"cannot serialize {type(obj).__name__}") from None
-    return {"kind": kind, "payload": payload_fn(obj)}
-
-
-def _decode(doc: dict, path: os.PathLike):
-    kind = doc.get("kind")
-    if kind not in _RESTORERS:
-        raise ValueError(f"{path}: unknown kind {kind!r}")
-    try:
-        return _RESTORERS[kind](doc["payload"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: inconsistent payload: {exc}") from exc
-
-
 @contextmanager
 def _open_atomic(path):
     """A text file that replaces path, by an atomic rename, once the block
     that writes it ends."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        # the target keeps its old bytes; the partial file goes
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_atomic(path, doc: dict) -> None:
@@ -181,38 +95,24 @@ def _read_versioned(path) -> dict:
     return doc
 
 
-def save(obj, path) -> None:
-    """Write one serializable object to a versioned JSON file."""
-    doc = {"schema_version": SCHEMA_VERSION, **_encode(obj)}
-    _write_atomic(path, doc)
+def save(report: BoundReport, path) -> None:
+    """Write a bound report to a versioned JSON file."""
+    if not isinstance(report, BoundReport):
+        raise TypeError(f"cannot serialize {type(report).__name__}")
+    payload = {"values": {k: float(v) for k, v in report.values.items()}}
+    _write_atomic(path, {"schema_version": SCHEMA_VERSION,
+                         "kind": _BOUNDS_KIND, "payload": payload})
 
 
-def load(path):
-    """Read back an object written by save; the file names its own kind."""
-    return _decode(_read_versioned(path), path)
-
-
-def save_fixture_set(fixtures: FixtureSet, path) -> None:
-    """Write a named collection of objects as one versioned file."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fixture_set",
-        "entries": {name: _encode(obj)
-                    for name, obj in fixtures.entries.items()},
-    }
-    _write_atomic(path, doc)
-
-
-def load_fixture_set(path) -> FixtureSet:
-    """Read back a fixture collection, restoring each entry by kind."""
+def load(path) -> BoundReport:
+    """Read back a bound report written by save."""
     doc = _read_versioned(path)
-    if doc.get("kind") != "fixture_set":
-        raise ValueError(f"{path} does not hold a fixture set")
-    entries = doc.get("entries")
-    if not isinstance(entries, dict):
-        raise ValueError(f"{path} is missing its entries table")
-    return FixtureSet(entries={name: _decode(sub, path)
-                               for name, sub in entries.items()})
+    if doc.get("kind") != _BOUNDS_KIND:
+        raise ValueError(f"{path}: unknown kind {doc.get('kind')!r}")
+    try:
+        return BoundReport(values=dict(doc["payload"]["values"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: inconsistent payload: {exc}") from exc
 
 
 def save_rule(particles: WeightedParticles, fmap: PolyFeatureMap,

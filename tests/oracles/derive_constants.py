@@ -38,6 +38,7 @@ def monomial_counts():
 def gibbs_examples():
     print("log_score lam=1 u=0   W=1      =", g(-1.0 * (0.0 * 0 - 1.0)))
     print("log_score lam=2 u=0.5 W=1 K=2  =", g(-2.0 * (0.5 * 2.0 - 1.0)))
+    print("log_score lam=2 u=1   W=1 K=2  =", g(-2.0 * (1.0 * 2.0 - 1.0)))
     # two-point grid, uniform prior, lam=1, u=0, W=(1,0): softmax(1,0)
     p1 = math.e / (1 + math.e)
     print("two-point softmax p1           =", g(p1))

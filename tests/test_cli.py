@@ -303,7 +303,7 @@ def test_score_dimension_mismatch(tmp_path, fitted, capsys):
 def test_score_rejects_wrong_kind(tmp_path, sample_csv, capsys):
     impostor = tmp_path / "notrule.json"
     impostor.write_text(json.dumps({"schema_version": 1,
-                                    "kind": "weighted_particles",
+                                    "kind": "bound_report",
                                     "payload": {}}))
     assert run_cli("score", impostor, sample_csv,
                    "--out", tmp_path / "o") == 1
@@ -371,6 +371,24 @@ def test_study_smoke(tmp_path):
     assert echoed["u_grid"] == [0.0, 0.8]
     study_cfg = json.loads((out / "study_config.json").read_text())
     assert study_cfg["dgp"]["id"] == "DGP2"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budgets", "0.5,0.2", "query_budgets must be strictly increasing"),
+    ("--budgets", "0.5", "query_budgets needs at least 2 values"),
+    ("--lambda-grid", "2048", "lambda_grid values must lie in (0, 1024]"),
+])
+def test_study_rejects_bad_grids_before_any_replication(tmp_path, capsys,
+                                                        flag, value, message):
+    out = tmp_path / "study"
+    args = {"--u-grid": "0,0.8", "--lambda-grid": "4.0,32.0", flag: value}
+    rc = run_cli("study", "--dgp", "dgp1", "--reps", 1, "--n", 50,
+                 "--particles", 30, "--n-test", 120, "--bins", 3,
+                 "--threads", 1, "--out", out,
+                 *[tok for pair in args.items() for tok in pair])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("replication_*.json"))
 
 
 def test_study_requires_design(tmp_path, capsys):

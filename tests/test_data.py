@@ -5,13 +5,12 @@ import pytest
 
 from pbpolicy.data import (
     IdentityFeatureMap,
-    LinearPolicy,
     Sample,
     ipw_transform,
     load_sample_csv,
     poly_feature_map,
 )
-from pbpolicy.gibbs import GibbsParams, log_score, welfare_cost_matrix
+from pbpolicy.gibbs import welfare_cost_matrix
 
 
 def half(x):
@@ -46,9 +45,6 @@ def test_welfare_cost_hand_values():
     w, k = welfare_cost_matrix(theta, scores, feats)
     assert w[0] == pytest.approx(2.0)
     assert k[0] == pytest.approx(1.0)
-    # LinearPolicy wrapper gives the same numbers
-    raw = GibbsParams(lam=1.0, u=0.0, normalized=False)
-    assert log_score(LinearPolicy(theta), raw, scores, feats) == pytest.approx(2.0)
 
 
 def test_ipw_matches_direct_formula():

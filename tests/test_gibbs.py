@@ -14,7 +14,6 @@ from pbpolicy.gibbs import (
     grid_cost_evaluator,
     grid_kl,
     grid_posterior,
-    log_score,
     solve_u_hat,
     tilted_cost_evaluator,
     tilted_weights,
@@ -29,18 +28,20 @@ def scores_of(dy, dc):
 
 
 def test_log_score_hand_values():
-    # single unit, feature 1, theta=1 treats it: W_n = dy, K_n = dc
+    # one unit with feature 1: theta=1 treats it (W_n = dy, K_n = dc) and
+    # theta=-1 does not (W_n = K_n = 0, so its log score is 0 whatever the
+    # parameters); under a uniform prior the log-weight gap of the two-rule
+    # posterior is therefore theta=1's log score -lambda (u K_n - W_n)
     feats = np.array([[1.0]])
-    s = scores_of([1.0], [0.0])
-    assert log_score(np.array([1.0]), GibbsParams(1.0, 0.0, normalized=False),
-                     s, feats) == pytest.approx(1.0)
-    s2 = scores_of([1.0], [2.0])
-    assert log_score(np.array([1.0]), GibbsParams(2.0, 0.5, normalized=False),
-                     s2, feats) == pytest.approx(0.0)
-    # zero functionals give zero log score whatever the parameters
-    s3 = scores_of([0.5], [0.5])
-    assert log_score(np.array([-1.0]), GibbsParams(2.0, 1.0, normalized=False),
-                     s3, feats) == pytest.approx(0.0)
+    grid = np.array([[1.0], [-1.0]])
+    for dy, dc, lam, u, want in ((1.0, 0.0, 1.0, 0.0, 1.0),
+                                 (1.0, 2.0, 2.0, 0.5, 0.0),
+                                 (1.0, 2.0, 2.0, 1.0, -2.0)):
+        post = grid_posterior(grid, [0.5, 0.5],
+                              GibbsParams(lam, u, normalized=False),
+                              scores_of([dy], [dc]), feats)
+        assert post.log_weights[0] - post.log_weights[1] == \
+            pytest.approx(want)
 
 
 def test_two_point_softmax():
@@ -229,7 +230,8 @@ def test_normalized_variant_requires_nonzero_mean_score():
     s = IPWScores(np.array([1.0, -1.0]), np.array([0.0, 0.0]), 0.0)
     feats = np.array([[1.0], [1.0]])
     with pytest.raises(ValueError, match="mean welfare score"):
-        log_score(np.array([1.0]), GibbsParams(1.0, 0.0, normalized=True), s, feats)
+        grid_posterior(np.array([[1.0], [-1.0]]), [0.5, 0.5],
+                       GibbsParams(1.0, 0.0, normalized=True), s, feats)
 
 
 def test_minimizer_property_small_grid():

@@ -12,9 +12,7 @@ from pbpolicy.harness import (
     CostCurve,
     GridSpec,
     StudyConfig,
-    average_curves,
     build_cost_curve,
-    cross_validate_lambda,
     default_lambda_grid,
     oracle_cate_baseline,
     oracle_ratio_baseline,
@@ -49,6 +47,10 @@ def test_grid_validation():
         GridSpec(u_grid=[])
     with pytest.raises(ValueError, match="strictly increasing"):
         GridSpec(u_grid=[0.0, 1.0, 1.0])
+    GridSpec(lambda_grid=[1024.0])
+    for bad in ([2048.0], [0.0, 4.0], [-4.0], [4.0, float("nan")]):
+        with pytest.raises(ValueError, match=r"lie in \(0, 1024\]"):
+            GridSpec(lambda_grid=bad)
 
 
 def test_cost_curve_interpolation_and_clamping():
@@ -71,18 +73,6 @@ def test_cost_curve_needs_two_distinct_costs():
         build_cost_curve([(0.0, 0.0)])
     with pytest.raises(ValueError, match="distinct"):
         build_cost_curve([(1.0, 0.4), (1.0, 0.6)])
-
-
-def test_average_curves():
-    grid = np.linspace(0.0, 1.0, 5)
-    line = build_cost_curve([(0.0, 0.0), (1.0, 1.0)], "a")
-    steep = build_cost_curve([(0.0, 0.0), (1.0, 3.0)], "a")
-    avg = average_curves([line, steep], grid)
-    np.testing.assert_allclose(avg.gain_at(grid), 2.0 * grid)
-    same = average_curves([line], grid)
-    np.testing.assert_allclose(same.gain_at(grid), grid)
-    with pytest.raises(ValueError, match="no curves"):
-        average_curves([], grid)
 
 
 def test_greedy_baselines_toy_cases():
@@ -139,38 +129,36 @@ def test_fold_indices_partition():
 def test_cross_validation_selection_logic(monkeypatch):
     sample = generate(DGPSpec("DGP1", 5, 40)).sample
 
-    def fake_objectives(u, grid, training, folds, particles, seed):
-        return {"gibbs": np.array([1.0, 2.0]), "mv": np.array([1.0, 1.0])}
+    def fake_objectives(u, grid, training, particles, seed):
+        return {"lambda": np.array([4.0, 32.0]),
+                "gibbs": np.array([1.0, 2.0]), "mv": np.array([1.0, 1.0])}
 
     monkeypatch.setattr(harness, "_holdout_objectives", fake_objectives)
-    picked = cross_validate_lambda(0.5, [4.0, 32.0], sample)
-    assert picked == 32.0
-    # exact tie resolves to the smaller candidate
-    picked = cross_validate_lambda(0.5, [4.0, 32.0], sample, rule_kind="mv")
-    assert picked == 4.0
+    # the stochastic rule takes the better rung; the majority vote's exact
+    # tie resolves to the smaller one
+    assert harness._select_lambdas(0.5, [4.0, 32.0], sample, 40, 0) == \
+        (32.0, 4.0)
 
 
 def test_cross_validation_input_errors():
     sample = generate(DGPSpec("DGP1", 5, 40)).sample
     with pytest.raises(ValueError, match="empty"):
-        cross_validate_lambda(0.5, [], sample)
-    with pytest.raises(ValueError, match="rule kind"):
-        cross_validate_lambda(0.5, [4.0], sample, rule_kind="other")
+        harness._select_lambdas(0.5, [], sample, 40, 0)
 
 
 def test_cross_validation_single_candidate_round_trips():
     sample = generate(DGPSpec("DGP1", 6, 60)).sample
-    picked = cross_validate_lambda(0.2, [4.0], sample, particles=40, seed=9)
-    assert picked == 4.0
-    # off-ladder candidates come back verbatim even though the fit snaps
-    picked = cross_validate_lambda(0.2, [5.0], sample, particles=40, seed=9)
-    assert picked == 5.0
+    assert harness._select_lambdas(0.2, [4.0], sample, 40, 9) == (4.0, 4.0)
+    # an off-ladder candidate comes back as the rung it snapped to, which is
+    # the value the study records
+    rung = float(harness._LADDER_LAMBDAS[harness._nearest_rung(5.0)])
+    assert rung != 5.0
+    assert harness._select_lambdas(0.2, [5.0], sample, 40, 9) == (rung, rung)
 
 
 def test_cross_validation_is_deterministic():
     sample = generate(DGPSpec("DGP1", 8, 60)).sample
-    picks = {cross_validate_lambda(0.4, [4.0, 32.0], sample,
-                                   particles=40, seed=11)
+    picks = {harness._select_lambdas(0.4, [4.0, 32.0], sample, 40, 11)
              for _ in range(2)}
     assert len(picks) == 1
 
@@ -207,11 +195,21 @@ def test_run_study_smoke_writes_all_artifacts(tmp_path):
 def test_run_study_is_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        run_study(DGPSpec("DGP2", 21, 60), replications=2, grids=SMOKE_GRIDS,
-                  config=StudyConfig(out_dir=str(out), **SMOKE_CONFIG))
+        report = run_study(DGPSpec("DGP2", 21, 60), replications=2,
+                           grids=SMOKE_GRIDS,
+                           config=StudyConfig(out_dir=str(out),
+                                              **SMOKE_CONFIG))
     for name in ("cost_curves_pb_sa.csv", "cost_curves_pb_batch.csv",
                  "replication_1.json", "study_config.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    # each reported pb_* curve is the vertical mean of the replications'
+    # curves at the query budgets
+    query = report.query_budgets
+    for method in ("pb_sa", "pb_mv", "pb_batch"):
+        reps = [r.curves[method].gain_at(query) for r in report.replications]
+        np.testing.assert_array_equal(report.curves[method].costs, query)
+        np.testing.assert_array_equal(report.curves[method].gains,
+                                      np.mean(reps, axis=0))
 
 
 def test_run_study_validation():
@@ -219,3 +217,12 @@ def test_run_study_validation():
         run_study(DGPSpec("DGP1", 1, 50), replications=0)
     with pytest.raises(ValueError, match="workers"):
         StudyConfig(workers=0)
+    # negative budgets are legal: a rule may save cost
+    StudyConfig(query_budgets=[-0.5, 0.0, 0.5])
+    for bad, msg in (([0.5], "at least 2"),
+                     ([0.5, 0.2], "strictly increasing"),
+                     ([0.0, 0.5, 0.5], "strictly increasing"),
+                     ([0.0, float("inf")], "finite"),
+                     ([0.0, float("nan")], "finite")):
+        with pytest.raises(ValueError, match=msg):
+            StudyConfig(query_budgets=bad)

@@ -1,0 +1,60 @@
+"""The public API is what the library, the CLI and the demos use.
+
+Every name in a module's __all__ must be referenced, as a bare name or as an
+attribute, somewhere in src/pbpolicy (the package root aside, which only
+re-exports) or in demos/.  The paper's theory tools are the exception: only
+the acceptance checks call them, and they stay public on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "pbpolicy").glob("*.py")
+                 if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# name -> why it stays public without a caller in src/ or demos/
+THEORY_TOOLS = (
+    ("grid_kl", "KL term of the PAC-Bayes bound on a finite grid (c04, c07)"),
+    ("regret_under_budget", "population regret of a rule at a budget (c06)"),
+    ("mv_loss_L_B", "majority-vote loss functional of the theory (c06)"),
+    ("budget_curve_beta", "population budget curve the oracle inverts (c05)"),
+    ("small_kl_inverse", "inverts the Bernoulli kl in the certificates (c09)"),
+    ("pinsker_gap", "slack between kl and Pinsker's bound (c09)"),
+    ("normal_kl", "KL term of the bound for a normal posterior and prior"),
+    ("grid_posterior", "exact finite-grid posterior, the SMC oracle (c01)"),
+    ("IdentityFeatureMap", "feature map of the grid rules in c01"),
+)
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _referenced(trees) -> set[str]:
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES + DEMOS}
+    exported = {p: _exported(trees[p]) for p in MODULES}
+    tools = {name for name, _ in THEORY_TOOLS}
+    assert tools <= {name for names in exported.values() for name in names}
+    used = _referenced(trees.values()) | tools
+    unused = [f"{p.stem}.{name}" for p, names in exported.items()
+              for name in names if name not in used]
+    assert unused == []
