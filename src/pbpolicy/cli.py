@@ -365,7 +365,10 @@ def _cmd_study(args) -> int:
             kwargs["u_grid"] = cfg["u_grid"]
         if cfg["lambda_grid"] is not None:
             kwargs["lambda_grid"] = cfg["lambda_grid"]
-        grids = GridSpec(**kwargs)
+        try:
+            grids = GridSpec(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"--u-grid/--lambda-grid: {exc}") from None
     study_cfg = StudyConfig(particles=int(cfg["particles"]),
                             n_test=int(cfg["n_test"]),
                             n_bins=int(cfg["bins"]),

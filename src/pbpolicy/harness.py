@@ -35,7 +35,13 @@ from .rules import (
     rule_empirical_cost,
     treat_probability,
 )
-from .smc import LAMBDA_CAP, SMCConfig, build_default_ladder, run_smc
+from .smc import (
+    LAMBDA_CAP,
+    AdaptiveLadder,
+    SMCConfig,
+    build_default_ladder,
+    run_smc,
+)
 
 __all__ = [
     "GridSpec",
@@ -62,6 +68,7 @@ BASELINE_NOTE = (
 FEATURE_DEGREE = 2
 PRIOR_SIGMA = 1.0
 CV_FOLDS = 2
+MH_STEPS_PER_STAGE = 5
 
 _LAMBDA_TARGETS = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0,
                    96.0, 128.0, 192.0, 256.0, 384.0, 512.0, 768.0, 1024.0)
@@ -111,6 +118,8 @@ class GridSpec:
                 raise ValueError(f"{name} is empty")
             if np.any(np.diff(g) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
+        if not np.all(np.isfinite(self.u_grid) & (self.u_grid >= 0)):
+            raise ValueError("u_grid values must be finite and non-negative")
         lam = self.lambda_grid
         if not np.all((lam > 0) & (lam <= LAMBDA_CAP)):
             raise ValueError(f"lambda_grid values must lie in (0, {LAMBDA_CAP:g}]")
@@ -212,27 +221,35 @@ def build_cost_curve(points, method: str = "") -> CostCurve:
 
 
 def _greedy_baseline(score: np.ndarray, population: SimulatedPopulation,
-                     budget: float) -> tuple[float, float]:
+                     budget):
+    """Treat units by descending score, ties by index, while the score is
+    positive and the running cost stays within budget + 1e-9.
+
+    One sort serves every budget: the cut is the first prefix whose
+    cumulative cost exceeds the budget, or the first non-positive score.
+    """
     order = np.lexsort((np.arange(population.n), -score))
-    cost = gain = 0.0
-    for i in order:
-        if score[i] <= 0.0:
-            break
-        step = population.expected_cost[i]
-        if cost + step > budget + 1e-9:
-            break
-        cost += step
-        gain += population.cate[i]
-    return gain, cost
+    cost = np.cumsum(population.expected_cost[order])
+    gain = np.cumsum(population.cate[order])
+    stops = np.flatnonzero(score[order] <= 0.0)
+    first_stop = stops[0] if stops.size else population.n
+    limit = np.asarray(budget, dtype=float) + 1e-9
+    k = np.minimum(np.searchsorted(np.maximum.accumulate(cost), limit,
+                                   side="right"), first_stop)
+    gains = np.where(k > 0, gain[k - 1], 0.0)
+    costs = np.where(k > 0, cost[k - 1], 0.0)
+    if gains.ndim == 0:
+        return float(gains), float(costs)
+    return gains, costs
 
 
-def oracle_ratio_baseline(population: SimulatedPopulation,
-                          budget: float) -> tuple[float, float]:
+def oracle_ratio_baseline(population: SimulatedPopulation, budget):
     """Treat by descending true gain-to-cost ratio until the budget is hit.
 
-    Returns cumulative (gain, cost) totals, not per-capita means.
+    Returns cumulative (gain, cost) totals, not per-capita means: floats for
+    a scalar budget, arrays for an array of budgets.
     """
-    if budget < 0:
+    if np.any(np.asarray(budget) < 0):
         raise ValueError("budget must be non-negative")
     ec, dy = population.expected_cost, population.cate
     with np.errstate(divide="ignore"):
@@ -241,10 +258,10 @@ def oracle_ratio_baseline(population: SimulatedPopulation,
     return _greedy_baseline(score, population, budget)
 
 
-def oracle_cate_baseline(population: SimulatedPopulation,
-                         budget: float) -> tuple[float, float]:
-    """Treat by descending true outcome effect until the budget is hit."""
-    if budget < 0:
+def oracle_cate_baseline(population: SimulatedPopulation, budget):
+    """Treat by descending true outcome effect until the budget is hit;
+    returns as oracle_ratio_baseline does."""
+    if np.any(np.asarray(budget) < 0):
         raise ValueError("budget must be non-negative")
     return _greedy_baseline(population.cate.copy(), population, budget)
 
@@ -269,18 +286,20 @@ def _rungs(lambdas) -> list[int]:
 
 def _tempered_clouds(u: float, rungs: list[int], sample: Sample,
                      particles: int, seed: int):
-    """One tempering run on sample, cut at the highest rung and harvesting
-    every rung, with the feature map it was normalized under and its IPW
-    scores."""
+    """One adaptive tempering run on sample up to the highest rung, with the
+    cloud harvested at every rung (keyed by rung), the feature map it was
+    normalized under and its IPW scores."""
     fmap = poly_feature_map(FEATURE_DEGREE, sample.x.shape[1])
     fmap = fmap.fit_normalization(sample.x)
     scores = ipw_transform(sample)
     prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=PRIOR_SIGMA)
-    ladder = build_default_ladder(u, _LADDER_LAMBDAS[rungs[-1]])
     harvested = run_smc(scores, fmap.transform(sample.x), prior,
-                        ladder.with_checkpoints(rungs),
-                        SMCConfig(n_particles=particles, seed=seed))
-    return harvested, fmap, scores
+                        AdaptiveLadder(u, _LADDER_LAMBDAS[rungs]),
+                        SMCConfig(n_particles=particles, seed=seed,
+                                  mh_steps_per_stage=MH_STEPS_PER_STAGE))
+    by_lam = {cloud.lam: cloud for cloud in harvested.values()}
+    clouds = {step: by_lam[_LADDER_LAMBDAS[step]] for step in rungs}
+    return clouds, fmap, scores
 
 
 def _holdout_objectives(u: float, lambda_grid, training: Sample,
@@ -297,13 +316,13 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample,
     halves = _fold_indices(training.n, CV_FOLDS, subseed(seed, "folds"))
     for f, hold_idx in enumerate(halves):
         fit_idx = np.concatenate([h for g, h in enumerate(halves) if g != f])
-        harvested, fmap, _ = _tempered_clouds(
+        clouds, fmap, _ = _tempered_clouds(
             u, rungs, training.subset(np.sort(fit_idx)), particles,
             subseed(seed, "cv", f))
         hold = training.subset(np.sort(hold_idx))
         hold_scores = ipw_transform(hold)
         for j, step in enumerate(rungs):
-            rule = GibbsRule(harvested[step], fmap)
+            rule = GibbsRule(clouds[step], fmap)
             prob = treat_probability(rule, hold.x)
             dec = (prob > 0.5).astype(float)
             totals["gibbs"][j] += float(
@@ -337,10 +356,10 @@ def _fit_both_rules(u: float, lam_sa: float, lam_mv: float, training: Sample,
                     particles: int, seed: int):
     """One tempering run, cut at the larger target, harvesting both rungs."""
     step_sa, step_mv = _nearest_rung(lam_sa), _nearest_rung(lam_mv)
-    harvested, fmap, scores = _tempered_clouds(
+    clouds, fmap, scores = _tempered_clouds(
         u, _rungs([lam_sa, lam_mv]), training, particles, seed)
-    rule_sa = GibbsRule(harvested[step_sa], fmap)
-    rule_mv = MajorityVoteRule(harvested[step_mv], fmap)
+    rule_sa = GibbsRule(clouds[step_sa], fmap)
+    rule_mv = MajorityVoteRule(clouds[step_mv], fmap)
     return rule_sa, rule_mv, fmap, scores
 
 
@@ -442,11 +461,9 @@ def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
     m = test_pop.n
     for method, fn in (("oracle_ratio", oracle_ratio_baseline),
                        ("oracle_cate", oracle_cate_baseline)):
-        pts = [(0.0, 0.0)]
-        for b in query[query > 0]:
-            gain, cost = fn(test_pop, float(b) * m)
-            pts.append((cost / m, gain / m))
-        base = build_cost_curve(pts, method)
+        gains, costs = fn(test_pop, query[query > 0] * m)
+        base = build_cost_curve([(0.0, 0.0), *zip(costs / m, gains / m)],
+                                method)
         curves[method] = CostCurve(method=method, costs=query,
                                    gains=base.gain_at(query))
         gain_se[method] = np.zeros_like(query)

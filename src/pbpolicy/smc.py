@@ -1,11 +1,12 @@
 """Tempering sequential Monte Carlo over linear threshold rules.
 
-The sampler walks an increasing ladder of (lambda_t, u_t) pairs. At each stage
-it (1) resamples systematically when the effective sample size falls below
-tau_ess * N, (2) moves every particle with a Gaussian random-walk Metropolis
-kernel whose covariance is the empirical covariance of the current cloud
-scaled by t^-0.9, targeting the exponentially weighted posterior at
-(lambda_t, u_t), and (3) multiplies the importance weights by
+The sampler walks an increasing sequence of (lambda_t, u_t) pairs from the
+prior at (0, 0).  At each stage it (1) resamples systematically when the
+effective sample size falls below tau_ess * N, (2) moves every particle with
+a Gaussian random-walk Metropolis kernel whose covariance is the empirical
+covariance of the current cloud times a scale, targeting the exponentially
+weighted posterior at (lambda_t, u_t), and (3) multiplies the importance
+weights by
 
     omega_t = exp[lambda_t (W - u_t K) - lambda_{t-1} (W - u_{t-1} K)]
 
@@ -13,15 +14,33 @@ evaluated at the pre-move particle positions, then renormalizes.  Weights are
 kept in log space throughout; the raw exponentials underflow long before
 lambda reaches its final value.
 
+Two schedules drive the stages:
+
+- TemperatureLadder is fixed in advance: build_default_ladder's 800-step
+  piecewise-linear ladder, or any other increasing tuple of pairs.  The
+  proposal scale is t^-covariance_scale_exponent and one run harvests the
+  ladder's checkpoint steps.
+- AdaptiveLadder picks each lambda_t from the particles: the largest step,
+  up to the next rung, whose incremental weights keep the conditional ESS
+  (Zhou, Johansen & Aston 2016) at CESS_FRACTION * N, found by bisection.
+  The next rung is taken whenever its own CESS meets the target, so every
+  rung is reached exactly and harvested.  u follows lambda along the fixed
+  ladder's ramp, u_t = u_final * min(lambda_t / 4, 1); when the first rung
+  lies below 4 the ramp ends there instead, so every harvest is at u_final.
+  Each stage runs config.mh_steps_per_stage sweeps with proposal scale
+  RW_SCALE / q (Chopin & Papaspiliopoulos 2020, ch. 17).  A stage that
+  cannot raise lambda by 2^-20 of the way to the next rung raises
+  RuntimeError naming the stage, lambda and u.
+
 Determinism: stage t consumes a dedicated counter-based RNG stream, the one
-np.random.Philox(key=[seed, t]) gives, drawing in a fixed order (resampling
-uniform if triggered, then per Metropolis step a proposal block and an
-acceptance block).  Truncating the ladder therefore reproduces the prefix of a
-longer run bit for bit, which is what makes mid-ladder checkpoints
-trustworthy.  The first key word is the seed itself only below 2^63: numpy
-turns the list [seed, t] into float64 when the seed does not fit an int64, so
-a larger seed (about half of the harness's 64-bit subseeds) is rounded to 53
-significant bits, and seeds that round alike share their stage streams.
+np.random.Philox(key=np.array([seed, t], dtype=np.uint64)) gives, drawing in
+a fixed order (resampling uniform if triggered, then per Metropolis step a
+proposal block and an acceptance block).  Choosing an adaptive lambda_t
+draws nothing.  So a fixed ladder cut short reproduces the prefix of a
+longer run bit for bit, and an adaptive run over the first k rungs
+reproduces the first k harvests of a run over more rungs; that is what makes
+mid-ladder checkpoints trustworthy.  Every 64-bit seed is its own first key
+word.
 """
 
 from __future__ import annotations
@@ -36,6 +55,7 @@ from pbpolicy.gibbs import IsotropicNormalPrior, _logsumexp, welfare_cost_matrix
 
 __all__ = [
     "TemperatureLadder",
+    "AdaptiveLadder",
     "WeightedParticles",
     "SMCConfig",
     "build_default_ladder",
@@ -49,6 +69,17 @@ LADDER_KNOT_STEPS = (0, 200, 320, 470, 800)
 LADDER_KNOT_LAMBDAS = (0.0, 4.0, 32.0, 256.0, 1024.0)
 U_RAMP_END = 200
 LAMBDA_CAP = 1024.0
+U_RAMP_LAMBDA = LADDER_KNOT_LAMBDAS[1]  # lambda at step U_RAMP_END
+
+# Adaptive stages keep the conditional ESS at CESS_FRACTION * N and propose
+# with RW_SCALE / q times the cloud covariance.  RW_SCALE is a tenth of the
+# 2.38^2 that suits smooth targets: the welfare is a step function of theta,
+# and at 2.38^2 the high rungs accepted 2-5% of moves.  At CESS 0.8 and the
+# full 2.38^2, rung means of welfare sat up to 8.5 cross-seed standard errors
+# below the fixed ladder's; at these values 1 of 96 such gaps exceeded 3.
+CESS_FRACTION = 0.9
+RW_SCALE = 0.1 * 2.38**2
+_BISECTION_STEPS = 20  # lambda_t is found to 2^-20 of the way to the rung
 
 
 @dataclass(frozen=True)
@@ -89,6 +120,94 @@ class TemperatureLadder:
             raise ValueError(f"cannot truncate to step {last_step}")
         return TemperatureLadder(self.steps[:last_step + 1],
                                  tuple(c for c in self.checkpoints if c <= last_step))
+
+    # the schedule run_smc drives: next pair, harvest, end, proposal scale
+    def _next(self, t, lam_prev, u_prev, log_psi, wbar, kbar):
+        return self.steps[t]
+
+    def _harvests(self, t: int, lam: float) -> bool:
+        return t in self.checkpoints
+
+    def _finished(self, t: int, lam: float) -> bool:
+        return t == self.T
+
+    def _proposal_scale(self, t: int, q: int, config: "SMCConfig") -> float:
+        return t**(-config.covariance_scale_exponent)
+
+
+def _cess_fraction(log_psi: np.ndarray, log_inc: np.ndarray) -> float:
+    """Conditional ESS over N of incremental weights exp(log_inc) applied to
+    normalized log weights log_psi: (sum W g)^2 / sum W g^2, from two plain
+    max-shifted log sums.  The bisection calls it about 20 times a stage and
+    needs no bit-exact match with scipy, so it skips gibbs._logsumexp."""
+    a = log_psi + log_inc
+    b = a + log_inc
+    a_max, b_max = a.max(), b.max()
+    log_num = 2.0 * (a_max + np.log(np.exp(a - a_max).sum()))
+    log_den = b_max + np.log(np.exp(b - b_max).sum())
+    return float(np.exp(log_num - log_den))
+
+
+@dataclass(frozen=True)
+class AdaptiveLadder:
+    """A schedule chosen stage by stage from the particles (see the module
+    docstring), ending at the last rung and harvesting every rung.
+
+    The harvest of a rung is keyed by its stage index like a fixed ladder's
+    checkpoint; its lam equals the rung value exactly.
+    """
+
+    u_final: float
+    rungs: tuple
+
+    def __post_init__(self):
+        u_final = float(self.u_final)
+        if not (np.isfinite(u_final) and u_final >= 0.0):
+            raise ValueError("u_final must be non-negative")
+        rungs = tuple(sorted({float(r) for r in self.rungs}))
+        if not rungs:
+            raise ValueError("adaptive ladder has no rungs")
+        if not all(0.0 < r <= LAMBDA_CAP for r in rungs):
+            raise ValueError(f"rungs must lie in (0, {LAMBDA_CAP:g}]")
+        object.__setattr__(self, "u_final", u_final)
+        object.__setattr__(self, "rungs", rungs)
+
+    def u_at(self, lam: float) -> float:
+        """The penalty on the ramp at inverse temperature lam."""
+        return self.u_final * min(lam / min(U_RAMP_LAMBDA, self.rungs[0]), 1.0)
+
+    def _next(self, t, lam_prev, u_prev, log_psi, wbar, kbar):
+        old = lam_prev * (wbar - u_prev * kbar)
+
+        def meets_target(lam: float) -> bool:
+            log_inc = lam * (wbar - self.u_at(lam) * kbar) - old
+            return _cess_fraction(log_psi, log_inc) >= CESS_FRACTION
+
+        lo = lam_prev
+        hi = next(r for r in self.rungs if r > lam_prev)
+        if meets_target(hi):
+            return hi, self.u_at(hi)
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if meets_target(mid):
+                lo = mid
+            else:
+                hi = mid
+        if lo == lam_prev:
+            raise RuntimeError(
+                f"tempering stalled at step {t} (lambda={lam_prev:g}, "
+                f"u={u_prev:g}): no step keeps the conditional ESS at "
+                f"{CESS_FRACTION:g} N")
+        return lo, self.u_at(lo)
+
+    def _harvests(self, t: int, lam: float) -> bool:
+        return lam in self.rungs
+
+    def _finished(self, t: int, lam: float) -> bool:
+        return lam == self.rungs[-1]
+
+    def _proposal_scale(self, t: int, q: int, config: "SMCConfig") -> float:
+        return RW_SCALE / q
 
 
 @dataclass
@@ -147,8 +266,8 @@ class SMCConfig:
             raise ValueError("tau_ess must lie in (0, 1)")
         if self.mh_steps_per_stage < 1:
             raise ValueError("mh_steps_per_stage must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be a non-negative integer below 2^64")
 
 
 def _lambda_at(t: float) -> float:
@@ -237,14 +356,16 @@ def mh_move(thetas: np.ndarray, state: tuple, evaluate, log_ratio,
 
 
 class _StageStreams:
-    """The stage-t stream of Generator(Philox(key=[seed, t])), without
-    building a new bit generator per stage: one Philox is re-keyed in place.
-    Its first key word is the one Philox(key=[seed, 0]) stores (see the
-    module docstring), and every stage restarts the counter and the buffer.
+    """The stage-t stream of Generator(Philox(key=np.array([seed, t],
+    dtype=np.uint64))), without building a new bit generator per stage: one
+    Philox is re-keyed in place, and every stage restarts the counter and
+    the buffer.  The uint64 array keeps every 64-bit seed exact; a plain list
+    would pass through float64 for seeds of 2^63 and above.
     """
 
     def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=[seed, 0])
+        self._bitgen = np.random.Philox(
+            key=np.array([seed, 0], dtype=np.uint64))
         self._state = self._bitgen.state
         self._rng = np.random.Generator(self._bitgen)
 
@@ -265,9 +386,10 @@ def _cov(thetas: np.ndarray) -> np.ndarray:
 
 
 def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
-            ladder: TemperatureLadder, config: SMCConfig,
+            ladder: TemperatureLadder | AdaptiveLadder, config: SMCConfig,
             prior_sampler=None, trace=None) -> dict[int, WeightedParticles]:
-    """Run the ladder and harvest the requested checkpoints.
+    """Run the ladder and harvest its checkpoints (a TemperatureLadder) or
+    its rungs (an AdaptiveLadder), keyed by stage index.
 
     prior_sampler optionally replaces the prior draw at step 0 (the Metropolis
     target still uses prior.log_density); used when the prior is a surrogate
@@ -305,12 +427,12 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
                                  step_index=step, lam=lam, u=u, seed=config.seed)
 
     out: dict[int, WeightedParticles] = {}
-    if 0 in ladder.checkpoints:
-        out[0] = harvest(0, *ladder.steps[0])
+    t, lam_prev, u_prev = 0, 0.0, 0.0
+    if ladder._harvests(t, lam_prev):
+        out[0] = harvest(0, lam_prev, u_prev)
 
-    lam_prev, u_prev = ladder.steps[0]
-    for t in range(1, ladder.T + 1):
-        lam_t, u_t = ladder.steps[t]
+    while not ladder._finished(t, lam_prev):
+        t += 1
         rng = streams.at(t)
 
         # Step 2: resample when the weights have degenerated
@@ -325,6 +447,7 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
 
         # incremental weight from the pre-move scores
         wbar, kbar, _ = state
+        lam_t, u_t = ladder._next(t, lam_prev, u_prev, log_psi, wbar, kbar)
         log_inc = (lam_t * (wbar - u_t * kbar)
                    - lam_prev * (wbar - u_prev * kbar))
 
@@ -335,7 +458,7 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
                     + lp_new - lp_old)
 
         cov = _cov(thetas)
-        cov *= t**(-config.covariance_scale_exponent)
+        cov *= ladder._proposal_scale(t, q, config)
         cov.flat[::q + 1] += 1e-8
         accepted = 0
         for _ in range(config.mh_steps_per_stage):
@@ -361,7 +484,7 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
                 f"(lambda={lam_t:g}, u={u_t:g})")
         log_psi = log_psi - norm
 
-        if t in ladder.checkpoints:
+        if ladder._harvests(t, lam_t):
             out[t] = harvest(t, lam_t, u_t)
         lam_prev, u_prev = lam_t, u_t
 

@@ -4,8 +4,10 @@ This is run_smc's stage loop and the welfare/cost kernel as they stood
 before the stage was stripped of per-call library overhead: scipy's
 logsumexp, np.cov, a boolean decision matrix, and a Philox bit generator and
 Generator built afresh for every stage.  run_smc must reproduce it bit for
-bit; tests/test_smc.py holds it to that.  Keep it unchanged: a change here
-would move the reference, not the sampler.
+bit on a fixed ladder; tests/test_smc.py holds it to that.  Keep it
+unchanged: a change here would move the reference, not the sampler.  Its one
+revision keys each stage by a uint64 array, so that seeds of 2^63 and above
+are no longer rounded to 53 bits on the way in.
 """
 
 import numpy as np
@@ -31,7 +33,8 @@ def _systematic_indices(weights, u0):
 
 
 def _stage_rng(seed, step):
-    return np.random.Generator(np.random.Philox(key=[seed, step]))
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, step], dtype=np.uint64)))
 
 
 def reference_run_smc(sample_scores, features, prior, ladder, config):

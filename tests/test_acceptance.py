@@ -7,15 +7,20 @@ full studies on both simulated designs against the published benchmark
 gains at reduced scale (n=1000, 1000 particles, 20 replications).  Those
 studies take a while, so test_c11 through test_c13 read the artifacts under
 results/studies/ when a matching set exists (scripts/run_acceptance_studies.py
-precomputes them) and recompute them otherwise.
+precomputes them) and recompute them otherwise.  A set built by other
+numerics than the current code's, as results/studies/fingerprint.json tells,
+fails the three checks instead of passing them unreproduced.
 
 One summary line per criterion is printed at the end of the pytest run; see
 conftest.py.
 """
 
+import functools
+import importlib.util
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +57,7 @@ from pbpolicy.oracle import (
 )
 from pbpolicy.rules import GibbsRule, MajorityVoteRule, mv_decide, treat_probability
 from pbpolicy.smc import (
+    AdaptiveLadder,
     SMCConfig,
     build_default_ladder,
     resample_systematic,
@@ -62,7 +68,20 @@ from pbpolicy.data import IdentityFeatureMap
 
 from gridprior import GridMixturePrior, random_grid_problem
 
-RESULTS = Path(__file__).resolve().parent.parent / "results" / "studies"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results" / "studies"
+
+
+def _load_studies_script():
+    path = ROOT / "scripts" / "run_acceptance_studies.py"
+    spec = importlib.util.spec_from_file_location("run_acceptance_studies",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STUDIES_SCRIPT = _load_studies_script()
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +131,17 @@ def grid_problems():
     return problems
 
 
-def test_c01_smc_matches_exact_grid_posteriors(grid_problems):
+def _assert_clouds_match_grid_posteriors(grid_problems, cloud_of):
+    """cloud_of(prob, prior, config) is the sampler's cloud at (prob.lam,
+    prob.u); its cost and treat probabilities must match the exact grid
+    posterior's within 3 / sqrt(N)."""
     n_particles = 4000
     tol = 3.0 / math.sqrt(n_particles)
     started = time.monotonic()
     for i, prob in enumerate(grid_problems):
         prior = GridMixturePrior(prob.grid, prob.masses)
-        ladder = build_default_ladder(prob.u, prob.lam)
-        cloud = run_smc(
-            prob.scores, prob.features, prior, ladder,
-            SMCConfig(n_particles=n_particles, seed=1000 + i, normalized=False),
-            prior_sampler=prior.sample)[ladder.T]
+        cloud = cloud_of(prob, prior, SMCConfig(
+            n_particles=n_particles, seed=1000 + i, normalized=False))
         exact = grid_posterior(prob.grid, prob.masses,
                                GibbsParams(lam=prob.lam, u=prob.u, normalized=False),
                                prob.scores, prob.features)
@@ -136,6 +155,30 @@ def test_c01_smc_matches_exact_grid_posteriors(grid_problems):
         want = ((prob.probe @ prob.grid.T) > 0.0) @ exact.probs
         assert np.max(np.abs(got - want)) < tol
     assert time.monotonic() - started < 120.0
+
+
+def test_c01_smc_matches_exact_grid_posteriors(grid_problems):
+    def cloud_of(prob, prior, config):
+        ladder = build_default_ladder(prob.u, prob.lam)
+        return run_smc(prob.scores, prob.features, prior, ladder, config,
+                       prior_sampler=prior.sample)[ladder.T]
+
+    _assert_clouds_match_grid_posteriors(grid_problems, cloud_of)
+
+
+def test_c01_adaptive_ladder_matches_exact_grid_posteriors(grid_problems):
+    # criterion 1 for the schedule the study runs: adaptive stages with the
+    # study's five Metropolis sweeps each, harvested at the one rung
+    def cloud_of(prob, prior, config):
+        (cloud,) = run_smc(
+            prob.scores, prob.features, prior,
+            AdaptiveLadder(prob.u, [prob.lam]),
+            replace(config, mh_steps_per_stage=5),
+            prior_sampler=prior.sample).values()
+        assert (cloud.lam, cloud.u) == (prob.lam, prob.u)
+        return cloud
+
+    _assert_clouds_match_grid_posteriors(grid_problems, cloud_of)
 
 
 def test_c02_posterior_cost_curve_strictly_decreasing(grid_problems):
@@ -372,12 +415,7 @@ def test_c09_bernoulli_kl_identities_and_inversion():
 
 def test_c10_study_runs_byte_identical(tmp_path):
     def run(out):
-        rc = cli.main([
-            "study", "--dgp", "dgp1", "--reps", "2", "--n", "60",
-            "--particles", "40", "--n-test", "150", "--bins", "3",
-            "--seed", "17", "--threads", "1",
-            "--u-grid", "0.0,0.7", "--lambda-grid", "4.0,32.0",
-            "--out", str(out)])
+        rc = cli.main([*STUDIES_SCRIPT.TINY_STUDY_ARGS, "--out", str(out)])
         assert rc == 0
 
     run(tmp_path / "a")
@@ -393,18 +431,32 @@ def test_c10_study_runs_byte_identical(tmp_path):
 # benchmark reproduction at reduced scale
 
 
+@functools.lru_cache(maxsize=None)
+def _current_fingerprint():
+    return STUDIES_SCRIPT.numerics_fingerprint()
+
+
 def _study_cache_valid(folder, dgp_id):
+    """True when folder holds this study built by the current numerics,
+    False when it holds no such study; fails when it holds one built by
+    other numerics, rather than reuse it."""
     config = folder / "study_config.json"
     if not config.exists():
         return False
     doc = json.loads(config.read_text())
-    return (doc.get("dgp", {}).get("id") == dgp_id
+    if not (doc.get("dgp", {}).get("id") == dgp_id
             and doc.get("dgp", {}).get("seed") == 0
             and doc.get("dgp", {}).get("n") == 1000
             and doc.get("replications") == 20
             and doc.get("particles") == 1000
             and doc.get("n_test") == 10_000
-            and doc.get("n_bins") == 20)
+            and doc.get("n_bins") == 20):
+        return False
+    if STUDIES_SCRIPT.recorded_fingerprint() != _current_fingerprint():
+        pytest.fail(f"{folder} does not match the current numerics "
+                    "(results/studies/fingerprint.json differs); rebuild it "
+                    "with python3 scripts/run_acceptance_studies.py")
+    return True
 
 
 def _load_study(folder):
@@ -435,13 +487,17 @@ def _load_study(folder):
 
 @pytest.fixture(scope="module")
 def benchmark_studies():
-    out = {}
+    out, rebuilt = {}, False
     for name, dgp_id in (("dgp1", "DGP1"), ("dgp2", "DGP2")):
         folder = RESULTS / name
         if not _study_cache_valid(folder, dgp_id):
             run_study(DGPSpec(dgp_id, 0, 1000), 20,
                       config=StudyConfig(particles=1000, out_dir=str(folder)))
+            rebuilt = True
         out[name] = _load_study(folder)
+    if rebuilt:
+        # every study on disk is now either fresh or checked against it
+        STUDIES_SCRIPT.write_fingerprint(_current_fingerprint())
     return out
 
 

@@ -391,6 +391,18 @@ def test_study_rejects_bad_grids_before_any_replication(tmp_path, capsys,
     assert not list(out.glob("replication_*.json"))
 
 
+def test_study_rejects_negative_penalties_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "study"
+    rc = run_cli("study", "--dgp", "dgp1", "--reps", 1, "--n", 50,
+                 "--particles", 30, "--n-test", 120, "--bins", 3,
+                 "--threads", 1, "--out", out, "--u-grid=-1,0")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--u-grid" in err and "u_grid values must be finite and " \
+        "non-negative" in err
+    assert not list(out.glob("replication_*.json"))
+
+
 def test_study_requires_design(tmp_path, capsys):
     assert run_cli("study", "--out", tmp_path / "s") == 1
     assert "--dgp" in capsys.readouterr().err

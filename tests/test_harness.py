@@ -48,6 +48,9 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         GridSpec(u_grid=[0.0, 1.0, 1.0])
     GridSpec(lambda_grid=[1024.0])
+    for bad in ([-1.0, 0.0], [0.0, float("inf")], [float("nan")]):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            GridSpec(u_grid=bad)
     for bad in ([2048.0], [0.0, 4.0], [-4.0], [4.0, float("nan")]):
         with pytest.raises(ValueError, match=r"lie in \(0, 1024\]"):
             GridSpec(lambda_grid=bad)
@@ -89,6 +92,43 @@ def test_greedy_baselines_skip_nonpositive_scores():
     # slack budget still leaves the harmful unit untreated
     assert oracle_cate_baseline(pop, 100.0) == (3.0, 2.0)
     assert oracle_ratio_baseline(pop, 100.0) == (3.0, 2.0)
+
+
+def _greedy_loop(score, population, budget):
+    # the unit-by-unit walk the vectorized baseline replaced
+    order = np.lexsort((np.arange(population.n), -score))
+    cost = gain = 0.0
+    for i in order:
+        if score[i] <= 0.0:
+            break
+        step = population.expected_cost[i]
+        if cost + step > budget + 1e-9:
+            break
+        cost += step
+        gain += population.cate[i]
+    return gain, cost
+
+
+def test_greedy_baseline_matches_the_unit_by_unit_walk():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = int(rng.integers(1, 60))
+        # scores with ties, zeros and negatives; costs on a coarse grid so
+        # that running totals land exactly on the budgets tried below
+        score = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=n)
+        pop = toy_population(rng.normal(size=n),
+                             rng.choice([0.0, 0.25, 0.5, 1.0, -0.25], size=n))
+        totals = np.cumsum(pop.expected_cost[
+            np.lexsort((np.arange(n), -score))])
+        budgets = np.concatenate([[0.0, 1e-9, 0.25 + 1e-9, 100.0],
+                                  totals[totals >= 0],
+                                  totals[totals >= 0] - 5e-10,
+                                  totals[totals >= 1e-8] - 2e-9,
+                                  rng.uniform(0.0, 5.0, size=5)])
+        gains, costs = harness._greedy_baseline(score, pop, budgets)
+        for b, g, c in zip(budgets, gains, costs):
+            assert (g, c) == _greedy_loop(score, pop, float(b))
+            assert harness._greedy_baseline(score, pop, float(b)) == (g, c)
 
 
 def test_ratio_and_cate_rankings_differ():
@@ -161,6 +201,27 @@ def test_cross_validation_is_deterministic():
     picks = {harness._select_lambdas(0.4, [4.0, 32.0], sample, 40, 11)
              for _ in range(2)}
     assert len(picks) == 1
+
+
+def test_tempered_clouds_run_the_adaptive_ladder_through_harness_run_smc(
+        monkeypatch):
+    sample = generate(DGPSpec("DGP1", 6, 80)).sample
+    calls, real_run_smc = [], harness.run_smc
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_run_smc(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_smc", spy)
+    rungs = harness._rungs([4.0, 32.0, 256.0])
+    clouds, _, _ = harness._tempered_clouds(0.7, rungs, sample, 40, 5)
+    (ladder, config), = [(a[3], a[4]) for a in calls]
+    assert isinstance(ladder, harness.AdaptiveLadder)
+    assert ladder.rungs == tuple(harness._LADDER_LAMBDAS[rungs])
+    assert config.mh_steps_per_stage == harness.MH_STEPS_PER_STAGE == 5
+    assert list(clouds) == rungs
+    for step, cloud in clouds.items():
+        assert (cloud.lam, cloud.u) == (harness._LADDER_LAMBDAS[step], 0.7)
 
 
 SMOKE_GRIDS = GridSpec(u_grid=[0.0, 0.6, 1.2], lambda_grid=[4.0, 32.0])

@@ -15,6 +15,7 @@ from pbpolicy.gibbs import (
     welfare_cost_matrix,
 )
 from pbpolicy.smc import (
+    AdaptiveLadder,
     SMCConfig,
     TemperatureLadder,
     WeightedParticles,
@@ -25,7 +26,7 @@ from pbpolicy.smc import (
     run_smc,
 )
 from pbpolicy.harness import subseed
-from pbpolicy.smc import _cov, _StageStreams
+from pbpolicy.smc import CESS_FRACTION, _cess_fraction, _cov, _StageStreams
 
 
 def test_default_ladder_shapes():
@@ -365,6 +366,9 @@ def test_smc_config_validation():
         SMCConfig(mh_steps_per_stage=0)
     with pytest.raises(ValueError):
         SMCConfig(seed=-1)
+    with pytest.raises(ValueError, match="below 2"):
+        SMCConfig(seed=2**64)
+    SMCConfig(seed=2**64 - 1)
 
 
 def test_cov_matches_numpy_cov_bit_for_bit():
@@ -388,7 +392,8 @@ def test_stage_streams_draw_what_a_fresh_philox_draws(seed):
     # stages out of order and repeated: every reset restarts the stream
     for step in (0, 1, 7, 1, 800, 0):
         got = streams.at(step)
-        want = np.random.Generator(np.random.Philox(key=[seed, step]))
+        want = np.random.Generator(np.random.Philox(
+            key=np.array([seed, step], dtype=np.uint64)))
         assert got.uniform(0.0, 0.002) == want.uniform(0.0, 0.002)
         np.testing.assert_array_equal(got.standard_normal(size=(33, 5)),
                                       want.standard_normal(size=(33, 5)))
@@ -396,6 +401,15 @@ def test_stage_streams_draw_what_a_fresh_philox_draws(seed):
                                       want.uniform(size=33))
         np.testing.assert_array_equal(got.normal(size=(4, 3)),
                                       want.normal(size=(4, 3)))
+
+
+def test_stage_streams_keep_seeds_above_2_63_apart():
+    # both seeds round to the same float64, so a list key would give them
+    # the same first key word and hence the same stream at every stage
+    a, b = _StageStreams(2**63 + 1), _StageStreams(2**63 + 2)
+    for step in (0, 1, 800):
+        assert not np.array_equal(a.at(step).uniform(size=8),
+                                  b.at(step).uniform(size=8))
 
 
 @pytest.mark.parametrize("normalized,mh_steps,tau", [(True, 1, 0.5),
@@ -438,3 +452,126 @@ def test_grid_mixture_log_density_matches_its_reference_bit_for_bit():
             prior.grid[-1] = prior.grid[0]
         got = prior.log_density(thetas)
         assert got.tobytes() == prior.log_density_reference(thetas).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the adaptive ladder
+
+
+def _dgp_problem(n=200, seed=5):
+    training = generate(DGPSpec("DGP1", seed, n)).sample
+    fmap = poly_feature_map(2, training.x.shape[1]).fit_normalization(
+        training.x)
+    prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=1.0)
+    return ipw_transform(training), fmap.transform(training.x), prior
+
+
+def test_adaptive_ladder_validation():
+    ladder = AdaptiveLadder(1, [32, 4.0, 32.0])
+    assert ladder.rungs == (4.0, 32.0)
+    assert ladder.u_final == 1.0
+    assert ladder.u_at(2.0) == 0.5 and ladder.u_at(32.0) == 1.0
+    # a first rung below 4 ends the u ramp there
+    assert AdaptiveLadder(1.0, [2.0, 8.0]).u_at(2.0) == 1.0
+    with pytest.raises(ValueError, match="non-negative"):
+        AdaptiveLadder(-1.0, [4.0])
+    with pytest.raises(ValueError, match="no rungs"):
+        AdaptiveLadder(0.0, [])
+    for bad in ([0.0], [2048.0], [float("nan")]):
+        with pytest.raises(ValueError, match="rungs must lie"):
+            AdaptiveLadder(0.0, bad)
+
+
+def test_adaptive_step_bisects_to_the_cess_target_or_takes_the_rung():
+    rng = np.random.default_rng(3)
+    n = 300
+    w, k = rng.normal(size=n), rng.uniform(size=n)
+    log_psi = np.log(rng.dirichlet(np.full(n, 5.0)))
+    ladder = AdaptiveLadder(1.0, [4.0, 32.0])
+    lam, u = ladder._next(1, 0.0, 0.0, log_psi, w, k)
+    assert 0.0 < lam < 4.0 and u == lam / 4.0
+    frac = _cess_fraction(log_psi, lam * (w - u * k))
+    assert CESS_FRACTION <= frac < CESS_FRACTION + 1e-4
+    # increments that barely move the weights go straight to the rung
+    assert ladder._next(1, 0.0, 0.0, log_psi, 1e-6 * w, k * 0.0) == (4.0, 1.0)
+    assert ladder._next(2, 4.0, 1.0, log_psi, 1e-6 * w, k * 0.0) == (32.0, 1.0)
+
+
+def test_adaptive_run_hits_every_rung_in_few_stages():
+    scores, feats, prior = _dgp_problem()
+    ladder = AdaptiveLadder(1.6, [4.0, 32.0, 256.0])
+    cfg = SMCConfig(n_particles=200, seed=3, mh_steps_per_stage=5)
+    trace = []
+    out = run_smc(scores, feats, prior, ladder, cfg, trace=trace)
+    assert [c.lam for c in out.values()] == [4.0, 32.0, 256.0]
+    assert all(c.u == 1.6 for c in out.values())
+    assert [rec["step"] for rec in trace] == list(range(1, len(trace) + 1))
+    assert sorted(out) == [rec["step"] for rec in trace
+                           if rec["lam"] in ladder.rungs]
+    assert trace[-1]["lam"] == 256.0
+    lams = [0.0] + [rec["lam"] for rec in trace]
+    assert all(b > a for a, b in zip(lams, lams[1:]))
+    # far fewer stages than the fixed ladder's 470 to the same rung
+    assert len(trace) < 100
+    for cloud in out.values():
+        assert abs(cloud.weights.sum() - 1.0) < 1e-10
+
+
+def test_adaptive_run_is_deterministic_and_rung_prefix_reproduces():
+    scores, feats, prior = _dgp_problem()
+    cfg = SMCConfig(n_particles=150, seed=2**63 + 7, mh_steps_per_stage=3)
+    full = run_smc(scores, feats, prior, AdaptiveLadder(0.8, [4.0, 32.0, 256.0]),
+                   cfg)
+    again = run_smc(scores, feats, prior,
+                    AdaptiveLadder(0.8, [4.0, 32.0, 256.0]), cfg)
+    cut = run_smc(scores, feats, prior, AdaptiveLadder(0.8, [4.0, 32.0]), cfg)
+    assert list(again) == list(full)
+    for step in full:
+        assert np.array_equal(again[step].thetas, full[step].thetas)
+        assert np.array_equal(again[step].weights, full[step].weights)
+    assert list(cut) == list(full)[:2]
+    for step in cut:
+        assert np.array_equal(cut[step].thetas, full[step].thetas)
+        assert np.array_equal(cut[step].weights, full[step].weights)
+
+
+def test_adaptive_run_raises_when_lambda_cannot_advance():
+    rng = np.random.default_rng(1)
+    feats = rng.normal(size=(40, 2))
+    # welfare scores so large that any step past 2^-20 of the way to the
+    # first rung leaves one particle with all the weight
+    s = scores_of(rng.normal(scale=1e15, size=40), np.zeros(40))
+    with pytest.raises(RuntimeError, match=r"stalled at step 1 \(lambda=0, u=0\)"):
+        run_smc(s, feats, IsotropicNormalPrior(q=2, sigma=1.0),
+                AdaptiveLadder(0.0, [4.0]),
+                SMCConfig(n_particles=50, seed=0, normalized=False))
+
+
+def test_adaptive_posterior_means_agree_with_the_fixed_ladder_across_seeds():
+    # rung posterior means of welfare and cost over 10 seeds: the adaptive
+    # ladder's agree with the fixed ladder's within 3 pooled standard errors
+    scores, feats, prior = _dgp_problem()
+    rungs = (4.0, 32.0, 256.0, 1024.0)
+    seeds = range(10)
+
+    def means(cloud):
+        w, k = welfare_cost_matrix(cloud.thetas, scores, feats)
+        return cloud.expectation(w), cloud.expectation(k)
+
+    for u in (0.0, 1.0, 2.0):
+        fixed = build_default_ladder(u, 1024.0).with_checkpoints(
+            [200, 320, 470, 800])
+        got = {"fixed": [], "adaptive": []}
+        for seed in seeds:
+            out = run_smc(scores, feats, prior, fixed,
+                          SMCConfig(n_particles=200, seed=seed))
+            got["fixed"].append([means(out[t]) for t in (200, 320, 470, 800)])
+            out = run_smc(scores, feats, prior, AdaptiveLadder(u, rungs),
+                          SMCConfig(n_particles=200, seed=seed,
+                                    mh_steps_per_stage=5))
+            got["adaptive"].append([means(c) for c in out.values()])
+        fixed_m, adaptive_m = (np.array(got[k]) for k in ("fixed", "adaptive"))
+        se = np.sqrt((fixed_m.var(axis=0, ddof=1)
+                      + adaptive_m.var(axis=0, ddof=1)) / len(seeds))
+        gap = np.abs(fixed_m.mean(axis=0) - adaptive_m.mean(axis=0))
+        assert np.all(gap <= 3.0 * se), (u, gap / se)
