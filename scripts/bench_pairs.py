@@ -17,6 +17,17 @@ and the medians differ by more than the base's quartile spread; the script
 prints that verdict and, for end-to-end metrics, whether the working tree's
 median stays within the bound that BENCHMARK.json fixes.  The last line of
 standard output is a JSON object with every run's metrics and digest.
+
+With --out BENCH_<n>.json the result is also kept in a file: the machine
+block of run_bench.py's detail line, both commits (the base's and HEAD's,
+with whether tracked files differed from HEAD), and under "workloads" each
+workload's pairs, summary rows and digest equality.  A later call with the
+same file, base and HEAD adds its workload to it (a traced run under
+"<workload> --trace 1"), so one file holds the claimed gain and the
+no-regression pairs of a change:
+
+    python3 scripts/bench_pairs.py --base HEAD~1 --workload study_rep \
+        --seed 801 --out BENCH_8.json
 """
 
 from __future__ import annotations
@@ -44,6 +55,9 @@ def _parse_args(argv):
     p.add_argument("--seed", type=int, default=1,
                    help="seed of the first pair; pair i uses seed + i")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--out", help="JSON file that keeps the result; a file "
+                                 "written for the same commits gains this "
+                                 "workload")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -71,6 +85,49 @@ def _tree_digest(root: str) -> dict:
     return out
 
 
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _commits(base_ref: str) -> dict:
+    return {
+        "base": {"ref": base_ref,
+                 "commit": _git("rev-parse", f"{base_ref}^{{commit}}")},
+        "head": {"commit": _git("rev-parse", "HEAD"),
+                 "dirty": bool(_git("status", "--porcelain",
+                                    "--untracked-files=no"))},
+    }
+
+
+def _kept(path: str, commits: dict) -> dict:
+    """The document at path, or a new one; None when it holds other
+    commits."""
+    if not os.path.exists(path):
+        return {"machine": None, **commits, "workloads": {}}
+    with open(path) as fh:
+        doc = json.load(fh)
+    same = all(doc[side]["commit"] == commits[side]["commit"]
+               for side in ("base", "head"))
+    return doc if same else None
+
+
+def _keep(path: str, doc: dict, args, seconds: float, machine: dict,
+          runs: dict, rows: list, digests_equal: bool) -> None:
+    doc["machine"] = doc["machine"] or machine
+    key = args.workload + (" --trace 1" if args.trace else "")
+    doc["workloads"][key] = {
+        "seconds": seconds, "trace": args.trace, "pairs": [
+            {"seed": b["seed"], "base": b, "head": h}
+            for b, h in zip(runs["base"], runs["head"])],
+        "digests_equal": digests_equal, "summary": rows}
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def _run(tree: str, args, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run_bench.py", "--workload", args.workload,
            "--seed", str(seed), "--seconds", str(seconds),
@@ -84,7 +141,8 @@ def _run(tree: str, args, seed: int, seconds: float) -> dict:
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {"seed": seed, "digest": detail.get("digest"),
             "correct": result["correct"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "machine": detail.get("machine", {})}
 
 
 def _quartiles(values: list) -> tuple:
@@ -121,6 +179,12 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = float(bench["run_seconds"])
     spec = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
+    if args.out:
+        doc = _kept(args.out, _commits(args.base))
+        if doc is None:
+            print(f"bench_pairs: {args.out} holds other commits; choose "
+                  "another --out", file=sys.stderr)
+            return 2
 
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
         _extract(args.base, base_tree)
@@ -143,6 +207,13 @@ def main(argv=None) -> int:
                               for k in ("wall_s", "setup_s", "peak_rss_mb")
                               if k in b["metrics"]), flush=True)
 
+    # the machine block once; each run keeps its own source hash, and the
+    # seeds and commits are kept beside the runs
+    machine = {k: v for k, v in runs["head"][0]["machine"].items()
+               if k not in ("git_commit", "git_dirty", "src_sha256", "seed")}
+    for r in runs["base"] + runs["head"]:
+        m = r.pop("machine")
+        r["src_sha256"] = m.get("src_sha256")
     digests_equal = all(b["digest"] == h["digest"]
                         for b, h in zip(runs["base"], runs["head"]))
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
@@ -166,6 +237,9 @@ def main(argv=None) -> int:
                       "seconds": seconds, "trace": args.trace,
                       "digests_equal": digests_equal, "summary": rows,
                       "runs": runs}))
+    if args.out:
+        _keep(args.out, doc, args, seconds, machine, runs, rows,
+              digests_equal)
     return 0
 
 

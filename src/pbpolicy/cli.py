@@ -310,6 +310,8 @@ def _cmd_score(args) -> int:
     _require(cfg, "score", "out")
     if cfg["mode"] not in ("prob", "mv", "sample"):
         raise ValueError(f"unknown score mode {cfg['mode']!r}")
+    if cfg["mode"] == "sample" and not 0 <= int(cfg["seed"]) < 2**64:
+        raise ValueError(f"--seed must lie in [0, 2^64), got {cfg['seed']}")
     out = _ensure_out(cfg["out"])
     _echo_config(out, "score", cfg,
                  {"rule": args.rule, "covariates": args.covariates})
@@ -326,7 +328,10 @@ def _cmd_score(args) -> int:
         values = [str(int(v)) for v in mv_decide(MajorityVoteRule(
             particles, fmap), x)]
     else:
-        rng = np.random.Generator(np.random.Philox(key=[int(cfg["seed"]), 0]))
+        # a uint64 key keeps every 64-bit seed exact; a list key would pass
+        # seeds of 2^63 and above through float64
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([int(cfg["seed"]), 0], dtype=np.uint64)))
         values = [str(int(v)) for v in sample_assignments(rule, x, rng)]
     _write_csv(os.path.join(out, "assignments.csv"), ["assignment"],
                ([v] for v in values))

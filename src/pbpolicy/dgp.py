@@ -14,7 +14,13 @@ Environment 2: X ~ U(-1,1)^3, with sig(z) = 1/(1+e^-z),
     C1 ~ Binomial(5, 2 sig(2 X2 + X3)/5).
 
 Each unit gets its own counter-based RNG stream keyed by (seed, unit index),
-so generation is reproducible regardless of chunking or thread count.
+so generation is reproducible regardless of chunking or thread count.  Unit
+i's stream is the one Generator(Philox(key=[seed, i])) gives.  generate
+builds one Philox and re-keys it in place for each unit, restarting its
+counter and buffer, instead of building a bit generator per unit.  The key
+goes through np.asarray as that list does, so a seed of 2^63 or more keeps
+the float64 rounding of the list form: seeds that differ only in their low
+bits there share their streams.
 """
 
 from __future__ import annotations
@@ -83,10 +89,6 @@ def _half(x):
     return np.full(np.atleast_2d(x).shape[0], 0.5)
 
 
-def _unit_rng(seed: int, unit: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, unit]))
-
-
 def _truncated_normal(rng: np.random.Generator) -> float:
     # rejection from the standard normal; acceptance is about 95.4%
     while True:
@@ -139,8 +141,12 @@ def generate(spec: DGPSpec) -> SimulatedPopulation:
     c1 = np.empty(n)
     d = np.empty(n, dtype=int)
     lo = 0.0 if spec.id == "DGP1" else -1.0
+    bitgen = np.random.Philox(key=np.asarray([spec.seed, 0]).astype(np.uint64))
+    fresh = bitgen.state
+    rng = np.random.Generator(bitgen)
     for i in range(n):
-        rng = _unit_rng(spec.seed, i)
+        fresh["state"]["key"][1] = i
+        bitgen.state = fresh
         x[i] = rng.uniform(lo, 1.0, size=3)
         eps[i] = _truncated_normal(rng)
         if spec.id == "DGP1":

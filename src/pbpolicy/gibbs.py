@@ -10,6 +10,10 @@ score, which rescales the effective inverse temperature by that mean.  Exact
 finite-grid posteriors double as oracles for the SMC sampler, and the budget
 map Lambda_hat(u) with its inverse u_hat(B, lambda) lives here too, on a grid
 or on a weighted particle cloud reweighted ("tilted") across penalties.
+
+Every decision, welfare and cost evaluation goes through one kernel,
+_decisions (features @ thetas.T > 0), walked in blocks of about
+DECISION_BLOCK_ELEMENTS entries of the units-by-rules matrix (_blocks).
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ __all__ = [
 ]
 
 U_BRACKET_CAP = 2.0**20
+
+# Entries of one block of the decision matrix (1 MB of float64): the kernel
+# and the vote shares never hold more than about this many at once.  Picked
+# from a sweep over n in {250, 500, 1000} and 250-1000 particles.
+DECISION_BLOCK_ELEMENTS = 2**17
+_BLOCK_ALIGN = 8
 
 
 class InfeasibleBudgetError(ValueError):
@@ -107,9 +117,10 @@ def _logsumexp(a: np.ndarray) -> float:
     return out
 
 
-def _decisions(thetas, features, scores: IPWScores | None = None) -> np.ndarray:
+def _decisions(thetas, features, scores: IPWScores | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """The (n, m) matrix of 1.0 where unit i's features treat under rule j
-    (features[i] @ thetas[j] > 0), else 0.0.
+    (features[i] @ thetas[j] > 0), else 0.0, written into out when given.
 
     When scores are given, features must hold one row per scored unit.
     """
@@ -119,18 +130,67 @@ def _decisions(thetas, features, scores: IPWScores | None = None) -> np.ndarray:
         raise ValueError("scores and features have mismatched lengths")
     # written as floats over the margins in place, so that the products that
     # follow do not each cast a boolean matrix
-    dec = features @ thetas.T
+    dec = np.matmul(features, thetas.T, out=out)
     np.greater(dec, 0.0, out=dec, casting="unsafe")
     return dec
 
 
+def _blocks(size: int, other: int) -> list[slice]:
+    """Slices of range(size) that cut an (size, other) or (other, size)
+    decision matrix into blocks of about DECISION_BLOCK_ELEMENTS entries.
+
+    Every block but the last holds a multiple of 8 rows, and a remainder
+    under 8 joins the block before it.  OpenBLAS's matrix-vector kernels sum
+    rows in groups of four and a leftover row in another order, and numpy
+    hands a one-row product to a dot product instead; so each row keeps the
+    group and the position it has in the product over the whole matrix, and
+    the blocked reductions equal the one-shot ones bit for bit.  The one
+    exception is a one-shot product big enough for OpenBLAS to split across
+    threads at a row count that is not a multiple of 4: there the blocks
+    give the single-thread sums.
+    """
+    step = max(_BLOCK_ALIGN, DECISION_BLOCK_ELEMENTS // max(other, 1)
+               // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    cuts = list(range(0, size, step))
+    if len(cuts) > 1 and size - cuts[-1] < _BLOCK_ALIGN:
+        cuts.pop()
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [size])]
+
+
+def _block_decisions(thetas, features, by_units: bool,
+                     scores: IPWScores | None = None):
+    """Yield (block, decisions) over the blocks of the (n, m) decision
+    matrix: row blocks of the units when by_units, else column blocks of
+    the rules.  Every block is written into one buffer, which the next
+    block overwrites.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    features = np.asarray(features, dtype=float)
+    n, m = features.shape[0], thetas.shape[0]
+    blocks = _blocks(n, m) if by_units else _blocks(m, n)
+    widest = max((b.stop - b.start for b in blocks), default=0)
+    buffer = np.empty(widest * (m if by_units else n))
+    for b in blocks:
+        th, feats = (thetas, features[b]) if by_units else (thetas[b], features)
+        out = buffer[:feats.shape[0] * th.shape[0]].reshape(
+            feats.shape[0], th.shape[0])
+        yield b, _decisions(th, feats, scores, out)
+
+
 def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
                         features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical welfare and cost of each row of thetas, as two (m,) arrays."""
-    dec = _decisions(thetas, features, scores)
-    n = scores.n
-    w = (scores.delta_y @ dec) / n
-    k = (scores.delta_c @ dec) / n
+    """Empirical welfare and cost of each row of thetas, as two (m,) arrays.
+
+    The rules are walked in column blocks (_blocks), so no call holds the
+    whole (n, m) decision matrix.
+    """
+    m = np.atleast_2d(thetas).shape[0]
+    w, k = np.empty(m), np.empty(m)
+    for cols, dec in _block_decisions(thetas, features, False, scores):
+        w[cols] = scores.delta_y @ dec
+        k[cols] = scores.delta_c @ dec
+    w /= scores.n
+    k /= scores.n
     return w, k
 
 

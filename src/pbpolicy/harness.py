@@ -25,10 +25,13 @@ from .data import Sample, ipw_transform, poly_feature_map
 from .dgp import DGPSpec, SimulatedPopulation, generate, true_gain_cost
 from .gibbs import IsotropicNormalPrior
 from .persist import _open_atomic, _write_atomic
+# treat_probability and mv_decide are not called here any more, but the
+# benchmark's tracer (bench/tracing.py) rebinds them in this module
 from .rules import (
     BatchCandidates,
     GibbsRule,
     MajorityVoteRule,
+    _clipped_votes,
     _weighted_votes,
     batch_assign,
     mv_decide,
@@ -284,22 +287,26 @@ def _rungs(lambdas) -> list[int]:
     return sorted({_nearest_rung(lam) for lam in lambdas})
 
 
-def _tempered_clouds(u: float, rungs: list[int], sample: Sample,
-                     particles: int, seed: int):
-    """One adaptive tempering run on sample up to the highest rung, with the
-    cloud harvested at every rung (keyed by rung), the feature map it was
-    normalized under and its IPW scores."""
+def _prepare(sample: Sample):
+    """The feature map normalized on sample, the sample's features under it
+    and its IPW scores."""
     fmap = poly_feature_map(FEATURE_DEGREE, sample.x.shape[1])
     fmap = fmap.fit_normalization(sample.x)
-    scores = ipw_transform(sample)
+    return fmap, fmap.transform(sample.x), ipw_transform(sample)
+
+
+def _tempered_clouds(u: float, rungs: list[int], prepared, particles: int,
+                     seed: int) -> dict:
+    """One adaptive tempering run on a _prepare'd sample up to the highest
+    rung, with the cloud harvested at every rung, keyed by rung."""
+    fmap, feats, scores = prepared
     prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=PRIOR_SIGMA)
-    harvested = run_smc(scores, fmap.transform(sample.x), prior,
+    harvested = run_smc(scores, feats, prior,
                         AdaptiveLadder(u, _LADDER_LAMBDAS[rungs]),
                         SMCConfig(n_particles=particles, seed=seed,
                                   mh_steps_per_stage=MH_STEPS_PER_STAGE))
     by_lam = {cloud.lam: cloud for cloud in harvested.values()}
-    clouds = {step: by_lam[_LADDER_LAMBDAS[step]] for step in rungs}
-    return clouds, fmap, scores
+    return {step: by_lam[_LADDER_LAMBDAS[step]] for step in rungs}
 
 
 def _holdout_objectives(u: float, lambda_grid, training: Sample,
@@ -316,19 +323,18 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample,
     halves = _fold_indices(training.n, CV_FOLDS, subseed(seed, "folds"))
     for f, hold_idx in enumerate(halves):
         fit_idx = np.concatenate([h for g, h in enumerate(halves) if g != f])
-        clouds, fmap, _ = _tempered_clouds(
-            u, rungs, training.subset(np.sort(fit_idx)), particles,
-            subseed(seed, "cv", f))
+        prepared = _prepare(training.subset(np.sort(fit_idx)))
+        clouds = _tempered_clouds(u, rungs, prepared, particles,
+                                  subseed(seed, "cv", f))
         hold = training.subset(np.sort(hold_idx))
         hold_scores = ipw_transform(hold)
+        hold_feats = prepared[0].transform(hold.x)
+        penalized = hold_scores.delta_y - u * hold_scores.delta_c
         for j, step in enumerate(rungs):
-            rule = GibbsRule(clouds[step], fmap)
-            prob = treat_probability(rule, hold.x)
+            prob = _clipped_votes(hold_feats, clouds[step])
             dec = (prob > 0.5).astype(float)
-            totals["gibbs"][j] += float(
-                np.mean((hold_scores.delta_y - u * hold_scores.delta_c) * prob))
-            totals["mv"][j] += float(
-                np.mean((hold_scores.delta_y - u * hold_scores.delta_c) * dec))
+            totals["gibbs"][j] += float(np.mean(penalized * prob))
+            totals["mv"][j] += float(np.mean(penalized * dec))
     return {"lambda": _LADDER_LAMBDAS[rungs],
             **{kind: v / CV_FOLDS for kind, v in totals.items()}}
 
@@ -352,15 +358,14 @@ def _mv_empirical_cost(rule: MajorityVoteRule, scores, features) -> float:
     return float(scores.delta_c @ (shares > 0.5) / scores.n)
 
 
-def _fit_both_rules(u: float, lam_sa: float, lam_mv: float, training: Sample,
+def _fit_both_rules(u: float, lam_sa: float, lam_mv: float, prepared,
                     particles: int, seed: int):
     """One tempering run, cut at the larger target, harvesting both rungs."""
-    step_sa, step_mv = _nearest_rung(lam_sa), _nearest_rung(lam_mv)
-    clouds, fmap, scores = _tempered_clouds(
-        u, _rungs([lam_sa, lam_mv]), training, particles, seed)
-    rule_sa = GibbsRule(clouds[step_sa], fmap)
-    rule_mv = MajorityVoteRule(clouds[step_mv], fmap)
-    return rule_sa, rule_mv, fmap, scores
+    clouds = _tempered_clouds(u, _rungs([lam_sa, lam_mv]), prepared,
+                              particles, seed)
+    fmap = prepared[0]
+    return (GibbsRule(clouds[_nearest_rung(lam_sa)], fmap),
+            MajorityVoteRule(clouds[_nearest_rung(lam_mv)], fmap))
 
 
 def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
@@ -368,27 +373,32 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
                      test_pop: SimulatedPopulation) -> ReplicationResult:
     rep_seed = subseed(dgp.seed, "rep", k)
     training = generate(DGPSpec(dgp.id, rep_seed, dgp.n)).sample
+    # every penalty's final fit is normalized on the whole training sample,
+    # so its features and the test population's are built once here
+    prepared = fmap, feats, scores = _prepare(training)
+    test_feats = fmap.transform(test_pop.x)
 
     selections = []
     sa_points, mv_points = [], []
-    mv_rules_by_u = {}
+    mv_rules_by_u, mv_shares_by_u = {}, {}
     for i, u in enumerate(grids.u_grid):
         u_seed = subseed(rep_seed, "u", i)
         lam_sa, lam_mv = _select_lambdas(u, grids.lambda_grid, training,
                                          config.particles, u_seed)
-        rule_sa, rule_mv, fmap, scores = _fit_both_rules(
-            u, lam_sa, lam_mv, training, config.particles,
-            subseed(u_seed, "fit"))
+        rule_sa, rule_mv = _fit_both_rules(u, lam_sa, lam_mv, prepared,
+                                           config.particles,
+                                           subseed(u_seed, "fit"))
 
-        feats = fmap.transform(training.x)
         est_cost_sa = rule_empirical_cost(rule_sa, scores, feats)
         est_cost_mv = _mv_empirical_cost(rule_mv, scores, feats)
+        mv_shares = _clipped_votes(test_feats, rule_mv.particles)
         gain_sa, cost_sa = true_gain_cost(
-            treat_probability(rule_sa, test_pop.x), test_pop)
+            _clipped_votes(test_feats, rule_sa.particles), test_pop)
         gain_mv, cost_mv = true_gain_cost(
-            mv_decide(rule_mv, test_pop.x).astype(float), test_pop)
+            (mv_shares > 0.5).astype(float), test_pop)
 
         mv_rules_by_u[float(u)] = (rule_mv, est_cost_mv)
+        mv_shares_by_u[float(u)] = mv_shares
         sa_points.append((cost_sa, gain_sa))
         mv_points.append((cost_mv, gain_mv))
         selections.append({
@@ -405,7 +415,7 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         candidates = BatchCandidates(x=test_pop.x,
                                      unit_costs=test_pop.expected_cost / m)
         plan = batch_assign(candidates, mv_rules_by_u, budget=cap,
-                            n_bins=config.n_bins)
+                            n_bins=config.n_bins, shares=mv_shares_by_u)
         for j in range(config.n_bins):
             gain = float(np.mean(test_pop.cate * plan.treated_by_bin[j]))
             batch_points.append((plan.realized_cost_by_bin[j], gain))

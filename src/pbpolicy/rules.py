@@ -6,6 +6,12 @@ vote rule thresholds that share at 1/2, and the batch procedure walks a grid
 of cost bins, picking for each bin the vote rule whose estimated cost is
 nearest the bin edge and greedily treating the highest-scored untreated
 candidates until the ledger hits the edge.
+
+Vote shares walk the units in row blocks of the decision matrix
+(gibbs._blocks), so scoring holds about DECISION_BLOCK_ELEMENTS decisions at
+a time, whatever the number of units and particles.  The shares are bit for
+bit those of one product over the whole matrix, with the one exception that
+gibbs._blocks names.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from pbpolicy.data import FeatureMap, IPWScores
-from pbpolicy.gibbs import _decisions
+from pbpolicy.gibbs import _block_decisions
 from pbpolicy.smc import WeightedParticles
 
 __all__ = [
@@ -48,14 +54,29 @@ class MajorityVoteRule(GibbsRule):
 
 def _weighted_votes(features: np.ndarray, particles: WeightedParticles,
                     scores: IPWScores | None = None) -> np.ndarray:
-    """Weighted share of the particles that treat each row of features."""
-    return _decisions(particles.thetas, features, scores) @ particles.weights
+    """Weighted share of the particles that treat each row of features.
+
+    The units are walked in row blocks (gibbs._blocks), so memory stays
+    bounded whatever the number of units.
+    """
+    features = np.asarray(features, dtype=float)
+    if scores is not None and features.shape[0] != scores.n:
+        raise ValueError("scores and features have mismatched lengths")
+    shares = np.empty(features.shape[0])
+    for rows, dec in _block_decisions(particles.thetas, features, True):
+        shares[rows] = dec @ particles.weights
+    return shares
+
+
+def _clipped_votes(features: np.ndarray,
+                   particles: WeightedParticles) -> np.ndarray:
+    # rounding in the dot product can spill a hair past the unit interval
+    return np.clip(_weighted_votes(features, particles), 0.0, 1.0)
 
 
 def _vote_shares(rule: GibbsRule, x: np.ndarray) -> np.ndarray:
     feats = rule.feature_map.transform(np.atleast_2d(np.asarray(x, dtype=float)))
-    # rounding in the dot product can spill a hair past the unit interval
-    return np.clip(_weighted_votes(feats, rule.particles), 0.0, 1.0)
+    return _clipped_votes(feats, rule.particles)
 
 
 def treat_probability(rule: GibbsRule, x):
@@ -142,7 +163,7 @@ class BatchPlan:
 def batch_assign(candidates: BatchCandidates,
                  mv_rules_by_u: Mapping[float, tuple],
                  budget: float, n_bins: int,
-                 bin_start: float = 0.0) -> BatchPlan:
+                 bin_start: float = 0.0, shares=None) -> BatchPlan:
     """Greedy cost-binned assignment over a shared budget.
 
     mv_rules_by_u maps each penalty u to (rule, estimated_cost).  For every
@@ -150,7 +171,9 @@ def batch_assign(candidates: BatchCandidates,
     distance, ties to the smaller u) ranks the untreated candidates by vote
     share, ties broken by ascending candidate index, and treatment proceeds
     down the ranking until the next treatment would push cumulative cost past
-    the edge.  Candidates treated in earlier bins stay treated.
+    the edge.  Candidates treated in earlier bins stay treated.  shares may
+    map each u to its rule's vote shares on the candidates, as
+    treat_probability gives them, when the caller has them already.
     """
     if not mv_rules_by_u:
         raise ValueError("no vote rules to select from")
@@ -161,9 +184,12 @@ def batch_assign(candidates: BatchCandidates,
     edges = np.linspace(bin_start, budget, n_bins + 1)[1:]
     us = sorted(mv_rules_by_u)
     est_costs = np.array([float(mv_rules_by_u[u][1]) for u in us])
-    # vote shares per rule, computed once
-    shares = {u: np.asarray(_vote_shares(mv_rules_by_u[u][0], candidates.x))
-              for u in us}
+    # vote shares per rule, computed once; a picked rule's ranking, sorted
+    # once
+    if shares is None:
+        shares = {u: _vote_shares(mv_rules_by_u[u][0], candidates.x)
+                  for u in us}
+    orders = {}
 
     treated = np.zeros(candidates.n, dtype=bool)
     cum_cost = 0.0
@@ -171,17 +197,20 @@ def batch_assign(candidates: BatchCandidates,
     for b, edge in enumerate(edges):
         pick = us[int(np.argmin(np.abs(est_costs - edge)))]
         selected.append(pick)
-        score = shares[pick]
-        order = np.lexsort((np.arange(candidates.n), -score))
-        for idx in order:
-            if treated[idx]:
-                continue
-            nxt = cum_cost + candidates.unit_costs[idx]
-            if nxt > edge + 1e-12:
-                break
-            treated[idx] = True
-            cum_cost = nxt
-            log.append((b, int(idx)))
+        if pick not in orders:
+            orders[pick] = np.lexsort((np.arange(candidates.n),
+                                       -np.asarray(shares[pick])))
+        rest = orders[pick][~treated[orders[pick]]]
+        # the ledger after each further treatment, added left to right as a
+        # unit-by-unit walk adds it; the walk stops at the first overrun
+        ledger = np.cumsum(np.concatenate(
+            ([cum_cost], candidates.unit_costs[rest])))[1:]
+        over = np.flatnonzero(ledger > edge + 1e-12)
+        take = rest[:over[0] if over.size else rest.size]
+        if take.size:
+            treated[take] = True
+            cum_cost = ledger[take.size - 1]
+            log.extend((b, int(idx)) for idx in take)
         masks.append(treated.copy())
         realized.append(cum_cost)
     return BatchPlan(bin_edges=edges, selected_u=tuple(selected),

@@ -12,7 +12,10 @@ weights by
 
 evaluated at the pre-move particle positions, then renormalizes.  Weights are
 kept in log space throughout; the raw exponentials underflow long before
-lambda reaches its final value.
+lambda reaches its final value.  The proposal covariance is factored once
+per stage, and every sweep of the stage proposes with that Cholesky root; a
+covariance that is not finite or not positive definite raises RuntimeError
+naming the stage, lambda and u.
 
 Two schedules drive the stages:
 
@@ -323,28 +326,37 @@ def resample_systematic(weights: np.ndarray,
     return np.searchsorted(cum, points, side="right")
 
 
-def _proposal_root(cov: np.ndarray) -> np.ndarray:
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+def _proposal_root(cov: np.ndarray, t: int, lam: float, u: float
+                   ) -> np.ndarray:
+    """The Cholesky root of stage t's proposal covariance, or RuntimeError
+    naming the stage when the covariance is not finite or not positive
+    definite."""
+    where = f"at step {t} (lambda={lam:g}, u={u:g})"
     if not np.isfinite(cov).all():
-        raise ValueError("proposal covariance is not finite")
-    if not cov.any():
-        return np.zeros_like(cov)
-    return np.linalg.cholesky(cov)
+        raise RuntimeError(f"proposal covariance is not finite {where}")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise RuntimeError(
+            f"proposal covariance is not positive definite {where}") from None
 
 
 def mh_move(thetas: np.ndarray, state: tuple, evaluate, log_ratio,
-            proposal_covariance, rng: np.random.Generator
+            proposal_root, rng: np.random.Generator
             ) -> tuple[np.ndarray, tuple, np.ndarray]:
     """One random-walk Metropolis sweep of every particle.
 
-    state is a tuple of per-particle (N,) arrays cached at thetas;
-    evaluate(proposed) returns the same tuple at an (N, q) matrix of
-    proposals, and log_ratio(new, old) maps the two tuples to the N log
-    acceptance ratios.  Returns the moved thetas, their state and the
-    boolean acceptance of each particle.  Weights are not involved; the
-    kernel leaves the target invariant.
+    The proposal adds proposal_root @ z to each particle, z standard normal,
+    so its covariance is root @ root.T.  state is a tuple of per-particle
+    (N,) arrays cached at thetas; evaluate(proposed) returns the same tuple
+    at an (N, q) matrix of proposals, and log_ratio(new, old) maps the two
+    tuples to the N log acceptance ratios.  Returns the moved thetas, their
+    state and the boolean acceptance of each particle.  Weights are not
+    involved; the kernel leaves the target invariant.
     """
-    root = _proposal_root(proposal_covariance)
+    root = np.atleast_2d(np.asarray(proposal_root, dtype=float))
+    if not np.isfinite(root).all():
+        raise ValueError("proposal root is not finite")
     n = thetas.shape[0]
     noise = rng.standard_normal(size=thetas.shape)
     proposed = thetas + noise @ root.T
@@ -460,10 +472,11 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
         cov = _cov(thetas)
         cov *= ladder._proposal_scale(t, q, config)
         cov.flat[::q + 1] += 1e-8
+        root = _proposal_root(cov, t, lam_t, u_t)
         accepted = 0
         for _ in range(config.mh_steps_per_stage):
             thetas, state, accept = mh_move(thetas, state, evaluate,
-                                            log_ratio, cov, rng)
+                                            log_ratio, root, rng)
             accepted += int(np.count_nonzero(accept))
 
         if trace is not None:

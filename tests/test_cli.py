@@ -292,6 +292,48 @@ def test_score_sample_mode_seeded(tmp_path, fitted, sample_csv):
     assert set(lines[1:]) <= {"0", "1"}
 
 
+def test_score_sample_mode_keeps_every_64_bit_seed_apart(tmp_path, fitted,
+                                                        sample_csv):
+    # a list key would round both seeds to the same float64, 2^63
+    outs = []
+    for seed in (2**63 + 1, 2**63 + 2):
+        out = tmp_path / f"s{seed}"
+        assert run_cli("score", fitted / "rule.json", sample_csv,
+                       "--out", out, "--mode", "sample", "--seed", seed) == 0
+        outs.append((out / "assignments.csv").read_bytes())
+    assert outs[0] != outs[1]
+
+
+def test_score_sample_mode_draws_below_2_63_are_unchanged(tmp_path, fitted,
+                                                         sample_csv):
+    # below 2^63 the uint64 key is the list key the output was drawn with
+    from pbpolicy.data import _read_csv
+    from pbpolicy.persist import load_rule
+    from pbpolicy.rules import GibbsRule, sample_assignments
+
+    for seed in (0, 8, 2**62 + 3):
+        out = tmp_path / f"s{seed}"
+        assert run_cli("score", fitted / "rule.json", sample_csv,
+                       "--out", out, "--mode", "sample", "--seed", seed) == 0
+        particles, fmap = load_rule(fitted / "rule.json")
+        _, _, x = _read_csv(sample_csv)
+        want = sample_assignments(
+            GibbsRule(particles, fmap), x,
+            np.random.Generator(np.random.Philox(key=[seed, 0])))
+        got = (out / "assignments.csv").read_text().split()[1:]
+        assert got == [str(int(v)) for v in want]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_score_rejects_a_seed_outside_64_bits(tmp_path, fitted, sample_csv,
+                                              capsys, seed):
+    out = tmp_path / "o"
+    assert run_cli("score", fitted / "rule.json", sample_csv, "--out", out,
+                   "--mode", "sample", "--seed", seed) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_dimension_mismatch(tmp_path, fitted, capsys):
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
@@ -437,6 +479,18 @@ def test_runtime_failure_exit_code(monkeypatch, tmp_path, capsys):
     rc = run_cli("study", "--dgp", "dgp1", "--out", tmp_path / "s")
     assert rc == 2
     assert "weights vanished" in capsys.readouterr().err
+
+
+def test_fit_exits_2_on_a_bad_proposal_covariance(monkeypatch, tmp_path,
+                                                  sample_csv, capsys):
+    import pbpolicy.smc as smc_mod
+
+    monkeypatch.setattr(smc_mod, "_cov",
+                        lambda thetas: -np.eye(thetas.shape[1]))
+    rc = run_cli("fit", sample_csv, "--out", tmp_path / "f", "--lambda", "4",
+                 "--u", "0", "--particles", "20")
+    assert rc == 2
+    assert "not positive definite at step 1" in capsys.readouterr().err
 
 
 def test_console_script_installed():

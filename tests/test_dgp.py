@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pbpolicy.dgp import DGPSpec, generate, true_gain_cost
+from pbpolicy.dgp import (DGPSpec, _conditional_means, _sigmoid,
+                          generate, true_gain_cost)
 
 
 def test_spec_validation():
@@ -90,6 +91,41 @@ def test_seeded_determinism():
     longer = generate(DGPSpec("DGP1", 42, 150))
     np.testing.assert_array_equal(longer.sample.x[:100], a.sample.x)
     np.testing.assert_array_equal(longer.sample.y[:100], a.sample.y)
+
+
+def _unit_by_unit(spec):
+    """generate's draws with a Philox and a Generator built for every unit,
+    keyed by the list [seed, i]."""
+    lo = 0.0 if spec.id == "DGP1" else -1.0
+    x, eps = np.empty((spec.n, 3)), np.empty(spec.n)
+    c1, d = np.empty(spec.n), np.empty(spec.n, dtype=int)
+    for i in range(spec.n):
+        rng = np.random.Generator(np.random.Philox(key=[spec.seed, i]))
+        x[i] = rng.uniform(lo, 1.0, size=3)
+        while True:
+            eps[i] = rng.normal()
+            if -2.0 <= eps[i] <= 2.0:
+                break
+        if spec.id == "DGP1":
+            p = (1.0 - x[i, 2] ** 2 + 2.0 * x[i, 1]) / 5.0
+        else:
+            p = 2.0 * _sigmoid(2.0 * x[i, 1] + x[i, 2]) / 5.0
+        c1[i] = rng.binomial(5, p)
+        d[i] = rng.integers(0, 2)
+    return x, eps, c1, d
+
+
+@pytest.mark.parametrize("dgp_id", ["DGP1", "DGP2"])
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**63 + 7])
+def test_rekeyed_unit_streams_draw_what_a_philox_per_unit_draws(dgp_id, seed):
+    spec = DGPSpec(dgp_id, seed, 300)
+    pop = generate(spec)
+    x, eps, c1, d = _unit_by_unit(spec)
+    np.testing.assert_array_equal(pop.x, x)
+    np.testing.assert_array_equal(pop.c1, c1)
+    np.testing.assert_array_equal(pop.sample.d, d)
+    base, _, _ = _conditional_means(dgp_id, x)
+    np.testing.assert_array_equal(pop.y0, base + eps)
 
 
 def test_true_gain_cost():

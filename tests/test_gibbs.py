@@ -19,7 +19,7 @@ from pbpolicy.gibbs import (
     tilted_weights,
     welfare_cost_matrix,
 )
-from pbpolicy.gibbs import _logsumexp
+from pbpolicy.gibbs import _blocks, _logsumexp
 
 
 def scores_of(dy, dc):
@@ -323,3 +323,37 @@ def test_logsumexp_matches_scipy_bit_for_bit():
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), a
     # run_smc raises on vanished weights because this is not finite
     assert _logsumexp(np.full(5, -np.inf)) == -np.inf
+
+
+def _block_width(size_of_other):
+    # particles per block of the kernel for this many units
+    return _blocks(2**20, size_of_other)[0].stop
+
+
+@pytest.mark.parametrize("n", [1, 7, 250, 1000])
+def test_blocked_kernel_equals_the_one_shot_product(n):
+    rng = np.random.default_rng(n)
+    b = _block_width(n)
+    assert b % 8 == 0
+    for m in (1, b - 1, b, b + 1, 3 * b + 5):
+        q = int(rng.integers(1, 11))
+        feats = rng.normal(size=(n, q))
+        thetas = rng.normal(size=(m, q))
+        thetas[::5] = 0.0  # margins of exactly zero do not treat
+        s = scores_of(rng.normal(size=n), rng.normal(size=n))
+        dec = (feats @ thetas.T > 0.0).astype(float)
+        w, k = welfare_cost_matrix(thetas, s, feats)
+        assert w.tobytes() == ((s.delta_y @ dec) / n).tobytes()
+        assert k.tobytes() == ((s.delta_c @ dec) / n).tobytes()
+
+
+def test_blocks_cover_the_range_in_aligned_steps():
+    for size, other in ((0, 10), (5, 10), (1000, 1000), (1003, 1000),
+                        (1009, 1000), (10**6, 3)):
+        blocks = _blocks(size, other)
+        assert [i for b in blocks for i in range(b.start, b.stop)] \
+            == list(range(size))
+        assert all(b.start % 8 == 0 for b in blocks)
+        assert all((b.stop - b.start) % 8 == 0 for b in blocks[:-1])
+        if len(blocks) > 1:
+            assert blocks[-1].stop - blocks[-1].start >= 8

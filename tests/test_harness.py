@@ -214,7 +214,8 @@ def test_tempered_clouds_run_the_adaptive_ladder_through_harness_run_smc(
 
     monkeypatch.setattr(harness, "run_smc", spy)
     rungs = harness._rungs([4.0, 32.0, 256.0])
-    clouds, _, _ = harness._tempered_clouds(0.7, rungs, sample, 40, 5)
+    clouds = harness._tempered_clouds(0.7, rungs, harness._prepare(sample),
+                                      40, 5)
     (ladder, config), = [(a[3], a[4]) for a in calls]
     assert isinstance(ladder, harness.AdaptiveLadder)
     assert ladder.rungs == tuple(harness._LADDER_LAMBDAS[rungs])

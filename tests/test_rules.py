@@ -17,6 +17,7 @@ from pbpolicy.rules import (
     sample_assignments,
     treat_probability,
 )
+from pbpolicy.gibbs import _blocks
 from pbpolicy.rules import _weighted_votes
 from pbpolicy.smc import WeightedParticles
 
@@ -219,3 +220,123 @@ def test_weighted_votes_match_the_boolean_matrix_bit_for_bit():
         want = (feats @ thetas.T > 0.0) @ particles.weights
         got = _weighted_votes(feats, particles)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 7, 250, 1000])
+def test_blocked_votes_equal_the_one_shot_product(m):
+    rng = np.random.default_rng(m)
+    b = _blocks(2**20, m)[0].stop  # units per block for m particles
+    assert b % 8 == 0
+    for n in (1, b - 1, b, b + 1, 3 * b + 5):
+        q = int(rng.integers(1, 11))
+        feats = rng.normal(size=(n, q))
+        thetas = rng.normal(size=(m, q))
+        for weights in (np.full(m, 1.0 / m), rng.dirichlet(np.ones(m))):
+            particles = cloud(thetas, weights)
+            want = (feats @ thetas.T > 0.0).astype(float) @ weights
+            assert _weighted_votes(feats, particles).tobytes() == want.tobytes()
+
+
+def test_vote_shares_memory_stays_bounded():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    n, m = 20_000, 1_000
+    feats = rng.normal(size=(n, 10))
+    particles = cloud(rng.normal(size=(m, 10)), np.full(m, 1.0 / m))
+    tracemalloc.start()
+    try:
+        shares = _weighted_votes(feats, particles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shares.shape == (n,)
+    # the full decision matrix would take 8 * n * m = 160 MB
+    assert peak < 16 * 2**20
+
+
+def _walk_the_ledger(candidates, shares_by_u, est_costs, budget, n_bins):
+    """batch_assign's unit-by-unit ledger walk, re-sorting for every bin."""
+    edges = np.linspace(0.0, budget, n_bins + 1)[1:]
+    us = sorted(shares_by_u)
+    est = np.array([est_costs[u] for u in us])
+    treated = np.zeros(candidates.n, dtype=bool)
+    cum_cost = 0.0
+    selected, masks, realized, log = [], [], [], []
+    for b, edge in enumerate(edges):
+        pick = us[int(np.argmin(np.abs(est - edge)))]
+        selected.append(pick)
+        order = np.lexsort((np.arange(candidates.n), -shares_by_u[pick]))
+        for idx in order:
+            if treated[idx]:
+                continue
+            nxt = cum_cost + candidates.unit_costs[idx]
+            if nxt > edge + 1e-12:
+                break
+            treated[idx] = True
+            cum_cost = nxt
+            log.append((b, int(idx)))
+        masks.append(treated.copy())
+        realized.append(cum_cost)
+    return tuple(selected), tuple(masks), tuple(realized), tuple(log)
+
+
+def _assert_plan_is_the_walk(candidates, shares_by_u, est_costs, budget,
+                             n_bins):
+    rules = {u: (None, est_costs[u]) for u in shares_by_u}
+    plan = batch_assign(candidates, rules, budget=budget, n_bins=n_bins,
+                        shares=shares_by_u)
+    selected, masks, realized, log = _walk_the_ledger(
+        candidates, shares_by_u, est_costs, budget, n_bins)
+    assert plan.selected_u == selected
+    assert plan.assignment_log == log
+    for got, want in zip(plan.treated_by_bin, masks, strict=True):
+        np.testing.assert_array_equal(got, want)
+    # the same values and element types: a bin before any treatment keeps
+    # the Python float 0.0, every later one holds an np.float64
+    assert [type(c) for c in plan.realized_cost_by_bin] \
+        == [type(c) for c in realized]
+    assert repr(plan.realized_cost_by_bin) == repr(realized)
+    return plan
+
+
+def test_batch_assign_equals_the_unit_by_unit_walk():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n = int(rng.integers(1, 300))
+        costs = rng.uniform(0.0, 1.0, size=n) / n
+        costs[rng.uniform(size=n) < 0.2] = 0.0  # zero-cost units
+        # shares on a coarse grid, so that many tie
+        shares = {u: rng.integers(0, 5, size=n) / 4.0
+                  for u in rng.choice([0.0, 0.5, 1.0, 2.0],
+                                      size=int(rng.integers(1, 5)),
+                                      replace=False)}
+        est = {u: float(rng.uniform(0.0, costs.sum() + 0.1)) for u in shares}
+        budget = float(rng.uniform(0.01, costs.sum() + 0.05))
+        _assert_plan_is_the_walk(BatchCandidates(np.zeros((n, 1)), costs),
+                                 shares, est, budget,
+                                 int(rng.integers(1, 12)))
+
+
+def test_batch_assign_edge_cases_equal_the_walk():
+    xs = np.zeros((3, 1))
+    # a cost exactly at edge + 1e-12 is treated, one ulp above it is not
+    edge = 0.3
+    at = 0.0 + (edge + 1e-12)
+    plan = _assert_plan_is_the_walk(
+        BatchCandidates(xs, [at, 0.0, 0.0]), {0.0: np.array([0.9, 0.5, 0.1])},
+        {0.0: edge}, edge, 1)
+    assert plan.assignment_log == ((0, 0), (0, 1), (0, 2))
+    above = np.nextafter(at, np.inf)
+    plan = _assert_plan_is_the_walk(
+        BatchCandidates(xs, [above, 0.0, 0.0]), {0.0: np.array([0.9, 0.5, 0.1])},
+        {0.0: edge}, edge, 1)
+    assert plan.assignment_log == ()
+    assert plan.realized_cost_by_bin == (0.0,)
+    # the first bin treats nobody, the second treats the front-runner
+    plan = _assert_plan_is_the_walk(
+        BatchCandidates(xs, [0.6, 0.5, 0.1]), {0.0: np.array([0.9, 0.5, 0.1])},
+        {0.0: 1.0}, 1.0, 2)
+    assert plan.assignment_log == ((1, 0),)
+    assert type(plan.realized_cost_by_bin[0]) is float
+    assert type(plan.realized_cost_by_bin[1]) is np.float64

@@ -185,12 +185,12 @@ def test_weighted_particles_validation():
                           0, 0.0, 0.0, 0)
 
 
-def _mh_sweep(thetas, target, cov, rng):
+def _mh_sweep(thetas, target, root, rng):
     # mh_move with the target log density as the only cached state
     evaluate = lambda th: (target(th),)
     log_ratio = lambda new, old: new[0] - old[0]
     moved, _, accept = mh_move(thetas, evaluate(thetas), evaluate, log_ratio,
-                               cov, rng)
+                               root, rng)
     return moved, float(accept.mean())
 
 
@@ -217,7 +217,8 @@ def test_mh_invariance_gaussian_target():
     thetas = p.thetas
     rates = []
     for _ in range(300):
-        thetas, rate = _mh_sweep(thetas, target, 0.6 * s**2 * np.eye(q), rng)
+        thetas, rate = _mh_sweep(thetas, target,
+                                 np.linalg.cholesky(0.6 * s**2 * np.eye(q)), rng)
         rates.append(rate)
     assert target(thetas).mean() > dens_before  # drifted toward the mode
     se_mean = s / np.sqrt(n)
@@ -545,6 +546,30 @@ def test_adaptive_run_raises_when_lambda_cannot_advance():
         run_smc(s, feats, IsotropicNormalPrior(q=2, sigma=1.0),
                 AdaptiveLadder(0.0, [4.0]),
                 SMCConfig(n_particles=50, seed=0, normalized=False))
+
+
+@pytest.mark.parametrize("bad_cov, message", [
+    (lambda q: np.full((q, q), np.nan), "not finite"),
+    (lambda q: -np.eye(q), "not positive definite"),
+])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_bad_proposal_covariance_fails_naming_the_stage(monkeypatch, bad_cov,
+                                                        message, adaptive):
+    # the covariance is factored once per stage, and a failure there is a
+    # run failure (RuntimeError) that names the stage, lambda and u
+    import pbpolicy.smc as smc_mod
+
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(30, 2))
+    s = scores_of(rng.normal(size=30) + 1.0, rng.uniform(size=30))
+    monkeypatch.setattr(smc_mod, "_cov", lambda thetas: bad_cov(2))
+    ladder = (AdaptiveLadder(0.5, [4.0]) if adaptive
+              else build_default_ladder(0.5, 4.0))
+    with pytest.raises(RuntimeError,
+                       match=rf"{message} at step 1 \(lambda=[0-9.e+-]+, "
+                             rf"u=[0-9.e+-]+\)"):
+        run_smc(s, feats, IsotropicNormalPrior(q=2, sigma=1.0), ladder,
+                SMCConfig(n_particles=20, seed=0))
 
 
 def test_adaptive_posterior_means_agree_with_the_fixed_ladder_across_seeds():
