@@ -26,7 +26,7 @@ grid = rng.normal(size=(m, q))
 masses = np.full(m, 1.0 / m)
 delta_y = rng.normal(loc=1.0, size=n)
 delta_c = np.abs(rng.normal(loc=1.0, size=n))
-scores = IPWScores(delta_y, delta_c, float(delta_y.mean()))
+scores = IPWScores(delta_y, delta_c)
 
 LAM = 16.0
 evaluator = grid_cost_evaluator(grid, masses, scores, features, normalized=False)

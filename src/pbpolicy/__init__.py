@@ -75,10 +75,7 @@ from pbpolicy.oracle import (
     regret_under_budget,
     mv_loss_L_B,
 )
-from pbpolicy.persist import (
-    save,
-    load,
-)
+from pbpolicy.persist import save
 from pbpolicy.harness import (
     GridSpec,
     CostCurve,

@@ -18,7 +18,8 @@ Conventions shared by every subcommand:
     run_config.json next to the outputs;
   * identical inputs and seeds produce byte-identical outputs;
   * PBPOLICY_SEED supplies the default --seed and PBPOLICY_THREADS the
-    default --threads; no other environment variables are consulted.
+    default --threads (else 1, since each worker's BLAS already starts a
+    thread per core); no other environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from pbpolicy.persist import (_open_atomic, _write_atomic, load_rule, save,
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import SMCConfig, build_default_ladder, ess, run_smc
+from pbpolicy.smc import (TAU_ESS, SMCConfig, build_default_ladder, ess,
+                          run_smc)
 
 __all__ = ["main", "build_parser"]
 
@@ -71,9 +73,7 @@ def _default_seed() -> int:
 
 def _default_threads() -> int:
     raw = os.environ.get("PBPOLICY_THREADS")
-    if raw:
-        return int(raw)
-    return os.cpu_count() or 1
+    return int(raw) if raw else 1
 
 
 def _dgp_id(value) -> str:
@@ -168,14 +168,14 @@ def _fit_defaults() -> dict:
 
 
 def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
-                scores, feats, normalized: bool, tau_ess: float):
+                scores, feats, normalized: bool):
     """The posterior at u_hat(budget, lam) from as few SMC runs as it takes.
 
     Each run is a pilot at penalty u_p.  Its cloud, tilted across penalties
     (gibbs.tilted_cost_evaluator), gives a cost curve that is exactly
     monotone in u, and solve_u_hat inverts that curve.  The cloud tilted to
     u_hat is the answer when its effective sample size is at least
-    tau_ess * N, or at least the pilot's own (the tilt then cost nothing).
+    smc.TAU_ESS * N, or at least the pilot's own (the tilt then cost nothing).
 
     Otherwise the next pilot runs at u_hat, or, when no penalty brings the
     tilted cost down to the budget, at twice u_p (1 from 0); past the
@@ -210,7 +210,7 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
             weights = tilted_weights(pilot.weights, costs, lam, u_pilot,
                                      u_hat, scores, normalized)
             tilted_ess = ess(weights)
-            if tilted_ess >= min(tau_ess * pilot.n_particles,
+            if tilted_ess >= min(TAU_ESS * pilot.n_particles,
                                  ess(pilot.weights)):
                 solved = replace(pilot, weights=weights, u=u_hat)
                 return solved, trace, {"smc_runs": runs, "pilot_u": u_pilot,
@@ -259,8 +259,7 @@ def _cmd_fit(args) -> int:
         budget = float(cfg["budget"])
         tol = float(cfg["budget_tol"])
         particles, trace, solve_report = _fit_budget(
-            budget, tol, lam, posterior_at, scores, feats, normalized,
-            smc_cfg.tau_ess)
+            budget, tol, lam, posterior_at, scores, feats, normalized)
         u_final = particles.u
         u_solved = True
     else:
@@ -543,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (default $PBPOLICY_SEED or 0)")
     study.add_argument("--threads", type=int,
                        help="worker processes (default $PBPOLICY_THREADS or "
-                            "the logical core count)")
+                            "1; each worker's BLAS already uses every "
+                            "core)")
     study.add_argument("--paper-scale", dest="paper_scale",
                        action="store_const", const=True,
                        help="default to 100 replications")

@@ -88,15 +88,18 @@ class Sample:
 
 @dataclass(frozen=True)
 class IPWScores:
-    """Per-unit welfare and cost scores plus the mean welfare score."""
+    """Per-unit welfare and cost scores."""
 
     delta_y: np.ndarray
     delta_c: np.ndarray
-    mean_delta_y: float
 
     @property
     def n(self) -> int:
         return self.delta_y.shape[0]
+
+    @property
+    def mean_delta_y(self) -> float:
+        return float(np.mean(self.delta_y))
 
 
 def ipw_transform(sample: Sample) -> IPWScores:
@@ -119,7 +122,7 @@ def ipw_transform(sample: Sample) -> IPWScores:
         cap = sample.m_c / (2 * sample.kappa) + 1e-9
         if np.any(np.abs(dc) > cap):
             raise ValueError("cost score exceeds m_c/(2 kappa)")
-    return IPWScores(dy, dc, float(np.mean(dy)))
+    return IPWScores(dy, dc)
 
 
 class FeatureMap:

@@ -76,9 +76,6 @@ MH_STEPS_PER_STAGE = 5
 _LAMBDA_TARGETS = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0,
                    96.0, 128.0, 192.0, 256.0, 384.0, 512.0, 768.0, 1024.0)
 
-_LADDER_LAMBDAS = np.array(
-    [lam for lam, _ in build_default_ladder(0.0, 1024.0).steps])
-
 
 def subseed(*parts) -> int:
     """Stable 64-bit stream key derived from a path of labels and numbers."""
@@ -87,14 +84,14 @@ def subseed(*parts) -> int:
         hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
-def _nearest_rung(lam: float) -> int:
-    return int(np.argmin(np.abs(_LADDER_LAMBDAS - lam)))
-
-
 def default_lambda_grid() -> np.ndarray:
-    """Ladder values closest to a doubling grid with midpoints, from 4 up."""
-    steps = sorted({_nearest_rung(t) for t in _LAMBDA_TARGETS})
-    return _LADDER_LAMBDAS[steps]
+    """The default ladder's values closest to a doubling grid with
+    midpoints, from 4 up."""
+    ladder = np.array([lam for lam, _ in
+                       build_default_ladder(0.0, LAMBDA_CAP).steps])
+    steps = sorted({int(np.argmin(np.abs(ladder - t)))
+                    for t in _LAMBDA_TARGETS})
+    return ladder[steps]
 
 
 def default_query_budgets(dgp_id: str) -> np.ndarray:
@@ -224,9 +221,10 @@ def build_cost_curve(points, method: str = "") -> CostCurve:
 
 
 def _greedy_baseline(score: np.ndarray, population: SimulatedPopulation,
-                     budget):
+                     budgets):
     """Treat units by descending score, ties by index, while the score is
-    positive and the running cost stays within budget + 1e-9.
+    positive and the running cost stays within budget + 1e-9, for each of
+    the budgets.
 
     One sort serves every budget: the cut is the first prefix whose
     cumulative cost exceeds the budget, or the first non-positive score.
@@ -236,37 +234,34 @@ def _greedy_baseline(score: np.ndarray, population: SimulatedPopulation,
     gain = np.cumsum(population.cate[order])
     stops = np.flatnonzero(score[order] <= 0.0)
     first_stop = stops[0] if stops.size else population.n
-    limit = np.asarray(budget, dtype=float) + 1e-9
+    limit = np.asarray(budgets, dtype=float) + 1e-9
     k = np.minimum(np.searchsorted(np.maximum.accumulate(cost), limit,
                                    side="right"), first_stop)
-    gains = np.where(k > 0, gain[k - 1], 0.0)
-    costs = np.where(k > 0, cost[k - 1], 0.0)
-    if gains.ndim == 0:
-        return float(gains), float(costs)
-    return gains, costs
+    return (np.where(k > 0, gain[k - 1], 0.0),
+            np.where(k > 0, cost[k - 1], 0.0))
 
 
-def oracle_ratio_baseline(population: SimulatedPopulation, budget):
+def oracle_ratio_baseline(population: SimulatedPopulation, budgets):
     """Treat by descending true gain-to-cost ratio until the budget is hit.
 
-    Returns cumulative (gain, cost) totals, not per-capita means: floats for
-    a scalar budget, arrays for an array of budgets.
+    Returns cumulative (gain, cost) totals, not per-capita means, as arrays
+    aligned with budgets.
     """
-    if np.any(np.asarray(budget) < 0):
+    if np.any(np.asarray(budgets) < 0):
         raise ValueError("budget must be non-negative")
     ec, dy = population.expected_cost, population.cate
     with np.errstate(divide="ignore"):
         score = np.where(ec > 0, dy / np.where(ec > 0, ec, 1.0),
                          np.where(dy > 0, np.inf, -np.inf))
-    return _greedy_baseline(score, population, budget)
+    return _greedy_baseline(score, population, budgets)
 
 
-def oracle_cate_baseline(population: SimulatedPopulation, budget):
+def oracle_cate_baseline(population: SimulatedPopulation, budgets):
     """Treat by descending true outcome effect until the budget is hit;
     returns as oracle_ratio_baseline does."""
-    if np.any(np.asarray(budget) < 0):
+    if np.any(np.asarray(budgets) < 0):
         raise ValueError("budget must be non-negative")
-    return _greedy_baseline(population.cate.copy(), population, budget)
+    return _greedy_baseline(population.cate.copy(), population, budgets)
 
 
 def random_line_slope(population: SimulatedPopulation) -> float:
@@ -282,11 +277,6 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(perm, folds)
 
 
-def _rungs(lambdas) -> list[int]:
-    """Ladder steps nearest each candidate inverse temperature, ascending."""
-    return sorted({_nearest_rung(lam) for lam in lambdas})
-
-
 def _prepare(sample: Sample):
     """The feature map normalized on sample, the sample's features under it
     and its IPW scores."""
@@ -295,47 +285,46 @@ def _prepare(sample: Sample):
     return fmap, fmap.transform(sample.x), ipw_transform(sample)
 
 
-def _tempered_clouds(u: float, rungs: list[int], prepared, particles: int,
+def _tempered_clouds(u: float, lambdas, prepared, particles: int,
                      seed: int) -> dict:
     """One adaptive tempering run on a _prepare'd sample up to the highest
-    rung, with the cloud harvested at every rung, keyed by rung."""
+    inverse temperature, with the cloud harvested at every one, keyed by
+    lambda."""
     fmap, feats, scores = prepared
     prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=PRIOR_SIGMA)
-    harvested = run_smc(scores, feats, prior,
-                        AdaptiveLadder(u, _LADDER_LAMBDAS[rungs]),
+    harvested = run_smc(scores, feats, prior, AdaptiveLadder(u, lambdas),
                         SMCConfig(n_particles=particles, seed=seed,
                                   mh_steps_per_stage=MH_STEPS_PER_STAGE))
-    by_lam = {cloud.lam: cloud for cloud in harvested.values()}
-    return {step: by_lam[_LADDER_LAMBDAS[step]] for step in rungs}
+    return {cloud.lam: cloud for cloud in harvested.values()}
 
 
 def _holdout_objectives(u: float, lambda_grid, training: Sample,
                         particles: int, seed: int) -> dict[str, np.ndarray]:
-    """Mean held-out penalized welfare per rung, for both rule kinds.
+    """Mean held-out penalized welfare per candidate, for both rule kinds.
 
-    "lambda" holds the ascending rung values nearest the candidates; "gibbs"
-    and "mv" hold the objective of each rule kind at those rungs.
+    "lambda" holds the distinct candidates in ascending order; "gibbs" and
+    "mv" hold the objective of each rule kind at them.
     """
-    rungs = _rungs(lambda_grid)
-    if not rungs:
+    lambdas = sorted({float(lam) for lam in lambda_grid})
+    if not lambdas:
         raise ValueError("lambda grid is empty")
-    totals = {"gibbs": np.zeros(len(rungs)), "mv": np.zeros(len(rungs))}
+    totals = {"gibbs": np.zeros(len(lambdas)), "mv": np.zeros(len(lambdas))}
     halves = _fold_indices(training.n, CV_FOLDS, subseed(seed, "folds"))
     for f, hold_idx in enumerate(halves):
         fit_idx = np.concatenate([h for g, h in enumerate(halves) if g != f])
         prepared = _prepare(training.subset(np.sort(fit_idx)))
-        clouds = _tempered_clouds(u, rungs, prepared, particles,
+        clouds = _tempered_clouds(u, lambdas, prepared, particles,
                                   subseed(seed, "cv", f))
         hold = training.subset(np.sort(hold_idx))
         hold_scores = ipw_transform(hold)
         hold_feats = prepared[0].transform(hold.x)
         penalized = hold_scores.delta_y - u * hold_scores.delta_c
-        for j, step in enumerate(rungs):
-            prob = _clipped_votes(hold_feats, clouds[step])
+        for j, lam in enumerate(lambdas):
+            prob = _clipped_votes(hold_feats, clouds[lam])
             dec = (prob > 0.5).astype(float)
             totals["gibbs"][j] += float(np.mean(penalized * prob))
             totals["mv"][j] += float(np.mean(penalized * dec))
-    return {"lambda": _LADDER_LAMBDAS[rungs],
+    return {"lambda": np.array(lambdas),
             **{kind: v / CV_FOLDS for kind, v in totals.items()}}
 
 
@@ -344,9 +333,9 @@ def _select_lambdas(u: float, lambda_grid, training: Sample, particles: int,
     """Inverse temperatures (stochastic rule, majority vote) with the best
     held-out penalized welfare.
 
-    Each candidate snaps to its nearest ladder rung, so one tempering run per
-    fold serves the whole grid, and the rung value is what comes back; ties
-    resolve to the smaller rung.
+    Every candidate is a rung of one adaptive tempering run per fold, which
+    lands on it exactly, so the candidate's own value is what comes back;
+    ties resolve to the smaller one.
     """
     table = _holdout_objectives(u, lambda_grid, training, particles, seed)
     return tuple(float(table["lambda"][int(np.argmax(table[kind]))])
@@ -360,12 +349,11 @@ def _mv_empirical_cost(rule: MajorityVoteRule, scores, features) -> float:
 
 def _fit_both_rules(u: float, lam_sa: float, lam_mv: float, prepared,
                     particles: int, seed: int):
-    """One tempering run, cut at the larger target, harvesting both rungs."""
-    clouds = _tempered_clouds(u, _rungs([lam_sa, lam_mv]), prepared,
-                              particles, seed)
+    """One tempering run, cut at the larger target, harvesting both."""
+    clouds = _tempered_clouds(u, [lam_sa, lam_mv], prepared, particles, seed)
     fmap = prepared[0]
-    return (GibbsRule(clouds[_nearest_rung(lam_sa)], fmap),
-            MajorityVoteRule(clouds[_nearest_rung(lam_mv)], fmap))
+    return (GibbsRule(clouds[lam_sa], fmap),
+            MajorityVoteRule(clouds[lam_mv], fmap))
 
 
 def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,

@@ -26,7 +26,6 @@ SCHEMA_VERSION = 1
 __all__ = [
     "SCHEMA_VERSION",
     "save",
-    "load",
     "save_rule",
     "load_rule",
 ]
@@ -102,17 +101,6 @@ def save(report: BoundReport, path) -> None:
     payload = {"values": {k: float(v) for k, v in report.values.items()}}
     _write_atomic(path, {"schema_version": SCHEMA_VERSION,
                          "kind": _BOUNDS_KIND, "payload": payload})
-
-
-def load(path) -> BoundReport:
-    """Read back a bound report written by save."""
-    doc = _read_versioned(path)
-    if doc.get("kind") != _BOUNDS_KIND:
-        raise ValueError(f"{path}: unknown kind {doc.get('kind')!r}")
-    try:
-        return BoundReport(values=dict(doc["payload"]["values"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: inconsistent payload: {exc}") from exc
 
 
 def save_rule(particles: WeightedParticles, fmap: PolyFeatureMap,

@@ -162,8 +162,7 @@ class BatchPlan:
 
 def batch_assign(candidates: BatchCandidates,
                  mv_rules_by_u: Mapping[float, tuple],
-                 budget: float, n_bins: int,
-                 bin_start: float = 0.0, shares=None) -> BatchPlan:
+                 budget: float, n_bins: int, shares=None) -> BatchPlan:
     """Greedy cost-binned assignment over a shared budget.
 
     mv_rules_by_u maps each penalty u to (rule, estimated_cost).  For every
@@ -177,11 +176,11 @@ def batch_assign(candidates: BatchCandidates,
     """
     if not mv_rules_by_u:
         raise ValueError("no vote rules to select from")
-    if budget <= bin_start:
-        raise ValueError("budget must exceed the bin start")
+    if budget <= 0.0:
+        raise ValueError("budget must be positive")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    edges = np.linspace(bin_start, budget, n_bins + 1)[1:]
+    edges = np.linspace(0.0, budget, n_bins + 1)[1:]
     us = sorted(mv_rules_by_u)
     est_costs = np.array([float(mv_rules_by_u[u][1]) for u in us])
     # vote shares per rule, computed once; a picked rule's ranking, sorted

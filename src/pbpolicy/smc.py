@@ -2,7 +2,7 @@
 
 The sampler walks an increasing sequence of (lambda_t, u_t) pairs from the
 prior at (0, 0).  At each stage it (1) resamples systematically when the
-effective sample size falls below tau_ess * N, (2) moves every particle with
+effective sample size falls below TAU_ESS * N, (2) moves every particle with
 a Gaussian random-walk Metropolis kernel whose covariance is the empirical
 covariance of the current cloud times a scale, targeting the exponentially
 weighted posterior at (lambda_t, u_t), and (3) multiplies the importance
@@ -21,7 +21,7 @@ Two schedules drive the stages:
 
 - TemperatureLadder is fixed in advance: build_default_ladder's 800-step
   piecewise-linear ladder, or any other increasing tuple of pairs.  The
-  proposal scale is t^-covariance_scale_exponent and one run harvests the
+  proposal scale is t^-COVARIANCE_SCALE_EXPONENT and one run harvests the
   ladder's checkpoint steps.
 - AdaptiveLadder picks each lambda_t from the particles: the largest step,
   up to the next rung, whose incremental weights keep the conditional ESS
@@ -39,11 +39,11 @@ Determinism: stage t consumes a dedicated counter-based RNG stream, the one
 np.random.Philox(key=np.array([seed, t], dtype=np.uint64)) gives, drawing in
 a fixed order (resampling uniform if triggered, then per Metropolis step a
 proposal block and an acceptance block).  Choosing an adaptive lambda_t
-draws nothing.  So a fixed ladder cut short reproduces the prefix of a
-longer run bit for bit, and an adaptive run over the first k rungs
-reproduces the first k harvests of a run over more rungs; that is what makes
-mid-ladder checkpoints trustworthy.  Every 64-bit seed is its own first key
-word.
+draws nothing.  So a default ladder built to a lower lambda, which is a
+prefix of the longer ladder, reproduces that prefix of the longer run bit for
+bit, and an adaptive run over the first k rungs reproduces the first k
+harvests of a run over more rungs; that is what makes mid-ladder checkpoints
+trustworthy.  Every 64-bit seed is its own first key word.
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ U_RAMP_LAMBDA = LADDER_KNOT_LAMBDAS[1]  # lambda at step U_RAMP_END
 # below the fixed ladder's; at these values 1 of 96 such gaps exceeded 3.
 CESS_FRACTION = 0.9
 RW_SCALE = 0.1 * 2.38**2
+# Both ladders resample below TAU_ESS * N, and cli's budget solve accepts a
+# tilted cloud whose ESS reaches it.  The fixed ladder proposes with
+# t^-COVARIANCE_SCALE_EXPONENT times the cloud covariance at stage t.
+TAU_ESS = 0.5
+COVARIANCE_SCALE_EXPONENT = 0.9
 _BISECTION_STEPS = 20  # lambda_t is found to 2^-20 of the way to the rung
 
 
@@ -117,13 +122,6 @@ class TemperatureLadder:
     def with_checkpoints(self, indices: Sequence[int]) -> "TemperatureLadder":
         return replace(self, checkpoints=tuple(indices))
 
-    def truncated(self, last_step: int) -> "TemperatureLadder":
-        """The prefix ladder ending at a given step."""
-        if not 1 <= last_step <= self.T:
-            raise ValueError(f"cannot truncate to step {last_step}")
-        return TemperatureLadder(self.steps[:last_step + 1],
-                                 tuple(c for c in self.checkpoints if c <= last_step))
-
     # the schedule run_smc drives: next pair, harvest, end, proposal scale
     def _next(self, t, lam_prev, u_prev, log_psi, wbar, kbar):
         return self.steps[t]
@@ -134,8 +132,8 @@ class TemperatureLadder:
     def _finished(self, t: int, lam: float) -> bool:
         return t == self.T
 
-    def _proposal_scale(self, t: int, q: int, config: "SMCConfig") -> float:
-        return t**(-config.covariance_scale_exponent)
+    def _proposal_scale(self, t: int, q: int) -> float:
+        return t**(-COVARIANCE_SCALE_EXPONENT)
 
 
 def _cess_fraction(log_psi: np.ndarray, log_inc: np.ndarray) -> float:
@@ -209,7 +207,7 @@ class AdaptiveLadder:
     def _finished(self, t: int, lam: float) -> bool:
         return lam == self.rungs[-1]
 
-    def _proposal_scale(self, t: int, q: int, config: "SMCConfig") -> float:
+    def _proposal_scale(self, t: int, q: int) -> float:
         return RW_SCALE / q
 
 
@@ -256,17 +254,13 @@ class SMCConfig:
     """Sampler tuning knobs."""
 
     n_particles: int = 1000
-    tau_ess: float = 0.5
     mh_steps_per_stage: int = 1
-    covariance_scale_exponent: float = 0.9
     seed: int = 0
     normalized: bool = True
 
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
-        if not (0.0 < self.tau_ess < 1.0):
-            raise ValueError("tau_ess must lie in (0, 1)")
         if self.mh_steps_per_stage < 1:
             raise ValueError("mh_steps_per_stage must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -399,13 +393,9 @@ def _cov(thetas: np.ndarray) -> np.ndarray:
 
 def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
             ladder: TemperatureLadder | AdaptiveLadder, config: SMCConfig,
-            prior_sampler=None, trace=None) -> dict[int, WeightedParticles]:
+            trace=None) -> dict[int, WeightedParticles]:
     """Run the ladder and harvest its checkpoints (a TemperatureLadder) or
     its rungs (an AdaptiveLadder), keyed by stage index.
-
-    prior_sampler optionally replaces the prior draw at step 0 (the Metropolis
-    target still uses prior.log_density); used when the prior is a surrogate
-    for a finite grid.
 
     trace, when given a list, receives one record per stage with the
     effective sample size before resampling, whether resampling fired, and
@@ -420,11 +410,8 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
 
     streams = _StageStreams(config.seed)
     rng0 = streams.at(0)
-    sampler = prior_sampler if prior_sampler is not None else prior.sample
-    thetas = np.asarray(sampler(n_p, rng0), dtype=float)
+    thetas = prior.sample(n_p, rng0)
     q = prior.q
-    if thetas.shape != (n_p, q):
-        raise ValueError("prior sampler returned the wrong shape")
 
     def evaluate(th: np.ndarray) -> tuple:
         # the cached per-particle state: scaled welfare, cost and log prior
@@ -450,7 +437,7 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
         # Step 2: resample when the weights have degenerated
         psi = np.exp(log_psi)
         stage_ess = ess(psi)
-        resampled = stage_ess < config.tau_ess * n_p
+        resampled = stage_ess < TAU_ESS * n_p
         if resampled:
             idx = resample_systematic(psi, rng)
             thetas = thetas[idx]
@@ -470,7 +457,7 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
                     + lp_new - lp_old)
 
         cov = _cov(thetas)
-        cov *= ladder._proposal_scale(t, q, config)
+        cov *= ladder._proposal_scale(t, q)
         cov.flat[::q + 1] += 1e-8
         root = _proposal_root(cov, t, lam_t, u_t)
         accepted = 0

@@ -5,13 +5,17 @@ before the stage was stripped of per-call library overhead: scipy's
 logsumexp, np.cov, a boolean decision matrix, and a Philox bit generator and
 Generator built afresh for every stage.  run_smc must reproduce it bit for
 bit on a fixed ladder; tests/test_smc.py holds it to that.  Keep it
-unchanged: a change here would move the reference, not the sampler.  Its one
-revision keys each stage by a uint64 array, so that seeds of 2^63 and above
-are no longer rounded to 53 bits on the way in.
+unchanged: a change here would move the reference, not the sampler.  Its
+revisions key each stage by a uint64 array, so that seeds of 2^63 and above
+are no longer rounded to 53 bits on the way in, and read the resampling
+threshold and the proposal scale exponent from the sampler's constants,
+which replaced the config fields of the same values.
 """
 
 import numpy as np
 from scipy.special import logsumexp
+
+from pbpolicy.smc import COVARIANCE_SCALE_EXPONENT, TAU_ESS
 
 
 def reference_welfare_cost(thetas, scores, features):
@@ -61,7 +65,7 @@ def reference_run_smc(sample_scores, features, prior, ladder, config):
 
         psi = np.exp(log_psi)
         stage_ess = 1.0 / np.sum(psi**2)
-        resampled = stage_ess < config.tau_ess * n_p
+        resampled = stage_ess < TAU_ESS * n_p
         if resampled:
             u0 = rng.uniform(0.0, 1.0 / n_p)
             idx = _systematic_indices(psi, u0)
@@ -73,7 +77,7 @@ def reference_run_smc(sample_scores, features, prior, ladder, config):
                    - lam_prev * (wbar - u_prev * kbar))
 
         cov = np.cov(thetas, rowvar=False, ddof=1)
-        cov = np.atleast_2d(cov) * t**(-config.covariance_scale_exponent)
+        cov = np.atleast_2d(cov) * t**(-COVARIANCE_SCALE_EXPONENT)
         cov[np.diag_indices_from(cov)] += 1e-8
         root = np.linalg.cholesky(cov)
         accepted = 0

@@ -95,13 +95,13 @@ class GridProblem:
         while True:
             grid, masses, dy, dc, feats = random_grid_problem(
                 rng, n_units=n_units, grid_size=grid_size, q=q)
-            _, k = welfare_cost_matrix(grid, IPWScores(dy, dc, 1.0), feats)
+            _, k = welfare_cost_matrix(grid, IPWScores(dy, dc), feats)
             if np.ptp(k) > 0.05:
                 break
         self.grid = grid
         self.masses = masses
         self.features = feats
-        self.scores = IPWScores(dy, dc, float(np.mean(dy)))
+        self.scores = IPWScores(dy, dc)
         self.lam = lam
         self.u = u
         # probe points kept clear of every candidate hyperplane so that the
@@ -160,8 +160,8 @@ def _assert_clouds_match_grid_posteriors(grid_problems, cloud_of):
 def test_c01_smc_matches_exact_grid_posteriors(grid_problems):
     def cloud_of(prob, prior, config):
         ladder = build_default_ladder(prob.u, prob.lam)
-        return run_smc(prob.scores, prob.features, prior, ladder, config,
-                       prior_sampler=prior.sample)[ladder.T]
+        return run_smc(prob.scores, prob.features, prior, ladder,
+                       config)[ladder.T]
 
     _assert_clouds_match_grid_posteriors(grid_problems, cloud_of)
 
@@ -173,8 +173,7 @@ def test_c01_adaptive_ladder_matches_exact_grid_posteriors(grid_problems):
         (cloud,) = run_smc(
             prob.scores, prob.features, prior,
             AdaptiveLadder(prob.u, [prob.lam]),
-            replace(config, mh_steps_per_stage=5),
-            prior_sampler=prior.sample).values()
+            replace(config, mh_steps_per_stage=5)).values()
         assert (cloud.lam, cloud.u) == (prob.lam, prob.u)
         return cloud
 
@@ -355,7 +354,7 @@ def test_c07_certificate_coverage_rate():
         d = rng.integers(0, 2, size=n)
         y = np.where(d == 1, y1[idx], y0[idx])
         delta = 2.0 * y * (2.0 * d - 1.0)
-        scores = IPWScores(delta, np.zeros(n), float(np.mean(delta)))
+        scores = IPWScores(delta, np.zeros(n))
         feats = support[idx]
         post = grid_posterior(thetas, masses,
                               GibbsParams(lam=lam, u=0.0, normalized=False),

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from pbpolicy import cli
-from pbpolicy.persist import load
 from pbpolicy.smc import build_default_ladder
 
 
@@ -83,6 +82,15 @@ def test_simulate_env_seed(tmp_path, monkeypatch):
     assert run_cli("simulate", "--dgp", "dgp1", "--n", 6, "--out", env) == 0
     assert ((flagged / "sample.csv").read_bytes()
             == (env / "sample.csv").read_bytes())
+
+
+def test_study_threads_default_to_one_worker(monkeypatch):
+    # each worker's BLAS already starts a thread per core, so a worker per
+    # core would oversubscribe them
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert cli._study_defaults()["threads"] == 1
+    monkeypatch.setenv("PBPOLICY_THREADS", "3")
+    assert cli._study_defaults()["threads"] == 3
 
 
 def test_simulate_rejects_unknown_design(capsys):
@@ -368,8 +376,9 @@ def test_bounds_file_mode(tmp_path):
     assert run_cli("bounds", "--n", 100, "--kappa", "0.5", "--my", 1,
                    "--mc", 1, "--lambda", 10, "--u", 0, "--eps", "0.05",
                    "--out", out) == 0
-    report = load(out / "bounds.json")
-    assert report.values["thm41a_slack"] == pytest.approx(
+    doc = json.loads((out / "bounds.json").read_text())
+    assert doc["kind"] == "bound_report"
+    assert doc["payload"]["values"]["thm41a_slack"] == pytest.approx(
         0.3495732273553991, abs=1e-12)
 
 
@@ -403,7 +412,7 @@ def test_study_smoke(tmp_path):
     rc = run_cli("study", "--dgp", "dgp2", "--reps", 1, "--n", 50,
                  "--particles", 30, "--n-test", 120, "--bins", 3,
                  "--seed", 9, "--threads", 1,
-                 "--u-grid", "0,0.8", "--lambda-grid", "4.0,32.0",
+                 "--u-grid", "0,0.8", "--lambda-grid", "5,40",
                  "--out", out)
     assert rc == 0
     for method in ("pb_sa", "pb_mv", "pb_batch", "oracle_ratio",
@@ -413,6 +422,10 @@ def test_study_smoke(tmp_path):
     assert echoed["u_grid"] == [0.0, 0.8]
     study_cfg = json.loads((out / "study_config.json").read_text())
     assert study_cfg["dgp"]["id"] == "DGP2"
+    # grid values off the fixed ladder are tempered to, not snapped
+    rep = json.loads((out / "replication_0.json").read_text())
+    assert {s[k] for s in rep["selections"]
+            for k in ("lambda_sa", "lambda_mv")} <= {5.0, 40.0}
 
 
 @pytest.mark.parametrize("flag, value, message", [

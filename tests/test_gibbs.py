@@ -24,7 +24,7 @@ from pbpolicy.gibbs import _blocks, _logsumexp
 
 def scores_of(dy, dc):
     dy = np.asarray(dy, dtype=float)
-    return IPWScores(dy, np.asarray(dc, dtype=float), float(dy.mean()))
+    return IPWScores(dy, np.asarray(dc, dtype=float))
 
 
 def test_log_score_hand_values():
@@ -227,7 +227,7 @@ def test_normalized_variant_matches_rescaled_raw():
 
 
 def test_normalized_variant_requires_nonzero_mean_score():
-    s = IPWScores(np.array([1.0, -1.0]), np.array([0.0, 0.0]), 0.0)
+    s = IPWScores(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
     feats = np.array([[1.0], [1.0]])
     with pytest.raises(ValueError, match="mean welfare score"):
         grid_posterior(np.array([[1.0], [-1.0]]), [0.5, 0.5],

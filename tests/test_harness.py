@@ -80,18 +80,19 @@ def test_cost_curve_needs_two_distinct_costs():
 
 def test_greedy_baselines_toy_cases():
     pop = toy_population([2.0, 1.0], [1.0, 1.0])
-    assert oracle_cate_baseline(pop, 0.0) == (0.0, 0.0)
-    assert oracle_cate_baseline(pop, 1.0) == (2.0, 1.0)  # unit 1 only
-    assert oracle_cate_baseline(pop, 2.0) == (3.0, 2.0)
+    gains, costs = oracle_cate_baseline(pop, [0.0, 1.0, 2.0])
+    assert gains.tolist() == [0.0, 2.0, 3.0]  # unit 1 only at budget 1
+    assert costs.tolist() == [0.0, 1.0, 2.0]
     with pytest.raises(ValueError, match="non-negative"):
-        oracle_cate_baseline(pop, -0.5)
+        oracle_cate_baseline(pop, [1.0, -0.5])
 
 
 def test_greedy_baselines_skip_nonpositive_scores():
     pop = toy_population([2.0, -1.0, 1.0], [1.0, 1.0, 1.0])
     # slack budget still leaves the harmful unit untreated
-    assert oracle_cate_baseline(pop, 100.0) == (3.0, 2.0)
-    assert oracle_ratio_baseline(pop, 100.0) == (3.0, 2.0)
+    for baseline in (oracle_cate_baseline, oracle_ratio_baseline):
+        gains, costs = baseline(pop, [100.0])
+        assert (gains.tolist(), costs.tolist()) == ([3.0], [2.0])
 
 
 def _greedy_loop(score, population, budget):
@@ -128,20 +129,21 @@ def test_greedy_baseline_matches_the_unit_by_unit_walk():
         gains, costs = harness._greedy_baseline(score, pop, budgets)
         for b, g, c in zip(budgets, gains, costs):
             assert (g, c) == _greedy_loop(score, pop, float(b))
-            assert harness._greedy_baseline(score, pop, float(b)) == (g, c)
 
 
 def test_ratio_and_cate_rankings_differ():
     # unit 0 has the bigger effect, unit 1 the better effect per unit cost
     pop = toy_population([2.0, 1.0], [4.0, 1.0])
-    assert oracle_cate_baseline(pop, 4.0) == (2.0, 4.0)
-    assert oracle_ratio_baseline(pop, 4.0) == (1.0, 1.0)
+    gains, costs = oracle_cate_baseline(pop, [4.0])
+    assert (gains.tolist(), costs.tolist()) == ([2.0], [4.0])
+    gains, costs = oracle_ratio_baseline(pop, [4.0])
+    assert (gains.tolist(), costs.tolist()) == ([1.0], [1.0])
 
 
 def test_zero_cost_positive_gain_units_rank_first():
     pop = toy_population([0.5, 3.0], [0.0, 1.0])
-    gain, cost = oracle_ratio_baseline(pop, 1.0)
-    assert (gain, cost) == (3.5, 1.0)
+    gains, costs = oracle_ratio_baseline(pop, [1.0])
+    assert (gains.tolist(), costs.tolist()) == ([3.5], [1.0])
 
 
 def test_random_line_slope_is_mean_ratio():
@@ -189,11 +191,10 @@ def test_cross_validation_input_errors():
 def test_cross_validation_single_candidate_round_trips():
     sample = generate(DGPSpec("DGP1", 6, 60)).sample
     assert harness._select_lambdas(0.2, [4.0], sample, 40, 9) == (4.0, 4.0)
-    # an off-ladder candidate comes back as the rung it snapped to, which is
-    # the value the study records
-    rung = float(harness._LADDER_LAMBDAS[harness._nearest_rung(5.0)])
-    assert rung != 5.0
-    assert harness._select_lambdas(0.2, [5.0], sample, 40, 9) == (rung, rung)
+    # a candidate off the fixed ladder is tempered to exactly, and its own
+    # value is what the study records
+    assert 5.0 not in default_lambda_grid()
+    assert harness._select_lambdas(0.2, [5.0], sample, 40, 9) == (5.0, 5.0)
 
 
 def test_cross_validation_is_deterministic():
@@ -213,16 +214,16 @@ def test_tempered_clouds_run_the_adaptive_ladder_through_harness_run_smc(
         return real_run_smc(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_smc", spy)
-    rungs = harness._rungs([4.0, 32.0, 256.0])
-    clouds = harness._tempered_clouds(0.7, rungs, harness._prepare(sample),
+    lambdas = [4.0, 32.0, 256.0]
+    clouds = harness._tempered_clouds(0.7, lambdas, harness._prepare(sample),
                                       40, 5)
     (ladder, config), = [(a[3], a[4]) for a in calls]
     assert isinstance(ladder, harness.AdaptiveLadder)
-    assert ladder.rungs == tuple(harness._LADDER_LAMBDAS[rungs])
+    assert ladder.rungs == tuple(lambdas)
     assert config.mh_steps_per_stage == harness.MH_STEPS_PER_STAGE == 5
-    assert list(clouds) == rungs
-    for step, cloud in clouds.items():
-        assert (cloud.lam, cloud.u) == (harness._LADDER_LAMBDAS[step], 0.7)
+    assert list(clouds) == lambdas
+    for lam, cloud in clouds.items():
+        assert (cloud.lam, cloud.u) == (lam, 0.7)
 
 
 SMOKE_GRIDS = GridSpec(u_grid=[0.0, 0.6, 1.2], lambda_grid=[4.0, 32.0])

@@ -8,7 +8,7 @@ import pytest
 from pbpolicy import cli
 from pbpolicy.bounds import BoundInputs, BoundReport, bound_report
 from pbpolicy.data import poly_feature_map
-from pbpolicy.persist import SCHEMA_VERSION, load, load_rule, save, save_rule
+from pbpolicy.persist import SCHEMA_VERSION, load_rule, save, save_rule
 from pbpolicy.smc import WeightedParticles
 
 
@@ -53,39 +53,40 @@ def test_bound_report_round_trip(tmp_path):
                                       lam=10.0, u=0.0, epsilon=0.05))
     path = tmp_path / "report.json"
     save(report, path)
-    back = load(path)
-    assert back.values == report.values
-    # independently derived (tests/oracles/derive_constants.py)
-    assert back.values["thm41a_slack"] == 0.3495732273553991
     doc = json.loads(path.read_text())
-    del doc["payload"]["values"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="inconsistent payload"):
-        load(path)
+    assert list(doc) == ["schema_version", "kind", "payload"]
+    assert (doc["schema_version"], doc["kind"]) == (SCHEMA_VERSION,
+                                                    "bound_report")
+    values = doc["payload"]["values"]
+    assert values == report.values
+    # independently derived (tests/oracles/derive_constants.py)
+    assert values["thm41a_slack"] == 0.3495732273553991
 
 
 def test_schema_version_mismatch_is_hard_error(tmp_path):
-    path = tmp_path / "report.json"
-    save(BoundReport(values={"a": 1.0}), path)
+    fmap = poly_feature_map(2, 2)
+    path = tmp_path / "rule.json"
+    save_rule(random_particles(np.random.default_rng(62), q=fmap.dimension),
+              fmap, True, path)
     doc = json.loads(path.read_text())
     doc["schema_version"] = SCHEMA_VERSION + 1
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="schema_version"):
-        load(path)
+        load_rule(path)
 
 
 def test_missing_schema_version_rejected(tmp_path):
     path = tmp_path / "naked.json"
-    path.write_text('{"kind": "bound_report", "payload": {"values": {}}}')
+    path.write_text('{"kind": "fitted_rule", "payload": {}}')
     with pytest.raises(ValueError, match="schema_version"):
-        load(path)
+        load_rule(path)
 
 
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"schema_version": 1, "kind": ')
     with pytest.raises(ValueError, match="not valid JSON"):
-        load(path)
+        load_rule(path)
 
 
 def test_dimension_inconsistency_rejected(tmp_path):
@@ -105,8 +106,12 @@ def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
                                 "kind": "mystery", "payload": {}}))
-    with pytest.raises(ValueError, match="unknown kind"):
-        load(path)
+    with pytest.raises(ValueError, match="not a fitted rule file"):
+        load_rule(path)
+    # a bound report is not a rule either
+    save(BoundReport(values={"a": 1.0}), path)
+    with pytest.raises(ValueError, match="not a fitted rule file"):
+        load_rule(path)
 
 
 def test_save_rejects_unsupported_type(tmp_path):

@@ -2,12 +2,18 @@
 
 Every name in a module's __all__ must be referenced, as a bare name or as an
 attribute, somewhere in src/pbpolicy (the package root aside, which only
-re-exports) or in demos/.  The paper's theory tools are the exception: only
-the acceptance checks call them, and they stay public on purpose.
+re-exports) or in demos/.  An attribute of another package's module, such as
+json.load, does not count for a name of ours.  The paper's theory tools are
+the exception: only the acceptance checks call them, and they stay public on
+purpose.  Likewise every field of the sampler and study configs must be set
+by keyword somewhere there; a field no caller sets is a constant.
 """
-
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from pbpolicy.harness import StudyConfig
+from pbpolicy.smc import SMCConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "pbpolicy").glob("*.py")
@@ -37,15 +43,47 @@ def _exported(tree: ast.Module) -> list[str]:
     return []
 
 
+def _foreign_modules(tree: ast.Module) -> set[str]:
+    """Names bound by `import x` or `import x as y` of a non-pbpolicy
+    module."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name.split(".")[0] != "pbpolicy"}
+
+
+def _root(node: ast.expr) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def _referenced(trees) -> set[str]:
     names = set()
     for tree in trees:
+        foreign = _foreign_modules(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                root = _root(node)
+                if not (isinstance(root, ast.Name) and root.id in foreign):
+                    names.add(node.attr)
     return names
+
+
+def _keywords_passed(trees, callees: set[str]) -> set[str]:
+    """Keyword argument names of every call to one of callees."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name in callees:
+                    passed |= {kw.arg for kw in node.keywords if kw.arg}
+    return passed
 
 
 def test_every_exported_name_has_a_caller():
@@ -58,3 +96,18 @@ def test_every_exported_name_has_a_caller():
     unused = [f"{p.stem}.{name}" for p, names in exported.items()
               for name in names if name not in used]
     assert unused == []
+
+
+def test_foreign_module_attributes_do_not_count_as_callers():
+    tree = ast.parse("import json\nimport numpy as np\n"
+                     "json.load(fh)\nnp.random.Philox\ncli.load_rule\n")
+    assert _referenced([tree]) == {"json", "np", "fh", "cli", "load_rule"}
+
+
+def test_every_config_field_is_set_by_some_caller():
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES + DEMOS]
+    for config in (SMCConfig, StudyConfig):
+        passed = _keywords_passed(trees, {config.__name__, "replace"})
+        unset = [f.name for f in fields(config) if f.name not in passed]
+        assert unset == [], config.__name__

@@ -74,7 +74,7 @@ def test_sample_assignments_reproducible():
 
 def test_rule_cost_hand_value_and_linearity():
     # two particles, weights (0.5, 0.5), K_n = (0, 2)
-    scores = IPWScores(np.array([1.0, 1.0]), np.array([2.0, 2.0]), 1.0)
+    scores = IPWScores(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     feats = np.array([[1.0, 0.5], [1.0, -0.5]])
     thetas = np.array([[-1.0, 0.0],   # treats nobody: K = 0
                        [1.0, 0.0]])   # treats both: K = 2
@@ -84,7 +84,7 @@ def test_rule_cost_hand_value_and_linearity():
 
     rng = np.random.default_rng(6)
     n, m, q = 50, 20, 3
-    scores = IPWScores(rng.normal(size=n), rng.normal(size=n), 0.5)
+    scores = IPWScores(rng.normal(size=n), rng.normal(size=n))
     feats = rng.normal(size=(n, q))
     thetas = rng.normal(size=(m, q))
     w = rng.dirichlet(np.ones(m))

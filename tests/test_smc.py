@@ -26,7 +26,8 @@ from pbpolicy.smc import (
     run_smc,
 )
 from pbpolicy.harness import subseed
-from pbpolicy.smc import CESS_FRACTION, _cess_fraction, _cov, _StageStreams
+from pbpolicy.smc import (CESS_FRACTION, TAU_ESS, _cess_fraction, _cov,
+                          _StageStreams)
 
 
 def test_default_ladder_shapes():
@@ -82,11 +83,12 @@ def test_ladder_validation():
 
 
 def test_ladder_truncation_is_prefix():
-    full = build_default_ladder(2.0, 1024.0)
-    cut = full.truncated(320)
-    assert cut.steps == full.steps[:321]
-    with pytest.raises(ValueError):
-        full.truncated(0)
+    # a default ladder built to a lower lambda is the longer one cut at the
+    # step that reaches it
+    assert build_default_ladder(1.0, 4.0).steps == \
+        build_default_ladder(1.0, 32.0).steps[:201]
+    assert build_default_ladder(2.0, 32.0).steps == \
+        build_default_ladder(2.0, 1024.0).steps[:321]
 
 
 def test_ess_values():
@@ -229,7 +231,7 @@ def test_mh_invariance_gaussian_target():
 
 def scores_of(dy, dc):
     dy = np.asarray(dy, dtype=float)
-    return IPWScores(dy, np.asarray(dc, dtype=float), float(dy.mean()))
+    return IPWScores(dy, np.asarray(dc, dtype=float))
 
 
 def test_run_smc_initial_step_only():
@@ -255,19 +257,21 @@ def test_run_smc_deterministic_and_prefix_property():
     s = scores_of(dy, dc)
     full = build_default_ladder(1.0, 32.0).with_checkpoints([200, 320])
     cfg = SMCConfig(n_particles=200, seed=31, normalized=False)
-    out1 = run_smc(s, feats, prior, full, cfg, prior_sampler=prior.sample)
-    out2 = run_smc(s, feats, prior, full, cfg, prior_sampler=prior.sample)
+    out1 = run_smc(s, feats, prior, full, cfg)
+    out2 = run_smc(s, feats, prior, full, cfg)
     np.testing.assert_array_equal(out1[320].thetas, out2[320].thetas)
     np.testing.assert_array_equal(out1[320].weights, out2[320].weights)
-    # truncated ladder reproduces the checkpoint bit for bit
-    cut = full.truncated(200)
-    out3 = run_smc(s, feats, prior, cut, cfg, prior_sampler=prior.sample)
+    # the ladder built to lambda = 4, full's first 201 steps, ends on the
+    # step-200 checkpoint bit for bit
+    cut = build_default_ladder(1.0, 4.0)
+    assert cut.steps == full.steps[:201] and cut.checkpoints == (200,)
+    out3 = run_smc(s, feats, prior, cut, cfg)
+    assert set(out3) == {200}
     np.testing.assert_array_equal(out3[200].thetas, out1[200].thetas)
     np.testing.assert_array_equal(out3[200].weights, out1[200].weights)
     # different seed, different trajectory
     out4 = run_smc(s, feats, prior, cut, SMCConfig(n_particles=200, seed=32,
-                                                   normalized=False),
-                   prior_sampler=prior.sample)
+                                                   normalized=False))
     assert not np.array_equal(out4[200].thetas, out1[200].thetas)
 
 
@@ -280,7 +284,7 @@ def test_run_smc_matches_grid_posterior():
     lam_final, u_final = 4.0, 0.8
     ladder = build_default_ladder(u_final, lam_final)
     cfg = SMCConfig(n_particles=2000, seed=3, normalized=False)
-    out = run_smc(s, feats, prior, ladder, cfg, prior_sampler=prior.sample)
+    out = run_smc(s, feats, prior, ladder, cfg)
     cloud = out[ladder.T]
 
     exact = grid_posterior(grid, masses, GibbsParams(lam_final, u_final,
@@ -311,8 +315,7 @@ def test_run_smc_weight_normalization_along_ladder():
     ladder = build_default_ladder(0.5, 4.0)
     ladder = ladder.with_checkpoints(list(range(0, 201, 25)))
     out = run_smc(s, feats, prior, ladder, SMCConfig(n_particles=100, seed=1,
-                                                     normalized=False),
-                  prior_sampler=prior.sample)
+                                                     normalized=False))
     assert set(out) == set(range(0, 201, 25))
     for cloud in out.values():
         assert abs(cloud.weights.sum() - 1.0) < 1e-10
@@ -327,10 +330,9 @@ def test_run_smc_trace_records_stages_without_perturbing_the_run():
     s = scores_of(dy, dc)
     ladder = build_default_ladder(0.7, 32.0)
     cfg = SMCConfig(n_particles=80, seed=14, normalized=False)
-    plain = run_smc(s, feats, prior, ladder, cfg, prior_sampler=prior.sample)
+    plain = run_smc(s, feats, prior, ladder, cfg)
     trace = []
-    traced = run_smc(s, feats, prior, ladder, cfg, prior_sampler=prior.sample,
-                     trace=trace)
+    traced = run_smc(s, feats, prior, ladder, cfg, trace=trace)
     np.testing.assert_array_equal(traced[ladder.T].thetas,
                                   plain[ladder.T].thetas)
     np.testing.assert_array_equal(traced[ladder.T].weights,
@@ -344,13 +346,13 @@ def test_run_smc_trace_records_stages_without_perturbing_the_run():
     assert trace[-1]["lam"] == 32.0
     assert trace[-1]["u"] == 0.7
     # the trigger rule is an exact restatement of the sampler's
-    assert all(rec["resampled"] == (rec["ess"] < 0.5 * 80)
+    assert all(rec["resampled"] == (rec["ess"] < TAU_ESS * 80)
                for rec in trace)
 
 
 def test_run_smc_normalized_variant_requires_mean_score():
     prior = IsotropicNormalPrior(q=1, sigma=1.0)
-    s = IPWScores(np.array([1.0, -1.0]), np.zeros(2), 0.0)
+    s = IPWScores(np.array([1.0, -1.0]), np.zeros(2))
     ladder = build_default_ladder(0.0, 4.0)
     with pytest.raises(ValueError, match="mean welfare score"):
         run_smc(s, np.ones((2, 1)), prior, ladder, SMCConfig(n_particles=10))
@@ -359,10 +361,6 @@ def test_run_smc_normalized_variant_requires_mean_score():
 def test_smc_config_validation():
     with pytest.raises(ValueError):
         SMCConfig(n_particles=1)
-    with pytest.raises(ValueError):
-        SMCConfig(tau_ess=0.0)
-    with pytest.raises(ValueError):
-        SMCConfig(tau_ess=1.0)
     with pytest.raises(ValueError):
         SMCConfig(mh_steps_per_stage=0)
     with pytest.raises(ValueError):
@@ -413,9 +411,8 @@ def test_stage_streams_keep_seeds_above_2_63_apart():
                                   b.at(step).uniform(size=8))
 
 
-@pytest.mark.parametrize("normalized,mh_steps,tau", [(True, 1, 0.5),
-                                                     (False, 2, 0.8)])
-def test_run_smc_matches_frozen_reference_loop(normalized, mh_steps, tau):
+@pytest.mark.parametrize("normalized,mh_steps", [(True, 1), (False, 2)])
+def test_run_smc_matches_frozen_reference_loop(normalized, mh_steps):
     training = generate(DGPSpec("DGP1", 5, 200)).sample
     fmap = poly_feature_map(2, training.x.shape[1]).fit_normalization(
         training.x)
@@ -426,7 +423,7 @@ def test_run_smc_matches_frozen_reference_loop(normalized, mh_steps, tau):
     seed = subseed(5, "probe", 2)
     assert seed >= 2**63
     cfg = SMCConfig(n_particles=200, seed=seed, normalized=normalized,
-                    mh_steps_per_stage=mh_steps, tau_ess=tau)
+                    mh_steps_per_stage=mh_steps)
     trace = []
     got = run_smc(scores, feats, prior, ladder, cfg, trace=trace)
     want, want_trace = reference_run_smc(scores, feats, prior, ladder, cfg)
