@@ -19,7 +19,8 @@ Conventions shared by every subcommand:
   * identical inputs and seeds produce byte-identical outputs;
   * PBPOLICY_SEED supplies the default --seed and PBPOLICY_THREADS the
     default --threads (else 1, since each worker's BLAS already starts a
-    thread per core); no other environment variables are consulted.
+    thread per core); a value that is not an integer is a usage error, and
+    no other environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             welfare_cost_matrix)
 from pbpolicy.harness import GridSpec, StudyConfig, run_study
 from pbpolicy.oracle import known_simulated, oracle_report, solve_eta_B
-from pbpolicy.persist import (_open_atomic, _write_atomic, load_rule, save,
-                              save_rule)
+from pbpolicy.persist import (_fmt, _write_atomic, _write_csv, load_rule,
+                              save, save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
@@ -61,19 +62,12 @@ EXIT_RUNTIME = 2
 # takes 22 (u = 0, then doubling from 1 to the bracket cap 2^20)
 _MAX_SMC_RUNS = 50
 
-# flag spellings for post-merge required-value errors, where the argparse
-# dest differs from the flag users type
+# flag spellings for required-value errors, where the argparse dest differs
+# from the flag users type
 _FLAG_NAMES = {"lam": "--lambda", "n_test": "--n-test"}
 
-
-def _default_seed() -> int:
-    raw = os.environ.get("PBPOLICY_SEED")
-    return int(raw) if raw else 0
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("PBPOLICY_THREADS")
-    return int(raw) if raw else 1
+# study replications without and with --paper-scale
+_REPS = {False: 20, True: 100}
 
 
 def _dgp_id(value) -> str:
@@ -95,76 +89,28 @@ def _float_list(value):
     return [float(v) for v in value]
 
 
-def _ensure_out(path: str) -> str:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"cannot create output directory {path}: {exc}") from exc
-    return path
-
-
-def _resolve_config(args, defaults: dict) -> dict:
-    """Builtin defaults, then the config file, then explicit flags."""
-    merged = dict(defaults)
-    path = getattr(args, "config", None)
-    if path is not None:
-        with open(path) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{path}: config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
-        if unknown:
-            raise ValueError(
-                f"{path}: unknown config keys: {', '.join(unknown)}")
-        merged.update(loaded)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _require(cfg: dict, command: str, *keys: str):
+def _require(cfg: dict, *keys: str):
     missing = [_FLAG_NAMES.get(k, "--" + k.replace("_", "-"))
                for k in keys if cfg[k] is None]
     if missing:
-        raise ValueError(f"{command} requires {' and '.join(missing)}")
+        raise ValueError(
+            f"{cfg['command']} requires {' and '.join(missing)}")
 
 
-def _echo_config(out_dir: str, command: str, cfg: dict, inputs=None):
-    doc = {"command": command}
-    if inputs:
-        doc.update(inputs)
-    doc.update(cfg)
-    _write_atomic(os.path.join(out_dir, "run_config.json"), doc)
-
-
-def _write_csv(path: str, header, rows):
-    with _open_atomic(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _fmt(value) -> str:
-    # repr of a Python float round-trips exactly, which keeps CSV output
-    # byte-stable across runs
-    return repr(float(value))
+def _echo_config(cfg: dict) -> str:
+    """Create the output directory and write the resolved configuration,
+    input paths included, to run_config.json in it."""
+    out = cfg["out"]
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
+    _write_atomic(os.path.join(out, "run_config.json"), cfg)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # fit / score
-
-def _fit_defaults() -> dict:
-    return {
-        "out": None, "lam": None, "u": None, "budget": None,
-        "particles": 1000, "seed": _default_seed(), "degree": 2,
-        "sigma": 1.0, "propensity": None, "kappa": 0.25,
-        "my": None, "mc": None, "raw": None, "budget_tol": 1e-3,
-    }
 
 
 def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
@@ -225,18 +171,15 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
         u_pilot = u_next
 
 
-def _cmd_fit(args) -> int:
-    cfg = _resolve_config(args, _fit_defaults())
-    cfg["raw"] = bool(cfg["raw"])
-    _require(cfg, "fit", "out", "lam")
+def _cmd_fit(cfg: dict) -> int:
+    _require(cfg, "out", "lam")
     if (cfg["u"] is None) == (cfg["budget"] is None):
         raise ValueError("fit requires exactly one of --u or --budget")
     if not cfg["budget_tol"] > 0:
         raise ValueError("--budget-tol must be positive")
-    out = _ensure_out(cfg["out"])
-    _echo_config(out, "fit", cfg, {"data": args.data})
+    out = _echo_config(cfg)
 
-    sample = load_sample_csv(args.data, propensity_const=cfg["propensity"],
+    sample = load_sample_csv(cfg["data"], propensity_const=cfg["propensity"],
                              kappa=cfg["kappa"], m_y=cfg["my"], m_c=cfg["mc"])
     scores = ipw_transform(sample)
     fmap = poly_feature_map(cfg["degree"], sample.x.shape[1])
@@ -300,26 +243,19 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _score_defaults() -> dict:
-    return {"out": None, "mode": "prob", "seed": _default_seed()}
-
-
-def _cmd_score(args) -> int:
-    cfg = _resolve_config(args, _score_defaults())
-    _require(cfg, "score", "out")
+def _cmd_score(cfg: dict) -> int:
+    _require(cfg, "out")
     if cfg["mode"] not in ("prob", "mv", "sample"):
         raise ValueError(f"unknown score mode {cfg['mode']!r}")
     if cfg["mode"] == "sample" and not 0 <= int(cfg["seed"]) < 2**64:
         raise ValueError(f"--seed must lie in [0, 2^64), got {cfg['seed']}")
-    out = _ensure_out(cfg["out"])
-    _echo_config(out, "score", cfg,
-                 {"rule": args.rule, "covariates": args.covariates})
+    out = _echo_config(cfg)
 
-    particles, fmap = load_rule(args.rule)
-    _, _, x = _read_csv(args.covariates)
+    particles, fmap = load_rule(cfg["rule"])
+    _, _, x = _read_csv(cfg["covariates"])
     if x.shape[1] != fmap.d_x:
         raise ValueError(f"rule expects {fmap.d_x} covariates but "
-                         f"{args.covariates} has {x.shape[1]}")
+                         f"{cfg['covariates']} has {x.shape[1]}")
     rule = GibbsRule(particles, fmap)
     if cfg["mode"] == "prob":
         values = [_fmt(v) for v in treat_probability(rule, x)]
@@ -340,26 +276,13 @@ def _cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 # study
 
-def _study_defaults() -> dict:
-    return {
-        "out": None, "dgp": None, "reps": None, "n": 1000,
-        "particles": 1000, "n_test": 10000, "bins": 20,
-        "seed": _default_seed(), "threads": _default_threads(),
-        "paper_scale": None, "u_grid": None, "lambda_grid": None,
-        "budgets": None,
-    }
-
-
-def _cmd_study(args) -> int:
-    cfg = _resolve_config(args, _study_defaults())
-    cfg["paper_scale"] = bool(cfg["paper_scale"])
-    _require(cfg, "study", "out", "dgp")
+def _cmd_study(cfg: dict) -> int:
+    _require(cfg, "out", "dgp")
     if cfg["reps"] is None:
-        cfg["reps"] = 100 if cfg["paper_scale"] else 20
+        cfg["reps"] = _REPS[bool(cfg["paper_scale"])]
     for key in ("u_grid", "lambda_grid", "budgets"):
         cfg[key] = _float_list(cfg[key])
-    out = _ensure_out(cfg["out"])
-    _echo_config(out, "study", cfg)
+    out = _echo_config(cfg)
 
     dgp = DGPSpec(_dgp_id(cfg["dgp"]), int(cfg["seed"]), int(cfg["n"]))
     grids = None
@@ -386,72 +309,48 @@ def _cmd_study(args) -> int:
 # ---------------------------------------------------------------------------
 # bounds / oracle / simulate
 
-def _bounds_defaults() -> dict:
-    return {
-        "out": None, "n": None, "kappa": None, "my": None, "mc": None,
-        "lam": None, "u": None, "eps": None, "dkl": 0.0, "uhat": 0.0,
-        "q": None, "grid_size": None, "nu": None,
-    }
-
-
-def _cmd_bounds(args) -> int:
-    cfg = _resolve_config(args, _bounds_defaults())
-    _require(cfg, "bounds", "n", "kappa", "my", "mc", "lam", "u", "eps")
+def _cmd_bounds(cfg: dict) -> int:
+    _require(cfg, "n", "kappa", "my", "mc", "lam", "u", "eps")
     inputs = BoundInputs(n=int(cfg["n"]), kappa=cfg["kappa"],
                          m_y=cfg["my"], m_c=cfg["mc"], lam=cfg["lam"],
                          u=cfg["u"], epsilon=cfg["eps"], q=cfg["q"],
                          grid_cardinality=cfg["grid_size"], nu=cfg["nu"])
     report = bound_report(inputs, d_kl=cfg["dkl"], u_hat=cfg["uhat"])
     if cfg["out"] is not None:
-        out = _ensure_out(cfg["out"])
-        _echo_config(out, "bounds", cfg)
+        out = _echo_config(cfg)
         save(report, os.path.join(out, "bounds.json"))
     else:
         print(json.dumps(report.values, indent=1))
     return EXIT_OK
 
 
-def _oracle_defaults() -> dict:
-    return {"out": None, "dgp": None, "budget": None, "n": 10000,
-            "seed": _default_seed()}
-
-
-def _cmd_oracle(args) -> int:
-    cfg = _resolve_config(args, _oracle_defaults())
-    _require(cfg, "oracle", "dgp", "budget")
+def _cmd_oracle(cfg: dict) -> int:
+    _require(cfg, "dgp", "budget")
     dgp_id = _dgp_id(cfg["dgp"])
     known = known_simulated(dgp_id)
     x = known.sample_x(int(cfg["n"]), int(cfg["seed"]))
     rule = solve_eta_B(float(cfg["budget"]), known, x)
     doc = oracle_report(rule, known, x)
     if cfg["out"] is not None:
-        out = _ensure_out(cfg["out"])
-        _echo_config(out, "oracle", cfg)
+        out = _echo_config(cfg)
         _write_atomic(os.path.join(out, "oracle.json"), doc)
     else:
         print(json.dumps(doc, indent=1))
     return EXIT_OK
 
 
-def _simulate_defaults() -> dict:
-    return {"out": None, "dgp": None, "n": None, "seed": _default_seed()}
-
-
-def _cmd_simulate(args) -> int:
-    cfg = _resolve_config(args, _simulate_defaults())
-    _require(cfg, "simulate", "dgp", "n")
+def _cmd_simulate(cfg: dict) -> int:
+    _require(cfg, "dgp", "n")
     population = generate(DGPSpec(_dgp_id(cfg["dgp"]), int(cfg["seed"]),
                                   int(cfg["n"])))
     s = population.sample
     header = (["y", "c", "d"]
               + [f"x{j + 1}" for j in range(s.x.shape[1])] + ["e"])
-    e = s.propensities()
     rows = ([_fmt(s.y[i]), _fmt(s.c[i]), str(int(s.d[i]))]
-            + [_fmt(v) for v in s.x[i]] + [_fmt(e[i])]
+            + [_fmt(v) for v in s.x[i]] + [_fmt(s.e[i])]
             for i in range(s.n))
     if cfg["out"] is not None:
-        out = _ensure_out(cfg["out"])
-        _echo_config(out, "simulate", cfg)
+        out = _echo_config(cfg)
         _write_csv(os.path.join(out, "sample.csv"), header, rows)
     else:
         sys.stdout.write(",".join(header) + "\n")
@@ -465,99 +364,131 @@ def _cmd_simulate(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; remap those onto the
-    validation exit code so callers can tell bad flags from crashed runs."""
+    validation exit code so callers can tell bad flags from crashed runs.
+    The top-level parser holds its subcommands' parsers in `commands`."""
+
+    commands: dict
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
+    def load_config(self, path: str) -> None:
+        """Make a JSON config file's values this parser's defaults."""
+        with open(path) as fh:
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{path}: config file must hold a JSON object")
+        options = {a.dest for a in self._actions if a.option_strings}
+        unknown = sorted(set(loaded) - options - {"help", "config"})
+        if unknown:
+            raise ValueError(
+                f"{path}: unknown config keys: {', '.join(unknown)}")
+        self.set_defaults(**loaded)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The pbpolicy parser.  Each option holds its own default, and each
+    subcommand declares its options in run_config.json's key order.  A
+    string default, an environment variable's value or a config file's,
+    is parsed by the option's type."""
+    seed = os.environ.get("PBPOLICY_SEED") or "0"
+    threads = os.environ.get("PBPOLICY_THREADS") or "1"
     parser = _Parser(prog="pbpolicy",
                      description="Budget-constrained treatment policies from "
                                  "experimental or observational samples.")
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
+    parser.commands = sub.choices
 
-    fit = sub.add_parser("fit", help="estimate a policy posterior from a CSV")
-    fit.add_argument("data", help="sample CSV with columns y, c, d, x1..xk "
-                                  "and optionally e")
-    fit.add_argument("--out", help="output directory")
-    fit.add_argument("--config", help="JSON file of flag defaults")
+    def command(name, handler, help, inputs=(), out="output directory"):
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        for dest, input_help in inputs:
+            cmd.add_argument(dest, help=input_help)
+        cmd.add_argument("--out", help=out)
+        cmd.add_argument("--config", help="JSON file of flag defaults")
+        return cmd
+
+    fit = command("fit", _cmd_fit, "estimate a policy posterior from a CSV",
+                  [("data", "sample CSV with columns y, c, d, x1..xk and "
+                            "optionally e")])
     fit.add_argument("--lambda", dest="lam", type=float,
                      help="posterior temperature")
     fit.add_argument("--u", type=float, help="budget penalty weight")
     fit.add_argument("--budget", type=float,
                      help="per-capita budget; the penalty weight is solved")
-    fit.add_argument("--budget-tol", dest="budget_tol", type=float,
-                     help="tolerance on the solved budget (default 1e-3)")
-    fit.add_argument("--particles", type=int,
-                     help="particle count (default 1000)")
-    fit.add_argument("--seed", type=int,
-                     help="RNG seed (default $PBPOLICY_SEED or 0)")
-    fit.add_argument("--degree", type=int,
-                     help="polynomial feature degree (default 2)")
-    fit.add_argument("--sigma", type=float, help="prior scale (default 1)")
+    fit.add_argument("--particles", type=int, default=1000,
+                     help="particle count (default %(default)s)")
+    fit.add_argument("--seed", type=int, default=seed,
+                     help="RNG seed (default %(default)s, from "
+                          "$PBPOLICY_SEED when set)")
+    fit.add_argument("--degree", type=int, default=2,
+                     help="polynomial feature degree (default %(default)s)")
+    fit.add_argument("--sigma", type=float, default=1.0,
+                     help="prior scale (default %(default)s)")
     fit.add_argument("--propensity", type=float,
                      help="constant propensity when the CSV has no e column")
-    fit.add_argument("--kappa", type=float,
-                     help="overlap bound in (0, 1/2) (default 0.25)")
+    fit.add_argument("--kappa", type=float, default=0.25,
+                     help="overlap bound in (0, 1/2) (default %(default)s)")
     fit.add_argument("--my", type=float, help="declared outcome range")
     fit.add_argument("--mc", type=float, help="declared cost range")
-    fit.add_argument("--raw", action="store_const", const=True,
+    fit.add_argument("--raw", action="store_true",
                      help="temper the raw criterion instead of the "
                           "scale-normalized one")
-    fit.set_defaults(handler=_cmd_fit)
+    fit.add_argument("--budget-tol", dest="budget_tol", type=float,
+                     default=1e-3, help="tolerance on the solved budget "
+                                        "(default %(default)s)")
 
-    score = sub.add_parser("score", help="apply a saved rule to covariates")
-    score.add_argument("rule", help="rule.json written by fit")
-    score.add_argument("covariates", help="CSV with columns x1..xk")
-    score.add_argument("--out", help="output directory")
-    score.add_argument("--config", help="JSON file of flag defaults")
+    score = command("score", _cmd_score, "apply a saved rule to covariates",
+                    [("rule", "rule.json written by fit"),
+                     ("covariates", "CSV with columns x1..xk")])
     score.add_argument("--mode", choices=("prob", "mv", "sample"),
+                       default="prob",
                        help="prob writes treatment probabilities, mv the "
-                            "majority vote, sample a seeded draw")
-    score.add_argument("--seed", type=int,
-                       help="seed for --mode sample (default $PBPOLICY_SEED "
-                            "or 0)")
-    score.set_defaults(handler=_cmd_score)
+                            "majority vote, sample a seeded draw (default "
+                            "%(default)s)")
+    score.add_argument("--seed", type=int, default=seed,
+                       help="seed for --mode sample (default %(default)s, "
+                            "from $PBPOLICY_SEED when set)")
 
-    study = sub.add_parser("study", help="run the simulation benchmark")
-    study.add_argument("--out", help="output directory")
-    study.add_argument("--config", help="JSON file of flag defaults")
+    study = command("study", _cmd_study, "run the simulation benchmark")
     study.add_argument("--dgp", help="dgp1 or dgp2")
     study.add_argument("--reps", type=int,
-                       help="replications (default 20, 100 with "
-                            "--paper-scale)")
-    study.add_argument("--n", type=int,
+                       help=f"replications (default {_REPS[False]}, "
+                            f"{_REPS[True]} with --paper-scale)")
+    study.add_argument("--n", type=int, default=1000,
                        help="training sample size per replication "
-                            "(default 1000)")
-    study.add_argument("--particles", type=int,
-                       help="particle count (default 1000)")
-    study.add_argument("--n-test", dest="n_test", type=int,
-                       help="held-out population size (default 10000)")
-    study.add_argument("--bins", type=int,
-                       help="budget bins for the batch variant (default 20)")
-    study.add_argument("--seed", type=int,
-                       help="master seed (default $PBPOLICY_SEED or 0)")
-    study.add_argument("--threads", type=int,
-                       help="worker processes (default $PBPOLICY_THREADS or "
-                            "1; each worker's BLAS already uses every "
-                            "core)")
+                            "(default %(default)s)")
+    study.add_argument("--particles", type=int, default=1000,
+                       help="particle count (default %(default)s)")
+    study.add_argument("--n-test", dest="n_test", type=int, default=10000,
+                       help="held-out population size (default %(default)s)")
+    study.add_argument("--bins", type=int, default=20,
+                       help="budget bins for the batch variant "
+                            "(default %(default)s)")
+    study.add_argument("--seed", type=int, default=seed,
+                       help="master seed (default %(default)s, from "
+                            "$PBPOLICY_SEED when set)")
+    study.add_argument("--threads", type=int, default=threads,
+                       help="worker processes (default %(default)s, from "
+                            "$PBPOLICY_THREADS when set; each worker's BLAS "
+                            "already uses every core)")
     study.add_argument("--paper-scale", dest="paper_scale",
-                       action="store_const", const=True,
-                       help="default to 100 replications")
+                       action="store_true",
+                       help=f"default to {_REPS[True]} replications")
     study.add_argument("--u-grid", dest="u_grid",
                        help="comma separated penalty grid override")
     study.add_argument("--lambda-grid", dest="lambda_grid",
                        help="comma separated temperature grid override")
     study.add_argument("--budgets",
                        help="comma separated per-capita budgets to report")
-    study.set_defaults(handler=_cmd_study)
 
-    bounds = sub.add_parser("bounds", help="evaluate certificate slacks")
-    bounds.add_argument("--out", help="output directory (default: stdout)")
-    bounds.add_argument("--config", help="JSON file of flag defaults")
+    bounds = command("bounds", _cmd_bounds, "evaluate certificate slacks",
+                     out="output directory (default: stdout)")
     bounds.add_argument("--n", type=int, help="sample size")
     bounds.add_argument("--kappa", type=float, help="overlap bound")
     bounds.add_argument("--my", type=float, help="outcome range")
@@ -566,36 +497,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="posterior temperature")
     bounds.add_argument("--u", type=float, help="budget penalty weight")
     bounds.add_argument("--eps", type=float, help="failure probability")
-    bounds.add_argument("--dkl", type=float,
-                        help="posterior-prior divergence (default 0)")
-    bounds.add_argument("--uhat", type=float,
-                        help="solved penalty weight (default 0)")
+    bounds.add_argument("--dkl", type=float, default=0.0,
+                        help="posterior-prior divergence "
+                             "(default %(default)s)")
+    bounds.add_argument("--uhat", type=float, default=0.0,
+                        help="solved penalty weight (default %(default)s)")
     bounds.add_argument("--q", type=int, help="feature dimension")
     bounds.add_argument("--grid-size", dest="grid_size", type=int,
                         help="policy grid cardinality")
     bounds.add_argument("--nu", type=float, help="prior mass floor")
-    bounds.set_defaults(handler=_cmd_bounds)
 
-    oracle = sub.add_parser("oracle",
-                            help="solve the population budget problem")
-    oracle.add_argument("--out", help="output directory (default: stdout)")
-    oracle.add_argument("--config", help="JSON file of flag defaults")
+    oracle = command("oracle", _cmd_oracle,
+                     "solve the population budget problem",
+                     out="output directory (default: stdout)")
     oracle.add_argument("--dgp", help="dgp1 or dgp2")
     oracle.add_argument("--budget", type=float, help="per-capita budget")
-    oracle.add_argument("--n", type=int,
-                        help="population size (default 10000)")
-    oracle.add_argument("--seed", type=int,
-                        help="population seed (default $PBPOLICY_SEED or 0)")
-    oracle.set_defaults(handler=_cmd_oracle)
+    oracle.add_argument("--n", type=int, default=10000,
+                        help="population size (default %(default)s)")
+    oracle.add_argument("--seed", type=int, default=seed,
+                        help="population seed (default %(default)s, from "
+                             "$PBPOLICY_SEED when set)")
 
-    sim = sub.add_parser("simulate", help="draw a synthetic sample")
-    sim.add_argument("--out", help="output directory (default: stdout)")
-    sim.add_argument("--config", help="JSON file of flag defaults")
+    sim = command("simulate", _cmd_simulate, "draw a synthetic sample",
+                  out="output directory (default: stdout)")
     sim.add_argument("--dgp", help="dgp1 or dgp2")
     sim.add_argument("--n", type=int, help="sample size")
-    sim.add_argument("--seed", type=int,
-                     help="RNG seed (default $PBPOLICY_SEED or 0)")
-    sim.set_defaults(handler=_cmd_simulate)
+    sim.add_argument("--seed", type=int, default=seed,
+                     help="RNG seed (default %(default)s, from "
+                          "$PBPOLICY_SEED when set)")
 
     return parser
 
@@ -603,12 +532,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
+    if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_VALIDATION
     try:
-        return handler(args)
+        if args.config is not None:
+            # explicit flags win: parse again with the file's values as the
+            # subcommand's defaults
+            parser.commands[args.command].load_config(args.config)
+            args = parser.parse_args(argv)
+        cfg = vars(args)
+        handler = cfg.pop("handler")
+        del cfg["config"]
+        return handler(cfg)
     except (ValueError, TypeError, OSError) as exc:
         print(f"pbpolicy {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

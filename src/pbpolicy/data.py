@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,8 @@ __all__ = [
 
 @dataclass
 class Sample:
-    """An i.i.d. collection of observations with a known propensity function.
+    """An i.i.d. collection of observations with the known propensity e of
+    each unit.
 
     `m_y` and `m_c` are optional declared outcome/cost bounds (|y| <= m_y/2,
     |c| <= m_c/2); operations that need them refuse to run when they are
@@ -44,7 +45,7 @@ class Sample:
     c: np.ndarray
     d: np.ndarray
     x: np.ndarray  # shape (n, d_x)
-    propensity: Callable[[np.ndarray], np.ndarray]
+    e: np.ndarray
     kappa: float
     m_y: Optional[float] = None
     m_c: Optional[float] = None
@@ -54,16 +55,22 @@ class Sample:
         self.c = np.asarray(self.c, dtype=float)
         self.d = np.asarray(self.d)
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        self.e = np.asarray(self.e, dtype=float)
         n = self.y.shape[0]
         if n == 0:
             raise ValueError("sample is empty")
-        if not (self.c.shape[0] == self.d.shape[0] == self.x.shape[0] == n):
+        if not (self.c.shape[0] == self.d.shape[0] == self.x.shape[0]
+                == self.e.shape[0] == n):
             raise ValueError("sample columns have mismatched lengths")
+        columns = {"y": self.y, "c": self.c, "e": self.e}
+        columns.update((f"x{j + 1}", col) for j, col in enumerate(self.x.T))
+        for name, col in columns.items():
+            _check_finite(col, f"sample column {name!r}")
         if not np.isin(self.d, (0, 1)).all():
             raise ValueError("treatment indicator column must be 0/1")
         if not (0.0 < self.kappa < 0.5):
             raise ValueError(f"kappa must lie in (0, 1/2), got {self.kappa}")
-        e = self.propensities()
+        e = self.e
         if np.any(e < self.kappa - 1e-12) or np.any(e > 1 - self.kappa + 1e-12):
             raise ValueError("propensity outside [kappa, 1-kappa] on the sample")
         if self.m_y is not None and np.any(np.abs(self.y) > self.m_y / 2 + 1e-12):
@@ -75,15 +82,9 @@ class Sample:
     def n(self) -> int:
         return self.y.shape[0]
 
-    def propensities(self) -> np.ndarray:
-        e = np.asarray(self.propensity(self.x), dtype=float)
-        if e.shape == ():
-            e = np.full(self.n, float(e))
-        return e
-
     def subset(self, idx: np.ndarray) -> "Sample":
         return Sample(self.y[idx], self.c[idx], self.d[idx], self.x[idx],
-                      self.propensity, self.kappa, self.m_y, self.m_c)
+                      self.e[idx], self.kappa, self.m_y, self.m_c)
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,10 @@ class IPWScores:
 def ipw_transform(sample: Sample) -> IPWScores:
     """Inverse propensity weighted per-unit scores of a sample.
 
-    Raises if a propensity value violates the declared overlap, or if declared
-    bounds m_y/m_c are contradicted by the implied score bounds.
+    Raises if declared bounds m_y/m_c are contradicted by the implied score
+    bounds.  The sample has already checked its propensities' overlap.
     """
-    e = sample.propensities()
-    if np.any(e < sample.kappa - 1e-12) or np.any(e > 1 - sample.kappa + 1e-12):
-        raise ValueError("propensity outside [kappa, 1-kappa]")
+    e = sample.e
     d = sample.d.astype(float)
     dy = sample.y * d / e - sample.y * (1 - d) / (1 - e)
     dc = sample.c * d / e - sample.c * (1 - d) / (1 - e)
@@ -217,17 +216,15 @@ def load_sample_csv(path, propensity_const: Optional[float] = None,
                     m_c: Optional[float] = None) -> Sample:
     """Read a sample from CSV with header columns y, c, d, x1..x_k and an
     optional propensity column e.  When no e column exists, a constant
-    propensity must be supplied.
+    propensity must be supplied.  Every value read must be finite.
     """
     cols, rows, x = _read_csv(path, required=("y", "c", "d"))
-    y = np.array([float(r["y"]) for r in rows])
-    c = np.array([float(r["c"]) for r in rows])
-    d = np.array([int(r["d"]) for r in rows])
+    y = _float_column(path, rows, "y")
+    c = _float_column(path, rows, "c")
+    d = _float_column(path, rows, "d")
     if "e" in cols:
-        e = np.array([float(r["e"]) for r in rows])
-        prop = _TabulatedPropensity(x, e)
+        e = _float_column(path, rows, "e")
     elif propensity_const is not None:
-        prop = _ConstantPropensity(float(propensity_const))
         e = np.full(len(rows), float(propensity_const))
     else:
         raise ValueError(f"{path}: no e column and no constant propensity given")
@@ -236,12 +233,13 @@ def load_sample_csv(path, propensity_const: Optional[float] = None,
         kappa = min(lo, 0.49)
         if kappa <= 0:
             raise ValueError("propensities leave no room for a positive kappa")
-    return Sample(y, c, d, x, prop, kappa, m_y=m_y, m_c=m_c)
+    return Sample(y, c, d, x, e, kappa, m_y=m_y, m_c=m_c)
 
 
 def _read_csv(path, required=()) -> tuple[list, list, np.ndarray]:
     """The header, the rows and the covariate matrix (columns x1..xk, in
-    index order) of a CSV that must hold the required columns."""
+    index order, every value finite) of a CSV that must hold the required
+    columns."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -257,34 +255,16 @@ def _read_csv(path, required=()) -> tuple[list, list, np.ndarray]:
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    x = np.array([[float(r[c]) for c in xcols] for r in rows])
+    x = np.column_stack([_float_column(path, rows, c) for c in xcols])
     return cols, rows, x
 
 
-@dataclass
-class _ConstantPropensity:
-    value: float
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.atleast_2d(x).shape[0], self.value)
+def _float_column(path, rows, name: str) -> np.ndarray:
+    values = np.array([float(r[name]) for r in rows])
+    _check_finite(values, f"{path}: column {name!r}")
+    return values
 
 
-class _TabulatedPropensity:
-    """Propensity known only at the observed covariate rows."""
-
-    def __init__(self, x: np.ndarray, e: np.ndarray):
-        self.x = x
-        self.e = e
-        self._table = {row.tobytes(): float(v) for row, v in zip(x, e)}
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape == self.x.shape and np.array_equal(x, self.x):
-            return self.e
-        out = np.empty(x.shape[0])
-        for i, row in enumerate(x):
-            key = row.tobytes()
-            if key not in self._table:
-                raise ValueError("tabulated propensity only defined on the ingested rows")
-            out[i] = self._table[key]
-        return out
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds a non-finite value")

@@ -85,10 +85,6 @@ class SimulatedPopulation:
         return self.sample.x
 
 
-def _half(x):
-    return np.full(np.atleast_2d(x).shape[0], 0.5)
-
-
 def _truncated_normal(rng: np.random.Generator) -> float:
     # rejection from the standard normal; acceptance is about 95.4%
     while True:
@@ -166,7 +162,7 @@ def generate(spec: DGPSpec) -> SimulatedPopulation:
         c=c1 * d + c0 * (1 - d),
         d=d,
         x=x,
-        propensity=_half,
+        e=np.full(n, 0.5),
         kappa=SIM_KAPPA,
     )
     return SimulatedPopulation(spec=spec, sample=sample, y0=y0, y1=y1,

@@ -24,7 +24,7 @@ from . import __version__
 from .data import Sample, ipw_transform, poly_feature_map
 from .dgp import DGPSpec, SimulatedPopulation, generate, true_gain_cost
 from .gibbs import IsotropicNormalPrior
-from .persist import _open_atomic, _write_atomic
+from .persist import _fmt, _write_atomic, _write_csv
 # treat_probability and mv_decide are not called here any more, but the
 # benchmark's tracer (bench/tracing.py) rebinds them in this module
 from .rules import (
@@ -485,13 +485,11 @@ def _write_artifacts(report: StudyReport, grids: GridSpec,
     n_reps = {"pb_sa": report.n_reps, "pb_mv": report.n_reps,
               "pb_batch": report.n_reps}
     for method, curve in report.curves.items():
-        lines = ["cost,gain_mean,gain_se,n_reps"]
-        se = report.gain_se[method]
-        for c, g, s in zip(curve.costs, curve.gains, se):
-            lines.append(f"{float(c)!r},{float(g)!r},{float(s)!r},"
-                         f"{n_reps.get(method, 1)}")
-        with _open_atomic(os.path.join(out, f"cost_curves_{method}.csv")) as fh:
-            fh.write("\n".join(lines) + "\n")
+        reps = str(n_reps.get(method, 1))
+        rows = ([_fmt(c), _fmt(g), _fmt(s), reps] for c, g, s in
+                zip(curve.costs, curve.gains, report.gain_se[method]))
+        _write_csv(os.path.join(out, f"cost_curves_{method}.csv"),
+                   ["cost", "gain_mean", "gain_se", "n_reps"], rows)
 
     for rep in report.replications:
         doc = {

@@ -1,6 +1,6 @@
 """Versioned JSON serialization for the two documents the program writes,
-bound reports and fitted rules, and the atomic write every output file goes
-through.
+bound reports and fitted rules, the CSV writer, and the atomic write every
+output file goes through.
 
 Every document carries a schema version and a kind tag; loading a file
 written under a different schema version is a hard error.  Floats pass
@@ -77,6 +77,20 @@ def _write_atomic(path, doc: dict) -> None:
     with _open_atomic(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """A CSV of a header and rows of string cells, written atomically."""
+    with _open_atomic(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _fmt(value) -> str:
+    # repr of a Python float round-trips exactly, which keeps CSV output
+    # byte-stable across runs
+    return repr(float(value))
 
 
 def _read_versioned(path) -> dict:

@@ -88,9 +88,22 @@ def test_study_threads_default_to_one_worker(monkeypatch):
     # each worker's BLAS already starts a thread per core, so a worker per
     # core would oversubscribe them
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    assert cli._study_defaults()["threads"] == 1
+    assert cli.build_parser().parse_args(["study"]).threads == 1
     monkeypatch.setenv("PBPOLICY_THREADS", "3")
-    assert cli._study_defaults()["threads"] == 3
+    assert cli.build_parser().parse_args(["study"]).threads == 3
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("PBPOLICY_SEED", ["simulate", "--dgp", "dgp1", "--n", "5"]),
+    ("PBPOLICY_THREADS", ["study", "--dgp", "dgp1"]),
+])
+def test_bad_environment_default_is_a_usage_error(monkeypatch, capsys, name,
+                                                  argv):
+    monkeypatch.setenv(name, "many")
+    with pytest.raises(SystemExit) as caught:
+        cli.main(argv)
+    assert caught.value.code == 1
+    assert "invalid int value: 'many'" in capsys.readouterr().err
 
 
 def test_simulate_rejects_unknown_design(capsys):
@@ -265,6 +278,117 @@ def test_config_file_rejects_unknown_keys(tmp_path, sample_csv, capsys):
     assert run_cli("fit", sample_csv, "--config", cfg,
                    "--out", tmp_path / "o") == 1
     assert "bogus" in capsys.readouterr().err
+    # positional inputs come from the command line only
+    cfg.write_text(json.dumps({"lam": 4.0, "u": 0.0, "data": "x.csv"}))
+    assert run_cli("fit", sample_csv, "--config", cfg,
+                   "--out", tmp_path / "o") == 1
+    assert "unknown config keys: data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "is not valid JSON"),
+    ("[1, 2]", "config file must hold a JSON object"),
+])
+def test_config_file_must_be_a_json_object(tmp_path, sample_csv, capsys,
+                                           text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli("fit", sample_csv, "--config", cfg,
+                   "--out", tmp_path / "o") == 1
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_strings_are_parsed_by_the_flag_type(tmp_path,
+                                                        sample_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": "4", "u": "0", "particles": "30",
+                               "seed": "4"}))
+    assert run_cli("fit", sample_csv, "--config", cfg,
+                   "--out", tmp_path / "o") == 0
+    echoed = json.loads((tmp_path / "o" / "run_config.json").read_text())
+    assert (echoed["lam"], echoed["u"], echoed["particles"],
+            echoed["seed"]) == (4.0, 0.0, 30, 4)
+
+
+def test_run_config_bytes(tmp_path, fitted, sample_csv):
+    # the key order and spelling of run_config.json are part of its format
+    assert (fitted / "run_config.json").read_text() == f"""{{
+ "command": "fit",
+ "data": {json.dumps(str(sample_csv))},
+ "out": {json.dumps(str(fitted))},
+ "lam": 4.0,
+ "u": 0.0,
+ "budget": null,
+ "particles": 40,
+ "seed": 7,
+ "degree": 2,
+ "sigma": 1.0,
+ "propensity": null,
+ "kappa": 0.25,
+ "my": null,
+ "mc": null,
+ "raw": false,
+ "budget_tol": 0.001
+}}
+"""
+    out = tmp_path / "study"
+    assert run_cli("study", "--dgp", "dgp1", "--reps", 1, "--n", 40,
+                   "--particles", 20, "--n-test", 60, "--bins", 2,
+                   "--u-grid", "0,1", "--lambda-grid", "4,16",
+                   "--out", out) == 0
+    assert (out / "run_config.json").read_text() == f"""{{
+ "command": "study",
+ "out": {json.dumps(str(out))},
+ "dgp": "dgp1",
+ "reps": 1,
+ "n": 40,
+ "particles": 20,
+ "n_test": 60,
+ "bins": 2,
+ "seed": 0,
+ "threads": 1,
+ "paper_scale": false,
+ "u_grid": [
+  0.0,
+  1.0
+ ],
+ "lambda_grid": [
+  4.0,
+  16.0
+ ],
+ "budgets": null
+}}
+"""
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert cli.main(["simulate", "--dgp", "dgp1", "--n", "40",
+                     "--seed", "2", "--out", str(out)]) == 0
+    return out / "sample.csv"
+
+
+def _edit_cell(src, dst, column, value):
+    lines = src.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[5].split(",")
+    row[header.index(column)] = value
+    lines[5] = ",".join(row)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["y", "c", "d", "x2", "e"])
+def test_fit_rejects_non_finite_values(tmp_path, small_csv, capsys, column,
+                                       value):
+    bad = _edit_cell(small_csv, tmp_path / "bad.csv", column, value)
+    assert run_cli("fit", bad, "--out", tmp_path / "o", "--lambda", "4",
+                   "--u", "0", "--particles", 20) == 1
+    assert f"column '{column}' holds a non-finite value" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o" / "rule.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +464,16 @@ def test_score_rejects_a_seed_outside_64_bits(tmp_path, fitted, sample_csv,
                    "--mode", "sample", "--seed", seed) == 1
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_score_rejects_non_finite_covariates(tmp_path, fitted, sample_csv,
+                                             capsys, value):
+    bad = _edit_cell(sample_csv, tmp_path / "bad.csv", "x1", value)
+    assert run_cli("score", fitted / "rule.json", bad,
+                   "--out", tmp_path / "o") == 1
+    assert "column 'x1' holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "assignments.csv").exists()
 
 
 def test_score_dimension_mismatch(tmp_path, fitted, capsys):

@@ -13,10 +13,6 @@ from pbpolicy.data import (
 from pbpolicy.gibbs import welfare_cost_matrix
 
 
-def half(x):
-    return np.full(np.atleast_2d(x).shape[0], 0.5)
-
-
 def two_unit_sample():
     # unit 1 treated: delta_y = 2/0.5 = 4, delta_c = 1/0.5 = 2
     # unit 2 control: delta_y = -1/0.5 = -2, delta_c = -(-1)/0.5 = 2
@@ -25,7 +21,7 @@ def two_unit_sample():
         c=np.array([1.0, -1.0]),
         d=np.array([1, 0]),
         x=np.array([[1.0], [-1.0]]),
-        propensity=half,
+        e=np.array([0.5, 0.5]),
         kappa=0.25,
     )
 
@@ -56,23 +52,13 @@ def test_ipw_matches_direct_formula():
         d = rng.integers(0, 2, size=n)
         x = rng.normal(size=(n, 2))
         e = rng.uniform(0.3, 0.7, size=n)
-        prop = _Lookup(x, e)
-        sample = Sample(y, c, d, x, prop, kappa=0.3)
+        sample = Sample(y, c, d, x, e, kappa=0.3)
         scores = ipw_transform(sample)
         for i in range(n):
             want = y[i] * d[i] / e[i] - y[i] * (1 - d[i]) / (1 - e[i])
             assert scores.delta_y[i] == pytest.approx(want)
             want_c = c[i] * d[i] / e[i] - c[i] * (1 - d[i]) / (1 - e[i])
             assert scores.delta_c[i] == pytest.approx(want_c)
-
-
-class _Lookup:
-    def __init__(self, x, e):
-        self.x, self.e = x, e
-
-    def __call__(self, x):
-        assert np.array_equal(x, self.x)
-        return self.e
 
 
 def test_score_bound_holds_under_declared_limits():
@@ -85,7 +71,7 @@ def test_score_bound_holds_under_declared_limits():
         d = rng.integers(0, 2, size=n)
         x = rng.normal(size=(n, 1))
         e = rng.uniform(kappa, 1 - kappa, size=n)
-        sample = Sample(y, c, d, x, _Lookup(x, e), kappa, m_y=m_y, m_c=m_c)
+        sample = Sample(y, c, d, x, e, kappa, m_y=m_y, m_c=m_c)
         scores = ipw_transform(sample)
         assert np.all(np.abs(scores.delta_y) <= m_y / (2 * kappa) + 1e-9)
         assert np.all(np.abs(scores.delta_c) <= m_c / (2 * kappa) + 1e-9)
@@ -142,7 +128,7 @@ def test_normalization_rejects_degenerate_monomial():
 
 def test_sample_validation():
     ok = dict(y=np.array([1.0]), c=np.array([0.0]), d=np.array([1]),
-              x=np.array([[0.0]]), propensity=half, kappa=0.25)
+              x=np.array([[0.0]]), e=np.array([0.5]), kappa=0.25)
     Sample(**ok)
     with pytest.raises(ValueError, match="0/1"):
         Sample(**{**ok, "d": np.array([2])})
@@ -154,18 +140,33 @@ def test_sample_validation():
         Sample(**{**ok, "m_y": 1.0})  # |y| = 1 > m_y/2
     with pytest.raises(ValueError, match="mismatched"):
         Sample(**{**ok, "c": np.array([0.0, 1.0])})
+    with pytest.raises(ValueError, match="mismatched"):
+        Sample(**{**ok, "e": np.array([0.5, 0.5])})
     with pytest.raises(ValueError, match="empty"):
         Sample(**{**ok, "y": np.array([]), "c": np.array([]),
-                 "d": np.array([]), "x": np.zeros((0, 1))})
+                 "d": np.array([]), "x": np.zeros((0, 1)),
+                 "e": np.array([])})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["y", "c", "e", "x2"])
+def test_sample_rejects_non_finite_values_naming_the_column(column, bad):
+    cols = dict(y=np.array([1.0, 0.5]), c=np.array([0.0, 1.0]),
+                d=np.array([1, 0]), x=np.array([[0.0, 1.0], [2.0, 3.0]]),
+                e=np.array([0.5, 0.5]), kappa=0.25)
+    if column == "x2":
+        cols["x"][1, 1] = bad
+    else:
+        cols[column][1] = bad
+    with pytest.raises(ValueError,
+                       match=f"sample column '{column}' holds a non-finite"):
+        Sample(**cols)
 
 
 def test_propensity_overlap_enforced():
-    def extreme(x):
-        return np.full(np.atleast_2d(x).shape[0], 0.05)
-
     with pytest.raises(ValueError, match="propensity"):
         Sample(np.array([1.0]), np.array([0.0]), np.array([1]),
-               np.array([[0.0]]), extreme, kappa=0.25)
+               np.array([[0.0]]), np.array([0.05]), kappa=0.25)
 
 
 def test_feature_length_mismatch():
@@ -185,9 +186,11 @@ def test_identity_feature_map():
 
 def test_sample_subset():
     sample = two_unit_sample()
+    sample.e = np.array([0.5, 0.6])
     sub = sample.subset(np.array([1]))
     assert sub.n == 1
     assert sub.y[0] == 1.0
+    np.testing.assert_array_equal(sub.e, [0.6])
 
 
 def test_csv_roundtrip(tmp_path):
@@ -202,17 +205,17 @@ def test_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(sample.c, [1.0, -1.0])
     np.testing.assert_allclose(sample.d, [1, 0])
     np.testing.assert_allclose(sample.x, [[0.1, 0.9], [0.4, 0.2]])
-    np.testing.assert_allclose(sample.propensities(), [0.5, 0.6])
-    # subsetting keeps the tabulated propensity usable
+    np.testing.assert_allclose(sample.e, [0.5, 0.6])
+    # subsetting keeps each unit's propensity
     sub = sample.subset(np.array([0]))
-    np.testing.assert_allclose(sub.propensities(), [0.5])
+    np.testing.assert_allclose(sub.e, [0.5])
 
 
 def test_csv_constant_propensity_and_errors(tmp_path):
     path = tmp_path / "noprop.csv"
     path.write_text("y,c,d,x1\n1.0,0.0,1,0.3\n-1.0,2.0,0,0.7\n")
     sample = load_sample_csv(path, propensity_const=0.5, kappa=0.4)
-    np.testing.assert_allclose(sample.propensities(), [0.5, 0.5])
+    np.testing.assert_allclose(sample.e, [0.5, 0.5])
     with pytest.raises(ValueError, match="constant propensity"):
         load_sample_csv(path)
     bad = tmp_path / "bad.csv"
@@ -225,3 +228,18 @@ def test_csv_constant_propensity_and_errors(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_sample_csv(bad, propensity_const=0.5)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["y", "c", "d", "x2", "e"])
+def test_csv_rejects_non_finite_values_naming_the_column(tmp_path, column,
+                                                         bad):
+    cells = {"y": "2.0", "c": "1.0", "d": "1", "x1": "0.1", "x2": "0.9",
+             "e": "0.5"}
+    path = tmp_path / "sample.csv"
+    path.write_text(",".join(cells) + "\n"
+                    + ",".join(cells.values()) + "\n"
+                    + ",".join({**cells, column: bad}.values()) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"column '{column}' holds a non-finite value"):
+        load_sample_csv(path)

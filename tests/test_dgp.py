@@ -36,7 +36,7 @@ def test_observed_face_identity():
         assert np.all(pop.c0 == 0)
         assert np.all((pop.c1 >= 0) & (pop.c1 <= 5))
         assert np.all(pop.c1 == np.round(pop.c1))
-        np.testing.assert_allclose(pop.sample.propensities(), 0.5)
+        np.testing.assert_array_equal(pop.sample.e, 0.5)
 
 
 def test_dgp1_population_moments():
