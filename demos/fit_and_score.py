@@ -10,8 +10,6 @@ attainable frontier is visible.
 Run:  python3 demos/fit_and_score.py
 """
 
-import numpy as np
-
 from pbpolicy import (
     DGPSpec,
     GibbsRule,
@@ -21,7 +19,6 @@ from pbpolicy import (
     build_default_ladder,
     generate,
     ipw_transform,
-    known_simulated,
     mv_decide,
     oracle_report,
     poly_feature_map,
@@ -59,9 +56,8 @@ def main():
     print(f"stochastic rule : true gain {gain_sa:.4f} at true cost {cost_sa:.4f}")
     print(f"majority vote   : true gain {gain_mv:.4f} at true cost {cost_mv:.4f}")
 
-    known = known_simulated("DGP1")
-    best = solve_eta_B(cost_sa, known, test.x)
-    report = oracle_report(best, known, test.x)
+    best = solve_eta_B(cost_sa, test.cate, test.expected_cost)
+    report = oracle_report(best, test.cate, test.expected_cost)
     print(f"optimal rule at the same budget: gain {report['gain_of_optimal']:.4f} "
           f"(eta = {report['eta_B']:.4f})")
     print(f"welfare regret of the stochastic rule: "

@@ -61,13 +61,9 @@ from pbpolicy.dgp import (
     SimulatedPopulation,
     generate,
     true_gain_cost,
-    true_cate,
-    true_catc,
 )
 from pbpolicy.oracle import (
-    KnownDGP,
     OptimalRule,
-    known_simulated,
     budget_curve_beta,
     solve_eta_B,
     oracle_decisions,

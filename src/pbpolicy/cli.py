@@ -14,8 +14,8 @@ Conventions shared by every subcommand:
     written anywhere else (`bounds`, `oracle`, and `simulate` print to
     stdout when --out is omitted);
   * a JSON config file passed with --config pre-fills flags, explicit
-    flags win, and the fully resolved configuration is echoed to
-    run_config.json next to the outputs;
+    flags win, each value must fit its flag's type, and the fully resolved
+    configuration is echoed to run_config.json next to the outputs;
   * identical inputs and seeds produce byte-identical outputs;
   * PBPOLICY_SEED supplies the default --seed and PBPOLICY_THREADS the
     default --threads (else 1, since each worker's BLAS already starts a
@@ -43,7 +43,7 @@ from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             tilted_cost_evaluator, tilted_weights,
                             welfare_cost_matrix)
 from pbpolicy.harness import GridSpec, StudyConfig, run_study
-from pbpolicy.oracle import known_simulated, oracle_report, solve_eta_B
+from pbpolicy.oracle import oracle_report, solve_eta_B
 from pbpolicy.persist import (_fmt, _write_atomic, _write_csv, load_rule,
                               save, save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
@@ -68,6 +68,9 @@ _FLAG_NAMES = {"lam": "--lambda", "n_test": "--n-test"}
 
 # study replications without and with --paper-scale
 _REPS = {False: 20, True: 100}
+
+# study flags that take comma separated floats, or a list in a config file
+_GRID_KEYS = ("u_grid", "lambda_grid", "budgets")
 
 
 def _dgp_id(value) -> str:
@@ -187,9 +190,9 @@ def _cmd_fit(cfg: dict) -> int:
     feats = fmap.transform(sample.x)
     prior = IsotropicNormalPrior(q=fmap.dimension, sigma=cfg["sigma"])
     normalized = not cfg["raw"]
-    lam = float(cfg["lam"])
+    lam = cfg["lam"]
     # every run, budget pilots included, uses the fit's own seed
-    smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=int(cfg["seed"]),
+    smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=cfg["seed"],
                         normalized=normalized)
 
     def posterior_at(u_value: float, trace: list):
@@ -199,15 +202,15 @@ def _cmd_fit(cfg: dict) -> int:
 
     solve_report = None
     if cfg["budget"] is not None:
-        budget = float(cfg["budget"])
-        tol = float(cfg["budget_tol"])
+        budget = cfg["budget"]
+        tol = cfg["budget_tol"]
         particles, trace, solve_report = _fit_budget(
             budget, tol, lam, posterior_at, scores, feats, normalized)
         u_final = particles.u
         u_solved = True
     else:
         budget = None
-        u_final = float(cfg["u"])
+        u_final = cfg["u"]
         if u_final < 0:
             raise ValueError("--u must be non-negative")
         u_solved = False
@@ -247,7 +250,7 @@ def _cmd_score(cfg: dict) -> int:
     _require(cfg, "out")
     if cfg["mode"] not in ("prob", "mv", "sample"):
         raise ValueError(f"unknown score mode {cfg['mode']!r}")
-    if cfg["mode"] == "sample" and not 0 <= int(cfg["seed"]) < 2**64:
+    if cfg["mode"] == "sample" and not 0 <= cfg["seed"] < 2**64:
         raise ValueError(f"--seed must lie in [0, 2^64), got {cfg['seed']}")
     out = _echo_config(cfg)
 
@@ -266,7 +269,7 @@ def _cmd_score(cfg: dict) -> int:
         # a uint64 key keeps every 64-bit seed exact; a list key would pass
         # seeds of 2^63 and above through float64
         rng = np.random.Generator(np.random.Philox(
-            key=np.array([int(cfg["seed"]), 0], dtype=np.uint64)))
+            key=np.array([cfg["seed"], 0], dtype=np.uint64)))
         values = [str(int(v)) for v in sample_assignments(rule, x, rng)]
     _write_csv(os.path.join(out, "assignments.csv"), ["assignment"],
                ([v] for v in values))
@@ -279,12 +282,12 @@ def _cmd_score(cfg: dict) -> int:
 def _cmd_study(cfg: dict) -> int:
     _require(cfg, "out", "dgp")
     if cfg["reps"] is None:
-        cfg["reps"] = _REPS[bool(cfg["paper_scale"])]
-    for key in ("u_grid", "lambda_grid", "budgets"):
+        cfg["reps"] = _REPS[cfg["paper_scale"]]
+    for key in _GRID_KEYS:
         cfg[key] = _float_list(cfg[key])
     out = _echo_config(cfg)
 
-    dgp = DGPSpec(_dgp_id(cfg["dgp"]), int(cfg["seed"]), int(cfg["n"]))
+    dgp = DGPSpec(_dgp_id(cfg["dgp"]), cfg["seed"], cfg["n"])
     grids = None
     if cfg["u_grid"] is not None or cfg["lambda_grid"] is not None:
         kwargs = {}
@@ -296,13 +299,10 @@ def _cmd_study(cfg: dict) -> int:
             grids = GridSpec(**kwargs)
         except ValueError as exc:
             raise ValueError(f"--u-grid/--lambda-grid: {exc}") from None
-    study_cfg = StudyConfig(particles=int(cfg["particles"]),
-                            n_test=int(cfg["n_test"]),
-                            n_bins=int(cfg["bins"]),
-                            workers=int(cfg["threads"]),
-                            out_dir=out,
-                            query_budgets=cfg["budgets"])
-    run_study(dgp, int(cfg["reps"]), grids=grids, config=study_cfg)
+    study_cfg = StudyConfig(particles=cfg["particles"], n_test=cfg["n_test"],
+                            n_bins=cfg["bins"], workers=cfg["threads"],
+                            out_dir=out, query_budgets=cfg["budgets"])
+    run_study(dgp, cfg["reps"], grids=grids, config=study_cfg)
     return EXIT_OK
 
 
@@ -311,7 +311,7 @@ def _cmd_study(cfg: dict) -> int:
 
 def _cmd_bounds(cfg: dict) -> int:
     _require(cfg, "n", "kappa", "my", "mc", "lam", "u", "eps")
-    inputs = BoundInputs(n=int(cfg["n"]), kappa=cfg["kappa"],
+    inputs = BoundInputs(n=cfg["n"], kappa=cfg["kappa"],
                          m_y=cfg["my"], m_c=cfg["mc"], lam=cfg["lam"],
                          u=cfg["u"], epsilon=cfg["eps"], q=cfg["q"],
                          grid_cardinality=cfg["grid_size"], nu=cfg["nu"])
@@ -326,11 +326,10 @@ def _cmd_bounds(cfg: dict) -> int:
 
 def _cmd_oracle(cfg: dict) -> int:
     _require(cfg, "dgp", "budget")
-    dgp_id = _dgp_id(cfg["dgp"])
-    known = known_simulated(dgp_id)
-    x = known.sample_x(int(cfg["n"]), int(cfg["seed"]))
-    rule = solve_eta_B(float(cfg["budget"]), known, x)
-    doc = oracle_report(rule, known, x)
+    population = generate(DGPSpec(_dgp_id(cfg["dgp"]), cfg["seed"], cfg["n"]))
+    dy, dc = population.cate, population.expected_cost
+    rule = solve_eta_B(cfg["budget"], dy, dc)
+    doc = oracle_report(rule, dy, dc)
     if cfg["out"] is not None:
         out = _echo_config(cfg)
         _write_atomic(os.path.join(out, "oracle.json"), doc)
@@ -341,8 +340,7 @@ def _cmd_oracle(cfg: dict) -> int:
 
 def _cmd_simulate(cfg: dict) -> int:
     _require(cfg, "dgp", "n")
-    population = generate(DGPSpec(_dgp_id(cfg["dgp"]), int(cfg["seed"]),
-                                  int(cfg["n"])))
+    population = generate(DGPSpec(_dgp_id(cfg["dgp"]), cfg["seed"], cfg["n"]))
     s = population.sample
     header = (["y", "c", "d"]
               + [f"x{j + 1}" for j in range(s.x.shape[1])] + ["e"])
@@ -382,12 +380,37 @@ class _Parser(argparse.ArgumentParser):
                 raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"{path}: config file must hold a JSON object")
-        options = {a.dest for a in self._actions if a.option_strings}
-        unknown = sorted(set(loaded) - options - {"help", "config"})
+        options = {a.dest: a for a in self._actions if a.option_strings}
+        unknown = sorted(set(loaded) - set(options) - {"help", "config"})
         if unknown:
             raise ValueError(
                 f"{path}: unknown config keys: {', '.join(unknown)}")
-        self.set_defaults(**loaded)
+        self.set_defaults(**{key: _config_value(path, key, value, options[key])
+                             for key, value in loaded.items()})
+
+
+def _config_value(path: str, key: str, value, action):
+    """A config file's value for one flag.  A string is left for argparse
+    to parse by the flag's type; any other value must be one that the type
+    keeps exactly.  null leaves a flag that has no default unset."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(action, argparse._StoreTrueAction):
+        want, ok = "true or false", isinstance(value, bool)
+    elif isinstance(value, str) or (value is None and action.default is None):
+        return value
+    elif action.type is int:
+        want = "an integer"
+        ok = number and (isinstance(value, int) or value.is_integer())
+    elif action.type is float:
+        want = "a finite number"
+        ok = number and abs(value) <= sys.float_info.max
+    else:
+        want = "a string" + (" or a list" if key in _GRID_KEYS else "")
+        ok = key in _GRID_KEYS and isinstance(value, list)
+    if not ok:
+        raise ValueError(f"{path}: config key {key!r} must be {want}, "
+                         f"not {json.dumps(value)}")
+    return action.type(value) if number else value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -260,7 +260,13 @@ def _read_csv(path, required=()) -> tuple[list, list, np.ndarray]:
 
 
 def _float_column(path, rows, name: str) -> np.ndarray:
-    values = np.array([float(r[name]) for r in rows])
+    cell = None
+    try:
+        # one pass; cell holds the value being parsed when float() fails
+        values = np.array([float(cell := r[name]) for r in rows])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: column {name!r} holds a non-numeric "
+                         f"value {cell!r}") from None
     _check_finite(values, f"{path}: column {name!r}")
     return values
 

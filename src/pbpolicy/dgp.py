@@ -4,7 +4,8 @@ Both draw three covariates, an additive noise term truncated to [-2, 2], a
 binomial treatment cost (control cost is zero), and a fair-coin treatment
 assignment, so the propensity is constant at 1/2.  Hidden per-unit truth
 (potential outcomes, conditional gain E[Y1-Y0|X], conditional cost E[C1|X])
-rides along for oracle evaluation.
+rides along as arrays on the generated population; the conditional effects
+are what the oracle and true_gain_cost score rules against.
 
 Environment 1: X ~ U(0,1)^3,
     Y_d = 3 - 2 X1 + X2 - X3 + d (1 - X1^2 + X2 + X3) + eps,
@@ -31,8 +32,7 @@ import numpy as np
 
 from pbpolicy.data import Sample
 
-__all__ = ["DGPSpec", "SimulatedPopulation", "generate", "true_gain_cost",
-           "true_cate", "true_catc"]
+__all__ = ["DGPSpec", "SimulatedPopulation", "generate", "true_gain_cost"]
 
 DGP_IDS = ("DGP1", "DGP2")
 
@@ -111,24 +111,6 @@ def _conditional_means(dgp_id: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return base, cate, ecost
 
 
-def true_cate(dgp_id: str):
-    """Conditional mean treatment effect on the outcome, as a callable on x."""
-    if dgp_id not in DGP_IDS:
-        raise ValueError(f"unknown DGP id {dgp_id!r}")
-    return lambda x: _conditional_means(dgp_id, x)[1]
-
-
-def true_catc(dgp_id: str):
-    """Conditional mean treatment effect on the cost, as a callable on x.
-
-    Untreated cost is identically zero, so this is just the treated arm's
-    conditional mean.
-    """
-    if dgp_id not in DGP_IDS:
-        raise ValueError(f"unknown DGP id {dgp_id!r}")
-    return lambda x: _conditional_means(dgp_id, x)[2]
-
-
 def generate(spec: DGPSpec) -> SimulatedPopulation:
     """Draw a population with its hidden truth, one RNG stream per unit."""
     n = spec.n
@@ -172,12 +154,10 @@ def generate(spec: DGPSpec) -> SimulatedPopulation:
 def true_gain_cost(f, population: SimulatedPopulation) -> tuple[float, float]:
     """Population gain and cost of a rule, via the stored conditional means.
 
-    f may be a callable mapping the covariate matrix to per-unit treatment
-    decisions (or probabilities), or a precomputed vector of the same.
-    Probabilities are handled by linearity.
+    f is the rule's vector of per-unit treatment decisions (or
+    probabilities, handled by linearity) on the population.
     """
-    dec = f(population.x) if callable(f) else f
-    dec = np.asarray(dec, dtype=float)
+    dec = np.asarray(f, dtype=float)
     if dec.shape != (population.n,):
         raise ValueError("decisions not aligned with the population")
     if np.any((dec < 0) | (dec > 1)):

@@ -218,16 +218,6 @@ class GridPosterior:
         if abs(s - 1.0) > 1e-12:
             self.probs = self.probs / s
 
-    @property
-    def m(self) -> int:
-        return self.thetas.shape[0]
-
-    def expectation(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.m:
-            raise ValueError("values not aligned with the grid")
-        return float(self.probs @ values)
-
 
 def _as_theta_matrix(grid) -> np.ndarray:
     if isinstance(grid, np.ndarray):

@@ -1,25 +1,23 @@
-"""Optimal budget-constrained policies for a known DGP.
+"""Optimal budget-constrained policies for a population of known effects.
 
-When the conditional effects on outcome and cost are known functions of x,
-the best rule under a budget treats units in order of their cost-benefit
-ratio until the budget is spent.  This module solves for the threshold
-multiplier on a frozen evaluation population and computes the regret and
-loss functionals used to score estimated rules against that optimum.
+When the conditional effects of treatment on outcome (dy) and on cost (dc)
+are known for every unit of a frozen evaluation population, the best rule
+under a budget treats units in order of their cost-benefit ratio until the
+budget is spent.  This module solves for that threshold multiplier and
+computes the regret and loss functionals used to score estimated rules
+against the optimum.  Each function takes the two effects as aligned
+per-unit vectors; for a built-in design they are a generated population's
+`cate` and `expected_cost`.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .dgp import DGPSpec, generate, true_cate, true_catc
-
 __all__ = [
-    "KnownDGP",
     "OptimalRule",
-    "known_simulated",
     "budget_curve_beta",
     "solve_eta_B",
     "oracle_decisions",
@@ -27,23 +25,6 @@ __all__ = [
     "regret_under_budget",
     "mv_loss_L_B",
 ]
-
-
-@dataclass(frozen=True)
-class KnownDGP:
-    """Ground truth: conditional effects on outcome and cost, as callables.
-
-    ``cate`` and ``catc`` map a covariate matrix to per-unit effect vectors.
-    ``sample_x`` optionally draws a fresh covariate matrix given (n, seed).
-    """
-
-    cate: Callable[[np.ndarray], np.ndarray]
-    catc: Callable[[np.ndarray], np.ndarray]
-    sample_x: Optional[Callable[[int, int], np.ndarray]] = None
-
-    def __post_init__(self):
-        if not callable(self.cate) or not callable(self.catc):
-            raise TypeError("cate and catc must be callables on the covariates")
 
 
 @dataclass(frozen=True)
@@ -72,25 +53,15 @@ class OptimalRule:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def known_simulated(dgp_id: str) -> KnownDGP:
-    """The built-in simulation designs wrapped as a known ground truth."""
-    return KnownDGP(
-        cate=true_cate(dgp_id),
-        catc=true_catc(dgp_id),
-        sample_x=lambda n, seed: generate(DGPSpec(id=dgp_id, seed=seed, n=n)).x,
-    )
-
-
-def _deltas(dgp: KnownDGP, population) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(population, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("population must be a non-empty matrix of covariates")
-    dy = np.asarray(dgp.cate(x), dtype=float)
-    dc = np.asarray(dgp.catc(x), dtype=float)
-    if dy.shape != (x.shape[0],) or dc.shape != (x.shape[0],):
-        raise ValueError("effect functions must return one value per unit")
+def _deltas(dy, dc) -> tuple[np.ndarray, np.ndarray]:
+    dy = np.asarray(dy, dtype=float)
+    dc = np.asarray(dc, dtype=float)
+    if dy.ndim != 1 or dc.shape != dy.shape:
+        raise ValueError("effects must be two vectors with one value per unit")
+    if dy.shape[0] == 0:
+        raise ValueError("population must be non-empty")
     if not (np.all(np.isfinite(dy)) and np.all(np.isfinite(dc))):
-        raise ValueError("effect functions must be finite on the population")
+        raise ValueError("effects must be finite on the population")
     return dy, dc
 
 
@@ -114,7 +85,7 @@ def _beta(b: float, dy, dc, r) -> float:
     return float(np.mean(dc * _strict_treat(b, dy, dc, r)))
 
 
-def budget_curve_beta(b: float, dgp: KnownDGP, population) -> float:
+def budget_curve_beta(b: float, dy, dc) -> float:
     """Expected cost of treating exactly the units with δ_y(x) > b·δ_c(x).
 
     Non-increasing in b; its value at b=0 is the cost of the unconstrained
@@ -122,12 +93,11 @@ def budget_curve_beta(b: float, dgp: KnownDGP, population) -> float:
     """
     if not np.isfinite(b):
         raise ValueError("threshold must be finite")
-    dy, dc = _deltas(dgp, population)
+    dy, dc = _deltas(dy, dc)
     return _beta(b, dy, dc, _ratios(dy, dc))
 
 
-def solve_eta_B(B: float, dgp: KnownDGP, population,
-                tolerance: float = 1e-10) -> OptimalRule:
+def solve_eta_B(B: float, dy, dc, tolerance: float = 1e-10) -> OptimalRule:
     """Solve for the smallest multiplier whose rule fits the budget B.
 
     The budget curve on a finite population is a right-continuous-from-
@@ -142,7 +112,7 @@ def solve_eta_B(B: float, dgp: KnownDGP, population,
     """
     if not np.isfinite(B):
         raise ValueError("budget must be finite")
-    dy, dc = _deltas(dgp, population)
+    dy, dc = _deltas(dy, dc)
     r = _ratios(dy, dc)
     m = dy.shape[0]
 
@@ -202,10 +172,9 @@ def solve_eta_B(B: float, dgp: KnownDGP, population,
     return rule
 
 
-def oracle_decisions(optimal: OptimalRule, dgp: KnownDGP,
-                     population) -> np.ndarray:
+def oracle_decisions(optimal: OptimalRule, dy, dc) -> np.ndarray:
     """Per-unit treatment probabilities of the solved rule, in [0, 1]."""
-    dy, dc = _deltas(dgp, population)
+    dy, dc = _deltas(dy, dc)
     r = _ratios(dy, dc)
     dec = _strict_treat(optimal.eta, dy, dc, r).astype(float)
     tie = r == optimal.eta
@@ -214,10 +183,10 @@ def oracle_decisions(optimal: OptimalRule, dgp: KnownDGP,
     return dec
 
 
-def oracle_report(optimal: OptimalRule, dgp: KnownDGP, population) -> dict:
+def oracle_report(optimal: OptimalRule, dy, dc) -> dict:
     """Summary of the solved rule on the population, with JSON-ready keys."""
-    dy, dc = _deltas(dgp, population)
-    dec = oracle_decisions(optimal, dgp, population)
+    dy, dc = _deltas(dy, dc)
+    dec = oracle_decisions(optimal, dy, dc)
     return {
         "B": optimal.budget,
         "eta_B": optimal.eta,
@@ -226,38 +195,34 @@ def oracle_report(optimal: OptimalRule, dgp: KnownDGP, population) -> dict:
     }
 
 
-def _decision_vector(f, x: np.ndarray) -> np.ndarray:
-    dec = f(x) if callable(f) else f
-    dec = np.asarray(dec, dtype=float)
-    if dec.shape != (x.shape[0],):
+def _decision_vector(f, m: int) -> np.ndarray:
+    dec = np.asarray(f, dtype=float)
+    if dec.shape != (m,):
         raise ValueError("rule decisions not aligned with the population")
     if np.any((dec < 0.0) | (dec > 1.0)):
         raise ValueError("rule decisions must lie in [0, 1]")
     return dec
 
 
-def regret_under_budget(f, optimal: OptimalRule, dgp: KnownDGP,
-                        population) -> float:
+def regret_under_budget(f, optimal: OptimalRule, dy, dc) -> float:
     """Welfare gap between the solved optimum and rule f.
 
     Negative values are possible when f spends more than the budget the
     optimum was solved for.
     """
-    x = np.asarray(population, dtype=float)
-    dy, _ = _deltas(dgp, population)
-    dec = _decision_vector(f, x)
-    star = oracle_decisions(optimal, dgp, population)
+    dy, dc = _deltas(dy, dc)
+    dec = _decision_vector(f, dy.shape[0])
+    star = oracle_decisions(optimal, dy, dc)
     return float(np.mean(dy * (star - dec)))
 
 
-def mv_loss_L_B(f, optimal: OptimalRule, dgp: KnownDGP, population) -> float:
+def mv_loss_L_B(f, optimal: OptimalRule, dy, dc) -> float:
     """Margin-weighted disagreement with the solved optimum.
 
     The integrand (δ_y − η·δ_c)(f* − f) is non-negative pointwise, so this
     is non-negative for any rule, unlike the plain regret.
     """
-    x = np.asarray(population, dtype=float)
-    dy, dc = _deltas(dgp, population)
-    dec = _decision_vector(f, x)
-    star = oracle_decisions(optimal, dgp, population)
+    dy, dc = _deltas(dy, dc)
+    dec = _decision_vector(f, dy.shape[0])
+    star = oracle_decisions(optimal, dy, dc)
     return float(np.mean((dy - optimal.eta * dc) * (star - dec)))

@@ -155,10 +155,6 @@ class BatchPlan:
             if cost > edge + 1e-9:
                 raise ValueError("realized cost exceeds its bin edge")
 
-    @property
-    def treated(self) -> np.ndarray:
-        return self.treated_by_bin[-1]
-
 
 def batch_assign(candidates: BatchCandidates,
                  mv_rules_by_u: Mapping[float, tuple],

@@ -242,12 +242,6 @@ class WeightedParticles:
     def q(self) -> int:
         return self.thetas.shape[1]
 
-    def expectation(self, values: np.ndarray) -> float:
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.n_particles:
-            raise ValueError("values not aligned with particles")
-        return float(self.weights @ values)
-
 
 @dataclass(frozen=True)
 class SMCConfig:

@@ -310,6 +310,38 @@ def test_config_file_strings_are_parsed_by_the_flag_type(tmp_path,
             echoed["seed"]) == (4.0, 0.0, 30, 4)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"raw": "false"}, "config key 'raw' must be true or false"),
+    ({"particles": 30.5}, "config key 'particles' must be an integer"),
+    ({"lam": True}, "config key 'lam' must be a finite number"),
+])
+def test_config_file_values_must_fit_the_flag_type(tmp_path, sample_csv,
+                                                   capsys, setting, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 4, "u": 0, "particles": 30, **setting}))
+    assert run_cli("fit", sample_csv, "--config", cfg,
+                   "--out", tmp_path / "o") == 1
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_numbers_take_the_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"reps": 2.0, "paper_scale": True, "dgp": None,
+                               "u_grid": [0, 1], "budgets": "0.5"}))
+    parser = cli.build_parser()
+    parser.commands["study"].load_config(str(cfg))
+    args = parser.parse_args(["study"])
+    assert type(args.reps) is int and args.reps == 2
+    assert (args.paper_scale, args.dgp, args.u_grid, args.budgets) == (
+        True, None, [0, 1], "0.5")
+    cfg.write_text(json.dumps({"lam": 4, "particles": 30}))
+    parser.commands["fit"].load_config(str(cfg))
+    args = parser.parse_args(["fit", "data.csv"])
+    assert type(args.lam) is float and args.lam == 4.0
+    assert type(args.particles) is int and args.particles == 30
+
+
 def test_run_config_bytes(tmp_path, fitted, sample_csv):
     # the key order and spelling of run_config.json are part of its format
     assert (fitted / "run_config.json").read_text() == f"""{{
@@ -389,6 +421,22 @@ def test_fit_rejects_non_finite_values(tmp_path, small_csv, capsys, column,
     assert f"column '{column}' holds a non-finite value" in \
         capsys.readouterr().err
     assert not (tmp_path / "o" / "rule.json").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_fit_and_score_name_a_non_numeric_cell(tmp_path, small_csv, fitted,
+                                               capsys, value):
+    bad = _edit_cell(small_csv, tmp_path / "bad.csv", "y", value)
+    assert run_cli("fit", bad, "--out", tmp_path / "o", "--lambda", "4",
+                   "--u", "0", "--particles", 20) == 1
+    assert f"{bad}: column 'y' holds a non-numeric value {value!r}" in \
+        capsys.readouterr().err
+    bad = _edit_cell(small_csv, tmp_path / "bad_x.csv", "x1", value)
+    assert run_cli("score", fitted / "rule.json", bad,
+                   "--out", tmp_path / "s") == 1
+    assert f"{bad}: column 'x1' holds a non-numeric value {value!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "s" / "assignments.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +578,28 @@ def test_oracle_stdout(capsys):
     assert doc["eta_B"] >= 0.0
     assert doc["cost_of_optimal"] <= 0.5 + 1e-6
     assert np.isfinite(doc["gain_of_optimal"])
+
+
+def test_oracle_output_bytes(tmp_path, capsys):
+    assert run_cli("oracle", "--dgp", "dgp1", "--budget", "0.6",
+                   "--n", 20000, "--seed", 7) == 0
+    assert capsys.readouterr().out == """{
+ "B": 0.6,
+ "eta_B": 1.0013196115531686,
+ "cost_of_optimal": 0.6,
+ "gain_of_optimal": 0.892511395124783
+}
+"""
+    # a slack budget: the unconstrained rule, eta = 0
+    assert run_cli("oracle", "--dgp", "dgp2", "--budget", "2",
+                   "--n", 1000, "--seed", 9, "--out", tmp_path) == 0
+    assert (tmp_path / "oracle.json").read_text() == """{
+ "B": 2.0,
+ "eta_B": 0.0,
+ "cost_of_optimal": 1.0093834575336686,
+ "gain_of_optimal": 1.0133119857717385
+}
+"""
 
 
 def test_oracle_infeasible_budget(capsys):

@@ -139,11 +139,6 @@ def test_true_gain_cost():
     gain_p, cost_p = true_gain_cost(np.full(pop.n, 0.3), pop)
     assert gain_p == pytest.approx(0.3 * gain1)
     assert cost_p == pytest.approx(0.3 * cost1)
-    # callable form
-    gain_c, cost_c = true_gain_cost(lambda x: (x[:, 0] > 0.5).astype(float), pop)
-    mask = pop.x[:, 0] > 0.5
-    assert gain_c == pytest.approx(np.mean(pop.cate * mask))
-    assert cost_c == pytest.approx(np.mean(pop.expected_cost * mask))
     with pytest.raises(ValueError, match="aligned"):
         true_gain_cost(np.ones(3), pop)
     with pytest.raises(ValueError, match="lie in"):

@@ -246,8 +246,8 @@ def test_minimizer_property_small_grid():
     lam, u = 4.0, 0.8
     post = grid_posterior(grid, pm, GibbsParams(lam, u, normalized=False), s, feats)
     w, k = welfare_cost_matrix(grid, s, feats)
-    budget = post.expectation(k)
-    best = -post.expectation(w) + grid_kl(post.probs, pm) / lam
+    budget = post.probs @ k
+    best = -(post.probs @ w) + grid_kl(post.probs, pm) / lam
     for _ in range(200):
         rho = rng.dirichlet(np.ones(m))
         if rho @ k > budget + 1e-12:

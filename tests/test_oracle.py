@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.oracle import (
-    KnownDGP,
     OptimalRule,
     budget_curve_beta,
-    known_simulated,
     mv_loss_L_B,
     oracle_decisions,
     oracle_report,
@@ -17,51 +14,45 @@ from pbpolicy.oracle import (
 )
 
 
-def lookup_dgp(dy_by_type, dc_by_type):
-    """Ground truth over integer-coded covariates, one row per type."""
-    dy = np.asarray(dy_by_type, dtype=float)
-    dc = np.asarray(dc_by_type, dtype=float)
-    return KnownDGP(
-        cate=lambda x: dy[x[:, 0].astype(int)],
-        catc=lambda x: dc[x[:, 0].astype(int)],
-    )
+def unit_effects(dy_by_unit, dc_by_unit):
+    """Ground truth of a population as its per-unit (dy, dc) vectors."""
+    return (np.asarray(dy_by_unit, dtype=float),
+            np.asarray(dc_by_unit, dtype=float))
 
 
-TWO_TYPE = lookup_dgp([2.0, 1.0], [1.0, 1.0])
-TWO_TYPE_X = np.array([[0.0], [1.0]])
+TWO_TYPE = unit_effects([2.0, 1.0], [1.0, 1.0])
 
 # A: dy=-1, dc=-2 (ratio 0.5); C: dy=4, dc=1 (ratio 4)
-MIXED = lookup_dgp([-1.0, 4.0], [-2.0, 1.0])
-MIXED_X = np.array([[0.0], [1.0]])
+MIXED = unit_effects([-1.0, 4.0], [-2.0, 1.0])
 
 
 def random_truth(rng, m=400):
+    """Effects linear in m uniform covariates, as (dy, dc) vectors."""
     w_y, w_c = rng.normal(size=3), rng.normal(size=3)
     b_y, b_c = rng.normal(), rng.normal()
-    dgp = KnownDGP(cate=lambda x: x @ w_y + b_y, catc=lambda x: x @ w_c + b_c)
     x = rng.uniform(-1.0, 1.0, size=(m, 3))
-    return dgp, x
+    return x @ w_y + b_y, x @ w_c + b_c
 
 
 def test_two_type_budget_curve():
-    assert budget_curve_beta(0.0, TWO_TYPE, TWO_TYPE_X) == 1.0
-    assert budget_curve_beta(1.0, TWO_TYPE, TWO_TYPE_X) == 0.5
-    assert budget_curve_beta(1.5, TWO_TYPE, TWO_TYPE_X) == 0.5
-    assert budget_curve_beta(3.0, TWO_TYPE, TWO_TYPE_X) == 0.0
+    assert budget_curve_beta(0.0, *TWO_TYPE) == 1.0
+    assert budget_curve_beta(1.0, *TWO_TYPE) == 0.5
+    assert budget_curve_beta(1.5, *TWO_TYPE) == 0.5
+    assert budget_curve_beta(3.0, *TWO_TYPE) == 0.0
 
 
 def test_budget_curve_vanishes_for_huge_threshold():
-    dgp = lookup_dgp([5.0, -1.0], [2.0, 3.0])
-    assert budget_curve_beta(1e12, dgp, TWO_TYPE_X) == 0.0
+    dy, dc = unit_effects([5.0, -1.0], [2.0, 3.0])
+    assert budget_curve_beta(1e12, dy, dc) == 0.0
 
 
 def test_two_type_optimal_rule():
-    rule = solve_eta_B(0.5, TWO_TYPE, TWO_TYPE_X)
+    rule = solve_eta_B(0.5, *TWO_TYPE)
     assert rule.eta == 1.0
     assert rule.a1 == 0.0 and rule.a2 == 0.0
     np.testing.assert_array_equal(
-        oracle_decisions(rule, TWO_TYPE, TWO_TYPE_X), [1.0, 0.0])
-    report = oracle_report(rule, TWO_TYPE, TWO_TYPE_X)
+        oracle_decisions(rule, *TWO_TYPE), [1.0, 0.0])
+    report = oracle_report(rule, *TWO_TYPE)
     assert report["B"] == 0.5
     assert report["eta_B"] == 1.0
     assert report["gain_of_optimal"] == 1.0
@@ -69,50 +60,50 @@ def test_two_type_optimal_rule():
 
 
 def test_two_type_regret_and_loss():
-    rule = solve_eta_B(0.5, TWO_TYPE, TWO_TYPE_X)
-    never = lambda x: np.zeros(x.shape[0])
+    rule = solve_eta_B(0.5, *TWO_TYPE)
+    never = np.zeros(2)
     always = np.ones(2)
-    star = oracle_decisions(rule, TWO_TYPE, TWO_TYPE_X)
-    assert regret_under_budget(never, rule, TWO_TYPE, TWO_TYPE_X) == 1.0
-    assert regret_under_budget(always, rule, TWO_TYPE, TWO_TYPE_X) == -0.5
-    assert regret_under_budget(star, rule, TWO_TYPE, TWO_TYPE_X) == 0.0
-    assert mv_loss_L_B(always, rule, TWO_TYPE, TWO_TYPE_X) == 0.0
-    assert mv_loss_L_B(star, rule, TWO_TYPE, TWO_TYPE_X) == 0.0
+    star = oracle_decisions(rule, *TWO_TYPE)
+    assert regret_under_budget(never, rule, *TWO_TYPE) == 1.0
+    assert regret_under_budget(always, rule, *TWO_TYPE) == -0.5
+    assert regret_under_budget(star, rule, *TWO_TYPE) == 0.0
+    assert mv_loss_L_B(always, rule, *TWO_TYPE) == 0.0
+    assert mv_loss_L_B(star, rule, *TWO_TYPE) == 0.0
 
 
 def test_slack_budget_gives_unconstrained_rule():
-    rule = solve_eta_B(1.0, TWO_TYPE, TWO_TYPE_X)
+    rule = solve_eta_B(1.0, *TWO_TYPE)
     assert rule.eta == 0.0 and rule.a1 == 0.0 and rule.a2 == 0.0
     np.testing.assert_array_equal(
-        oracle_decisions(rule, TWO_TYPE, TWO_TYPE_X), [1.0, 1.0])
-    report = oracle_report(rule, TWO_TYPE, TWO_TYPE_X)
+        oracle_decisions(rule, *TWO_TYPE), [1.0, 1.0])
+    report = oracle_report(rule, *TWO_TYPE)
     assert report["cost_of_optimal"] == 1.0
     assert report["gain_of_optimal"] == 1.5
 
 
 def test_infeasible_budget_raises():
     with pytest.raises(ValueError, match="minimum achievable"):
-        solve_eta_B(-1.0, MIXED, MIXED_X)
+        solve_eta_B(-1.0, *MIXED)
     with pytest.raises(ValueError, match="minimum achievable"):
-        solve_eta_B(-1.5, MIXED, MIXED_X)
+        solve_eta_B(-1.5, *MIXED)
 
 
 def test_mixed_population_fills_budget_with_positive_cost_ties():
-    rule = solve_eta_B(-0.75, MIXED, MIXED_X)
+    rule = solve_eta_B(-0.75, *MIXED)
     assert rule.eta == 4.0
     assert rule.a1 == pytest.approx(0.5, abs=1e-15)
     assert rule.a2 == 0.0
-    report = oracle_report(rule, MIXED, MIXED_X)
+    report = oracle_report(rule, *MIXED)
     assert report["cost_of_optimal"] == pytest.approx(-0.75, abs=1e-12)
     assert report["gain_of_optimal"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mixed_population_fills_budget_with_negative_cost_ties():
-    rule = solve_eta_B(-0.2, MIXED, MIXED_X)
+    rule = solve_eta_B(-0.2, *MIXED)
     assert rule.eta == 0.5
     assert rule.a1 == 0.0
     assert rule.a2 == pytest.approx(0.7, abs=1e-12)
-    report = oracle_report(rule, MIXED, MIXED_X)
+    report = oracle_report(rule, *MIXED)
     assert report["cost_of_optimal"] == pytest.approx(-0.2, abs=1e-12)
     assert report["gain_of_optimal"] == pytest.approx(1.65, abs=1e-12)
 
@@ -120,12 +111,11 @@ def test_mixed_population_fills_budget_with_negative_cost_ties():
 def test_budget_curve_monotone_on_random_populations():
     rng = np.random.default_rng(51)
     for _ in range(10):
-        dgp, x = random_truth(rng)
-        dy, dc = dgp.cate(x), dgp.catc(x)
+        dy, dc = random_truth(rng)
         ratios = np.sort(dy[dc != 0] / dc[dc != 0])
         probes = np.unique(np.concatenate([
             [0.0], ratios[ratios > 0], ratios[ratios > 0] * 1.0000001, [1e6]]))
-        values = [budget_curve_beta(b, dgp, x) for b in probes]
+        values = [budget_curve_beta(b, dy, dc) for b in probes]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
@@ -133,14 +123,13 @@ def test_budget_curve_monotone_on_random_populations():
 def test_budget_exhausted_exactly_on_random_populations():
     rng = np.random.default_rng(52)
     for _ in range(10):
-        dgp, x = random_truth(rng)
-        dc = dgp.catc(x)
+        dy, dc = random_truth(rng)
         floor = np.sum(dc[dc < 0]) / len(dc)
-        top = budget_curve_beta(0.0, dgp, x)
+        top = budget_curve_beta(0.0, dy, dc)
         for t in (0.1, 0.5, 0.9):
             budget = floor + t * (top - floor)
-            rule = solve_eta_B(budget, dgp, x)
-            dec = oracle_decisions(rule, dgp, x)
+            rule = solve_eta_B(budget, dy, dc)
+            dec = oracle_decisions(rule, dy, dc)
             assert np.all((dec >= 0) & (dec <= 1))
             realized = np.mean(dc * dec)
             assert realized == pytest.approx(budget, abs=1e-9)
@@ -149,84 +138,64 @@ def test_budget_exhausted_exactly_on_random_populations():
 def test_loss_nonnegative_for_arbitrary_rules():
     rng = np.random.default_rng(53)
     for _ in range(5):
-        dgp, x = random_truth(rng)
-        dc = dgp.catc(x)
+        dy, dc = random_truth(rng)
         floor = np.sum(dc[dc < 0]) / len(dc)
-        budget = floor + 0.4 * (budget_curve_beta(0.0, dgp, x) - floor)
-        rule = solve_eta_B(budget, dgp, x)
+        budget = floor + 0.4 * (budget_curve_beta(0.0, dy, dc) - floor)
+        rule = solve_eta_B(budget, dy, dc)
         for _ in range(20):
-            f = rng.uniform(0.0, 1.0, size=x.shape[0])
-            assert mv_loss_L_B(f, rule, dgp, x) >= -1e-10
+            f = rng.uniform(0.0, 1.0, size=dy.shape[0])
+            assert mv_loss_L_B(f, rule, dy, dc) >= -1e-10
 
 
 def test_loss_regret_gap_is_eta_times_budget_slack():
     rng = np.random.default_rng(54)
-    dgp, x = random_truth(rng)
-    dc = dgp.catc(x)
+    dy, dc = random_truth(rng)
     floor = np.sum(dc[dc < 0]) / len(dc)
-    budget = floor + 0.4 * (budget_curve_beta(0.0, dgp, x) - floor)
-    rule = solve_eta_B(budget, dgp, x)
+    budget = floor + 0.4 * (budget_curve_beta(0.0, dy, dc) - floor)
+    rule = solve_eta_B(budget, dy, dc)
     for _ in range(10):
-        f = rng.uniform(0.0, 1.0, size=x.shape[0])
-        gap = mv_loss_L_B(f, rule, dgp, x) - regret_under_budget(f, rule, dgp, x)
+        f = rng.uniform(0.0, 1.0, size=dy.shape[0])
+        gap = mv_loss_L_B(f, rule, dy, dc) - regret_under_budget(f, rule, dy, dc)
         slack = np.mean(dc * f) - budget
         assert gap == pytest.approx(rule.eta * slack, abs=1e-12)
 
 
 def test_loss_equals_regret_when_unconstrained():
     rng = np.random.default_rng(55)
-    dgp, x = random_truth(rng)
-    rule = solve_eta_B(1e9, dgp, x)
+    dy, dc = random_truth(rng)
+    rule = solve_eta_B(1e9, dy, dc)
     assert rule.eta == 0.0
-    f = rng.uniform(0.0, 1.0, size=x.shape[0])
-    assert mv_loss_L_B(f, rule, dgp, x) == regret_under_budget(f, rule, dgp, x)
+    f = rng.uniform(0.0, 1.0, size=dy.shape[0])
+    assert mv_loss_L_B(f, rule, dy, dc) == regret_under_budget(f, rule, dy, dc)
 
 
 def test_decisions_match_strict_indicator_off_ties():
     rng = np.random.default_rng(56)
-    dgp, x = random_truth(rng)
-    dc = dgp.catc(x)
+    dy, dc = random_truth(rng)
     floor = np.sum(dc[dc < 0]) / len(dc)
-    budget = floor + 0.3 * (budget_curve_beta(0.0, dgp, x) - floor)
-    rule = solve_eta_B(budget, dgp, x)
-    dy = dgp.cate(x)
+    budget = floor + 0.3 * (budget_curve_beta(0.0, dy, dc) - floor)
+    rule = solve_eta_B(budget, dy, dc)
     margin = dy - rule.eta * dc
     off_tie = np.abs(margin) > 1e-9
-    dec = oracle_decisions(rule, dgp, x)
+    dec = oracle_decisions(rule, dy, dc)
     np.testing.assert_array_equal(dec[off_tie], (margin > 0)[off_tie])
 
 
-def test_known_simulated_agrees_with_generated_truth():
-    for dgp_id in ("DGP1", "DGP2"):
-        pop = generate(DGPSpec(dgp_id, 7, 300))
-        known = known_simulated(dgp_id)
-        np.testing.assert_array_equal(known.cate(pop.x), pop.cate)
-        np.testing.assert_array_equal(known.catc(pop.x), pop.expected_cost)
-        x_again = known.sample_x(300, 7)
-        np.testing.assert_array_equal(x_again, pop.x)
-
-
 def test_input_validation():
-    with pytest.raises(TypeError, match="callables"):
-        KnownDGP(cate=1.0, catc=lambda x: x[:, 0])
     with pytest.raises(ValueError, match="finite"):
-        budget_curve_beta(np.inf, TWO_TYPE, TWO_TYPE_X)
+        budget_curve_beta(np.inf, *TWO_TYPE)
     with pytest.raises(ValueError, match="non-empty"):
-        budget_curve_beta(0.0, TWO_TYPE, np.empty((0, 1)))
-    bad = KnownDGP(cate=lambda x: np.full(x.shape[0], np.nan),
-                   catc=lambda x: np.ones(x.shape[0]))
+        budget_curve_beta(0.0, np.empty(0), np.empty(0))
     with pytest.raises(ValueError, match="finite"):
-        budget_curve_beta(0.0, bad, TWO_TYPE_X)
-    misshapen = KnownDGP(cate=lambda x: np.ones(x.shape[0] + 1),
-                         catc=lambda x: np.ones(x.shape[0]))
+        budget_curve_beta(0.0, np.full(2, np.nan), np.ones(2))
     with pytest.raises(ValueError, match="one value per unit"):
-        budget_curve_beta(0.0, misshapen, TWO_TYPE_X)
+        budget_curve_beta(0.0, np.ones(3), np.ones(2))
     with pytest.raises(ValueError, match="eta must"):
         OptimalRule(budget=0.5, eta=-1.0)
     with pytest.raises(ValueError, match="a1 must"):
         OptimalRule(budget=0.5, eta=1.0, a1=1.5)
-    rule = solve_eta_B(0.5, TWO_TYPE, TWO_TYPE_X)
+    rule = solve_eta_B(0.5, *TWO_TYPE)
     with pytest.raises(ValueError, match="lie in"):
-        regret_under_budget(np.full(2, 1.2), rule, TWO_TYPE, TWO_TYPE_X)
+        regret_under_budget(np.full(2, 1.2), rule, *TWO_TYPE)
     with pytest.raises(ValueError, match="aligned"):
-        mv_loss_L_B(np.ones(3), rule, TWO_TYPE, TWO_TYPE_X)
+        mv_loss_L_B(np.ones(3), rule, *TWO_TYPE)

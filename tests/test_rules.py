@@ -133,7 +133,8 @@ def test_batch_single_bin_top_scores(monkeypatch):
     cand = BatchCandidates(x=xs, unit_costs=np.ones(4))
     rule = fixed_rule(xs, [0.9, 0.2, 0.7, 0.4])
     plan = batch_assign(cand, {0.0: (rule, 1.0)}, budget=2.0, n_bins=1)
-    np.testing.assert_array_equal(plan.treated, [True, False, True, False])
+    np.testing.assert_array_equal(plan.treated_by_bin[-1],
+                                  [True, False, True, False])
     assert plan.realized_cost_by_bin == (2.0,)
     assert plan.assignment_log == ((0, 0), (0, 2))
 
@@ -144,7 +145,7 @@ def test_batch_tie_breaks_by_index(monkeypatch):
     cand = BatchCandidates(x=xs, unit_costs=np.ones(3))
     rule = fixed_rule(xs, [0.5, 0.5, 0.5])
     plan = batch_assign(cand, {0.0: (rule, 1.0)}, budget=1.0, n_bins=1)
-    np.testing.assert_array_equal(plan.treated, [True, False, False])
+    np.testing.assert_array_equal(plan.treated_by_bin[-1], [True, False, False])
 
 
 def test_batch_bin_walk_and_rule_selection(monkeypatch):
@@ -161,10 +162,10 @@ def test_batch_bin_walk_and_rule_selection(monkeypatch):
     # low rule treats 0,1 then a filler from its flat tail (index 2 by tie
     # order); high rule tops up from its own ranking
     assert plan.treated_by_bin[0].sum() == 3
-    assert plan.treated.sum() == 6
+    assert plan.treated_by_bin[-1].sum() == 6
     assert plan.realized_cost_by_bin == (1.5, 3.0)
     # previously treated stay treated
-    assert np.all(plan.treated[plan.treated_by_bin[0]])
+    assert np.all(plan.treated_by_bin[-1][plan.treated_by_bin[0]])
 
 
 def test_batch_monotone_in_budget(monkeypatch):
@@ -178,8 +179,8 @@ def test_batch_monotone_in_budget(monkeypatch):
     prev = np.zeros(30, dtype=bool)
     for budget in [1.0, 2.0, 4.0, 8.0]:
         plan = batch_assign(cand, {0.0: (rule, budget)}, budget=budget, n_bins=4)
-        assert np.all(plan.treated[prev])  # nested treated sets
-        prev = plan.treated
+        assert np.all(plan.treated_by_bin[-1][prev])  # nested treated sets
+        prev = plan.treated_by_bin[-1]
         for edge, cost in zip(plan.bin_edges, plan.realized_cost_by_bin):
             assert cost <= edge + 1e-9
 

@@ -290,9 +290,9 @@ def test_run_smc_matches_grid_posterior():
     exact = grid_posterior(grid, masses, GibbsParams(lam_final, u_final,
                                                      normalized=False), s, feats)
     _, k_grid = welfare_cost_matrix(grid, s, feats)
-    want_cost = exact.expectation(k_grid)
+    want_cost = exact.probs @ k_grid
     _, k_smc = welfare_cost_matrix(cloud.thetas, s, feats)
-    got_cost = cloud.expectation(k_smc)
+    got_cost = cloud.weights @ k_smc
     tol = 3 / np.sqrt(cfg.n_particles)
     assert abs(got_cost - want_cost) < tol * max(1.0, np.abs(k_grid).max())
 
@@ -301,8 +301,8 @@ def test_run_smc_matches_grid_posterior():
     dec_grid = (probe @ grid.T > 0).astype(float)
     dec_smc = (probe @ cloud.thetas.T > 0).astype(float)
     for j in range(6):
-        want = exact.expectation(dec_grid[j])
-        got = cloud.expectation(dec_smc[j])
+        want = exact.probs @ dec_grid[j]
+        got = cloud.weights @ dec_smc[j]
         assert abs(got - want) < tol
 
 
@@ -578,7 +578,7 @@ def test_adaptive_posterior_means_agree_with_the_fixed_ladder_across_seeds():
 
     def means(cloud):
         w, k = welfare_cost_matrix(cloud.thetas, scores, feats)
-        return cloud.expectation(w), cloud.expectation(k)
+        return cloud.weights @ w, cloud.weights @ k
 
     for u in (0.0, 1.0, 2.0):
         fixed = build_default_ladder(u, 1024.0).with_checkpoints(
