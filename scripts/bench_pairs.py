@@ -2,10 +2,13 @@
 
     python3 scripts/bench_pairs.py --base HEAD~1 --workload study_rep --pairs 10
 
-The base ref is extracted with `git archive` into a temporary directory.
-Each pair runs `python3 bench/run_bench.py --workload W --seed S --seconds T
---trace X` once from each tree, with a fresh seed per pair, and alternates
-which tree runs first; T is BENCHMARK.json's run_seconds.  Both trees must
+Both sides run from fresh copies in temporary directories outside the
+repository, made the same way: `git archive` of the base ref, and of a tree
+object of the working tree (its tracked and untracked files that
+.gitignore does not exclude, written through a temporary index).  Each
+pair runs `python3 bench/run_bench.py --workload W --seed S --seconds T
+--trace X` once from each copy, with a fresh seed per pair, and alternates
+which side runs first; T is BENCHMARK.json's run_seconds.  Both trees must
 hold identical `bench/` files, so the two sides measure the same benchmark;
 the script stops otherwise.
 
@@ -64,11 +67,23 @@ def _parse_args(argv):
     return args
 
 
-def _extract(ref: str, dest: str) -> None:
-    tar = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
-                         capture_output=True, check=True).stdout
+def _extract(tree_ish: str, dest: str) -> None:
+    tar = subprocess.run(["git", "archive", "--format=tar", tree_ish],
+                         cwd=ROOT, capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def _working_tree() -> str:
+    """A git tree object of the working tree, written through a temporary
+    index so that the repository's own index stays as it is."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
+        subprocess.run(["git", "add", "--all"], cwd=ROOT, env=env,
+                       capture_output=True, check=True)
+        return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
 
 
 def _tree_digest(root: str) -> dict:
@@ -186,9 +201,13 @@ def main(argv=None) -> int:
                   "another --out", file=sys.stderr)
             return 2
 
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
-        _extract(args.base, base_tree)
-        if _tree_digest(base_tree) != _tree_digest(ROOT):
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"base": os.path.join(tmp, "base"),
+                 "head": os.path.join(tmp, "head")}
+        for side, tree_ish in (("base", args.base), ("head", _working_tree())):
+            os.mkdir(trees[side])
+            _extract(tree_ish, trees[side])
+        if _tree_digest(trees["base"]) != _tree_digest(trees["head"]):
             print(f"bench_pairs: bench/ differs between {args.base} and the "
                   "working tree; the two sides would not measure the same "
                   "benchmark", file=sys.stderr)
@@ -198,8 +217,7 @@ def main(argv=None) -> int:
             seed = args.seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                tree = base_tree if side == "base" else ROOT
-                runs[side].append(_run(tree, args, seed, seconds))
+                runs[side].append(_run(trees[side], args, seed, seconds))
             b, h = runs["base"][-1], runs["head"][-1]
             print(f"pair {i + 1}/{args.pairs} seed {seed}: "
                   + "  ".join(f"{k} {b['metrics'][k]:.4g} -> "

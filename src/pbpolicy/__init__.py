@@ -17,9 +17,7 @@ from pbpolicy.data import (
     load_sample_csv,
 )
 from pbpolicy.gibbs import (
-    GibbsParams,
     IsotropicNormalPrior,
-    GridPosterior,
     InfeasibleBudgetError,
     grid_posterior,
     grid_cost_evaluator,

@@ -44,8 +44,8 @@ from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             welfare_cost_matrix)
 from pbpolicy.harness import GridSpec, StudyConfig, run_study
 from pbpolicy.oracle import oracle_report, solve_eta_B
-from pbpolicy.persist import (_fmt, _write_atomic, _write_csv, load_rule,
-                              save, save_rule)
+from pbpolicy.persist import (_fmt, _write_atomic, _write_csv, _write_rows,
+                              load_rule, save, save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
@@ -351,9 +351,7 @@ def _cmd_simulate(cfg: dict) -> int:
         out = _echo_config(cfg)
         _write_csv(os.path.join(out, "sample.csv"), header, rows)
     else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(row) + "\n")
+        _write_rows(sys.stdout, header, rows)
     return EXIT_OK
 
 

@@ -12,8 +12,8 @@ map Lambda_hat(u) with its inverse u_hat(B, lambda) lives here too, on a grid
 or on a weighted particle cloud reweighted ("tilted") across penalties.
 
 Every decision, welfare and cost evaluation goes through one kernel,
-_decisions (features @ thetas.T > 0), walked in blocks of about
-DECISION_BLOCK_ELEMENTS entries of the units-by-rules matrix (_blocks).
+_block_decisions (features @ thetas.T > 0), which walks the units-by-rules
+matrix in blocks of about DECISION_BLOCK_ELEMENTS entries (_blocks).
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ import numpy as np
 from pbpolicy.data import IPWScores
 
 __all__ = [
-    "GibbsParams",
     "IsotropicNormalPrior",
-    "GridPosterior",
     "grid_posterior",
     "grid_cost_evaluator",
     "tilted_weights",
@@ -52,21 +50,6 @@ _BLOCK_ALIGN = 8
 
 class InfeasibleBudgetError(ValueError):
     """No penalty level can push the posterior cost down to the budget."""
-
-
-@dataclass(frozen=True)
-class GibbsParams:
-    """Inverse temperature, budget penalty, and variant flag."""
-
-    lam: float
-    u: float
-    normalized: bool = True
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.u < 0:
-            raise ValueError(f"u must be non-negative, got {self.u}")
 
 
 @dataclass(frozen=True)
@@ -117,24 +100,6 @@ def _logsumexp(a: np.ndarray) -> float:
     return out
 
 
-def _decisions(thetas, features, scores: IPWScores | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The (n, m) matrix of 1.0 where unit i's features treat under rule j
-    (features[i] @ thetas[j] > 0), else 0.0, written into out when given.
-
-    When scores are given, features must hold one row per scored unit.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    features = np.asarray(features, dtype=float)
-    if scores is not None and features.shape[0] != scores.n:
-        raise ValueError("scores and features have mismatched lengths")
-    # written as floats over the margins in place, so that the products that
-    # follow do not each cast a boolean matrix
-    dec = np.matmul(features, thetas.T, out=out)
-    np.greater(dec, 0.0, out=dec, casting="unsafe")
-    return dec
-
-
 def _blocks(size: int, other: int) -> list[slice]:
     """Slices of range(size) that cut an (size, other) or (other, size)
     decision matrix into blocks of about DECISION_BLOCK_ELEMENTS entries.
@@ -157,12 +122,12 @@ def _blocks(size: int, other: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [size])]
 
 
-def _block_decisions(thetas, features, by_units: bool,
-                     scores: IPWScores | None = None):
+def _block_decisions(thetas, features, by_units: bool):
     """Yield (block, decisions) over the blocks of the (n, m) decision
-    matrix: row blocks of the units when by_units, else column blocks of
-    the rules.  Every block is written into one buffer, which the next
-    block overwrites.
+    matrix, which holds 1.0 where unit i's features treat under rule j
+    (features[i] @ thetas[j] > 0), else 0.0: row blocks of the units when
+    by_units, else column blocks of the rules.  Every block is written into
+    one buffer, which the next block overwrites.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     features = np.asarray(features, dtype=float)
@@ -172,9 +137,18 @@ def _block_decisions(thetas, features, by_units: bool,
     buffer = np.empty(widest * (m if by_units else n))
     for b in blocks:
         th, feats = (thetas, features[b]) if by_units else (thetas[b], features)
-        out = buffer[:feats.shape[0] * th.shape[0]].reshape(
+        dec = buffer[:feats.shape[0] * th.shape[0]].reshape(
             feats.shape[0], th.shape[0])
-        yield b, _decisions(th, feats, scores, out)
+        # written as floats over the margins in place, so that the products
+        # that follow do not each cast a boolean matrix
+        np.matmul(feats, th.T, out=dec)
+        np.greater(dec, 0.0, out=dec, casting="unsafe")
+        yield b, dec
+
+
+def _check_aligned(scores: IPWScores, features) -> None:
+    if np.shape(features)[0] != scores.n:
+        raise ValueError("scores and features have mismatched lengths")
 
 
 def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
@@ -184,9 +158,10 @@ def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
     The rules are walked in column blocks (_blocks), so no call holds the
     whole (n, m) decision matrix.
     """
+    _check_aligned(scores, features)
     m = np.atleast_2d(thetas).shape[0]
     w, k = np.empty(m), np.empty(m)
-    for cols, dec in _block_decisions(thetas, features, False, scores):
+    for cols, dec in _block_decisions(thetas, features, False):
         w[cols] = scores.delta_y @ dec
         k[cols] = scores.delta_c @ dec
     w /= scores.n
@@ -194,41 +169,34 @@ def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
     return w, k
 
 
-def _scaled(params: GibbsParams, scores: IPWScores) -> float:
+def _scaled(lam: float, normalized: bool, scores: IPWScores) -> float:
     # normalized variant divides W_n and K_n by the mean welfare score, which
     # is the same as scaling lambda by 1/mean_delta_y
-    if not params.normalized:
-        return params.lam
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if not normalized:
+        return lam
     if scores.mean_delta_y == 0.0:
         raise ValueError("normalized variant undefined: mean welfare score is zero")
-    return params.lam / scores.mean_delta_y
+    return lam / scores.mean_delta_y
 
 
-@dataclass
-class GridPosterior:
-    """Exact posterior over a finite set of candidate rules."""
-
-    thetas: np.ndarray  # (m, q)
-    log_weights: np.ndarray  # normalized log probabilities
-    probs: np.ndarray
-    params: GibbsParams
-
-    def __post_init__(self):
-        s = self.probs.sum()
-        if abs(s - 1.0) > 1e-12:
-            self.probs = self.probs / s
+def _log_weights(log_prior, w, k, lam: float, u: float, normalized: bool,
+                 scores: IPWScores) -> np.ndarray:
+    """Normalized log posterior masses of rules with prior log masses
+    log_prior, welfare w and cost k."""
+    logw = log_prior + _scaled(lam, normalized, scores) * (w - u * k)
+    return logw - _logsumexp(logw)
 
 
-def _as_theta_matrix(grid) -> np.ndarray:
-    if isinstance(grid, np.ndarray):
-        return np.atleast_2d(grid.astype(float))
-    return np.vstack([np.asarray(g, float) for g in grid])
-
-
-def grid_posterior(grid, prior_masses, params: GibbsParams,
-                   scores: IPWScores, features) -> GridPosterior:
-    """Exact Gibbs posterior on a finite grid of rules."""
-    thetas = _as_theta_matrix(grid)
+def grid_posterior(grid, prior_masses, lam: float, u: float,
+                   scores: IPWScores, features,
+                   normalized: bool = True) -> np.ndarray:
+    """Exact Gibbs posterior on a finite grid of rules: the probability of
+    each grid row at inverse temperature lam and penalty u."""
+    if u < 0:
+        raise ValueError(f"u must be non-negative, got {u}")
+    thetas = np.vstack(grid).astype(float)
     pm = np.asarray(prior_masses, dtype=float)
     if thetas.shape[0] == 0:
         raise ValueError("grid is empty")
@@ -239,10 +207,7 @@ def grid_posterior(grid, prior_masses, params: GibbsParams,
     if abs(pm.sum() - 1.0) > 1e-8:
         raise ValueError("prior masses must sum to 1")
     w, k = welfare_cost_matrix(thetas, scores, features)
-    logw = np.log(pm) + _scaled(params, scores) * (w - params.u * k)
-    logw = logw - _logsumexp(logw)
-    return GridPosterior(thetas=thetas, log_weights=logw,
-                         probs=np.exp(logw), params=params)
+    return np.exp(_log_weights(np.log(pm), w, k, lam, u, normalized, scores))
 
 
 def grid_cost_evaluator(grid, prior_masses, scores: IPWScores, features,
@@ -252,15 +217,12 @@ def grid_cost_evaluator(grid, prior_masses, scores: IPWScores, features,
     The expectation integrand is always the raw empirical cost so the result
     compares directly against a budget, whichever variant weights the rules.
     """
-    thetas = _as_theta_matrix(grid)
-    pm = np.asarray(prior_masses, dtype=float)
-    w, k = welfare_cost_matrix(thetas, scores, features)
-    logpm = np.log(pm)
+    w, k = welfare_cost_matrix(np.vstack(grid).astype(float), scores,
+                               features)
+    logpm = np.log(np.asarray(prior_masses, dtype=float))
 
     def evaluate(lam: float, u: float) -> float:
-        scale = _scaled(GibbsParams(lam, max(u, 0.0), normalized), scores)
-        logw = logpm + scale * (w - u * k)
-        logw = logw - _logsumexp(logw)
+        logw = _log_weights(logpm, w, k, lam, u, normalized, scores)
         return float(np.exp(logw) @ k)
 
     return evaluate
@@ -280,7 +242,7 @@ def tilted_weights(weights, costs, lam: float, u_from: float, u: float,
     weights = np.asarray(weights, dtype=float)
     if u == u_from:
         return weights.copy()
-    scale = _scaled(GibbsParams(lam, 0.0, normalized), scores)
+    scale = _scaled(lam, normalized, scores)
     with np.errstate(divide="ignore"):
         logw = np.log(weights) - scale * (u - u_from) * np.asarray(costs, float)
     return np.exp(logw - _logsumexp(logw))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,7 +42,6 @@ from .smc import (
     LAMBDA_CAP,
     AdaptiveLadder,
     SMCConfig,
-    build_default_ladder,
     run_smc,
 )
 
@@ -73,8 +72,12 @@ PRIOR_SIGMA = 1.0
 CV_FOLDS = 2
 MH_STEPS_PER_STAGE = 5
 
-_LAMBDA_TARGETS = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0,
-                   96.0, 128.0, 192.0, 256.0, 384.0, 512.0, 768.0, 1024.0)
+# a doubling grid with midpoints, 4, 6, 8, 12, ..., 768, 1024, each at the
+# step of the fixed tempering ladder nearest it
+_DEFAULT_LAMBDAS = (4.0, 6.1, 7.966666666666667, 11.933333333333334, 15.9,
+                    24.066666666666666, 32.0, 48.42666666666666, 63.36,
+                    96.21333333333334, 127.57333333333334, 191.78666666666666,
+                    256.0, 384.0, 512.0, 768.0, 1024.0)
 
 
 def subseed(*parts) -> int:
@@ -85,13 +88,8 @@ def subseed(*parts) -> int:
 
 
 def default_lambda_grid() -> np.ndarray:
-    """The default ladder's values closest to a doubling grid with
-    midpoints, from 4 up."""
-    ladder = np.array([lam for lam, _ in
-                       build_default_ladder(0.0, LAMBDA_CAP).steps])
-    steps = sorted({int(np.argmin(np.abs(ladder - t)))
-                    for t in _LAMBDA_TARGETS})
-    return ladder[steps]
+    """The study's inverse-temperature candidates, from 4 up to 1024."""
+    return np.array(_DEFAULT_LAMBDAS)
 
 
 def default_query_budgets(dgp_id: str) -> np.ndarray:
@@ -418,8 +416,21 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
     return ReplicationResult(index=k, selections=selections, curves=curves)
 
 
-def _replication_job(args) -> ReplicationResult:
-    return _run_replication(*args)
+def _replications(jobs, workers: int):
+    """Each job's replication as it returns: in order on one worker, in the
+    order they finish on a pool of processes."""
+    if workers == 1:
+        for job in jobs:
+            yield _run_replication(*job)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_replication, *job) for job in jobs]
+        try:
+            for done in as_completed(futures):
+                yield done.result()
+        finally:
+            # a failed replication ends the study without running the rest
+            pool.shutdown(cancel_futures=True)
 
 
 def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
@@ -428,7 +439,9 @@ def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
 
     The DGPSpec's seed is the master seed: test population, fold splits,
     and every sampler stream are derived from it, so two runs with equal
-    arguments produce identical reports and byte-identical files.
+    arguments produce identical reports and byte-identical files.  Each
+    replication's file is written as soon as that replication returns, and
+    the curves and the study's configuration once all have.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -441,11 +454,12 @@ def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
         if config.query_budgets is not None else default_query_budgets(dgp.id)
 
     jobs = [(dgp, k, grids, config, test_pop) for k in range(replications)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            reps = list(pool.map(_replication_job, jobs))
-    else:
-        reps = [_replication_job(job) for job in jobs]
+    reps = []
+    for rep in _replications(jobs, config.workers):
+        reps.append(rep)
+        if config.out_dir is not None:
+            _write_replication(config.out_dir, rep)
+    reps.sort(key=lambda rep: rep.index)
 
     curves, gain_se = {}, {}
     for method in ("pb_sa", "pb_mv", "pb_batch"):
@@ -478,10 +492,20 @@ def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
     return report
 
 
+def _write_replication(out: str, rep: ReplicationResult) -> None:
+    os.makedirs(out, exist_ok=True)
+    doc = {
+        "replication": rep.index,
+        "selections": rep.selections,
+        "curves": {m: {"costs": c.costs.tolist(), "gains": c.gains.tolist()}
+                   for m, c in rep.curves.items()},
+    }
+    _write_atomic(os.path.join(out, f"replication_{rep.index}.json"), doc)
+
+
 def _write_artifacts(report: StudyReport, grids: GridSpec,
                      config: StudyConfig) -> None:
     out = config.out_dir
-    os.makedirs(out, exist_ok=True)
     n_reps = {"pb_sa": report.n_reps, "pb_mv": report.n_reps,
               "pb_batch": report.n_reps}
     for method, curve in report.curves.items():
@@ -490,16 +514,6 @@ def _write_artifacts(report: StudyReport, grids: GridSpec,
                 zip(curve.costs, curve.gains, report.gain_se[method]))
         _write_csv(os.path.join(out, f"cost_curves_{method}.csv"),
                    ["cost", "gain_mean", "gain_se", "n_reps"], rows)
-
-    for rep in report.replications:
-        doc = {
-            "replication": rep.index,
-            "selections": rep.selections,
-            "curves": {m: {"costs": c.costs.tolist(),
-                           "gains": c.gains.tolist()}
-                       for m, c in rep.curves.items()},
-        }
-        _write_atomic(os.path.join(out, f"replication_{rep.index}.json"), doc)
 
     echo = {
         "package_version": __version__,

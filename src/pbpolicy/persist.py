@@ -79,12 +79,17 @@ def _write_atomic(path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _write_rows(fh, header, rows) -> None:
+    """A CSV of a header and rows of string cells, written to fh."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(row) + "\n")
+
+
 def _write_csv(path, header, rows) -> None:
     """A CSV of a header and rows of string cells, written atomically."""
     with _open_atomic(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, header, rows)
 
 
 def _fmt(value) -> str:

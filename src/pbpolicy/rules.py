@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from pbpolicy.data import FeatureMap, IPWScores
-from pbpolicy.gibbs import _block_decisions
+from pbpolicy.gibbs import _block_decisions, _check_aligned
 from pbpolicy.smc import WeightedParticles
 
 __all__ = [
@@ -52,16 +52,14 @@ class MajorityVoteRule(GibbsRule):
     """Deterministic rule: treat when the vote share strictly exceeds 1/2."""
 
 
-def _weighted_votes(features: np.ndarray, particles: WeightedParticles,
-                    scores: IPWScores | None = None) -> np.ndarray:
+def _weighted_votes(features: np.ndarray,
+                    particles: WeightedParticles) -> np.ndarray:
     """Weighted share of the particles that treat each row of features.
 
     The units are walked in row blocks (gibbs._blocks), so memory stays
     bounded whatever the number of units.
     """
     features = np.asarray(features, dtype=float)
-    if scores is not None and features.shape[0] != scores.n:
-        raise ValueError("scores and features have mismatched lengths")
     shares = np.empty(features.shape[0])
     for rows, dec in _block_decisions(particles.thetas, features, True):
         shares[rows] = dec @ particles.weights
@@ -105,13 +103,15 @@ def rule_empirical_cost(rule: GibbsRule, scores: IPWScores, features) -> float:
     Equals the particle-weighted average of the per-rule costs exactly, by
     exchanging the two sums.
     """
-    shares = _weighted_votes(features, rule.particles, scores)
+    _check_aligned(scores, features)
+    shares = _weighted_votes(features, rule.particles)
     return float(scores.delta_c @ shares / scores.n)
 
 
 def rule_empirical_welfare(rule: GibbsRule, scores: IPWScores, features) -> float:
     """Empirical IPW welfare of the stochastic rule on transformed features."""
-    shares = _weighted_votes(features, rule.particles, scores)
+    _check_aligned(scores, features)
+    shares = _weighted_votes(features, rule.particles)
     return float(scores.delta_y @ shares / scores.n)
 
 

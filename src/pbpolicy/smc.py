@@ -54,7 +54,8 @@ from typing import Sequence
 import numpy as np
 
 from pbpolicy.data import IPWScores
-from pbpolicy.gibbs import IsotropicNormalPrior, _logsumexp, welfare_cost_matrix
+from pbpolicy.gibbs import (IsotropicNormalPrior, _logsumexp, _scaled,
+                            welfare_cost_matrix)
 
 __all__ = [
     "TemperatureLadder",
@@ -398,9 +399,7 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
     """
     features = np.asarray(features, dtype=float)
     n_p = config.n_particles
-    if config.normalized and sample_scores.mean_delta_y == 0.0:
-        raise ValueError("normalized variant undefined: mean welfare score is zero")
-    scale = 1.0 / sample_scores.mean_delta_y if config.normalized else 1.0
+    scale = _scaled(1.0, config.normalized, sample_scores)
 
     streams = _StageStreams(config.seed)
     rng0 = streams.at(0)

@@ -36,7 +36,6 @@ from pbpolicy.bounds import (
 from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import (
-    GibbsParams,
     IsotropicNormalPrior,
     empirical_budget_curve,
     grid_cost_evaluator,
@@ -140,17 +139,16 @@ def _assert_clouds_match_grid_posteriors(grid_problems, cloud_of):
         prior = GridMixturePrior(prob.grid, prob.masses)
         cloud = cloud_of(prob, prior, SMCConfig(
             n_particles=n_particles, seed=1000 + i, normalized=False))
-        exact = grid_posterior(prob.grid, prob.masses,
-                               GibbsParams(lam=prob.lam, u=prob.u, normalized=False),
-                               prob.scores, prob.features)
+        exact = grid_posterior(prob.grid, prob.masses, prob.lam, prob.u,
+                               prob.scores, prob.features, normalized=False)
 
         _, k_grid = welfare_cost_matrix(prob.grid, prob.scores, prob.features)
         _, k_smc = welfare_cost_matrix(cloud.thetas, prob.scores, prob.features)
-        assert abs(cloud.weights @ k_smc - exact.probs @ k_grid) < tol
+        assert abs(cloud.weights @ k_smc - exact @ k_grid) < tol
 
         rule = GibbsRule(cloud, IdentityFeatureMap(prob.grid.shape[1]))
         got = treat_probability(rule, prob.probe)
-        want = ((prob.probe @ prob.grid.T) > 0.0) @ exact.probs
+        want = ((prob.probe @ prob.grid.T) > 0.0) @ exact
         assert np.max(np.abs(got - want)) < tol
     assert time.monotonic() - started < 120.0
 
@@ -218,11 +216,10 @@ def test_c04_gibbs_beats_random_feasible_distributions():
                            lam=lam,
                            u=0.0 if trial % 2 == 0 else 0.3)
         m = prob.grid.shape[0]
-        post = grid_posterior(prob.grid, prob.masses,
-                              GibbsParams(lam=lam, u=prob.u, normalized=False),
-                              prob.scores, prob.features)
+        post = grid_posterior(prob.grid, prob.masses, lam, prob.u,
+                              prob.scores, prob.features, normalized=False)
         w, k = welfare_cost_matrix(prob.grid, prob.scores, prob.features)
-        budget = float(post.probs @ k)
+        budget = float(post @ k)
 
         draws = rng.dirichlet(np.ones(m), size=10_000)
         costs = draws @ k
@@ -242,7 +239,7 @@ def test_c04_gibbs_beats_random_feasible_distributions():
                                mixed * np.log(mixed / prob.masses[None, :]),
                                0.0).sum(axis=1)
         obj_rand = mixed @ regret + kl_rows / lam
-        obj_post = float(post.probs @ regret) + grid_kl(post.probs, prob.masses) / lam
+        obj_post = float(post @ regret) + grid_kl(post, prob.masses) / lam
         assert np.min(obj_rand - obj_post) >= -1e-10
 
 
@@ -349,12 +346,11 @@ def test_c07_certificate_coverage_rate():
         delta = 2.0 * y * (2.0 * d - 1.0)
         scores = IPWScores(delta, np.zeros(n))
         feats = support[idx]
-        post = grid_posterior(thetas, masses,
-                              GibbsParams(lam=lam, u=0.0, normalized=False),
-                              scores, feats)
+        post = grid_posterior(thetas, masses, lam, 0.0, scores, feats,
+                              normalized=False)
         w_emp, _ = welfare_cost_matrix(thetas, scores, feats)
-        gap = float(post.probs @ w_emp) - float(post.probs @ w_true)
-        slack = thm41a_slack(inputs, grid_kl(post.probs, masses))
+        gap = float(post @ w_emp) - float(post @ w_true)
+        slack = thm41a_slack(inputs, grid_kl(post, masses))
         if gap > slack:
             violations += 1
     rate = violations / reps

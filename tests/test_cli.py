@@ -60,6 +60,15 @@ def test_simulate_stdout_row_count(capsys):
     assert float(first[6]) == 0.5
 
 
+def test_simulate_writes_the_same_csv_to_stdout_and_to_a_file(tmp_path,
+                                                             capsys):
+    argv = ("simulate", "--dgp", "dgp2", "--n", 12, "--seed", 4)
+    assert run_cli(*argv) == 0
+    printed = capsys.readouterr().out
+    assert run_cli(*argv, "--out", tmp_path) == 0
+    assert (tmp_path / "sample.csv").read_text() == printed
+
+
 def test_simulate_file_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("simulate", "--dgp", "dgp2", "--n", 8, "--seed", 5,

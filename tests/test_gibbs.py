@@ -7,7 +7,6 @@ import pytest
 
 from pbpolicy.data import IPWScores
 from pbpolicy.gibbs import (
-    GibbsParams,
     InfeasibleBudgetError,
     IsotropicNormalPrior,
     empirical_budget_curve,
@@ -37,22 +36,20 @@ def test_log_score_hand_values():
     for dy, dc, lam, u, want in ((1.0, 0.0, 1.0, 0.0, 1.0),
                                  (1.0, 2.0, 2.0, 0.5, 0.0),
                                  (1.0, 2.0, 2.0, 1.0, -2.0)):
-        post = grid_posterior(grid, [0.5, 0.5],
-                              GibbsParams(lam, u, normalized=False),
-                              scores_of([dy], [dc]), feats)
-        assert post.log_weights[0] - post.log_weights[1] == \
-            pytest.approx(want)
+        probs = grid_posterior(grid, [0.5, 0.5], lam, u,
+                               scores_of([dy], [dc]), feats, normalized=False)
+        assert math.log(probs[0]) - math.log(probs[1]) == pytest.approx(want)
 
 
 def test_two_point_softmax():
     feats = np.array([[1.0]])
     s = scores_of([1.0], [0.0])
     grid = np.array([[1.0], [-1.0]])  # W_n = (1, 0)
-    post = grid_posterior(grid, [0.5, 0.5], GibbsParams(1.0, 0.0, normalized=False),
-                          s, feats)
+    probs = grid_posterior(grid, [0.5, 0.5], 1.0, 0.0, s, feats,
+                           normalized=False)
     np.testing.assert_allclose(
-        post.probs, [0.7310585786300049, 0.2689414213699951], rtol=1e-14)
-    assert abs(post.probs.sum() - 1.0) < 1e-12
+        probs, [0.7310585786300049, 0.2689414213699951], rtol=1e-14)
+    assert abs(probs.sum() - 1.0) < 1e-12
 
 
 def test_equal_scores_recover_prior():
@@ -60,8 +57,8 @@ def test_equal_scores_recover_prior():
     s = scores_of([0.0], [0.0])
     grid = np.array([[1.0], [-1.0], [2.0]])
     pm = [0.2, 0.5, 0.3]
-    post = grid_posterior(grid, pm, GibbsParams(37.0, 1.3, normalized=False), s, feats)
-    np.testing.assert_allclose(post.probs, pm, rtol=1e-14)
+    probs = grid_posterior(grid, pm, 37.0, 1.3, s, feats, normalized=False)
+    np.testing.assert_allclose(probs, pm, rtol=1e-14)
 
 
 def test_large_u_concentrates_on_cheapest_rule():
@@ -73,9 +70,9 @@ def test_large_u_concentrates_on_cheapest_rule():
         [1.0, -1.0, -1.0],    # treats unit 1: K = 1
         [1.0, 1.0, -1.0],     # treats units 1, 2: K = 2
     ])
-    post = grid_posterior(grid, np.full(3, 1 / 3),
-                          GibbsParams(1.0, 1e3, normalized=False), s, feats)
-    assert post.probs[0] > 1 - 1e-12
+    probs = grid_posterior(grid, np.full(3, 1 / 3), 1.0, 1e3, s, feats,
+                           normalized=False)
+    assert probs[0] > 1 - 1e-12
     w, k = welfare_cost_matrix(grid, s, feats)
     np.testing.assert_allclose(k, [0.0, 1.0, 2.0])
     np.testing.assert_allclose(w, 0.0)
@@ -176,17 +173,15 @@ def test_tilting_the_exact_posterior_matches_the_grid_curve(normalized):
         grid = rng.normal(size=(m, q))
         pm = rng.dirichlet(np.ones(m))
         lam, u_from = 4.0, float(rng.uniform(0.0, 2.0))
-        post = grid_posterior(grid, pm, GibbsParams(lam, u_from, normalized),
-                              s, feats)
+        probs = grid_posterior(grid, pm, lam, u_from, s, feats, normalized)
         _, k = welfare_cost_matrix(grid, s, feats)
         exact = grid_cost_evaluator(grid, pm, s, feats, normalized=normalized)
-        tilted = tilted_cost_evaluator(post.probs, k, lam, u_from, s,
+        tilted = tilted_cost_evaluator(probs, k, lam, u_from, s,
                                        normalized=normalized)
         for u in (0.0, 0.5 * u_from, u_from, u_from + 0.3, 3.0, 7.5):
             assert abs(tilted(lam, u) - exact(lam, u)) <= 1e-12
-            want = grid_posterior(grid, pm, GibbsParams(lam, u, normalized),
-                                  s, feats).probs
-            got = tilted_weights(post.probs, k, lam, u_from, u, s, normalized)
+            want = grid_posterior(grid, pm, lam, u, s, feats, normalized)
+            got = tilted_weights(probs, k, lam, u_from, u, s, normalized)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
 
 
@@ -218,20 +213,18 @@ def test_normalized_variant_matches_rescaled_raw():
     grid = rng.normal(size=(m, q))
     pm = rng.dirichlet(np.ones(m))
     lam, u = 3.0, 0.7
-    post_norm = grid_posterior(grid, pm, GibbsParams(lam, u, normalized=True),
-                               s, feats)
-    post_raw = grid_posterior(grid, pm,
-                              GibbsParams(lam / s.mean_delta_y, u, normalized=False),
-                              s, feats)
-    np.testing.assert_allclose(post_norm.probs, post_raw.probs, rtol=1e-12)
+    probs_norm = grid_posterior(grid, pm, lam, u, s, feats, normalized=True)
+    probs_raw = grid_posterior(grid, pm, lam / s.mean_delta_y, u, s, feats,
+                               normalized=False)
+    np.testing.assert_allclose(probs_norm, probs_raw, rtol=1e-12)
 
 
 def test_normalized_variant_requires_nonzero_mean_score():
     s = IPWScores(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
     feats = np.array([[1.0], [1.0]])
     with pytest.raises(ValueError, match="mean welfare score"):
-        grid_posterior(np.array([[1.0], [-1.0]]), [0.5, 0.5],
-                       GibbsParams(1.0, 0.0, normalized=True), s, feats)
+        grid_posterior(np.array([[1.0], [-1.0]]), [0.5, 0.5], 1.0, 0.0, s,
+                       feats, normalized=True)
 
 
 def test_minimizer_property_small_grid():
@@ -244,10 +237,10 @@ def test_minimizer_property_small_grid():
     grid = rng.normal(size=(m, q))
     pm = rng.dirichlet(np.ones(m))
     lam, u = 4.0, 0.8
-    post = grid_posterior(grid, pm, GibbsParams(lam, u, normalized=False), s, feats)
+    probs = grid_posterior(grid, pm, lam, u, s, feats, normalized=False)
     w, k = welfare_cost_matrix(grid, s, feats)
-    budget = post.probs @ k
-    best = -(post.probs @ w) + grid_kl(post.probs, pm) / lam
+    budget = probs @ k
+    best = -(probs @ w) + grid_kl(probs, pm) / lam
     for _ in range(200):
         rho = rng.dirichlet(np.ones(m))
         if rho @ k > budget + 1e-12:
@@ -257,11 +250,33 @@ def test_minimizer_property_small_grid():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        GibbsParams(0.0, 0.0)
-    with pytest.raises(ValueError):
-        GibbsParams(1.0, -0.1)
-    GibbsParams(1.0, 0.0)
+    feats = np.array([[1.0]])
+    s = scores_of([1.0], [1.0])
+    grid = np.array([[1.0], [-1.0]])
+    for normalized in (True, False):
+        for lam in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                grid_posterior(grid, [0.5, 0.5], lam, 0.0, s, feats, normalized)
+            with pytest.raises(ValueError, match="lam must be positive"):
+                grid_cost_evaluator(grid, [0.5, 0.5], s, feats,
+                                    normalized)(lam, 0.5)
+            with pytest.raises(ValueError, match="lam must be positive"):
+                tilted_weights([0.5, 0.5], [1.0, 0.0], lam, 0.0, 0.5, s,
+                               normalized)
+        with pytest.raises(ValueError, match="u must be non-negative"):
+            grid_posterior(grid, [0.5, 0.5], 1.0, -0.1, s, feats, normalized)
+        assert grid_posterior(grid, [0.5, 0.5], 1.0, 0.0, s, feats,
+                              normalized).shape == (2,)
+        # the grid cost curve answers at a negative penalty too
+        assert grid_cost_evaluator(grid, [0.5, 0.5], s, feats,
+                                   normalized)(1.0, -0.5) > 0.5
+
+
+def test_misaligned_scores_and_features_are_rejected():
+    s = scores_of([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="scores and features have "
+                                         "mismatched lengths"):
+        welfare_cost_matrix(np.ones((4, 2)), s, np.ones((2, 2)))
 
 
 def test_prior_mass_validation():
@@ -269,11 +284,11 @@ def test_prior_mass_validation():
     s = scores_of([1.0], [0.0])
     grid = np.array([[1.0], [-1.0]])
     with pytest.raises(ValueError, match="positive"):
-        grid_posterior(grid, [1.0, 0.0], GibbsParams(1.0, 0.0), s, feats)
+        grid_posterior(grid, [1.0, 0.0], 1.0, 0.0, s, feats)
     with pytest.raises(ValueError, match="sum to 1"):
-        grid_posterior(grid, [0.9, 0.3], GibbsParams(1.0, 0.0), s, feats)
+        grid_posterior(grid, [0.9, 0.3], 1.0, 0.0, s, feats)
     with pytest.raises(ValueError, match="aligned"):
-        grid_posterior(grid, [1.0], GibbsParams(1.0, 0.0), s, feats)
+        grid_posterior(grid, [1.0], 1.0, 0.0, s, feats)
 
 
 def test_isotropic_prior():

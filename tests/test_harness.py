@@ -1,6 +1,9 @@
 """Tests for the study pipeline: grids, curves, baselines, CV, smoke run."""
 
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 import pbpolicy.harness as harness
 from pbpolicy.dgp import DGPSpec, generate
+from pbpolicy.smc import LAMBDA_CAP, build_default_ladder
 from pbpolicy.harness import (
     CostCurve,
     GridSpec,
@@ -39,7 +43,18 @@ def test_default_grids():
     assert grids.u_grid[1] == 0.2
     assert grids.u_grid[-1] == 4.0
     assert len(grids.u_grid) == 41
-    np.testing.assert_allclose(default_lambda_grid(), CV_LAMBDAS, rtol=1e-15)
+    assert default_lambda_grid().tolist() == CV_LAMBDAS
+
+
+def test_default_lambda_grid_is_the_fixed_ladder_nearest_a_doubling_grid():
+    # how the literals were made: the step of the fixed ladder to 1024
+    # nearest each target
+    ladder = np.array([lam for lam, _ in
+                       build_default_ladder(0.0, LAMBDA_CAP).steps])
+    targets = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0, 128.0,
+               192.0, 256.0, 384.0, 512.0, 768.0, 1024.0)
+    steps = sorted({int(np.argmin(np.abs(ladder - t))) for t in targets})
+    assert default_lambda_grid().tobytes() == ladder[steps].tobytes()
 
 
 def test_grid_validation():
@@ -273,6 +288,45 @@ def test_run_study_is_deterministic(tmp_path):
         np.testing.assert_array_equal(report.curves[method].costs, query)
         np.testing.assert_array_equal(report.curves[method].gains,
                                       np.mean(reps, axis=0))
+
+
+def _failing_replication_1(dgp, wait_for=None):
+    """A generate whose draw of replication 1's training sample raises,
+    after wait_for (a file) exists when one is named."""
+
+    def draw(spec):
+        if spec.seed != subseed(dgp.seed, "rep", 1):
+            return generate(spec)
+        deadline = time.monotonic() + 120.0
+        while wait_for is not None and not os.path.exists(wait_for) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        raise RuntimeError("replication 1 failed")
+
+    return draw
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_replication_is_written_as_it_returns(tmp_path, monkeypatch,
+                                                   workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the failing replication is patched in by forking")
+    dgp = DGPSpec("DGP1", 17, 60)
+    full, broken = tmp_path / "full", tmp_path / "broken"
+    run_study(dgp, replications=2, grids=SMOKE_GRIDS,
+              config=StudyConfig(out_dir=str(full), **SMOKE_CONFIG))
+    # with two workers, replication 1 raises only once replication 0's
+    # file is on disk, which is before the study has finished
+    wait_for = broken / "replication_0.json" if workers > 1 else None
+    monkeypatch.setattr(harness, "generate",
+                        _failing_replication_1(dgp, wait_for))
+    with pytest.raises(RuntimeError, match="replication 1 failed"):
+        run_study(dgp, replications=2, grids=SMOKE_GRIDS,
+                  config=StudyConfig(out_dir=str(broken), workers=workers,
+                                     **SMOKE_CONFIG))
+    assert sorted(os.listdir(broken)) == ["replication_0.json"]
+    assert (broken / "replication_0.json").read_bytes() == \
+        (full / "replication_0.json").read_bytes()
 
 
 def test_run_study_validation():

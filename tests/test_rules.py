@@ -95,8 +95,28 @@ def test_rule_cost_hand_value_and_linearity():
         float(w @ k_mat), abs=1e-10)
     assert rule_empirical_welfare(rule, scores, feats) == pytest.approx(
         float(w @ w_mat), abs=1e-10)
-    with pytest.raises(ValueError, match="mismatched"):
-        rule_empirical_cost(rule, scores, feats[:10])
+    for of_rule in (rule_empirical_cost, rule_empirical_welfare):
+        with pytest.raises(ValueError, match="scores and features have "
+                                             "mismatched lengths"):
+            of_rule(rule, scores, feats[:10])
+
+
+def test_empirical_cost_and_welfare_over_many_unit_blocks():
+    # 40,000 units against 20 particles span several row blocks of votes
+    rng = np.random.default_rng(8)
+    n, m, q = 40_000, 20, 3
+    assert len(_blocks(n, m)) > 1
+    scores = IPWScores(rng.normal(size=n), rng.normal(size=n))
+    feats = rng.normal(size=(n, q))
+    thetas = rng.normal(size=(m, q))
+    w = rng.dirichlet(np.ones(m))
+    rule = GibbsRule(particles=cloud(thetas, w),
+                     feature_map=poly_feature_map(1, q - 1))
+    w_mat, k_mat = welfare_cost_matrix(thetas, scores, feats)
+    assert rule_empirical_cost(rule, scores, feats) == pytest.approx(
+        float(w @ k_mat), abs=1e-10)
+    assert rule_empirical_welfare(rule, scores, feats) == pytest.approx(
+        float(w @ w_mat), abs=1e-10)
 
 
 class FixedScoreRule(MajorityVoteRule):

@@ -9,7 +9,6 @@ from reference_smc import reference_run_smc
 from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import (
-    GibbsParams,
     IsotropicNormalPrior,
     grid_posterior,
     welfare_cost_matrix,
@@ -287,10 +286,10 @@ def test_run_smc_matches_grid_posterior():
     out = run_smc(s, feats, prior, ladder, cfg)
     cloud = out[ladder.T]
 
-    exact = grid_posterior(grid, masses, GibbsParams(lam_final, u_final,
-                                                     normalized=False), s, feats)
+    exact = grid_posterior(grid, masses, lam_final, u_final, s, feats,
+                           normalized=False)
     _, k_grid = welfare_cost_matrix(grid, s, feats)
-    want_cost = exact.probs @ k_grid
+    want_cost = exact @ k_grid
     _, k_smc = welfare_cost_matrix(cloud.thetas, s, feats)
     got_cost = cloud.weights @ k_smc
     tol = 3 / np.sqrt(cfg.n_particles)
@@ -301,7 +300,7 @@ def test_run_smc_matches_grid_posterior():
     dec_grid = (probe @ grid.T > 0).astype(float)
     dec_smc = (probe @ cloud.thetas.T > 0).astype(float)
     for j in range(6):
-        want = exact.probs @ dec_grid[j]
+        want = exact @ dec_grid[j]
         got = cloud.weights @ dec_smc[j]
         assert abs(got - want) < tol
 
