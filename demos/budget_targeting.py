@@ -12,7 +12,6 @@ from pbpolicy import (
     BoundInputs,
     IPWScores,
     bound_report,
-    empirical_budget_curve,
     grid_cost_evaluator,
     solve_u_hat,
 )
@@ -32,8 +31,8 @@ LAM = 16.0
 evaluator = grid_cost_evaluator(grid, masses, scores, features, normalized=False)
 
 print("posterior expected cost along the penalty axis (lambda = 16):")
-for u, cost in empirical_budget_curve(np.linspace(0.0, 3.0, 7), LAM, evaluator):
-    print(f"  u = {u:4.1f}   cost = {cost:.5f}")
+for u in np.linspace(0.0, 3.0, 7):
+    print(f"  u = {u:4.1f}   cost = {evaluator(LAM, u):.5f}")
 
 budget = 0.55 * evaluator(LAM, 0.0)
 u_hat = solve_u_hat(budget, LAM, evaluator, tolerance=1e-10)

@@ -22,8 +22,6 @@ from pbpolicy.gibbs import (
     grid_posterior,
     grid_cost_evaluator,
     tilted_weights,
-    tilted_cost_evaluator,
-    empirical_budget_curve,
     solve_u_hat,
     grid_kl,
 )

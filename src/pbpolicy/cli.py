@@ -32,16 +32,13 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from pbpolicy.bounds import BoundInputs, bound_report
 from pbpolicy.data import (_read_csv, ipw_transform, load_sample_csv,
                            poly_feature_map)
 from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             IsotropicNormalPrior, solve_u_hat,
-                            tilted_cost_evaluator, tilted_weights,
-                            welfare_cost_matrix)
+                            tilted_weights, welfare_cost_matrix)
 from pbpolicy.harness import GridSpec, StudyConfig, run_study
 from pbpolicy.oracle import oracle_report, solve_eta_B
 from pbpolicy.persist import (_fmt, _write_atomic, _write_csv, _write_rows,
@@ -49,8 +46,8 @@ from pbpolicy.persist import (_fmt, _write_atomic, _write_csv, _write_rows,
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import (TAU_ESS, SMCConfig, build_default_ladder, ess,
-                          run_smc)
+from pbpolicy.smc import (TAU_ESS, SMCConfig, _StageStreams,
+                          build_default_ladder, ess, run_smc)
 
 __all__ = ["main", "build_parser"]
 
@@ -121,9 +118,9 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
     """The posterior at u_hat(budget, lam) from as few SMC runs as it takes.
 
     Each run is a pilot at penalty u_p.  Its cloud, tilted across penalties
-    (gibbs.tilted_cost_evaluator), gives a cost curve that is exactly
-    monotone in u, and solve_u_hat inverts that curve.  The cloud tilted to
-    u_hat is the answer when its effective sample size is at least
+    at the fit's own lambda (gibbs.tilted_weights), gives a cost curve that
+    is exactly monotone in u, and solve_u_hat inverts that curve.  The cloud
+    tilted to u_hat is the answer when its effective sample size is at least
     smc.TAU_ESS * N, or at least the pilot's own (the tilt then cost nothing).
 
     Otherwise the next pilot runs at u_hat, or, when no penalty brings the
@@ -143,8 +140,12 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
         pilot = posterior_at(u_pilot, trace)
         runs += 1
         _, costs = welfare_cost_matrix(pilot.thetas, scores, feats)
-        curve = tilted_cost_evaluator(pilot.weights, costs, lam, u_pilot,
-                                      scores, normalized)
+
+        def curve(_lam, u):
+            # solve_u_hat probes (lambda, u); the cloud answers at its own lam
+            return float(tilted_weights(pilot.weights, costs, lam, u_pilot, u,
+                                        scores, normalized) @ costs)
+
         if curve(lam, u_pilot) > budget:
             u_lo = u_pilot
         else:
@@ -250,8 +251,11 @@ def _cmd_score(cfg: dict) -> int:
     _require(cfg, "out")
     if cfg["mode"] not in ("prob", "mv", "sample"):
         raise ValueError(f"unknown score mode {cfg['mode']!r}")
-    if cfg["mode"] == "sample" and not 0 <= cfg["seed"] < 2**64:
-        raise ValueError(f"--seed must lie in [0, 2^64), got {cfg['seed']}")
+    if cfg["mode"] == "sample":
+        try:
+            rng = _StageStreams(cfg["seed"]).at(0)
+        except ValueError as exc:
+            raise ValueError(f"--seed: {exc}") from None
     out = _echo_config(cfg)
 
     particles, fmap = load_rule(cfg["rule"])
@@ -266,10 +270,6 @@ def _cmd_score(cfg: dict) -> int:
         values = [str(int(v)) for v in mv_decide(MajorityVoteRule(
             particles, fmap), x)]
     else:
-        # a uint64 key keeps every 64-bit seed exact; a list key would pass
-        # seeds of 2^63 and above through float64
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([cfg["seed"], 0], dtype=np.uint64)))
         values = [str(int(v)) for v in sample_assignments(rule, x, rng)]
     _write_csv(os.path.join(out, "assignments.csv"), ["assignment"],
                ([v] for v in values))

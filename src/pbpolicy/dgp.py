@@ -16,12 +16,11 @@ Environment 2: X ~ U(-1,1)^3, with sig(z) = 1/(1+e^-z),
 
 Each unit gets its own counter-based RNG stream keyed by (seed, unit index),
 so generation is reproducible regardless of chunking or thread count.  Unit
-i's stream is the one Generator(Philox(key=[seed, i])) gives.  generate
-builds one Philox and re-keys it in place for each unit, restarting its
-counter and buffer, instead of building a bit generator per unit.  The key
-goes through np.asarray as that list does, so a seed of 2^63 or more keeps
-the float64 rounding of the list form: seeds that differ only in their low
-bits there share their streams.
+i's stream is the one Generator(Philox(key=[seed, i])) gives, drawn from
+smc._StageStreams, which re-keys one Philox in place for each unit.  The
+seed must lie in [0, 2^64).  The first key word is the list form's: it goes
+through np.asarray, so a seed of 2^63 or more keeps its float64 rounding,
+and seeds that differ only in their low bits there share their streams.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pbpolicy.data import Sample
+from pbpolicy.smc import _StageStreams, _check_seed
 
 __all__ = ["DGPSpec", "SimulatedPopulation", "generate", "true_gain_cost"]
 
@@ -60,7 +60,6 @@ class DGPSpec:
 class SimulatedPopulation:
     """Observed sample plus the hidden truth it was generated from."""
 
-    spec: DGPSpec
     sample: Sample
     y0: np.ndarray
     y1: np.ndarray
@@ -119,12 +118,12 @@ def generate(spec: DGPSpec) -> SimulatedPopulation:
     c1 = np.empty(n)
     d = np.empty(n, dtype=int)
     lo = 0.0 if spec.id == "DGP1" else -1.0
-    bitgen = np.random.Philox(key=np.asarray([spec.seed, 0]).astype(np.uint64))
-    fresh = bitgen.state
-    rng = np.random.Generator(bitgen)
+    _check_seed(spec.seed)
+    # the list form's first key word (see the module docstring)
+    first_word = int(np.asarray([spec.seed, 0]).astype(np.uint64)[0])
+    streams = _StageStreams(first_word)
     for i in range(n):
-        fresh["state"]["key"][1] = i
-        bitgen.state = fresh
+        rng = streams.at(i)
         x[i] = rng.uniform(lo, 1.0, size=3)
         eps[i] = _truncated_normal(rng)
         if spec.id == "DGP1":
@@ -147,8 +146,8 @@ def generate(spec: DGPSpec) -> SimulatedPopulation:
         e=np.full(n, 0.5),
         kappa=SIM_KAPPA,
     )
-    return SimulatedPopulation(spec=spec, sample=sample, y0=y0, y1=y1,
-                               c0=c0, c1=c1, cate=cate, expected_cost=ecost)
+    return SimulatedPopulation(sample=sample, y0=y0, y1=y1, c0=c0, c1=c1,
+                               cate=cate, expected_cost=ecost)
 
 
 def true_gain_cost(f, population: SimulatedPopulation) -> tuple[float, float]:

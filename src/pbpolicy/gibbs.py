@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "grid_posterior",
     "grid_cost_evaluator",
     "tilted_weights",
-    "tilted_cost_evaluator",
-    "empirical_budget_curve",
     "solve_u_hat",
     "grid_kl",
     "welfare_cost_matrix",
@@ -83,7 +81,7 @@ def _logsumexp(a: np.ndarray) -> float:
     and log(sum(exp(a))) stands in wherever that is not finite.  An all -inf
     input therefore returns -inf.  Earlier scipy releases compute
     log(sum(exp(a - max))) + max, whose last bits differ; hence the scipy
-    floor in pyproject.toml.
+    floor in pyproject.toml's test extra, for the tests that compare the two.
     """
     a_max = a.max()
     out = a_max
@@ -196,10 +194,10 @@ def grid_posterior(grid, prior_masses, lam: float, u: float,
     each grid row at inverse temperature lam and penalty u."""
     if u < 0:
         raise ValueError(f"u must be non-negative, got {u}")
+    if len(grid) == 0:
+        raise ValueError("grid is empty")
     thetas = np.vstack(grid).astype(float)
     pm = np.asarray(prior_masses, dtype=float)
-    if thetas.shape[0] == 0:
-        raise ValueError("grid is empty")
     if pm.shape[0] != thetas.shape[0]:
         raise ValueError("prior masses not aligned with the grid")
     if np.any(pm <= 0):
@@ -238,48 +236,20 @@ def tilted_weights(weights, costs, lam: float, u_from: float, u: float,
     scales it, and the weights are renormalized.  costs are the raw empirical
     costs K_n of the cloud's members.  At u = u_from the weights come back
     unchanged.
+
+    The tilted cost u -> tilted_weights(...) @ costs has derivative
+    -lam Var_u(K_n) <= 0 (lambda scaled as above), so it is non-increasing
+    whatever the Monte Carlo error of the cloud, and strictly decreasing
+    unless every weighted member has the same cost: solve_u_hat can invert
+    it by bisection.
     """
     weights = np.asarray(weights, dtype=float)
+    scale = _scaled(lam, normalized, scores)
     if u == u_from:
         return weights.copy()
-    scale = _scaled(lam, normalized, scores)
     with np.errstate(divide="ignore"):
         logw = np.log(weights) - scale * (u - u_from) * np.asarray(costs, float)
     return np.exp(logw - _logsumexp(logw))
-
-
-def tilted_cost_evaluator(weights, costs, lam: float, u_from: float,
-                          scores: IPWScores, normalized: bool = True
-                          ) -> Callable[[float, float], float]:
-    """Posterior expected cost (lam, u) -> integral of K_n, estimated by
-    tilting one weighted cloud harvested at (lam, u_from) to each u.
-
-    The derivative in u is -lambda Var_u(K_n) <= 0 (lambda scaled as the
-    variant scales it), so the curve is non-increasing whatever the Monte
-    Carlo error of the cloud, and strictly decreasing unless every weighted
-    member has the same cost.  It answers at the harvest lambda only.
-    """
-    costs = np.asarray(costs, dtype=float)
-
-    def evaluate(lam_value: float, u: float) -> float:
-        if lam_value != lam:
-            raise ValueError(f"the cloud was harvested at lambda={lam:g}, "
-                             f"not {lam_value:g}")
-        return float(tilted_weights(weights, costs, lam, u_from, u, scores,
-                                    normalized) @ costs)
-
-    return evaluate
-
-
-def empirical_budget_curve(u_grid: Sequence[float], lam: float,
-                           posterior_evaluator) -> list[tuple[float, float]]:
-    """Evaluate u -> posterior expected cost along an ascending grid of u."""
-    u_grid = [float(u) for u in u_grid]
-    if any(b <= a for a, b in zip(u_grid, u_grid[1:])):
-        raise ValueError("u_grid must be sorted strictly ascending")
-    if u_grid and u_grid[0] < 0:
-        raise ValueError("u values must be non-negative")
-    return [(u, float(posterior_evaluator(lam, u))) for u in u_grid]
 
 
 def solve_u_hat(B: float, lam: float, posterior_evaluator,

@@ -127,7 +127,6 @@ class GridSpec:
 class CostCurve:
     """Piecewise-linear gain as a function of realized cost."""
 
-    method: str
     costs: np.ndarray
     gains: np.ndarray
 
@@ -202,7 +201,7 @@ class StudyReport:
     notes: str = BASELINE_NOTE
 
 
-def build_cost_curve(points, method: str = "") -> CostCurve:
+def build_cost_curve(points) -> CostCurve:
     """Sort gain-cost points by cost, keeping the best gain at equal costs."""
     pts = [(float(c), float(g)) for c, g in points]
     if len(pts) < 2:
@@ -214,8 +213,7 @@ def build_cost_curve(points, method: str = "") -> CostCurve:
     if len(best) < 2:
         raise ValueError("need at least 2 distinct costs")
     costs = np.array(sorted(best))
-    return CostCurve(method=method, costs=costs,
-                     gains=np.array([best[c] for c in costs]))
+    return CostCurve(costs=costs, gains=np.array([best[c] for c in costs]))
 
 
 def _greedy_baseline(score: np.ndarray, population: SimulatedPopulation,
@@ -409,9 +407,9 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         batch_points = [(0.0, 0.0), (1.0, 0.0)]
 
     curves = {
-        "pb_sa": build_cost_curve(sa_points, "pb_sa"),
-        "pb_mv": build_cost_curve(mv_points, "pb_mv"),
-        "pb_batch": build_cost_curve(batch_points, "pb_batch"),
+        "pb_sa": build_cost_curve(sa_points),
+        "pb_mv": build_cost_curve(mv_points),
+        "pb_batch": build_cost_curve(batch_points),
     }
     return ReplicationResult(index=k, selections=selections, curves=curves)
 
@@ -464,8 +462,7 @@ def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
     curves, gain_se = {}, {}
     for method in ("pb_sa", "pb_mv", "pb_batch"):
         gains = np.array([r.curves[method].gain_at(query) for r in reps])
-        curves[method] = CostCurve(method=method, costs=query,
-                                   gains=gains.mean(axis=0))
+        curves[method] = CostCurve(costs=query, gains=gains.mean(axis=0))
         se = gains.std(axis=0, ddof=1) / np.sqrt(len(reps)) \
             if len(reps) > 1 else np.zeros_like(query)
         gain_se[method] = se
@@ -474,15 +471,12 @@ def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
     for method, fn in (("oracle_ratio", oracle_ratio_baseline),
                        ("oracle_cate", oracle_cate_baseline)):
         gains, costs = fn(test_pop, query[query > 0] * m)
-        base = build_cost_curve([(0.0, 0.0), *zip(costs / m, gains / m)],
-                                method)
-        curves[method] = CostCurve(method=method, costs=query,
-                                   gains=base.gain_at(query))
+        base = build_cost_curve([(0.0, 0.0), *zip(costs / m, gains / m)])
+        curves[method] = CostCurve(costs=query, gains=base.gain_at(query))
         gain_se[method] = np.zeros_like(query)
 
     slope = random_line_slope(test_pop)
-    curves["random"] = CostCurve(method="random", costs=query,
-                                 gains=slope * query)
+    curves["random"] = CostCurve(costs=query, gains=slope * query)
     gain_se["random"] = np.zeros_like(query)
 
     report = StudyReport(dgp=dgp, n_reps=len(reps), query_budgets=query,

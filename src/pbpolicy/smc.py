@@ -258,8 +258,7 @@ class SMCConfig:
             raise ValueError("n_particles must be >= 2")
         if self.mh_steps_per_stage < 1:
             raise ValueError("mh_steps_per_stage must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a non-negative integer below 2^64")
+        _check_seed(self.seed)
 
 
 def _lambda_at(t: float) -> float:
@@ -356,6 +355,13 @@ def mh_move(thetas: np.ndarray, state: tuple, evaluate, log_ratio,
     return thetas, state, accept
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed that cannot be the first word of a Philox key."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(
+            f"seed must be a non-negative integer below 2^64, got {seed}")
+
+
 class _StageStreams:
     """The stage-t stream of Generator(Philox(key=np.array([seed, t],
     dtype=np.uint64))), without building a new bit generator per stage: one
@@ -365,6 +371,7 @@ class _StageStreams:
     """
 
     def __init__(self, seed: int):
+        _check_seed(seed)
         self._bitgen = np.random.Philox(
             key=np.array([seed, 0], dtype=np.uint64))
         self._state = self._bitgen.state

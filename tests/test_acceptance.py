@@ -37,7 +37,6 @@ from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import (
     IsotropicNormalPrior,
-    empirical_budget_curve,
     grid_cost_evaluator,
     grid_kl,
     grid_posterior,
@@ -181,8 +180,7 @@ def test_c02_posterior_cost_curve_strictly_decreasing(grid_problems):
     for prob in grid_problems:
         evaluator = grid_cost_evaluator(prob.grid, prob.masses, prob.scores,
                                         prob.features, normalized=False)
-        curve = empirical_budget_curve(u_grid, prob.lam, evaluator)
-        vals = np.array([v for _, v in curve])
+        vals = np.array([evaluator(prob.lam, u) for u in u_grid])
         assert np.all(np.diff(vals) < 1e-12)
         assert vals[-1] < vals[0]
 

@@ -115,6 +115,31 @@ def test_bad_environment_default_is_a_usage_error(monkeypatch, capsys, name,
     assert "invalid int value: 'many'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dgp", "dgp1", "--n", 3, "--seed", -1],
+    ["oracle", "--dgp", "dgp1", "--budget", 0.5, "--n", 50,
+     "--seed", 2**64],
+])
+def test_design_commands_reject_a_seed_outside_64_bits(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: seed must be a non-negative integer below 2^64, "
+            f"got {argv[-1]}") in captured.err
+
+
+def test_study_takes_any_integer_master_seed(tmp_path):
+    # a study keys its streams by hashes of the master seed, never by the
+    # seed itself
+    out = tmp_path / "study"
+    assert run_cli("study", "--dgp", "dgp1", "--reps", 1, "--n", 40,
+                   "--particles", 20, "--n-test", 60, "--bins", 2,
+                   "--seed", -1, "--u-grid", "0,0.8", "--lambda-grid", "4",
+                   "--out", out) == 0
+    assert json.loads((out / "study_config.json").read_text())["dgp"][
+        "seed"] == -1
+
+
 def test_simulate_rejects_unknown_design(capsys):
     assert run_cli("simulate", "--dgp", "dgp9", "--n", 5) == 1
     assert "dgp9" in capsys.readouterr().err

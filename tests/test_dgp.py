@@ -128,6 +128,12 @@ def test_rekeyed_unit_streams_draw_what_a_philox_per_unit_draws(dgp_id, seed):
     np.testing.assert_array_equal(pop.y0, base + eps)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_generate_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=f"below 2\\^64, got {seed}"):
+        generate(DGPSpec("DGP1", seed, 3))
+
+
 def test_true_gain_cost():
     pop = generate(DGPSpec("DGP1", 5, 500))
     gain0, cost0 = true_gain_cost(np.zeros(pop.n), pop)

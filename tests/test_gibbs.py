@@ -9,12 +9,10 @@ from pbpolicy.data import IPWScores
 from pbpolicy.gibbs import (
     InfeasibleBudgetError,
     IsotropicNormalPrior,
-    empirical_budget_curve,
     grid_cost_evaluator,
     grid_kl,
     grid_posterior,
     solve_u_hat,
-    tilted_cost_evaluator,
     tilted_weights,
     welfare_cost_matrix,
 )
@@ -88,16 +86,9 @@ def logistic_problem():
 
 def test_budget_curve_logistic_values():
     ev = logistic_problem()
-    curve = empirical_budget_curve([0.0, 0.5, 1.0, 2.0], 1.0, ev)
     want = [0.5, 0.3775406687981454, 0.2689414213699951, 0.11920292202211755]
-    for (u, val), w in zip(curve, want):
-        assert val == pytest.approx(w, rel=1e-14)
-
-
-def test_budget_curve_rejects_unsorted_grid():
-    ev = logistic_problem()
-    with pytest.raises(ValueError, match="ascending"):
-        empirical_budget_curve([0.5, 0.2], 1.0, ev)
+    for u, w in zip([0.0, 0.5, 1.0, 2.0], want):
+        assert ev(1.0, u) == pytest.approx(w, rel=1e-14)
 
 
 def test_u_hat_logistic_root():
@@ -149,18 +140,12 @@ def test_tilted_cost_curve_strictly_decreasing_on_random_clouds():
         k = rng.uniform(size=n)
         s = scores_of(rng.normal(size=20) + 1.0, rng.normal(size=20))
         u_from = float(rng.uniform(0.0, 3.0))
-        curve = tilted_cost_evaluator(w, k, 8.0, u_from, s, normalized=False)
-        vals = np.array([curve(8.0, u) for u in np.linspace(0.0, 3.0, 25)])
+        vals = np.array([tilted_weights(w, k, 8.0, u_from, u, s,
+                                        normalized=False) @ k
+                         for u in np.linspace(0.0, 3.0, 25)])
         assert np.all(np.diff(vals) < 0.0)
         # bounded by the extreme members it reweights
         assert vals.max() <= k.max() and vals.min() >= k.min()
-
-
-def test_tilted_cost_evaluator_answers_only_at_its_lambda():
-    s = scores_of([1.0, 2.0], [0.5, 0.5])
-    curve = tilted_cost_evaluator([0.5, 0.5], [0.1, 0.2], 4.0, 0.0, s)
-    with pytest.raises(ValueError, match="lambda=4"):
-        curve(8.0, 1.0)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -176,12 +161,10 @@ def test_tilting_the_exact_posterior_matches_the_grid_curve(normalized):
         probs = grid_posterior(grid, pm, lam, u_from, s, feats, normalized)
         _, k = welfare_cost_matrix(grid, s, feats)
         exact = grid_cost_evaluator(grid, pm, s, feats, normalized=normalized)
-        tilted = tilted_cost_evaluator(probs, k, lam, u_from, s,
-                                       normalized=normalized)
         for u in (0.0, 0.5 * u_from, u_from, u_from + 0.3, 3.0, 7.5):
-            assert abs(tilted(lam, u) - exact(lam, u)) <= 1e-12
-            want = grid_posterior(grid, pm, lam, u, s, feats, normalized)
             got = tilted_weights(probs, k, lam, u_from, u, s, normalized)
+            assert abs(got @ k - exact(lam, u)) <= 1e-12
+            want = grid_posterior(grid, pm, lam, u, s, feats, normalized)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
 
 
@@ -260,9 +243,11 @@ def test_params_validation():
             with pytest.raises(ValueError, match="lam must be positive"):
                 grid_cost_evaluator(grid, [0.5, 0.5], s, feats,
                                     normalized)(lam, 0.5)
-            with pytest.raises(ValueError, match="lam must be positive"):
-                tilted_weights([0.5, 0.5], [1.0, 0.0], lam, 0.0, 0.5, s,
-                               normalized)
+            # at u == u_from too, where the weights come back unchanged
+            for u in (0.5, 0.0):
+                with pytest.raises(ValueError, match="lam must be positive"):
+                    tilted_weights([0.5, 0.5], [1.0, 0.0], lam, 0.0, u, s,
+                                   normalized)
         with pytest.raises(ValueError, match="u must be non-negative"):
             grid_posterior(grid, [0.5, 0.5], 1.0, -0.1, s, feats, normalized)
         assert grid_posterior(grid, [0.5, 0.5], 1.0, 0.0, s, feats,
@@ -277,6 +262,13 @@ def test_misaligned_scores_and_features_are_rejected():
     with pytest.raises(ValueError, match="scores and features have "
                                          "mismatched lengths"):
         welfare_cost_matrix(np.ones((4, 2)), s, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("grid", [[], np.empty((0, 1))])
+def test_empty_grid_is_named(grid):
+    s = scores_of([1.0], [1.0])
+    with pytest.raises(ValueError, match="grid is empty"):
+        grid_posterior(grid, [], 1.0, 0.0, s, np.array([[1.0]]))
 
 
 def test_prior_mass_validation():

@@ -72,7 +72,7 @@ def test_grid_validation():
 
 
 def test_cost_curve_interpolation_and_clamping():
-    curve = build_cost_curve([(0.0, 0.0), (1.0, 1.0)], "toy")
+    curve = build_cost_curve([(0.0, 0.0), (1.0, 1.0)])
     assert curve.gain_at(0.5) == 0.5
     assert curve.gain_at(2.0) == 1.0  # clamped
     assert curve.gain_at(-1.0) == 0.0

@@ -6,10 +6,14 @@ re-exports) or in demos/.  An attribute of another package's module, such as
 json.load, does not count for a name of ours.  The paper's theory tools are
 the exception: only the acceptance checks call them, and they stay public on
 purpose.  Likewise every field of the sampler and study configs must be set
-by keyword somewhere there; a field no caller sets is a constant.
+by keyword somewhere there; a field no caller sets is a constant.  And every
+field of a dataclass of the package must be read as an attribute somewhere
+in src/, demos/, scripts/ or bench/; a field nothing reads is dead weight.
 """
 import ast
-from dataclasses import fields
+import importlib
+import inspect
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from pbpolicy.harness import StudyConfig
@@ -19,6 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "pbpolicy").glob("*.py")
                  if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# every tree whose code may read a field of the package's dataclasses
+READERS = sorted(p for tree in ("src", "demos", "scripts", "bench")
+                 for p in (ROOT / tree).rglob("*.py"))
 
 # name -> why it stays public without a caller in src/ or demos/
 THEORY_TOOLS = (
@@ -111,3 +118,39 @@ def test_every_config_field_is_set_by_some_caller():
         passed = _keywords_passed(trees, {config.__name__, "replace"})
         unset = [f.name for f in fields(config) if f.name not in passed]
         assert unset == [], config.__name__
+
+
+def _attributes_read(trees) -> set[str]:
+    """Names read as an attribute of something other than a foreign
+    module."""
+    read = set()
+    for tree in trees:
+        foreign = _foreign_modules(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                root = _root(node)
+                if not (isinstance(root, ast.Name) and root.id in foreign):
+                    read.add(node.attr)
+    return read
+
+
+def _package_dataclasses() -> list[type]:
+    found = []
+    for path in MODULES:
+        module = importlib.import_module(f"pbpolicy.{path.stem}")
+        found += [obj for obj in vars(module).values()
+                  if inspect.isclass(obj) and is_dataclass(obj)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in READERS]
+    read = _attributes_read(trees)
+    classes = _package_dataclasses()
+    assert {"CostCurve", "SMCConfig", "WeightedParticles"} <= \
+        {cls.__name__ for cls in classes}
+    unread = [f"{cls.__name__}.{f.name}" for cls in classes
+              for f in fields(cls) if f.name not in read]
+    assert unread == []

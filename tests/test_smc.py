@@ -401,6 +401,12 @@ def test_stage_streams_draw_what_a_fresh_philox_draws(seed):
                                       want.normal(size=(4, 3)))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_stage_streams_reject_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=f"below 2\\^64, got {seed}"):
+        _StageStreams(seed)
+
+
 def test_stage_streams_keep_seeds_above_2_63_apart():
     # both seeds round to the same float64, so a list key would give them
     # the same first key word and hence the same stream at every stage
