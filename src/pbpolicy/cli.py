@@ -17,10 +17,9 @@ Conventions shared by every subcommand:
     flags win, each value must fit its flag's type, and the fully resolved
     configuration is echoed to run_config.json next to the outputs;
   * identical inputs and seeds produce byte-identical outputs;
-  * PBPOLICY_SEED supplies the default --seed and PBPOLICY_THREADS the
-    default --threads (else 1, since each worker's BLAS already starts a
-    thread per core); a value that is not an integer is a usage error, and
-    no other environment variables are consulted.
+  * every default comes from its flag or a --config file, never from the
+    environment; --seed defaults to 0 and --threads to 1, since each
+    worker's BLAS already starts a thread per core.
 """
 
 from __future__ import annotations
@@ -61,10 +60,7 @@ _MAX_SMC_RUNS = 50
 
 # flag spellings for required-value errors, where the argparse dest differs
 # from the flag users type
-_FLAG_NAMES = {"lam": "--lambda", "n_test": "--n-test"}
-
-# study replications without and with --paper-scale
-_REPS = {False: 20, True: 100}
+_FLAG_NAMES = {"lam": "--lambda"}
 
 # study flags that take comma separated floats, or a list in a config file
 _GRID_KEYS = ("u_grid", "lambda_grid", "budgets")
@@ -281,24 +277,16 @@ def _cmd_score(cfg: dict) -> int:
 
 def _cmd_study(cfg: dict) -> int:
     _require(cfg, "out", "dgp")
-    if cfg["reps"] is None:
-        cfg["reps"] = _REPS[cfg["paper_scale"]]
     for key in _GRID_KEYS:
         cfg[key] = _float_list(cfg[key])
     out = _echo_config(cfg)
 
     dgp = DGPSpec(_dgp_id(cfg["dgp"]), cfg["seed"], cfg["n"])
-    grids = None
-    if cfg["u_grid"] is not None or cfg["lambda_grid"] is not None:
-        kwargs = {}
-        if cfg["u_grid"] is not None:
-            kwargs["u_grid"] = cfg["u_grid"]
-        if cfg["lambda_grid"] is not None:
-            kwargs["lambda_grid"] = cfg["lambda_grid"]
-        try:
-            grids = GridSpec(**kwargs)
-        except ValueError as exc:
-            raise ValueError(f"--u-grid/--lambda-grid: {exc}") from None
+    try:
+        grids = GridSpec(**{key: cfg[key] for key in ("u_grid", "lambda_grid")
+                            if cfg[key] is not None})
+    except ValueError as exc:
+        raise ValueError(f"--u-grid/--lambda-grid: {exc}") from None
     study_cfg = StudyConfig(particles=cfg["particles"], n_test=cfg["n_test"],
                             n_bins=cfg["bins"], workers=cfg["threads"],
                             out_dir=out, query_budgets=cfg["budgets"])
@@ -414,10 +402,7 @@ def _config_value(path: str, key: str, value, action):
 def build_parser() -> argparse.ArgumentParser:
     """The pbpolicy parser.  Each option holds its own default, and each
     subcommand declares its options in run_config.json's key order.  A
-    string default, an environment variable's value or a config file's,
-    is parsed by the option's type."""
-    seed = os.environ.get("PBPOLICY_SEED") or "0"
-    threads = os.environ.get("PBPOLICY_THREADS") or "1"
+    string value in a config file is parsed by the option's type."""
     parser = _Parser(prog="pbpolicy",
                      description="Budget-constrained treatment policies from "
                                  "experimental or observational samples.")
@@ -444,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-capita budget; the penalty weight is solved")
     fit.add_argument("--particles", type=int, default=1000,
                      help="particle count (default %(default)s)")
-    fit.add_argument("--seed", type=int, default=seed,
-                     help="RNG seed (default %(default)s, from "
-                          "$PBPOLICY_SEED when set)")
+    fit.add_argument("--seed", type=int, default=0,
+                     help="RNG seed (default %(default)s)")
     fit.add_argument("--degree", type=int, default=2,
                      help="polynomial feature degree (default %(default)s)")
     fit.add_argument("--sigma", type=float, default=1.0,
@@ -472,15 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prob writes treatment probabilities, mv the "
                             "majority vote, sample a seeded draw (default "
                             "%(default)s)")
-    score.add_argument("--seed", type=int, default=seed,
-                       help="seed for --mode sample (default %(default)s, "
-                            "from $PBPOLICY_SEED when set)")
+    score.add_argument("--seed", type=int, default=0,
+                       help="seed for --mode sample (default %(default)s)")
 
     study = command("study", _cmd_study, "run the simulation benchmark")
     study.add_argument("--dgp", help="dgp1 or dgp2")
-    study.add_argument("--reps", type=int,
-                       help=f"replications (default {_REPS[False]}, "
-                            f"{_REPS[True]} with --paper-scale)")
+    study.add_argument("--reps", type=int, default=20,
+                       help="replications (default %(default)s; the paper "
+                            "runs 100)")
     study.add_argument("--n", type=int, default=1000,
                        help="training sample size per replication "
                             "(default %(default)s)")
@@ -491,16 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--bins", type=int, default=20,
                        help="budget bins for the batch variant "
                             "(default %(default)s)")
-    study.add_argument("--seed", type=int, default=seed,
-                       help="master seed (default %(default)s, from "
-                            "$PBPOLICY_SEED when set)")
-    study.add_argument("--threads", type=int, default=threads,
-                       help="worker processes (default %(default)s, from "
-                            "$PBPOLICY_THREADS when set; each worker's BLAS "
-                            "already uses every core)")
-    study.add_argument("--paper-scale", dest="paper_scale",
-                       action="store_true",
-                       help=f"default to {_REPS[True]} replications")
+    study.add_argument("--seed", type=int, default=0,
+                       help="master seed (default %(default)s)")
+    study.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default %(default)s; each "
+                            "worker's BLAS already uses every core)")
     study.add_argument("--u-grid", dest="u_grid",
                        help="comma separated penalty grid override")
     study.add_argument("--lambda-grid", dest="lambda_grid",
@@ -535,17 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--budget", type=float, help="per-capita budget")
     oracle.add_argument("--n", type=int, default=10000,
                         help="population size (default %(default)s)")
-    oracle.add_argument("--seed", type=int, default=seed,
-                        help="population seed (default %(default)s, from "
-                             "$PBPOLICY_SEED when set)")
+    oracle.add_argument("--seed", type=int, default=0,
+                        help="population seed (default %(default)s)")
 
     sim = command("simulate", _cmd_simulate, "draw a synthetic sample",
                   out="output directory (default: stdout)")
     sim.add_argument("--dgp", help="dgp1 or dgp2")
     sim.add_argument("--n", type=int, help="sample size")
-    sim.add_argument("--seed", type=int, default=seed,
-                     help="RNG seed (default %(default)s, from "
-                          "$PBPOLICY_SEED when set)")
+    sim.add_argument("--seed", type=int, default=0,
+                     help="RNG seed (default %(default)s)")
 
     return parser
 

@@ -198,7 +198,6 @@ class StudyReport:
     curves: dict
     gain_se: dict
     replications: list
-    notes: str = BASELINE_NOTE
 
 
 def build_cost_curve(points) -> CostCurve:
@@ -521,6 +520,6 @@ def _write_artifacts(report: StudyReport, grids: GridSpec,
         "u_grid": grids.u_grid.tolist(),
         "lambda_grid": grids.lambda_grid.tolist(),
         "query_budgets": report.query_budgets.tolist(),
-        "notes": report.notes,
+        "notes": BASELINE_NOTE,
     }
     _write_atomic(os.path.join(out, "study_config.json"), echo)

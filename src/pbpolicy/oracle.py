@@ -97,7 +97,7 @@ def budget_curve_beta(b: float, dy, dc) -> float:
     return _beta(b, dy, dc, _ratios(dy, dc))
 
 
-def solve_eta_B(B: float, dy, dc, tolerance: float = 1e-10) -> OptimalRule:
+def solve_eta_B(B: float, dy, dc) -> OptimalRule:
     """Solve for the smallest multiplier whose rule fits the budget B.
 
     The budget curve on a finite population is a right-continuous-from-
@@ -165,7 +165,7 @@ def solve_eta_B(B: float, dy, dc, tolerance: float = 1e-10) -> OptimalRule:
     a2 = min(max(a2, 0.0), 1.0)
     rule = OptimalRule(budget=B, eta=eta, a1=a1, a2=a2)
     realized = k_eta + a1 * tie_mass(eta, +1) + a2 * tie_mass(eta, -1)
-    if abs(realized - B) > max(tolerance, 1e-9):
+    if abs(realized - B) > 1e-9:
         warnings.warn(
             f"budget not exactly exhausted at eta={eta}: "
             f"realized cost {realized} vs budget {B}", stacklevel=2)

@@ -72,28 +72,21 @@ def _clipped_votes(features: np.ndarray,
     return np.clip(_weighted_votes(features, particles), 0.0, 1.0)
 
 
-def _vote_shares(rule: GibbsRule, x: np.ndarray) -> np.ndarray:
+def treat_probability(rule: GibbsRule, x) -> np.ndarray:
+    """Particle vote share, one value per row of x (a 1-D x is one unit)."""
     feats = rule.feature_map.transform(np.atleast_2d(np.asarray(x, dtype=float)))
     return _clipped_votes(feats, rule.particles)
 
 
-def treat_probability(rule: GibbsRule, x):
-    """Particle vote share at x; scalar for one point, array for a matrix."""
-    x = np.asarray(x, dtype=float)
-    shares = _vote_shares(rule, x)
-    return float(shares[0]) if x.ndim == 1 else shares
-
-
-def mv_decide(rule: MajorityVoteRule, x):
-    """1 when the vote share strictly exceeds 1/2, else 0."""
-    x = np.asarray(x, dtype=float)
-    dec = (_vote_shares(rule, x) > 0.5).astype(int)
-    return int(dec[0]) if x.ndim == 1 else dec
+def mv_decide(rule: MajorityVoteRule, x) -> np.ndarray:
+    """1 where the vote share strictly exceeds 1/2, else 0, one value per
+    row of x."""
+    return (treat_probability(rule, x) > 0.5).astype(int)
 
 
 def sample_assignments(rule: GibbsRule, x, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli draws of the stochastic rule, one per row of x."""
-    shares = _vote_shares(rule, x)
+    shares = treat_probability(rule, x)
     return (rng.uniform(size=shares.shape[0]) < shares).astype(int)
 
 
@@ -182,7 +175,7 @@ def batch_assign(candidates: BatchCandidates,
     # vote shares per rule, computed once; a picked rule's ranking, sorted
     # once
     if shares is None:
-        shares = {u: _vote_shares(mv_rules_by_u[u][0], candidates.x)
+        shares = {u: treat_probability(mv_rules_by_u[u][0], candidates.x)
                   for u in us}
     orders = {}
 

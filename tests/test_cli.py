@@ -16,12 +16,6 @@ from pbpolicy import cli
 from pbpolicy.smc import build_default_ladder
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("PBPOLICY_SEED", raising=False)
-    monkeypatch.delenv("PBPOLICY_THREADS", raising=False)
-
-
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
@@ -82,37 +76,16 @@ def test_simulate_file_deterministic(tmp_path):
     assert (a / "sample.csv").read_bytes() != (b / "sample.csv").read_bytes()
 
 
-def test_simulate_env_seed(tmp_path, monkeypatch):
-    flagged = tmp_path / "flagged"
-    assert run_cli("simulate", "--dgp", "dgp1", "--n", 6, "--seed", 7,
-                   "--out", flagged) == 0
-    monkeypatch.setenv("PBPOLICY_SEED", "7")
-    env = tmp_path / "env"
-    assert run_cli("simulate", "--dgp", "dgp1", "--n", 6, "--out", env) == 0
-    assert ((flagged / "sample.csv").read_bytes()
-            == (env / "sample.csv").read_bytes())
-
-
 def test_study_threads_default_to_one_worker(monkeypatch):
     # each worker's BLAS already starts a thread per core, so a worker per
     # core would oversubscribe them
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert cli.build_parser().parse_args(["study"]).threads == 1
-    monkeypatch.setenv("PBPOLICY_THREADS", "3")
-    assert cli.build_parser().parse_args(["study"]).threads == 3
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("PBPOLICY_SEED", ["simulate", "--dgp", "dgp1", "--n", "5"]),
-    ("PBPOLICY_THREADS", ["study", "--dgp", "dgp1"]),
-])
-def test_bad_environment_default_is_a_usage_error(monkeypatch, capsys, name,
-                                                  argv):
-    monkeypatch.setenv(name, "many")
-    with pytest.raises(SystemExit) as caught:
-        cli.main(argv)
-    assert caught.value.code == 1
-    assert "invalid int value: 'many'" in capsys.readouterr().err
+def test_study_reps_default_to_twenty():
+    # the paper's own studies run 100; pass --reps 100 for those
+    assert cli.build_parser().parse_args(["study"]).reps == 20
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,14 +334,13 @@ def test_config_file_values_must_fit_the_flag_type(tmp_path, sample_csv,
 
 def test_config_file_numbers_take_the_flag_type(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"reps": 2.0, "paper_scale": True, "dgp": None,
-                               "u_grid": [0, 1], "budgets": "0.5"}))
+    cfg.write_text(json.dumps({"reps": 2.0, "dgp": None, "u_grid": [0, 1],
+                               "budgets": "0.5"}))
     parser = cli.build_parser()
     parser.commands["study"].load_config(str(cfg))
     args = parser.parse_args(["study"])
     assert type(args.reps) is int and args.reps == 2
-    assert (args.paper_scale, args.dgp, args.u_grid, args.budgets) == (
-        True, None, [0, 1], "0.5")
+    assert (args.dgp, args.u_grid, args.budgets) == (None, [0, 1], "0.5")
     cfg.write_text(json.dumps({"lam": 4, "particles": 30}))
     parser.commands["fit"].load_config(str(cfg))
     args = parser.parse_args(["fit", "data.csv"])
@@ -413,7 +385,6 @@ def test_run_config_bytes(tmp_path, fitted, sample_csv):
  "bins": 2,
  "seed": 0,
  "threads": 1,
- "paper_scale": false,
  "u_grid": [
   0.0,
   1.0

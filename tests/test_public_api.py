@@ -9,6 +9,10 @@ purpose.  Likewise every field of the sampler and study configs must be set
 by keyword somewhere there; a field no caller sets is a constant.  And every
 field of a dataclass of the package must be read as an attribute somewhere
 in src/, demos/, scripts/ or bench/; a field nothing reads is dead weight.
+Every optional parameter of a function of the package must be passed, by
+keyword or by position, by some call in those trees; a setting no caller
+passes is a constant.  And the package reads no environment variables: a
+run is set by its flags and its config file alone.
 """
 import ast
 import importlib
@@ -38,6 +42,18 @@ THEORY_TOOLS = (
     ("normal_kl", "KL term of the bound for a normal posterior and prior"),
     ("grid_posterior", "exact finite-grid posterior, the SMC oracle (c01)"),
     ("IdentityFeatureMap", "feature map of the grid rules in c01"),
+)
+
+# (function, parameter) -> why it stays optional without a caller that
+# passes it
+_M_ELL = ("Theorem 4.1's cost-side form: tests/test_bounds.py checks it, "
+          "and ROADMAP item 5's cost certificate will pass it")
+UNPASSED_SETTINGS = (
+    (("thm41a_slack", "m_ell"), _M_ELL),
+    (("thm41b_bound", "m_ell"), _M_ELL),
+    (("thm41c_bound", "m_ell"), _M_ELL),
+    (("grid_posterior", "normalized"),
+     "c01 runs the exact-grid oracle in both variants"),
 )
 
 
@@ -154,3 +170,76 @@ def test_every_dataclass_field_is_read_somewhere():
     unread = [f"{cls.__name__}.{f.name}" for cls in classes
               for f in fields(cls) if f.name not in read]
     assert unread == []
+
+
+def _optional_parameters(tree: ast.Module) -> list[tuple[str, str, object]]:
+    """(function, parameter, position or None) of every parameter with a
+    default; a method's position does not count self or cls, and a
+    keyword-only parameter has none."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                bound = in_class and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in child.decorator_list)
+                params = (a.posonlyargs + a.args)[int(bound):]
+                first = len(params) - len(a.defaults)
+                found.extend((child.name, arg.arg, first + i)
+                             for i, arg in enumerate(params[first:]))
+                found.extend((child.name, arg.arg, None) for arg, default
+                             in zip(a.kwonlyargs, a.kw_defaults)
+                             if default is not None)
+                visit(child, False)
+            else:
+                visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return found
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    return any(kw.arg == param for kw in call.keywords) or (
+        position is not None and len(call.args) > position)
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in READERS]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    allowed = {key for key, _ in UNPASSED_SETTINGS}
+    unpassed = [(fn, param) for p in MODULES
+                for fn, param, position in
+                _optional_parameters(ast.parse(p.read_text()))
+                if not any(_passes(call, param, position)
+                           for call in calls.get(fn, []))]
+    assert set(unpassed) >= allowed, "a listed exception is passed now"
+    assert [key for key in unpassed if key not in allowed] == []
+
+
+def test_optional_parameters_count_positions_past_self():
+    tree = ast.parse("def f(a, b=1, *, c=2):\n    pass\n"
+                     "class K:\n    def m(self, x, y=0):\n        pass\n")
+    assert _optional_parameters(tree) == [("f", "b", 1), ("f", "c", None),
+                                          ("m", "y", 1)]
+
+
+def test_no_module_reads_the_environment():
+    readers = []
+    for path in MODULES + [ROOT / "src" / "pbpolicy" / "__init__.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("environ", "getenv", "environb"):
+                readers.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and {a.name for a in node.names} & {"environ", "getenv"}:
+                readers.append(f"{path.stem}:{node.lineno}")
+    assert readers == []

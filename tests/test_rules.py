@@ -34,17 +34,28 @@ def linear_rule(thetas, weights, d_x=1, kind=GibbsRule):
                 feature_map=poly_feature_map(1, d_x))
 
 
+def one_unit(value):
+    return np.array([[value]])
+
+
+def assert_one_value(got, want):
+    # one value per row of x, even for a single unit
+    assert isinstance(got, np.ndarray) and got.shape == (1,)
+    np.testing.assert_allclose(got, [want])
+
+
 def test_treat_probability_examples():
     # always-treat theta (1, 0) vs never-treat (-1, 0) under features [1, x]
     rule = linear_rule([[1.0, 0.0], [-1.0, 0.0]], [0.6, 0.4])
-    assert treat_probability(rule, np.array([2.5])) == pytest.approx(0.6)
+    assert_one_value(treat_probability(rule, one_unit(2.5)), 0.6)
     unanimous = linear_rule([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    assert treat_probability(unanimous, np.array([-3.0])) == 1.0
+    assert_one_value(treat_probability(unanimous, one_unit(-3.0)), 1.0)
     # effective point mass gives a 0/1 probability
     point = linear_rule([[0.0, 1.0], [0.0, 1.0]], [0.5, 0.5])
-    assert treat_probability(point, np.array([2.0])) == 1.0
-    assert treat_probability(point, np.array([-2.0])) == 0.0
-    # matrix input returns one share per row
+    assert_one_value(treat_probability(point, one_unit(2.0)), 1.0)
+    assert_one_value(treat_probability(point, one_unit(-2.0)), 0.0)
+    # a 1-D x is one unit
+    assert_one_value(treat_probability(rule, np.array([2.5])), 0.6)
     got = treat_probability(rule, np.array([[0.0], [1.0]]))
     np.testing.assert_allclose(got, [0.6, 0.6])
 
@@ -52,13 +63,14 @@ def test_treat_probability_examples():
 def test_mv_decide_threshold_is_strict():
     share_06 = linear_rule([[1.0, 0.0], [-1.0, 0.0]], [0.6, 0.4],
                            kind=MajorityVoteRule)
-    assert mv_decide(share_06, np.array([0.0])) == 1
+    assert_one_value(mv_decide(share_06, one_unit(0.0)), 1)
     share_05 = linear_rule([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5],
                            kind=MajorityVoteRule)
-    assert mv_decide(share_05, np.array([0.0])) == 0
+    assert_one_value(mv_decide(share_05, one_unit(0.0)), 0)
     share_049 = linear_rule([[1.0, 0.0], [-1.0, 0.0]], [0.49, 0.51],
                             kind=MajorityVoteRule)
-    assert mv_decide(share_049, np.array([0.0])) == 0
+    assert_one_value(mv_decide(share_049, one_unit(0.0)), 0)
+    assert_one_value(mv_decide(share_06, np.array([0.0])), 1)
     got = mv_decide(share_06, np.array([[0.0], [5.0]]))
     np.testing.assert_array_equal(got, [1, 1])
 
@@ -137,14 +149,14 @@ def fixed_rule(xs, scores):
 def patched_shares(monkeypatch):
     import pbpolicy.rules as mod
 
-    real = mod._vote_shares
+    real = mod.treat_probability
 
     def stub(rule, x):
         if isinstance(rule, FixedScoreRule):
             return rule.lookup(x)
         return real(rule, x)
 
-    monkeypatch.setattr(mod, "_vote_shares", stub)
+    monkeypatch.setattr(mod, "treat_probability", stub)
 
 
 def test_batch_single_bin_top_scores(monkeypatch):
