@@ -12,9 +12,10 @@ from pbpolicy import (
     BoundInputs,
     IPWScores,
     bound_report,
-    grid_cost_evaluator,
+    grid_posterior,
     solve_u_hat,
 )
+from pbpolicy.gibbs import welfare_cost_matrix
 
 rng = np.random.default_rng(5)
 
@@ -28,7 +29,14 @@ delta_c = np.abs(rng.normal(loc=1.0, size=n))
 scores = IPWScores(delta_y, delta_c)
 
 LAM = 16.0
-evaluator = grid_cost_evaluator(grid, masses, scores, features, normalized=False)
+_, costs = welfare_cost_matrix(grid, scores, features)
+
+
+def evaluator(lam, u):
+    """Posterior expected cost of the grid at (lam, u), exact."""
+    return float(grid_posterior(grid, masses, lam, u, scores, features,
+                                normalized=False) @ costs)
+
 
 print("posterior expected cost along the penalty axis (lambda = 16):")
 for u in np.linspace(0.0, 3.0, 7):

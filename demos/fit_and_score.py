@@ -17,6 +17,7 @@ from pbpolicy import (
     MajorityVoteRule,
     SMCConfig,
     build_default_ladder,
+    gain_cost,
     generate,
     ipw_transform,
     mv_decide,
@@ -25,7 +26,6 @@ from pbpolicy import (
     run_smc,
     solve_eta_B,
     treat_probability,
-    true_gain_cost,
 )
 
 LAM = 32.0
@@ -50,14 +50,16 @@ def main():
     vote = MajorityVoteRule(cloud, fmap)
 
     test = generate(DGPSpec("DGP1", seed=999, n=N_TEST))
+    dy, dc = test.cate, test.expected_cost
     prob = treat_probability(gibbs, test.x)
-    gain_sa, cost_sa = true_gain_cost(prob, test)
-    gain_mv, cost_mv = true_gain_cost(mv_decide(vote, test.x).astype(float), test)
+    gain_sa, cost_sa = gain_cost(prob, dy, dc)
+    vote_dec = mv_decide(vote, test.x).astype(float)
+    gain_mv, cost_mv = gain_cost(vote_dec, dy, dc)
     print(f"stochastic rule : true gain {gain_sa:.4f} at true cost {cost_sa:.4f}")
     print(f"majority vote   : true gain {gain_mv:.4f} at true cost {cost_mv:.4f}")
 
-    best = solve_eta_B(cost_sa, test.cate, test.expected_cost)
-    report = oracle_report(best, test.cate, test.expected_cost)
+    best = solve_eta_B(cost_sa, dy, dc)
+    report = oracle_report(best, dy, dc)
     print(f"optimal rule at the same budget: gain {report['gain_of_optimal']:.4f} "
           f"(eta = {report['eta_B']:.4f})")
     print(f"welfare regret of the stochastic rule: "

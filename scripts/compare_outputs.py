@@ -1,0 +1,130 @@
+"""Byte-identity check of the program's outputs: a base git ref against the
+working tree.
+
+    python3 scripts/compare_outputs.py --base HEAD~1
+
+Both sides are extracted as scripts/bench_pairs.py extracts them (`git
+archive` of the base ref, and of a tree object of the working tree).  Each
+side runs the fixed list RUNS from its own work directory with relative
+--out and input paths, so that the run_config.json echoes compare equal:
+simulate, fit (--u, --raw and the benchmark's --budget case), score in all
+three modes, oracle and bounds on stdout and with --out, both Python demos,
+and run_acceptance_studies.py's tiny study.  Every command's stdout is kept
+as stdout/<name>.txt, with an "[exit N]" line when it exits non-zero.
+
+Prints one line per file, equal, differs, or only on one side, and exits 1
+when any file is not equal.  A side takes about 7 s on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+from bench_pairs import _extract, _working_tree  # noqa: E402
+from run_acceptance_studies import TINY_STUDY_ARGS  # noqa: E402
+
+HIGH_SEED = str(2**63 + 7)
+_FIT = ["--lambda", "16", "--particles", "200", "--seed", "1"]
+_BOUNDS = ["--n", "20000", "--kappa", "0.25", "--my", "2", "--mc", "2",
+           "--lambda", "16", "--u", "0.5", "--eps", "0.05"]
+
+# (name, argv): a pbpolicy command, or a demo when argv[0] is a .py file;
+# later runs read what earlier ones wrote
+RUNS = [
+    ("simulate_dgp1", ["simulate", "--dgp", "dgp1", "--n", "400",
+                       "--seed", "11", "--out", "sim_dgp1"]),
+    ("simulate_dgp2", ["simulate", "--dgp", "dgp2", "--n", "400",
+                       "--seed", HIGH_SEED, "--out", "sim_dgp2"]),
+    ("simulate_stdout", ["simulate", "--dgp", "dgp1", "--n", "50",
+                         "--seed", "3"]),
+    ("fit_u", ["fit", "sim_dgp1/sample.csv", "--u", "0.5", *_FIT,
+               "--out", "fit_u"]),
+    ("fit_raw", ["fit", "sim_dgp1/sample.csv", "--u", "0.5", "--raw", *_FIT,
+                 "--out", "fit_raw"]),
+    # the benchmark's fit_budget case
+    ("simulate_bench", ["simulate", "--dgp", "dgp1", "--n", "1000",
+                        "--seed", "11", "--out", "sim_bench"]),
+    ("fit_budget", ["fit", "sim_bench/sample.csv", "--lambda", "32",
+                    "--budget", "0.45", "--budget-tol", "1e-3",
+                    "--particles", "250", "--seed", "0",
+                    "--out", "fit_budget"]),
+    *((f"score_{mode}", ["score", "fit_u/rule.json", "sim_dgp2/sample.csv",
+                         "--mode", mode, "--seed", "5",
+                         "--out", f"score_{mode}"])
+      for mode in ("prob", "mv", "sample")),
+    ("oracle_stdout", ["oracle", "--dgp", "dgp1", "--budget", "0.6",
+                       "--n", "20000", "--seed", "7"]),
+    ("oracle_out", ["oracle", "--dgp", "dgp2", "--budget", "2",
+                    "--n", "1000", "--seed", "9", "--out", "oracle"]),
+    ("bounds_stdout", ["bounds", *_BOUNDS]),
+    ("bounds_out", ["bounds", *_BOUNDS, "--q", "10", "--nu", "0.01",
+                    "--dkl", "1.2", "--uhat", "0.4", "--out", "bounds"]),
+    ("demo_budget_targeting", ["demos/budget_targeting.py"]),
+    ("demo_fit_and_score", ["demos/fit_and_score.py"]),
+    ("study", [*TINY_STUDY_ARGS, "--out", "study"]),
+]
+
+
+def _run_all(tree: str, work: str) -> None:
+    """Run RUNS with the package in tree, from the directory work."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    os.makedirs(os.path.join(work, "stdout"))
+    for name, argv in RUNS:
+        cmd = ([sys.executable, os.path.join(tree, argv[0])]
+               if argv[0].endswith(".py")
+               else [sys.executable, "-m", "pbpolicy.cli", *argv])
+        got = subprocess.run(cmd, cwd=work, env=env, capture_output=True)
+        text = got.stdout
+        if got.returncode != 0:
+            text += f"[exit {got.returncode}]\n".encode()
+            print(f"{name} exited {got.returncode} in {tree}:\n"
+                  f"{got.stderr.decode()[-2000:]}", file=sys.stderr)
+        with open(os.path.join(work, "stdout", f"{name}.txt"), "wb") as fh:
+            fh.write(text)
+
+
+def _files(root: str) -> dict:
+    out = {}
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git ref of the base tree")
+    args = p.parse_args(argv)
+    found = []
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        for side, tree_ish in (("base", args.base), ("head", _working_tree())):
+            tree, work = (os.path.join(tmp, side, d) for d in ("tree", "work"))
+            os.makedirs(tree)
+            _extract(tree_ish, tree)
+            _run_all(tree, work)
+            found.append(_files(work))
+    base, head = found
+    unequal = 0
+    for path in sorted(set(base) | set(head)):
+        if path not in head:
+            verdict = f"only in {args.base}"
+        elif path not in base:
+            verdict = "only in the working tree"
+        else:
+            verdict = "equal" if base[path] == head[path] else "differs"
+        unequal += verdict != "equal"
+        print(f"{verdict:24} {path}")
+    print(f"{len(set(base) | set(head)) - unequal} equal, {unequal} not")
+    return 1 if unequal else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,72 +6,15 @@ finite-sample certificate calculators."""
 # its study manifests
 __version__ = "0.1.0"
 
-from pbpolicy.data import (
-    Sample,
-    IPWScores,
-    FeatureMap,
-    PolyFeatureMap,
-    IdentityFeatureMap,
-    ipw_transform,
-    poly_feature_map,
-    load_sample_csv,
-)
-from pbpolicy.gibbs import (
-    IsotropicNormalPrior,
-    InfeasibleBudgetError,
-    grid_posterior,
-    grid_cost_evaluator,
-    tilted_weights,
-    solve_u_hat,
-    grid_kl,
-)
-from pbpolicy.bounds import (
-    BoundInputs,
-    BoundReport,
-    small_kl,
-    small_kl_inverse,
-    pinsker_gap,
-    bound_report,
-)
-from pbpolicy.smc import (
-    TemperatureLadder,
-    WeightedParticles,
-    SMCConfig,
-    build_default_ladder,
-    run_smc,
-)
+from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
+from pbpolicy.gibbs import IsotropicNormalPrior, grid_posterior, solve_u_hat
+from pbpolicy.bounds import BoundInputs, bound_report
+from pbpolicy.smc import SMCConfig, build_default_ladder, run_smc
 from pbpolicy.rules import (
     GibbsRule,
     MajorityVoteRule,
-    BatchCandidates,
-    BatchPlan,
-    treat_probability,
     mv_decide,
-    sample_assignments,
-    rule_empirical_cost,
-    rule_empirical_welfare,
-    batch_assign,
+    treat_probability,
 )
-from pbpolicy.dgp import (
-    DGPSpec,
-    SimulatedPopulation,
-    generate,
-    true_gain_cost,
-)
-from pbpolicy.oracle import (
-    OptimalRule,
-    budget_curve_beta,
-    solve_eta_B,
-    oracle_decisions,
-    oracle_report,
-    regret_under_budget,
-    mv_loss_L_B,
-)
-from pbpolicy.persist import save
-from pbpolicy.harness import (
-    GridSpec,
-    CostCurve,
-    StudyConfig,
-    StudyReport,
-    run_study,
-)
+from pbpolicy.dgp import DGPSpec, generate
+from pbpolicy.oracle import gain_cost, oracle_report, solve_eta_B

@@ -15,7 +15,8 @@ Conventions shared by every subcommand:
     stdout when --out is omitted);
   * a JSON config file passed with --config pre-fills flags, explicit
     flags win, each value must fit its flag's type, and the fully resolved
-    configuration is echoed to run_config.json next to the outputs;
+    configuration is echoed to run_config.json next to the outputs; that
+    echo replays the run when its command and inputs match the command line;
   * identical inputs and seeds produce byte-identical outputs;
   * every default comes from its flag or a --config file, never from the
     environment; --seed defaults to 0 and --threads to 1, since each
@@ -357,8 +358,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
-    def load_config(self, path: str) -> None:
-        """Make a JSON config file's values this parser's defaults."""
+    def load_config(self, path: str, given: dict) -> None:
+        """Make a JSON config file's values this parser's defaults.  The
+        command and the positional inputs come from the command line's
+        parse, given; a run_config.json echo may only repeat them."""
         with open(path) as fh:
             try:
                 loaded = json.load(fh)
@@ -366,6 +369,14 @@ class _Parser(argparse.ArgumentParser):
                 raise ValueError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError(f"{path}: config file must hold a JSON object")
+        inputs = ["command"] + [a.dest for a in self._actions
+                                if not a.option_strings]
+        for key in inputs:
+            value = loaded.pop(key, given[key])
+            if value != given[key]:
+                raise ValueError(
+                    f"{path}: config key {key!r} is {value!r}, but the "
+                    f"command line gives {given[key]!r}")
         options = {a.dest: a for a in self._actions if a.option_strings}
         unknown = sorted(set(loaded) - set(options) - {"help", "config"})
         if unknown:
@@ -536,7 +547,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             # explicit flags win: parse again with the file's values as the
             # subcommand's defaults
-            parser.commands[args.command].load_config(args.config)
+            parser.commands[args.command].load_config(args.config, vars(args))
             args = parser.parse_args(argv)
         cfg = vars(args)
         handler = cfg.pop("handler")

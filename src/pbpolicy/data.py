@@ -1,5 +1,5 @@
-"""Data model, feature maps, and the inverse propensity weighted scores
-consumed by every other module.
+"""Data model, the polynomial feature map, and the inverse propensity
+weighted scores consumed by every other module.
 
 Scores are the per-unit transforms
 
@@ -22,9 +22,7 @@ import numpy as np
 __all__ = [
     "Sample",
     "IPWScores",
-    "FeatureMap",
     "PolyFeatureMap",
-    "IdentityFeatureMap",
     "ipw_transform",
     "poly_feature_map",
     "load_sample_csv",
@@ -124,30 +122,8 @@ def ipw_transform(sample: Sample) -> IPWScores:
     return IPWScores(dy, dc)
 
 
-class FeatureMap:
-    """Base class: a map x -> phi(x) in R^q."""
-
-    dimension: int
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass
-class IdentityFeatureMap(FeatureMap):
-    """Pass-through map for callers that already work in feature space."""
-
-    dimension: int
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.dimension:
-            raise ValueError(f"expected {self.dimension} columns, got {x.shape[1]}")
-        return x
-
-
-@dataclass
-class PolyFeatureMap(FeatureMap):
+class PolyFeatureMap:
     """All monomials of the covariates up to a total degree, optionally
     centered and scaled by training statistics.
 
@@ -162,7 +138,7 @@ class PolyFeatureMap(FeatureMap):
     sds: Optional[np.ndarray] = None
 
     @property
-    def dimension(self) -> int:  # type: ignore[override]
+    def dimension(self) -> int:
         return self.exponents.shape[0]
 
     def raw(self, x: np.ndarray) -> np.ndarray:

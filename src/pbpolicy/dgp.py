@@ -2,10 +2,9 @@
 
 Both draw three covariates, an additive noise term truncated to [-2, 2], a
 binomial treatment cost (control cost is zero), and a fair-coin treatment
-assignment, so the propensity is constant at 1/2.  Hidden per-unit truth
-(potential outcomes, conditional gain E[Y1-Y0|X], conditional cost E[C1|X])
-rides along as arrays on the generated population; the conditional effects
-are what the oracle and true_gain_cost score rules against.
+assignment, so the propensity is constant at 1/2.  The hidden conditional
+gain E[Y1-Y0|X] and conditional cost E[C1|X] of each unit ride along as
+arrays on the generated population; the oracle scores rules against them.
 
 Environment 1: X ~ U(0,1)^3,
     Y_d = 3 - 2 X1 + X2 - X3 + d (1 - X1^2 + X2 + X3) + eps,
@@ -32,7 +31,7 @@ import numpy as np
 from pbpolicy.data import Sample
 from pbpolicy.smc import _StageStreams, _check_seed
 
-__all__ = ["DGPSpec", "SimulatedPopulation", "generate", "true_gain_cost"]
+__all__ = ["DGPSpec", "SimulatedPopulation", "generate"]
 
 DGP_IDS = ("DGP1", "DGP2")
 
@@ -58,22 +57,11 @@ class DGPSpec:
 
 @dataclass
 class SimulatedPopulation:
-    """Observed sample plus the hidden truth it was generated from."""
+    """Observed sample plus the hidden conditional effects of its units."""
 
     sample: Sample
-    y0: np.ndarray
-    y1: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
     cate: np.ndarray        # E[Y1 - Y0 | X_i]
     expected_cost: np.ndarray  # E[C1 | X_i]
-
-    def __post_init__(self):
-        d = self.sample.d
-        if not np.array_equal(self.sample.y, self.y1 * d + self.y0 * (1 - d)):
-            raise ValueError("observed outcome must equal Y1 D + Y0 (1-D)")
-        if not np.array_equal(self.sample.c, self.c1 * d + self.c0 * (1 - d)):
-            raise ValueError("observed cost must equal C1 D + C0 (1-D)")
 
     @property
     def n(self) -> int:
@@ -111,7 +99,7 @@ def _conditional_means(dgp_id: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def generate(spec: DGPSpec) -> SimulatedPopulation:
-    """Draw a population with its hidden truth, one RNG stream per unit."""
+    """Draw a population with its hidden effects, one RNG stream per unit."""
     n = spec.n
     x = np.empty((n, 3))
     eps = np.empty(n)
@@ -137,30 +125,12 @@ def generate(spec: DGPSpec) -> SimulatedPopulation:
     base, cate, ecost = _conditional_means(spec.id, x)
     y0 = base + eps
     y1 = base + cate + eps
-    c0 = np.zeros(n)
     sample = Sample(
         y=y1 * d + y0 * (1 - d),
-        c=c1 * d + c0 * (1 - d),
+        c=c1 * d,  # the control cost is zero
         d=d,
         x=x,
         e=np.full(n, 0.5),
         kappa=SIM_KAPPA,
     )
-    return SimulatedPopulation(sample=sample, y0=y0, y1=y1, c0=c0, c1=c1,
-                               cate=cate, expected_cost=ecost)
-
-
-def true_gain_cost(f, population: SimulatedPopulation) -> tuple[float, float]:
-    """Population gain and cost of a rule, via the stored conditional means.
-
-    f is the rule's vector of per-unit treatment decisions (or
-    probabilities, handled by linearity) on the population.
-    """
-    dec = np.asarray(f, dtype=float)
-    if dec.shape != (population.n,):
-        raise ValueError("decisions not aligned with the population")
-    if np.any((dec < 0) | (dec > 1)):
-        raise ValueError("decisions must lie in [0, 1]")
-    gain = float(np.mean(population.cate * dec))
-    cost = float(np.mean(population.expected_cost * dec))
-    return gain, cost
+    return SimulatedPopulation(sample=sample, cate=cate, expected_cost=ecost)

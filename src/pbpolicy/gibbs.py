@@ -8,8 +8,9 @@ where W_n and K_n are the empirical IPW welfare and cost of the rule.  The
 normalized variant (the default) divides both functionals by the mean welfare
 score, which rescales the effective inverse temperature by that mean.  Exact
 finite-grid posteriors double as oracles for the SMC sampler, and the budget
-map Lambda_hat(u) with its inverse u_hat(B, lambda) lives here too, on a grid
-or on a weighted particle cloud reweighted ("tilted") across penalties.
+map Lambda_hat(u) with its inverse u_hat(B, lambda) lives here too, as
+grid_posterior(...) @ k on a grid or tilted_weights(...) @ k on a weighted
+particle cloud reweighted ("tilted") across penalties.
 
 Every decision, welfare and cost evaluation goes through one kernel,
 _block_decisions (features @ thetas.T > 0), which walks the units-by-rules
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from pbpolicy.data import IPWScores
 __all__ = [
     "IsotropicNormalPrior",
     "grid_posterior",
-    "grid_cost_evaluator",
     "tilted_weights",
     "solve_u_hat",
     "grid_kl",
@@ -206,24 +205,6 @@ def grid_posterior(grid, prior_masses, lam: float, u: float,
         raise ValueError("prior masses must sum to 1")
     w, k = welfare_cost_matrix(thetas, scores, features)
     return np.exp(_log_weights(np.log(pm), w, k, lam, u, normalized, scores))
-
-
-def grid_cost_evaluator(grid, prior_masses, scores: IPWScores, features,
-                        normalized: bool = True) -> Callable[[float, float], float]:
-    """Posterior expected cost (lam, u) -> integral of K_n, exact on a grid.
-
-    The expectation integrand is always the raw empirical cost so the result
-    compares directly against a budget, whichever variant weights the rules.
-    """
-    w, k = welfare_cost_matrix(np.vstack(grid).astype(float), scores,
-                               features)
-    logpm = np.log(np.asarray(prior_masses, dtype=float))
-
-    def evaluate(lam: float, u: float) -> float:
-        logw = _log_weights(logpm, w, k, lam, u, normalized, scores)
-        return float(np.exp(logw) @ k)
-
-    return evaluate
 
 
 def tilted_weights(weights, costs, lam: float, u_from: float, u: float,

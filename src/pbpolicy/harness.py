@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .data import Sample, ipw_transform, poly_feature_map
-from .dgp import DGPSpec, SimulatedPopulation, generate, true_gain_cost
+from .dgp import DGPSpec, SimulatedPopulation, generate
 from .gibbs import IsotropicNormalPrior
+from .oracle import gain_cost
 from .persist import _fmt, _write_atomic, _write_csv
 # treat_probability and mv_decide are not called here any more, but the
 # benchmark's tracer (bench/tracing.py) rebinds them in this module
@@ -360,6 +361,7 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
     # so its features and the test population's are built once here
     prepared = fmap, feats, scores = _prepare(training)
     test_feats = fmap.transform(test_pop.x)
+    dy, dc = test_pop.cate, test_pop.expected_cost
 
     selections = []
     sa_points, mv_points = [], []
@@ -375,10 +377,9 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         est_cost_sa = rule_empirical_cost(rule_sa, scores, feats)
         est_cost_mv = _mv_empirical_cost(rule_mv, scores, feats)
         mv_shares = _clipped_votes(test_feats, rule_mv.particles)
-        gain_sa, cost_sa = true_gain_cost(
-            _clipped_votes(test_feats, rule_sa.particles), test_pop)
-        gain_mv, cost_mv = true_gain_cost(
-            (mv_shares > 0.5).astype(float), test_pop)
+        gain_sa, cost_sa = gain_cost(
+            _clipped_votes(test_feats, rule_sa.particles), dy, dc)
+        gain_mv, cost_mv = gain_cost((mv_shares > 0.5).astype(float), dy, dc)
 
         mv_rules_by_u[float(u)] = (rule_mv, est_cost_mv)
         mv_shares_by_u[float(u)] = mv_shares

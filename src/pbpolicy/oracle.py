@@ -22,6 +22,7 @@ __all__ = [
     "solve_eta_B",
     "oracle_decisions",
     "oracle_report",
+    "gain_cost",
     "regret_under_budget",
     "mv_loss_L_B",
 ]
@@ -185,13 +186,12 @@ def oracle_decisions(optimal: OptimalRule, dy, dc) -> np.ndarray:
 
 def oracle_report(optimal: OptimalRule, dy, dc) -> dict:
     """Summary of the solved rule on the population, with JSON-ready keys."""
-    dy, dc = _deltas(dy, dc)
-    dec = oracle_decisions(optimal, dy, dc)
+    gain, cost = gain_cost(oracle_decisions(optimal, dy, dc), dy, dc)
     return {
         "B": optimal.budget,
         "eta_B": optimal.eta,
-        "cost_of_optimal": float(np.mean(dc * dec)),
-        "gain_of_optimal": float(np.mean(dy * dec)),
+        "cost_of_optimal": cost,
+        "gain_of_optimal": gain,
     }
 
 
@@ -202,6 +202,17 @@ def _decision_vector(f, m: int) -> np.ndarray:
     if np.any((dec < 0.0) | (dec > 1.0)):
         raise ValueError("rule decisions must lie in [0, 1]")
     return dec
+
+
+def gain_cost(f, dy, dc) -> tuple[float, float]:
+    """Population gain and cost of rule f: the means of dy·f and dc·f.
+
+    f is the rule's vector of per-unit treatment decisions (or
+    probabilities, handled by linearity) on the population.
+    """
+    dy, dc = _deltas(dy, dc)
+    dec = _decision_vector(f, dy.shape[0])
+    return float(np.mean(dy * dec)), float(np.mean(dc * dec))
 
 
 def regret_under_budget(f, optimal: OptimalRule, dy, dc) -> float:

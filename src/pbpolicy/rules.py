@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from pbpolicy.data import FeatureMap, IPWScores
+from pbpolicy.data import IPWScores, PolyFeatureMap
 from pbpolicy.gibbs import _block_decisions, _check_aligned
 from pbpolicy.smc import WeightedParticles
 
@@ -44,7 +44,7 @@ class GibbsRule:
     """Stochastic rule: treat x with probability equal to the vote share."""
 
     particles: WeightedParticles
-    feature_map: FeatureMap
+    feature_map: PolyFeatureMap
 
 
 @dataclass

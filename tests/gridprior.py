@@ -46,6 +46,14 @@ class GridMixturePrior:
         return logsumexp(comp, axis=1)
 
 
+class IdentityMap:
+    """Feature map of grid rules, which already work in feature space;
+    GibbsRule calls only transform."""
+
+    def transform(self, x):
+        return x
+
+
 def _squared_distances(thetas, grid):
     """(n, m) squared distances, summed over the coordinates in the order
     numpy's reduction over a short last axis adds them."""

@@ -37,7 +37,6 @@ from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import (
     IsotropicNormalPrior,
-    grid_cost_evaluator,
     grid_kl,
     grid_posterior,
     solve_u_hat,
@@ -60,9 +59,8 @@ from pbpolicy.smc import (
     run_smc,
 )
 from pbpolicy import cli
-from pbpolicy.data import IdentityFeatureMap
 
-from gridprior import GridMixturePrior, random_grid_problem
+from gridprior import GridMixturePrior, IdentityMap, random_grid_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results" / "studies"
@@ -145,7 +143,7 @@ def _assert_clouds_match_grid_posteriors(grid_problems, cloud_of):
         _, k_smc = welfare_cost_matrix(cloud.thetas, prob.scores, prob.features)
         assert abs(cloud.weights @ k_smc - exact @ k_grid) < tol
 
-        rule = GibbsRule(cloud, IdentityFeatureMap(prob.grid.shape[1]))
+        rule = GibbsRule(cloud, IdentityMap())
         got = treat_probability(rule, prob.probe)
         want = ((prob.probe @ prob.grid.T) > 0.0) @ exact
         assert np.max(np.abs(got - want)) < tol
@@ -178,17 +176,24 @@ def test_c01_adaptive_ladder_matches_exact_grid_posteriors(grid_problems):
 def test_c02_posterior_cost_curve_strictly_decreasing(grid_problems):
     u_grid = np.linspace(0.0, 4.0, 9)
     for prob in grid_problems:
-        evaluator = grid_cost_evaluator(prob.grid, prob.masses, prob.scores,
-                                        prob.features, normalized=False)
-        vals = np.array([evaluator(prob.lam, u) for u in u_grid])
+        _, k = welfare_cost_matrix(prob.grid, prob.scores, prob.features)
+        vals = np.array([grid_posterior(prob.grid, prob.masses, prob.lam, u,
+                                        prob.scores, prob.features,
+                                        normalized=False) @ k
+                         for u in u_grid])
         assert np.all(np.diff(vals) < 1e-12)
         assert vals[-1] < vals[0]
 
 
 def test_c03_budget_inversion_complementary_slackness(grid_problems):
     for i, prob in enumerate(grid_problems):
-        evaluator = grid_cost_evaluator(prob.grid, prob.masses, prob.scores,
-                                        prob.features, normalized=False)
+        _, k = welfare_cost_matrix(prob.grid, prob.scores, prob.features)
+
+        def evaluator(lam, u):
+            return float(grid_posterior(prob.grid, prob.masses, lam, u,
+                                        prob.scores, prob.features,
+                                        normalized=False) @ k)
+
         lam0 = evaluator(prob.lam, 0.0)
         deep = evaluator(prob.lam, 6.0)
         if i % 2 == 0 or lam0 - deep < 1e-9:

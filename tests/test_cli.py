@@ -8,6 +8,7 @@ packaging wiring.
 import json
 import shutil
 import subprocess
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -285,11 +286,46 @@ def test_config_file_rejects_unknown_keys(tmp_path, sample_csv, capsys):
     assert run_cli("fit", sample_csv, "--config", cfg,
                    "--out", tmp_path / "o") == 1
     assert "bogus" in capsys.readouterr().err
-    # positional inputs come from the command line only
+    # positional inputs come from the command line: a config file may only
+    # repeat them
     cfg.write_text(json.dumps({"lam": 4.0, "u": 0.0, "data": "x.csv"}))
     assert run_cli("fit", sample_csv, "--config", cfg,
                    "--out", tmp_path / "o") == 1
-    assert "unknown config keys: data" in capsys.readouterr().err
+    assert (f"{cfg}: config key 'data' is 'x.csv', but the command line "
+            f"gives '{sample_csv}'") in capsys.readouterr().err
+    # so may the command: another command's echo is refused
+    cfg.write_text(json.dumps({"command": "study", "out": "s", "dgp": "dgp1",
+                               "reps": 2}))
+    assert run_cli("simulate", "--config", cfg) == 1
+    assert (f"{cfg}: config key 'command' is 'study', but the command line "
+            f"gives 'simulate'") in capsys.readouterr().err
+
+
+def test_run_config_replays_its_run(tmp_path, sample_csv, fitted):
+    # each command's echo, passed back with the same inputs, writes every
+    # file again byte for byte, run_config.json included
+    runs = [
+        ("simulate", "--dgp", "dgp2", "--n", 20, "--seed", 2**63 + 7),
+        ("fit", sample_csv, "--lambda", 4, "--u", 0.5, "--particles", 30),
+        ("score", fitted / "rule.json", sample_csv, "--mode", "sample",
+         "--seed", 5),
+        ("oracle", "--dgp", "dgp1", "--budget", 0.6, "--n", 500),
+        ("bounds", "--n", 1000, "--kappa", 0.25, "--my", 2, "--mc", 2,
+         "--lambda", 8, "--u", 0.5, "--eps", 0.05, "--q", 3, "--nu", 0.1),
+        ("study", "--dgp", "dgp1", "--reps", 1, "--n", 40, "--particles", 20,
+         "--n-test", 60, "--bins", 2, "--u-grid", "0,0.8",
+         "--lambda-grid", "4"),
+    ]
+    for command, *args in runs:
+        out = tmp_path / command
+        assert run_cli(command, *args, "--out", out) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "run_config.json" in first
+        inputs = takewhile(lambda a: not str(a).startswith("--"), args)
+        assert run_cli(command, *inputs, "--config",
+                       out / "run_config.json") == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first, \
+            command
 
 
 @pytest.mark.parametrize("text, message", [
@@ -337,12 +373,14 @@ def test_config_file_numbers_take_the_flag_type(tmp_path):
     cfg.write_text(json.dumps({"reps": 2.0, "dgp": None, "u_grid": [0, 1],
                                "budgets": "0.5"}))
     parser = cli.build_parser()
-    parser.commands["study"].load_config(str(cfg))
+    parser.commands["study"].load_config(
+        str(cfg), vars(parser.parse_args(["study"])))
     args = parser.parse_args(["study"])
     assert type(args.reps) is int and args.reps == 2
     assert (args.dgp, args.u_grid, args.budgets) == (None, [0, 1], "0.5")
     cfg.write_text(json.dumps({"lam": 4, "particles": 30}))
-    parser.commands["fit"].load_config(str(cfg))
+    parser.commands["fit"].load_config(
+        str(cfg), vars(parser.parse_args(["fit", "data.csv"])))
     args = parser.parse_args(["fit", "data.csv"])
     assert type(args.lam) is float and args.lam == 4.0
     assert type(args.particles) is int and args.particles == 30

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pbpolicy.data import (
-    IdentityFeatureMap,
     Sample,
     ipw_transform,
     load_sample_csv,
@@ -174,14 +173,6 @@ def test_feature_length_mismatch():
     scores = ipw_transform(sample)
     with pytest.raises(ValueError, match="mismatched"):
         welfare_cost_matrix(np.array([1.0]), scores, np.zeros((3, 1)))
-
-
-def test_identity_feature_map():
-    fm = IdentityFeatureMap(2)
-    z = fm.transform(np.array([[1.0, 2.0]]))
-    np.testing.assert_allclose(z, [[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        fm.transform(np.zeros((4, 3)))
 
 
 def test_sample_subset():

@@ -1,12 +1,11 @@
-"""Tests for the synthetic environments and true gain/cost evaluation."""
+"""Tests for the synthetic environments."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pbpolicy.dgp import (DGPSpec, _conditional_means, _sigmoid,
-                          generate, true_gain_cost)
+from pbpolicy.dgp import DGPSpec, _conditional_means, _sigmoid, generate
 
 
 def test_spec_validation():
@@ -30,12 +29,11 @@ def test_dgp1_conditional_means():
 def test_observed_face_identity():
     for dgp in ("DGP1", "DGP2"):
         pop = generate(DGPSpec(dgp, 11, 300))
-        d = pop.sample.d
-        np.testing.assert_array_equal(pop.sample.y, pop.y1 * d + pop.y0 * (1 - d))
-        np.testing.assert_array_equal(pop.sample.c, pop.c1 * d)
-        assert np.all(pop.c0 == 0)
-        assert np.all((pop.c1 >= 0) & (pop.c1 <= 5))
-        assert np.all(pop.c1 == np.round(pop.c1))
+        d, c = pop.sample.d, pop.sample.c
+        # the control cost is zero, a treated cost a Binomial(5, p) draw
+        assert np.all(c[d == 0] == 0)
+        assert np.all((c >= 0) & (c <= 5))
+        assert np.all(c == np.round(c))
         np.testing.assert_array_equal(pop.sample.e, 0.5)
 
 
@@ -56,7 +54,8 @@ def test_noise_is_truncated_with_known_sd():
     n = 4000
     pop = generate(DGPSpec("DGP1", 19, n))
     x1, x2, x3 = pop.x[:, 0], pop.x[:, 1], pop.x[:, 2]
-    eps = pop.y0 - (3 - 2 * x1 + x2 - x3)
+    d = pop.sample.d
+    eps = pop.sample.y - (3 - 2 * x1 + x2 - x3) - d * pop.cate
     assert np.all(np.abs(eps) <= 2.0)
     # sd of a standard normal truncated to [-2, 2]
     want_sd = 0.8796256610342398
@@ -84,7 +83,7 @@ def test_seeded_determinism():
     b = generate(DGPSpec("DGP1", 42, 100))
     np.testing.assert_array_equal(a.sample.y, b.sample.y)
     np.testing.assert_array_equal(a.sample.x, b.sample.x)
-    np.testing.assert_array_equal(a.c1, b.c1)
+    np.testing.assert_array_equal(a.sample.c, b.sample.c)
     c = generate(DGPSpec("DGP1", 43, 100))
     assert not np.array_equal(a.sample.x, c.sample.x)
     # per-unit streams: a longer run starts with the same units
@@ -122,10 +121,11 @@ def test_rekeyed_unit_streams_draw_what_a_philox_per_unit_draws(dgp_id, seed):
     pop = generate(spec)
     x, eps, c1, d = _unit_by_unit(spec)
     np.testing.assert_array_equal(pop.x, x)
-    np.testing.assert_array_equal(pop.c1, c1)
     np.testing.assert_array_equal(pop.sample.d, d)
-    base, _, _ = _conditional_means(dgp_id, x)
-    np.testing.assert_array_equal(pop.y0, base + eps)
+    np.testing.assert_array_equal(pop.sample.c, c1 * d)
+    base, cate, _ = _conditional_means(dgp_id, x)
+    np.testing.assert_array_equal(
+        pop.sample.y, np.where(d == 1, base + cate + eps, base + eps))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -133,19 +133,3 @@ def test_generate_rejects_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=f"below 2\\^64, got {seed}"):
         generate(DGPSpec("DGP1", seed, 3))
 
-
-def test_true_gain_cost():
-    pop = generate(DGPSpec("DGP1", 5, 500))
-    gain0, cost0 = true_gain_cost(np.zeros(pop.n), pop)
-    assert gain0 == 0.0 and cost0 == 0.0
-    gain1, cost1 = true_gain_cost(np.ones(pop.n), pop)
-    assert gain1 == pytest.approx(pop.cate.mean())
-    assert cost1 == pytest.approx(pop.expected_cost.mean())
-    # probabilistic rule scales by linearity
-    gain_p, cost_p = true_gain_cost(np.full(pop.n, 0.3), pop)
-    assert gain_p == pytest.approx(0.3 * gain1)
-    assert cost_p == pytest.approx(0.3 * cost1)
-    with pytest.raises(ValueError, match="aligned"):
-        true_gain_cost(np.ones(3), pop)
-    with pytest.raises(ValueError, match="lie in"):
-        true_gain_cost(np.full(pop.n, 1.5), pop)

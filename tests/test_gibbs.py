@@ -9,7 +9,6 @@ from pbpolicy.data import IPWScores
 from pbpolicy.gibbs import (
     InfeasibleBudgetError,
     IsotropicNormalPrior,
-    grid_cost_evaluator,
     grid_kl,
     grid_posterior,
     solve_u_hat,
@@ -81,7 +80,9 @@ def logistic_problem():
     feats = np.array([[1.0]])
     s = scores_of([0.0], [1.0])
     grid = np.array([[-1.0], [1.0]])
-    return grid_cost_evaluator(grid, [0.5, 0.5], s, feats, normalized=False)
+    _, k = welfare_cost_matrix(grid, s, feats)
+    return lambda lam, u: float(grid_posterior(
+        grid, [0.5, 0.5], lam, u, s, feats, normalized=False) @ k)
 
 
 def test_budget_curve_logistic_values():
@@ -160,11 +161,10 @@ def test_tilting_the_exact_posterior_matches_the_grid_curve(normalized):
         lam, u_from = 4.0, float(rng.uniform(0.0, 2.0))
         probs = grid_posterior(grid, pm, lam, u_from, s, feats, normalized)
         _, k = welfare_cost_matrix(grid, s, feats)
-        exact = grid_cost_evaluator(grid, pm, s, feats, normalized=normalized)
         for u in (0.0, 0.5 * u_from, u_from, u_from + 0.3, 3.0, 7.5):
             got = tilted_weights(probs, k, lam, u_from, u, s, normalized)
-            assert abs(got @ k - exact(lam, u)) <= 1e-12
             want = grid_posterior(grid, pm, lam, u, s, feats, normalized)
+            assert abs(got @ k - want @ k) <= 1e-12
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
 
 
@@ -176,10 +176,10 @@ def test_budget_curve_strictly_decreasing_on_random_grids():
         feats = rng.normal(size=(n, q))
         grid = rng.normal(size=(m, q))
         pm = rng.dirichlet(np.ones(m))
-        ev = grid_cost_evaluator(grid, pm, s, feats, normalized=False)
-        us = np.linspace(0.0, 4.0, 9)
-        vals = [ev(2.0, u) for u in us]
         _, k = welfare_cost_matrix(grid, s, feats)
+        us = np.linspace(0.0, 4.0, 9)
+        vals = [grid_posterior(grid, pm, 2.0, u, s, feats,
+                               normalized=False) @ k for u in us]
         if np.ptp(k) < 1e-12:
             continue  # degenerate cost, curve is flat
         for a, b in zip(vals, vals[1:]):
@@ -240,9 +240,6 @@ def test_params_validation():
         for lam in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="lam must be positive"):
                 grid_posterior(grid, [0.5, 0.5], lam, 0.0, s, feats, normalized)
-            with pytest.raises(ValueError, match="lam must be positive"):
-                grid_cost_evaluator(grid, [0.5, 0.5], s, feats,
-                                    normalized)(lam, 0.5)
             # at u == u_from too, where the weights come back unchanged
             for u in (0.5, 0.0):
                 with pytest.raises(ValueError, match="lam must be positive"):
@@ -252,9 +249,6 @@ def test_params_validation():
             grid_posterior(grid, [0.5, 0.5], 1.0, -0.1, s, feats, normalized)
         assert grid_posterior(grid, [0.5, 0.5], 1.0, 0.0, s, feats,
                               normalized).shape == (2,)
-        # the grid cost curve answers at a negative penalty too
-        assert grid_cost_evaluator(grid, [0.5, 0.5], s, feats,
-                                   normalized)(1.0, -0.5) > 0.5
 
 
 def test_misaligned_scores_and_features_are_rejected():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.oracle import (
     OptimalRule,
     budget_curve_beta,
+    gain_cost,
     mv_loss_L_B,
     oracle_decisions,
     oracle_report,
@@ -199,3 +201,21 @@ def test_input_validation():
         regret_under_budget(np.full(2, 1.2), rule, *TWO_TYPE)
     with pytest.raises(ValueError, match="aligned"):
         mv_loss_L_B(np.ones(3), rule, *TWO_TYPE)
+
+
+def test_gain_cost():
+    pop = generate(DGPSpec("DGP1", 5, 500))
+    dy, dc = pop.cate, pop.expected_cost
+    gain0, cost0 = gain_cost(np.zeros(pop.n), dy, dc)
+    assert gain0 == 0.0 and cost0 == 0.0
+    gain1, cost1 = gain_cost(np.ones(pop.n), dy, dc)
+    assert gain1 == pytest.approx(pop.cate.mean())
+    assert cost1 == pytest.approx(pop.expected_cost.mean())
+    # probabilistic rule scales by linearity
+    gain_p, cost_p = gain_cost(np.full(pop.n, 0.3), dy, dc)
+    assert gain_p == pytest.approx(0.3 * gain1)
+    assert cost_p == pytest.approx(0.3 * cost1)
+    with pytest.raises(ValueError, match="aligned"):
+        gain_cost(np.ones(3), dy, dc)
+    with pytest.raises(ValueError, match="lie in"):
+        gain_cost(np.full(pop.n, 1.5), dy, dc)
