@@ -9,8 +9,9 @@ side runs the fixed list RUNS from its own work directory with relative
 --out and input paths, so that the run_config.json echoes compare equal:
 simulate, fit (--u, --raw and the benchmark's --budget case), score in all
 three modes, oracle and bounds on stdout and with --out, both Python demos,
-and run_acceptance_studies.py's tiny study.  Every command's stdout is kept
-as stdout/<name>.txt, with an "[exit N]" line when it exits non-zero.
+and run_acceptance_studies.py's tiny study, serially and on two worker
+processes.  Every command's stdout is kept as stdout/<name>.txt, with an
+"[exit N]" line when it exits non-zero.
 
 Prints one line per file, equal, differs, or only on one side, and exits 1
 when any file is not equal.  A side takes about 7 s on a 2-core machine.
@@ -68,6 +69,10 @@ RUNS = [
     ("demo_budget_targeting", ["demos/budget_targeting.py"]),
     ("demo_fit_and_score", ["demos/fit_and_score.py"]),
     ("study", [*TINY_STUDY_ARGS, "--out", "study"]),
+    # the same study on a pool of two worker processes; the later --threads
+    # overrides TINY_STUDY_ARGS' own
+    ("study_threads", [*TINY_STUDY_ARGS, "--threads", "2",
+                       "--out", "study_threads"]),
 ]
 
 

@@ -39,10 +39,10 @@ from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             IsotropicNormalPrior, solve_u_hat,
                             tilted_weights, welfare_cost_matrix)
-from pbpolicy.harness import GridSpec, StudyConfig, run_study
+from pbpolicy.harness import CV_FOLDS, GridSpec, StudyConfig, run_study
 from pbpolicy.oracle import oracle_report, solve_eta_B
-from pbpolicy.persist import (_fmt, _write_atomic, _write_csv, _write_rows,
-                              load_rule, save, save_rule)
+from pbpolicy.persist import (_fmt, _read_json, _write_atomic, _write_csv,
+                              _write_rows, load_rule, save, save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
@@ -72,6 +72,17 @@ def _dgp_id(value) -> str:
     if name not in DGP_IDS:
         raise ValueError(f"unknown design {value!r}, expected dgp1 or dgp2")
     return name
+
+
+def _finite(value) -> float:
+    """The type of every float flag: a finite number."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a finite number")
+    return number
 
 
 def _float_list(value):
@@ -184,7 +195,10 @@ def _cmd_fit(cfg: dict) -> int:
                              kappa=cfg["kappa"], m_y=cfg["my"], m_c=cfg["mc"])
     scores = ipw_transform(sample)
     fmap = poly_feature_map(cfg["degree"], sample.x.shape[1])
-    fmap = fmap.fit_normalization(sample.x)
+    try:
+        fmap = fmap.fit_normalization(sample.x)
+    except ValueError as exc:
+        raise ValueError(f"{cfg['data']}: {exc}") from None
     feats = fmap.transform(sample.x)
     prior = IsotropicNormalPrior(q=fmap.dimension, sigma=cfg["sigma"])
     normalized = not cfg["raw"]
@@ -278,6 +292,9 @@ def _cmd_score(cfg: dict) -> int:
 
 def _cmd_study(cfg: dict) -> int:
     _require(cfg, "out", "dgp")
+    if cfg["n"] < 2 * CV_FOLDS:
+        raise ValueError(f"--n must be at least {2 * CV_FOLDS}, so that "
+                         f"every cross-validation fit has 2 units")
     for key in _GRID_KEYS:
         cfg[key] = _float_list(cfg[key])
     out = _echo_config(cfg)
@@ -362,11 +379,7 @@ class _Parser(argparse.ArgumentParser):
         """Make a JSON config file's values this parser's defaults.  The
         command and the positional inputs come from the command line's
         parse, given; a run_config.json echo may only repeat them."""
-        with open(path) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        loaded = _read_json(path)
         if not isinstance(loaded, dict):
             raise ValueError(f"{path}: config file must hold a JSON object")
         inputs = ["command"] + [a.dest for a in self._actions
@@ -398,7 +411,7 @@ def _config_value(path: str, key: str, value, action):
     elif action.type is int:
         want = "an integer"
         ok = number and (isinstance(value, int) or value.is_integer())
-    elif action.type is float:
+    elif action.type is _finite:
         want = "a finite number"
         ok = number and abs(value) <= sys.float_info.max
     else:
@@ -433,10 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit = command("fit", _cmd_fit, "estimate a policy posterior from a CSV",
                   [("data", "sample CSV with columns y, c, d, x1..xk and "
                             "optionally e")])
-    fit.add_argument("--lambda", dest="lam", type=float,
+    fit.add_argument("--lambda", dest="lam", type=_finite,
                      help="posterior temperature")
-    fit.add_argument("--u", type=float, help="budget penalty weight")
-    fit.add_argument("--budget", type=float,
+    fit.add_argument("--u", type=_finite, help="budget penalty weight")
+    fit.add_argument("--budget", type=_finite,
                      help="per-capita budget; the penalty weight is solved")
     fit.add_argument("--particles", type=int, default=1000,
                      help="particle count (default %(default)s)")
@@ -444,18 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="RNG seed (default %(default)s)")
     fit.add_argument("--degree", type=int, default=2,
                      help="polynomial feature degree (default %(default)s)")
-    fit.add_argument("--sigma", type=float, default=1.0,
+    fit.add_argument("--sigma", type=_finite, default=1.0,
                      help="prior scale (default %(default)s)")
-    fit.add_argument("--propensity", type=float,
+    fit.add_argument("--propensity", type=_finite,
                      help="constant propensity when the CSV has no e column")
-    fit.add_argument("--kappa", type=float, default=0.25,
+    fit.add_argument("--kappa", type=_finite, default=0.25,
                      help="overlap bound in (0, 1/2) (default %(default)s)")
-    fit.add_argument("--my", type=float, help="declared outcome range")
-    fit.add_argument("--mc", type=float, help="declared cost range")
+    fit.add_argument("--my", type=_finite, help="declared outcome range")
+    fit.add_argument("--mc", type=_finite, help="declared cost range")
     fit.add_argument("--raw", action="store_true",
                      help="temper the raw criterion instead of the "
                           "scale-normalized one")
-    fit.add_argument("--budget-tol", dest="budget_tol", type=float,
+    fit.add_argument("--budget-tol", dest="budget_tol", type=_finite,
                      default=1e-3, help="tolerance on the solved budget "
                                         "(default %(default)s)")
 
@@ -500,28 +513,28 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = command("bounds", _cmd_bounds, "evaluate certificate slacks",
                      out="output directory (default: stdout)")
     bounds.add_argument("--n", type=int, help="sample size")
-    bounds.add_argument("--kappa", type=float, help="overlap bound")
-    bounds.add_argument("--my", type=float, help="outcome range")
-    bounds.add_argument("--mc", type=float, help="cost range")
-    bounds.add_argument("--lambda", dest="lam", type=float,
+    bounds.add_argument("--kappa", type=_finite, help="overlap bound")
+    bounds.add_argument("--my", type=_finite, help="outcome range")
+    bounds.add_argument("--mc", type=_finite, help="cost range")
+    bounds.add_argument("--lambda", dest="lam", type=_finite,
                         help="posterior temperature")
-    bounds.add_argument("--u", type=float, help="budget penalty weight")
-    bounds.add_argument("--eps", type=float, help="failure probability")
-    bounds.add_argument("--dkl", type=float, default=0.0,
+    bounds.add_argument("--u", type=_finite, help="budget penalty weight")
+    bounds.add_argument("--eps", type=_finite, help="failure probability")
+    bounds.add_argument("--dkl", type=_finite, default=0.0,
                         help="posterior-prior divergence "
                              "(default %(default)s)")
-    bounds.add_argument("--uhat", type=float, default=0.0,
+    bounds.add_argument("--uhat", type=_finite, default=0.0,
                         help="solved penalty weight (default %(default)s)")
     bounds.add_argument("--q", type=int, help="feature dimension")
     bounds.add_argument("--grid-size", dest="grid_size", type=int,
                         help="policy grid cardinality")
-    bounds.add_argument("--nu", type=float, help="prior mass floor")
+    bounds.add_argument("--nu", type=_finite, help="prior mass floor")
 
     oracle = command("oracle", _cmd_oracle,
                      "solve the population budget problem",
                      out="output directory (default: stdout)")
     oracle.add_argument("--dgp", help="dgp1 or dgp2")
-    oracle.add_argument("--budget", type=float, help="per-capita budget")
+    oracle.add_argument("--budget", type=_finite, help="per-capita budget")
     oracle.add_argument("--n", type=int, default=10000,
                         help="population size (default %(default)s)")
     oracle.add_argument("--seed", type=int, default=0,
@@ -556,8 +569,6 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"pbpolicy {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:
         print(f"pbpolicy {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -129,6 +129,8 @@ class PolyFeatureMap:
 
     The constant monomial is exempt from normalization (its sd is zero); any
     other monomial with sd below 1e-12 on the fitting data is an error.
+    means and sds are both None, or both one finite value per monomial,
+    the sds positive.
     """
 
     degree: int
@@ -136,6 +138,18 @@ class PolyFeatureMap:
     exponents: np.ndarray = field(repr=False)  # (q, d_x) int
     means: Optional[np.ndarray] = None
     sds: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.means is None and self.sds is None:
+            return
+        self.means = np.asarray(self.means, dtype=float)
+        self.sds = np.asarray(self.sds, dtype=float)
+        q = self.dimension
+        if (self.means.shape != (q,) or self.sds.shape != (q,)
+                or not np.isfinite([self.means, self.sds]).all()
+                or np.any(self.sds <= 0)):
+            raise ValueError(f"feature map means and sds must each hold {q} "
+                             f"finite values, the sds positive")
 
     @property
     def dimension(self) -> int:
@@ -150,6 +164,9 @@ class PolyFeatureMap:
 
     def fit_normalization(self, x_train: np.ndarray) -> "PolyFeatureMap":
         m = self.raw(x_train)
+        if m.shape[0] < 2:
+            raise ValueError(f"need at least 2 rows to normalize the "
+                             f"features, got {m.shape[0]}")
         means = m.mean(axis=0)
         sds = m.std(axis=0, ddof=1)
         const = (self.exponents == 0).all(axis=1)
@@ -221,6 +238,10 @@ def _read_csv(path, required=()) -> tuple[list, list, np.ndarray]:
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty CSV")
         cols = list(reader.fieldnames)
+        repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
+        if repeated:
+            raise ValueError(f"{path}: column {repeated[0]!r} appears more "
+                             f"than once")
         xcols = sorted((c for c in cols if c.startswith("x") and c[1:].isdigit()),
                        key=lambda c: int(c[1:]))
         for name in required:

@@ -178,14 +178,6 @@ def _scaled(lam: float, normalized: bool, scores: IPWScores) -> float:
     return lam / scores.mean_delta_y
 
 
-def _log_weights(log_prior, w, k, lam: float, u: float, normalized: bool,
-                 scores: IPWScores) -> np.ndarray:
-    """Normalized log posterior masses of rules with prior log masses
-    log_prior, welfare w and cost k."""
-    logw = log_prior + _scaled(lam, normalized, scores) * (w - u * k)
-    return logw - _logsumexp(logw)
-
-
 def grid_posterior(grid, prior_masses, lam: float, u: float,
                    scores: IPWScores, features,
                    normalized: bool = True) -> np.ndarray:
@@ -204,7 +196,8 @@ def grid_posterior(grid, prior_masses, lam: float, u: float,
     if abs(pm.sum() - 1.0) > 1e-8:
         raise ValueError("prior masses must sum to 1")
     w, k = welfare_cost_matrix(thetas, scores, features)
-    return np.exp(_log_weights(np.log(pm), w, k, lam, u, normalized, scores))
+    logw = np.log(pm) + _scaled(lam, normalized, scores) * (w - u * k)
+    return np.exp(logw - _logsumexp(logw))
 
 
 def tilted_weights(weights, costs, lam: float, u_from: float, u: float,

@@ -53,7 +53,6 @@ __all__ = [
     "StudyConfig",
     "StudyReport",
     "subseed",
-    "default_lambda_grid",
     "default_query_budgets",
     "build_cost_curve",
     "oracle_ratio_baseline",
@@ -88,11 +87,6 @@ def subseed(*parts) -> int:
         hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
-def default_lambda_grid() -> np.ndarray:
-    """The study's inverse-temperature candidates, from 4 up to 1024."""
-    return np.array(_DEFAULT_LAMBDAS)
-
-
 def default_query_budgets(dgp_id: str) -> np.ndarray:
     if dgp_id == "DGP1":
         return np.unique(np.concatenate([np.linspace(0.0, 1.5, 31),
@@ -107,7 +101,8 @@ class GridSpec:
     u_grid: np.ndarray = field(
         default_factory=lambda: np.concatenate([[0.0],
                                                 np.linspace(0.2, 4.0, 40)]))
-    lambda_grid: np.ndarray = field(default_factory=default_lambda_grid)
+    lambda_grid: np.ndarray = field(
+        default_factory=lambda: np.array(_DEFAULT_LAMBDAS))
 
     def __post_init__(self):
         for name in ("u_grid", "lambda_grid"):
@@ -220,11 +215,13 @@ def _greedy_baseline(score: np.ndarray, population: SimulatedPopulation,
                      budgets):
     """Treat units by descending score, ties by index, while the score is
     positive and the running cost stays within budget + 1e-9, for each of
-    the budgets.
+    the budgets, which must be non-negative.
 
     One sort serves every budget: the cut is the first prefix whose
     cumulative cost exceeds the budget, or the first non-positive score.
     """
+    if np.any(np.asarray(budgets) < 0):
+        raise ValueError("budget must be non-negative")
     order = np.lexsort((np.arange(population.n), -score))
     cost = np.cumsum(population.expected_cost[order])
     gain = np.cumsum(population.cate[order])
@@ -243,8 +240,6 @@ def oracle_ratio_baseline(population: SimulatedPopulation, budgets):
     Returns cumulative (gain, cost) totals, not per-capita means, as arrays
     aligned with budgets.
     """
-    if np.any(np.asarray(budgets) < 0):
-        raise ValueError("budget must be non-negative")
     ec, dy = population.expected_cost, population.cate
     with np.errstate(divide="ignore"):
         score = np.where(ec > 0, dy / np.where(ec > 0, ec, 1.0),
@@ -255,9 +250,7 @@ def oracle_ratio_baseline(population: SimulatedPopulation, budgets):
 def oracle_cate_baseline(population: SimulatedPopulation, budgets):
     """Treat by descending true outcome effect until the budget is hit;
     returns as oracle_ratio_baseline does."""
-    if np.any(np.asarray(budgets) < 0):
-        raise ValueError("budget must be non-negative")
-    return _greedy_baseline(population.cate.copy(), population, budgets)
+    return _greedy_baseline(population.cate, population, budgets)
 
 
 def random_line_slope(population: SimulatedPopulation) -> float:
@@ -338,20 +331,6 @@ def _select_lambdas(u: float, lambda_grid, training: Sample, particles: int,
                  for kind in ("gibbs", "mv"))
 
 
-def _mv_empirical_cost(rule: MajorityVoteRule, scores, features) -> float:
-    shares = _weighted_votes(features, rule.particles)
-    return float(scores.delta_c @ (shares > 0.5) / scores.n)
-
-
-def _fit_both_rules(u: float, lam_sa: float, lam_mv: float, prepared,
-                    particles: int, seed: int):
-    """One tempering run, cut at the larger target, harvesting both."""
-    clouds = _tempered_clouds(u, [lam_sa, lam_mv], prepared, particles, seed)
-    fmap = prepared[0]
-    return (GibbsRule(clouds[lam_sa], fmap),
-            MajorityVoteRule(clouds[lam_mv], fmap))
-
-
 def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
                      config: StudyConfig,
                      test_pop: SimulatedPopulation) -> ReplicationResult:
@@ -370,12 +349,15 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         u_seed = subseed(rep_seed, "u", i)
         lam_sa, lam_mv = _select_lambdas(u, grids.lambda_grid, training,
                                          config.particles, u_seed)
-        rule_sa, rule_mv = _fit_both_rules(u, lam_sa, lam_mv, prepared,
-                                           config.particles,
-                                           subseed(u_seed, "fit"))
+        # one tempering run, cut at the larger target, harvests both rules
+        clouds = _tempered_clouds(u, [lam_sa, lam_mv], prepared,
+                                  config.particles, subseed(u_seed, "fit"))
+        rule_sa = GibbsRule(clouds[lam_sa], fmap)
+        rule_mv = MajorityVoteRule(clouds[lam_mv], fmap)
 
         est_cost_sa = rule_empirical_cost(rule_sa, scores, feats)
-        est_cost_mv = _mv_empirical_cost(rule_mv, scores, feats)
+        est_cost_mv = float(scores.delta_c @ (_weighted_votes(
+            feats, rule_mv.particles) > 0.5) / scores.n)
         mv_shares = _clipped_votes(test_feats, rule_mv.particles)
         gain_sa, cost_sa = gain_cost(
             _clipped_votes(test_feats, rule_sa.particles), dy, dc)
@@ -500,10 +482,8 @@ def _write_replication(out: str, rep: ReplicationResult) -> None:
 def _write_artifacts(report: StudyReport, grids: GridSpec,
                      config: StudyConfig) -> None:
     out = config.out_dir
-    n_reps = {"pb_sa": report.n_reps, "pb_mv": report.n_reps,
-              "pb_batch": report.n_reps}
     for method, curve in report.curves.items():
-        reps = str(n_reps.get(method, 1))
+        reps = str(report.n_reps if method.startswith("pb_") else 1)
         rows = ([_fmt(c), _fmt(g), _fmt(s), reps] for c, g, s in
                 zip(curve.costs, curve.gains, report.gain_se[method]))
         _write_csv(os.path.join(out, f"cost_curves_{method}.csv"),

@@ -1,6 +1,6 @@
 """Versioned JSON serialization for the two documents the program writes,
-bound reports and fitted rules, the CSV writer, and the atomic write every
-output file goes through.
+bound reports and fitted rules, the reader of every JSON input file, the
+CSV writer, and the atomic write every output file goes through.
 
 Every document carries a schema version and a kind tag; loading a file
 written under a different schema version is a hard error.  Floats pass
@@ -14,8 +14,6 @@ import json
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import replace
-
-import numpy as np
 
 from .bounds import BoundReport
 from .data import PolyFeatureMap, poly_feature_map
@@ -32,28 +30,6 @@ __all__ = [
 
 _BOUNDS_KIND = "bound_report"
 _RULE_KIND = "fitted_rule"
-
-
-def _particles_payload(p: WeightedParticles) -> dict:
-    return {
-        "thetas": p.thetas.tolist(),
-        "weights": p.weights.tolist(),
-        "step_index": int(p.step_index),
-        "lam": float(p.lam),
-        "u": float(p.u),
-        "seed": int(p.seed),
-    }
-
-
-def _particles_restore(d: dict) -> WeightedParticles:
-    return WeightedParticles(
-        thetas=np.asarray(d["thetas"], dtype=float),
-        weights=np.asarray(d["weights"], dtype=float),
-        step_index=int(d["step_index"]),
-        lam=float(d["lam"]),
-        u=float(d["u"]),
-        seed=int(d["seed"]),
-    )
 
 
 @contextmanager
@@ -98,19 +74,14 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _read_versioned(path) -> dict:
+def _read_json(path):
+    """The JSON value in the file at path; ValueError naming the file when
+    it is not valid JSON."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "schema_version" not in doc:
-        raise ValueError(f"{path} is missing a schema_version")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path} has schema_version {doc['schema_version']}, "
-            f"expected {SCHEMA_VERSION}")
-    return doc
 
 
 def save(report: BoundReport, path) -> None:
@@ -127,7 +98,14 @@ def save_rule(particles: WeightedParticles, fmap: PolyFeatureMap,
     """Write a fitted rule: its particle cloud, the polynomial feature map
     it reads covariates through, and the criterion variant."""
     payload = {
-        "particles": _particles_payload(particles),
+        "particles": {
+            "thetas": particles.thetas.tolist(),
+            "weights": particles.weights.tolist(),
+            "step_index": int(particles.step_index),
+            "lam": float(particles.lam),
+            "u": float(particles.u),
+            "seed": int(particles.seed),
+        },
         "feature_map": {
             "degree": int(fmap.degree),
             "d_x": int(fmap.d_x),
@@ -143,20 +121,32 @@ def save_rule(particles: WeightedParticles, fmap: PolyFeatureMap,
 
 def load_rule(path) -> tuple[WeightedParticles, PolyFeatureMap]:
     """Read back the particle cloud and feature map written by save_rule."""
-    doc = _read_versioned(path)
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "schema_version" not in doc:
+        raise ValueError(f"{path} is missing a schema_version")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path} has schema_version {doc['schema_version']}, "
+            f"expected {SCHEMA_VERSION}")
     if doc.get("kind") != _RULE_KIND:
         raise ValueError(f"{path} is not a fitted rule file")
     try:
         payload = doc["payload"]
-        particles = _particles_restore(payload["particles"])
+        cloud = payload["particles"]
+        particles = WeightedParticles(
+            thetas=cloud["thetas"],
+            weights=cloud["weights"],
+            step_index=int(cloud["step_index"]),
+            lam=float(cloud["lam"]),
+            u=float(cloud["u"]),
+            seed=int(cloud["seed"]),
+        )
         fm = payload["feature_map"]
         fmap = poly_feature_map(int(fm["degree"]), int(fm["d_x"]))
-        if fm.get("means") is not None:
-            fmap = replace(fmap,
-                           means=np.asarray(fm["means"], dtype=float),
-                           sds=np.asarray(fm["sds"], dtype=float))
+        if particles.q != fmap.dimension:
+            raise ValueError("particle dimension does not match the "
+                             "feature map")
+        fmap = replace(fmap, means=fm.get("means"), sds=fm.get("sds"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} holds an inconsistent rule payload: {exc}") from exc
-    if particles.thetas.shape[1] != fmap.dimension:
-        raise ValueError(f"{path}: particle dimension does not match the feature map")
     return particles, fmap

@@ -230,7 +230,9 @@ class WeightedParticles:
             raise ValueError("need at least 2 particles")
         if self.weights.shape != (self.n_particles,):
             raise ValueError("weights not aligned with particles")
-        if np.any(self.weights < 0):
+        if not np.isfinite(self.thetas).all():
+            raise ValueError("thetas must be finite")
+        if not np.all(self.weights >= 0):
             raise ValueError("weights must be non-negative")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")

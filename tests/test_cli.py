@@ -252,6 +252,54 @@ def test_fit_flag_validation(tmp_path, sample_csv, capsys):
     capsys.readouterr()
 
 
+def test_fit_and_study_reject_a_sample_too_small_to_normalize(tmp_path,
+                                                              sample_csv,
+                                                              capsys):
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("".join(sample_csv.read_text().splitlines(True)[:2]))
+    assert run_cli("fit", one_row, "--out", tmp_path / "o", "--lambda", "4",
+                   "--u", "0") == 1
+    assert f"{one_row}: need at least 2 rows to normalize" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o" / "rule.json").exists()
+    # a 3-unit study would normalize one cross-validation fold on one unit
+    assert run_cli("study", "--dgp", "dgp1", "--n", 3, "--reps", 1,
+                   "--out", tmp_path / "s") == 1
+    assert "--n must be at least 4" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget", "nan"],
+    ["--budget", "inf"],
+    ["--u", "nan"],
+    ["--u", "0.5", "--my", "nan"],
+])
+def test_float_flags_reject_non_finite_values(tmp_path, sample_csv, capsys,
+                                              argv):
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as caught:
+        run_cli("fit", sample_csv, "--lambda", "4", *argv,
+                "--out", tmp_path / "o")
+    assert caught.value.code == 1
+    assert f"argument {flag}: {value!r} is not a finite number" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_float_strings_must_be_finite(tmp_path, sample_csv,
+                                                  capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": "nan"}))
+    with pytest.raises(SystemExit) as caught:
+        run_cli("fit", sample_csv, "--lambda", "4", "--config", cfg,
+                "--out", tmp_path / "o")
+    assert caught.value.code == 1
+    assert "argument --budget: 'nan' is not a finite number" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_rejects_bad_schema(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("y,c,x1\n1.0,0.5,0.2\n")

@@ -123,6 +123,9 @@ def test_normalization_rejects_degenerate_monomial():
     x = np.ones((20, 2))  # every non-constant monomial is constant too
     with pytest.raises(ValueError, match="zero sd"):
         poly_feature_map(2, 2).fit_normalization(x)
+    # one row has no sample standard deviation
+    with pytest.raises(ValueError, match="need at least 2 rows to normalize"):
+        poly_feature_map(2, 2).fit_normalization(np.array([[0.3, 0.7]]))
 
 
 def test_sample_validation():
@@ -215,7 +218,9 @@ def test_csv_constant_propensity_and_errors(tmp_path):
         load_sample_csv(bad, propensity_const=0.5)
     for text, message in [("", "empty CSV"),
                           ("y,c,d,z1\n1.0,0.0,1,0.3\n", "no covariate columns"),
-                          ("y,c,d,x1\n", "no data rows")]:
+                          ("y,c,d,x1\n", "no data rows"),
+                          ("y,c,d,x1,x1,e\n1.0,0.0,1,0.3,0.4,0.5\n",
+                           "column 'x1' appears more than once")]:
         bad.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_sample_csv(bad, propensity_const=0.5)

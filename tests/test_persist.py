@@ -91,15 +91,36 @@ def test_malformed_json_rejected(tmp_path):
 
 def test_dimension_inconsistency_rejected(tmp_path):
     rng = np.random.default_rng(63)
-    fmap = poly_feature_map(2, 2)
+    fmap = poly_feature_map(2, 2).fit_normalization(rng.normal(size=(30, 2)))
     path = tmp_path / "rule.json"
     save_rule(random_particles(rng, q=fmap.dimension), fmap, True, path)
-    doc = json.loads(path.read_text())
-    particles = doc["payload"]["particles"]
-    particles["weights"] = particles["weights"][:-1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="inconsistent rule payload"):
-        load_rule(path)
+    saved = path.read_text()
+    covariates = tmp_path / "x.csv"
+    covariates.write_text("x1,x2\n0.1,0.2\n")
+    nan = float("nan")
+    for k, (corrupt, message) in enumerate([
+            (lambda fm, p: p["weights"].pop(), "weights not aligned"),
+            (lambda fm, p: fm.update(means=[0.0]),
+             "means and sds must each hold 6 finite values"),
+            (lambda fm, p: fm.update(means=[nan] + fm["means"][1:]),
+             "means and sds must each hold 6 finite values"),
+            (lambda fm, p: fm.update(sds=fm["sds"][:-1] + [0.0]),
+             "the sds positive"),
+            (lambda fm, p: p.update(thetas=[[nan] * 6] + p["thetas"][1:]),
+             "thetas must be finite"),
+            (lambda fm, p: p.update(weights=[nan] + p["weights"][1:]),
+             "weights must be non-negative")]):
+        doc = json.loads(saved)
+        corrupt(doc["payload"]["feature_map"], doc["payload"]["particles"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{path} holds an inconsistent "
+                                             f"rule payload: .*{message}"):
+            load_rule(path)
+        # score refuses the file before it scores anything
+        out = tmp_path / f"score_{k}"
+        assert cli.main(["score", str(path), str(covariates),
+                         "--out", str(out)]) == 1
+        assert not (out / "assignments.csv").exists()
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridprior import GridMixturePrior, random_grid_problem
-from reference_smc import reference_run_smc
+from reference_smc import reference_run_adaptive, reference_run_smc
 from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import (
@@ -518,6 +518,27 @@ def test_adaptive_run_hits_every_rung_in_few_stages():
     assert len(trace) < 100
     for cloud in out.values():
         assert abs(cloud.weights.sum() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("normalized,mh_steps", [(True, 5), (False, 1)])
+def test_adaptive_run_matches_frozen_reference_loop(normalized, mh_steps):
+    scores, feats, prior = _dgp_problem()
+    ladder = AdaptiveLadder(1.6, [4.0, 32.0, 256.0])
+    seed = subseed(5, "probe", 2)
+    assert seed >= 2**63
+    cfg = SMCConfig(n_particles=200, seed=seed, normalized=normalized,
+                    mh_steps_per_stage=mh_steps)
+    trace = []
+    got = run_smc(scores, feats, prior, ladder, cfg, trace=trace)
+    want, want_trace = reference_run_adaptive(scores, feats, prior, ladder,
+                                              cfg)
+    assert sum(rec["resampled"] for rec in trace) >= 3
+    assert trace == want_trace
+    assert list(got) == list(want)
+    assert [got[step].lam for step in got] == [4.0, 32.0, 256.0]
+    for step, (thetas, weights) in want.items():
+        assert np.array_equal(got[step].thetas, thetas)
+        assert np.array_equal(got[step].weights, weights)
 
 
 def test_adaptive_run_is_deterministic_and_rung_prefix_reproduces():
