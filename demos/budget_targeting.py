@@ -52,5 +52,5 @@ print(f"cost at the solved penalty: {evaluator(LAM, u_hat):.10f}")
 inputs = BoundInputs(n=20_000, kappa=0.25, m_y=2.0, m_c=2.0, lam=LAM,
                      u=u_hat, epsilon=0.05, grid_cardinality=m)
 print("\ncertificate slacks for the same rule family at n = 20000:")
-for name, value in bound_report(inputs, d_kl=1.2, u_hat=u_hat).values.items():
+for name, value in bound_report(inputs, d_kl=1.2, u_hat=u_hat).items():
     print(f"  {name:16s} {value:.6f}")

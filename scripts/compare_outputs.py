@@ -10,7 +10,9 @@ side runs the fixed list RUNS from its own work directory with relative
 simulate, fit (--u, --raw and the benchmark's --budget case), score in all
 three modes, oracle and bounds on stdout and with --out, both Python demos,
 and run_acceptance_studies.py's tiny study, serially and on two worker
-processes.  Every command's stdout is kept as stdout/<name>.txt, with an
+processes; then fit, bounds and the study again from their own
+run_config.json echoes, so that a config file's values, grid lists
+included, are byte-checked too.  Every command's stdout is kept as stdout/<name>.txt, with an
 "[exit N]" line when it exits non-zero.
 
 Prints one line per file, equal, differs, or only on one side, and exits 1
@@ -73,6 +75,14 @@ RUNS = [
     # overrides TINY_STUDY_ARGS' own
     ("study_threads", [*TINY_STUDY_ARGS, "--threads", "2",
                        "--out", "study_threads"]),
+    # replays of earlier runs from their run_config.json echoes
+    ("fit_u_replay", ["fit", "sim_dgp1/sample.csv",
+                      "--config", "fit_u/run_config.json",
+                      "--out", "fit_u_replay"]),
+    ("bounds_replay", ["bounds", "--config", "bounds/run_config.json",
+                       "--out", "bounds_replay"]),
+    ("study_replay", ["study", "--config", "study/run_config.json",
+                      "--out", "study_replay"]),
 ]
 
 

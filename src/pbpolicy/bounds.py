@@ -4,7 +4,8 @@ Every function here is a pure formula substitution: Bernoulli KL and its
 Pinsker gap, the high-probability slack terms for the regret and cost of a
 Gibbs rule, the oracle-inequality remainders, and the normal-normal KL used
 when the comparison class is a Gaussian tilt.  Nothing random, nothing fitted;
-lambda/u selection happens elsewhere.
+lambda/u selection happens elsewhere.  bound_report collects the values in a
+plain dict keyed by formula name, and rejects a value that is not finite.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional
 
 __all__ = [
     "BoundInputs",
-    "BoundReport",
     "small_kl",
     "small_kl_inverse",
     "pinsker_gap",
@@ -76,18 +76,6 @@ class BoundInputs:
     def mass(self) -> float:
         """The combined score bound M_y + u M_c."""
         return self.m_y + self.u * self.m_c
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Named certificate values, one entry per implemented formula."""
-
-    values: dict
-
-    def __post_init__(self):
-        for key, val in self.values.items():
-            if not math.isfinite(val):
-                raise ValueError(f"bound {key} is not finite: {val}")
 
 
 def small_kl(a: float, b: float) -> float:
@@ -257,8 +245,9 @@ def normal_kl(mu_rho, sigma_rho: float, mu_pi, sigma_pi: float, q: int) -> float
     return 0.5 * shift / sigma_pi**2 + 0.5 * q * (ratio - 1.0) - 0.5 * q * math.log(ratio)
 
 
-def bound_report(inputs: BoundInputs, d_kl: float = 0.0, u_hat: float = 0.0) -> BoundReport:
-    """Evaluate every certificate the inputs allow and collect them by name."""
+def bound_report(inputs: BoundInputs, d_kl: float = 0.0, u_hat: float = 0.0) -> dict:
+    """Evaluate every certificate the inputs allow and collect them by name,
+    one entry per implemented formula; ValueError when one is not finite."""
     u1, u2 = thm42b_terms(inputs)
     values = {
         "thm41a_slack": thm41a_slack(inputs, d_kl),
@@ -272,4 +261,7 @@ def bound_report(inputs: BoundInputs, d_kl: float = 0.0, u_hat: float = 0.0) -> 
         ub1, ub2, ub3, ub4 = thm43_bounds(inputs)
         values.update(thm43_ubar1=ub1, thm43_ubar2=ub2,
                       thm43_ubar3=ub3, thm43_ubar4=ub4)
-    return BoundReport(values=values)
+    for key, val in values.items():
+        if not math.isfinite(val):
+            raise ValueError(f"bound {key} is not finite: {val}")
+    return values

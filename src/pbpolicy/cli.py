@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from pbpolicy.bounds import BoundInputs, bound_report
@@ -46,7 +47,7 @@ from pbpolicy.persist import (_fmt, _read_json, _write_atomic, _write_csv,
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import (TAU_ESS, SMCConfig, _StageStreams,
+from pbpolicy.smc import (LAMBDA_CAP, TAU_ESS, SMCConfig, _StageStreams,
                           build_default_ladder, ess, run_smc)
 
 __all__ = ["main", "build_parser"]
@@ -62,9 +63,6 @@ _MAX_SMC_RUNS = 50
 # flag spellings for required-value errors, where the argparse dest differs
 # from the flag users type
 _FLAG_NAMES = {"lam": "--lambda"}
-
-# study flags that take comma separated floats, or a list in a config file
-_GRID_KEYS = ("u_grid", "lambda_grid", "budgets")
 
 
 def _dgp_id(value) -> str:
@@ -87,13 +85,10 @@ def _finite(value) -> float:
 
 def _float_list(value):
     """Comma separated floats from a flag, or a list from a config file."""
-    if value is None:
-        return None
     if isinstance(value, str):
-        toks = [tok for tok in value.split(",") if tok.strip()]
-        if not toks:
-            raise ValueError("empty value list")
-        return [float(tok) for tok in toks]
+        value = [_finite(tok) for tok in value.split(",") if tok.strip()]
+        if not value:
+            raise argparse.ArgumentTypeError("empty value list")
     return [float(v) for v in value]
 
 
@@ -103,6 +98,20 @@ def _require(cfg: dict, *keys: str):
     if missing:
         raise ValueError(
             f"{cfg['command']} requires {' and '.join(missing)}")
+
+
+@contextmanager
+def _flags_named(**flags: str):
+    """Name the flag in a ValueError raised in the block.  The library's
+    checks begin their message with the field they check, and flags maps
+    such a field to the flag that sets it."""
+    try:
+        yield
+    except ValueError as exc:
+        flag = flags.get(str(exc).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _echo_config(cfg: dict) -> str:
@@ -185,48 +194,45 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
 
 def _cmd_fit(cfg: dict) -> int:
     _require(cfg, "out", "lam")
-    if (cfg["u"] is None) == (cfg["budget"] is None):
+    budget, tol, lam = cfg["budget"], cfg["budget_tol"], cfg["lam"]
+    if (cfg["u"] is None) == (budget is None):
         raise ValueError("fit requires exactly one of --u or --budget")
-    if not cfg["budget_tol"] > 0:
+    if not tol > 0:
         raise ValueError("--budget-tol must be positive")
-    out = _echo_config(cfg)
+    if not 0.0 < lam <= LAMBDA_CAP:
+        raise ValueError(f"--lambda must lie in (0, {LAMBDA_CAP:g}]")
+    if budget is None and cfg["u"] < 0:
+        raise ValueError("--u must be non-negative")
 
     sample = load_sample_csv(cfg["data"], propensity_const=cfg["propensity"],
                              kappa=cfg["kappa"], m_y=cfg["my"], m_c=cfg["mc"])
     scores = ipw_transform(sample)
-    fmap = poly_feature_map(cfg["degree"], sample.x.shape[1])
+    normalized = not cfg["raw"]
+    with _flags_named(degree="--degree", sigma="--sigma",
+                      n_particles="--particles", seed="--seed"):
+        fmap = poly_feature_map(cfg["degree"], sample.x.shape[1])
+        prior = IsotropicNormalPrior(q=fmap.dimension, sigma=cfg["sigma"])
+        # every run, budget pilots included, uses the fit's own seed
+        smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=cfg["seed"],
+                            normalized=normalized)
     try:
         fmap = fmap.fit_normalization(sample.x)
     except ValueError as exc:
         raise ValueError(f"{cfg['data']}: {exc}") from None
+    out = _echo_config(cfg)
     feats = fmap.transform(sample.x)
-    prior = IsotropicNormalPrior(q=fmap.dimension, sigma=cfg["sigma"])
-    normalized = not cfg["raw"]
-    lam = cfg["lam"]
-    # every run, budget pilots included, uses the fit's own seed
-    smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=cfg["seed"],
-                        normalized=normalized)
 
     def posterior_at(u_value: float, trace: list):
         ladder = build_default_ladder(u_value, lam)
         return run_smc(scores, feats, prior, ladder, smc_cfg,
                        trace=trace)[ladder.T]
 
-    solve_report = None
-    if cfg["budget"] is not None:
-        budget = cfg["budget"]
-        tol = cfg["budget_tol"]
+    if budget is not None:
         particles, trace, solve_report = _fit_budget(
             budget, tol, lam, posterior_at, scores, feats, normalized)
         u_final = particles.u
-        u_solved = True
     else:
-        budget = None
-        u_final = cfg["u"]
-        if u_final < 0:
-            raise ValueError("--u must be non-negative")
-        u_solved = False
-        trace = []
+        u_final, trace = cfg["u"], []
         particles = posterior_at(u_final, trace)
 
     rule = GibbsRule(particles, fmap)
@@ -235,7 +241,7 @@ def _cmd_fit(cfg: dict) -> int:
     diagnostics = {
         "lam": lam,
         "u": u_final,
-        "u_solved": u_solved,
+        "u_solved": budget is not None,
         "budget": budget,
         "normalized": normalized,
         "estimated_cost": cost,
@@ -243,14 +249,14 @@ def _cmd_fit(cfg: dict) -> int:
         "n": int(sample.n),
         "q": int(fmap.dimension),
     }
-    if solve_report is not None:
+    if budget is not None:
         # at u = 0 the budget does not bind, so only an overrun is a miss
         miss = abs(cost - budget) if u_final > 0 else max(cost - budget, 0.0)
         diagnostics["budget_gap"] = miss / tol
         diagnostics.update(solve_report)
     diagnostics["stages"] = trace
     _write_atomic(os.path.join(out, "diagnostics.json"), diagnostics)
-    if solve_report is not None and diagnostics["budget_gap"] > 1.0:
+    if budget is not None and diagnostics["budget_gap"] > 1.0:
         raise RuntimeError(
             f"estimated cost {cost!r} misses the budget {budget!r} by "
             f"budget_gap = {diagnostics['budget_gap']:.3g} tolerances "
@@ -263,10 +269,8 @@ def _cmd_score(cfg: dict) -> int:
     if cfg["mode"] not in ("prob", "mv", "sample"):
         raise ValueError(f"unknown score mode {cfg['mode']!r}")
     if cfg["mode"] == "sample":
-        try:
+        with _flags_named(seed="--seed"):
             rng = _StageStreams(cfg["seed"]).at(0)
-        except ValueError as exc:
-            raise ValueError(f"--seed: {exc}") from None
     out = _echo_config(cfg)
 
     particles, fmap = load_rule(cfg["rule"])
@@ -295,19 +299,20 @@ def _cmd_study(cfg: dict) -> int:
     if cfg["n"] < 2 * CV_FOLDS:
         raise ValueError(f"--n must be at least {2 * CV_FOLDS}, so that "
                          f"every cross-validation fit has 2 units")
-    for key in _GRID_KEYS:
-        cfg[key] = _float_list(cfg[key])
-    out = _echo_config(cfg)
-
+    if cfg["reps"] < 1:
+        raise ValueError("--reps must be >= 1")
     dgp = DGPSpec(_dgp_id(cfg["dgp"]), cfg["seed"], cfg["n"])
-    try:
+    with _flags_named(u_grid="--u-grid", lambda_grid="--lambda-grid",
+                      particles="--particles", n_test="--n-test",
+                      n_bins="--bins", workers="--threads",
+                      query_budgets="--budgets"):
         grids = GridSpec(**{key: cfg[key] for key in ("u_grid", "lambda_grid")
                             if cfg[key] is not None})
-    except ValueError as exc:
-        raise ValueError(f"--u-grid/--lambda-grid: {exc}") from None
-    study_cfg = StudyConfig(particles=cfg["particles"], n_test=cfg["n_test"],
-                            n_bins=cfg["bins"], workers=cfg["threads"],
-                            out_dir=out, query_budgets=cfg["budgets"])
+        study_cfg = StudyConfig(
+            particles=cfg["particles"], n_test=cfg["n_test"],
+            n_bins=cfg["bins"], workers=cfg["threads"], out_dir=cfg["out"],
+            query_budgets=cfg["budgets"])
+    _echo_config(cfg)
     run_study(dgp, cfg["reps"], grids=grids, config=study_cfg)
     return EXIT_OK
 
@@ -326,7 +331,7 @@ def _cmd_bounds(cfg: dict) -> int:
         out = _echo_config(cfg)
         save(report, os.path.join(out, "bounds.json"))
     else:
-        print(json.dumps(report.values, indent=1))
+        print(json.dumps(report, indent=1))
     return EXIT_OK
 
 
@@ -415,12 +420,13 @@ def _config_value(path: str, key: str, value, action):
         want = "a finite number"
         ok = number and abs(value) <= sys.float_info.max
     else:
-        want = "a string" + (" or a list" if key in _GRID_KEYS else "")
-        ok = key in _GRID_KEYS and isinstance(value, list)
+        grid = action.type is _float_list
+        want = "a string" + (" or a list" if grid else "")
+        ok = grid and isinstance(value, list)
     if not ok:
         raise ValueError(f"{path}: config key {key!r} must be {want}, "
                          f"not {json.dumps(value)}")
-    return action.type(value) if number else value
+    return value if isinstance(value, bool) else action.type(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,11 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--threads", type=int, default=1,
                        help="worker processes (default %(default)s; each "
                             "worker's BLAS already uses every core)")
-    study.add_argument("--u-grid", dest="u_grid",
+    study.add_argument("--u-grid", dest="u_grid", type=_float_list,
                        help="comma separated penalty grid override")
-    study.add_argument("--lambda-grid", dest="lambda_grid",
+    study.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list,
                        help="comma separated temperature grid override")
-    study.add_argument("--budgets",
+    study.add_argument("--budgets", type=_float_list,
                        help="comma separated per-capita budgets to report")
 
     bounds = command("bounds", _cmd_bounds, "evaluate certificate slacks",

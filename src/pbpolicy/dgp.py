@@ -84,18 +84,23 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _expected_cost(dgp_id: str, x2, x3):
+    """E[C1 | X], five times the binomial cost's success probability."""
+    if dgp_id == "DGP1":
+        return 1.0 - x3**2 + 2.0 * x2
+    return 2.0 * _sigmoid(2.0 * x2 + x3)
+
+
 def _conditional_means(dgp_id: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
     if dgp_id == "DGP1":
         base = 3.0 - 2.0 * x1 + x2 - x3
         cate = 1.0 - x1**2 + x2 + x3
-        ecost = 1.0 - x3**2 + 2.0 * x2
     else:
         base = 1.0 + np.maximum(x1 + x2, 0.0) + x3
         cate = 2.0 * _sigmoid(2.0 * (x1 + x2) / 3.0)
-        ecost = 2.0 * _sigmoid(2.0 * x2 + x3)
-    return base, cate, ecost
+    return base, cate, _expected_cost(dgp_id, x2, x3)
 
 
 def generate(spec: DGPSpec) -> SimulatedPopulation:
@@ -114,12 +119,7 @@ def generate(spec: DGPSpec) -> SimulatedPopulation:
         rng = streams.at(i)
         x[i] = rng.uniform(lo, 1.0, size=3)
         eps[i] = _truncated_normal(rng)
-        if spec.id == "DGP1":
-            p = (1.0 - x[i, 2] ** 2 + 2.0 * x[i, 1]) / 5.0
-        else:
-            p = 2.0 * _sigmoid(2.0 * x[i, 1] + x[i, 2]) / 5.0
-        assert 0.0 <= p <= 1.0
-        c1[i] = rng.binomial(5, p)
+        c1[i] = rng.binomial(5, _expected_cost(spec.id, x[i, 1], x[i, 2]) / 5.0)
         d[i] = rng.integers(0, 2)
 
     base, cate, ecost = _conditional_means(spec.id, x)

@@ -169,10 +169,10 @@ class StudyConfig:
     query_budgets: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if self.particles < 2 or self.n_test < 1 or self.n_bins < 1:
-            raise ValueError("particles, n_test, and n_bins must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, low in (("particles", 2), ("n_test", 1), ("n_bins", 1),
+                          ("workers", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.query_budgets is not None:
             # negative budgets stay legal: a rule may save cost
             q = np.asarray(self.query_budgets, dtype=float)

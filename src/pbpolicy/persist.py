@@ -1,6 +1,7 @@
 """Versioned JSON serialization for the two documents the program writes,
-bound reports and fitted rules, the reader of every JSON input file, the
-CSV writer, and the atomic write every output file goes through.
+bound reports (the name -> value dict of bounds.bound_report) and fitted
+rules, the reader of every JSON input file, the CSV writer, and the atomic
+write every output file goes through.
 
 Every document carries a schema version and a kind tag; loading a file
 written under a different schema version is a hard error.  Floats pass
@@ -15,7 +16,6 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 
-from .bounds import BoundReport
 from .data import PolyFeatureMap, poly_feature_map
 from .smc import WeightedParticles
 
@@ -84,11 +84,10 @@ def _read_json(path):
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def save(report: BoundReport, path) -> None:
-    """Write a bound report to a versioned JSON file."""
-    if not isinstance(report, BoundReport):
-        raise TypeError(f"cannot serialize {type(report).__name__}")
-    payload = {"values": {k: float(v) for k, v in report.values.items()}}
+def save(report: dict, path) -> None:
+    """Write a bound report, certificate name -> value, to a versioned JSON
+    file."""
+    payload = {"values": {k: float(v) for k, v in report.items()}}
     _write_atomic(path, {"schema_version": SCHEMA_VERSION,
                          "kind": _BOUNDS_KIND, "payload": payload})
 

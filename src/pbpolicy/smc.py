@@ -386,13 +386,8 @@ class _StageStreams:
 
 
 def _cov(thetas: np.ndarray) -> np.ndarray:
-    """np.cov(thetas, rowvar=False, ddof=1) as a (q, q) array, through the
-    same steps without np.cov's argument handling."""
-    x = np.array(thetas, dtype=float).T
-    x -= x.mean(axis=1)[:, None]
-    c = np.dot(x, x.T)
-    c *= np.true_divide(1, x.shape[1] - 1)
-    return c
+    """The particles' sample covariance as a (q, q) array, also at q = 1."""
+    return np.atleast_2d(np.cov(thetas, rowvar=False))
 
 
 def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,

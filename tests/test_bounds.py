@@ -7,7 +7,6 @@ import pytest
 
 from pbpolicy.bounds import (
     BoundInputs,
-    BoundReport,
     bound_report,
     normal_kl,
     pinsker_gap,
@@ -233,13 +232,13 @@ def test_inputs_validation():
 
 def test_bound_report():
     rep = bound_report(base_inputs(), d_kl=0.0, u_hat=0.0)
-    assert rep.values["thm41a_slack"] == pytest.approx(0.3495732273553991)
-    assert set(rep.values) == {
+    assert rep["thm41a_slack"] == pytest.approx(0.3495732273553991)
+    assert set(rep) == {
         "thm41a_slack", "thm41b_bound", "thm41c_bound",
         "thm42a_slack", "thm42b_u1", "thm42b_u2",
     }
     full = bound_report(base_inputs(q=10, nu=1.0))
-    assert "thm43_ubar1" in full.values
-    assert all(math.isfinite(v) for v in full.values.values())
-    with pytest.raises(ValueError, match="finite"):
-        BoundReport(values={"bad": math.inf})
+    assert "thm43_ubar1" in full
+    assert all(math.isfinite(v) for v in full.values())
+    with pytest.raises(ValueError, match="not finite"):
+        bound_report(base_inputs(), d_kl=math.inf)

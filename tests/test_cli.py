@@ -252,6 +252,37 @@ def test_fit_flag_validation(tmp_path, sample_csv, capsys):
     capsys.readouterr()
 
 
+_FIT_ARGS = ("--lambda", 4, "--u", 0, "--particles", 20)
+_STUDY_ARGS = ("--dgp", "dgp1", "--reps", 1, "--n", 50, "--particles", 30,
+               "--n-test", 120, "--bins", 3, "--u-grid", "0,0.8",
+               "--lambda-grid", "4")
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("fit", "--lambda", 0, "--lambda must lie in (0, 1024]"),
+    ("fit", "--lambda", 2000, "--lambda must lie in (0, 1024]"),
+    ("fit", "--particles", 1, "--particles: n_particles must be >= 2"),
+    ("fit", "--degree", 0, "--degree: degree must be >= 1"),
+    ("fit", "--sigma", -1, "--sigma: sigma must be positive"),
+    ("fit", "--seed", -1, "--seed: seed must be a non-negative integer"),
+    ("fit", "--u", -1, "--u must be non-negative"),
+    ("study", "--particles", 1, "--particles: particles must be >= 2"),
+    ("study", "--bins", 0, "--bins: n_bins must be >= 1"),
+    ("study", "--n-test", 0, "--n-test: n_test must be >= 1"),
+    ("study", "--reps", 0, "--reps must be >= 1"),
+    ("study", "--threads", 0, "--threads: workers must be >= 1"),
+])
+def test_bad_settings_write_nothing_and_name_the_flag(tmp_path, sample_csv,
+                                                      capsys, command, flag,
+                                                      value, message):
+    out = tmp_path / "o"
+    argv = ((command, sample_csv, *_FIT_ARGS) if command == "fit"
+            else (command, *_STUDY_ARGS))
+    assert run_cli(*argv, flag, value, "--out", out) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_and_study_reject_a_sample_too_small_to_normalize(tmp_path,
                                                               sample_csv,
                                                               capsys):
@@ -425,7 +456,7 @@ def test_config_file_numbers_take_the_flag_type(tmp_path):
         str(cfg), vars(parser.parse_args(["study"])))
     args = parser.parse_args(["study"])
     assert type(args.reps) is int and args.reps == 2
-    assert (args.dgp, args.u_grid, args.budgets) == (None, [0, 1], "0.5")
+    assert (args.dgp, args.u_grid, args.budgets) == (None, [0.0, 1.0], [0.5])
     cfg.write_text(json.dumps({"lam": 4, "particles": 30}))
     parser.commands["fit"].load_config(
         str(cfg), vars(parser.parse_args(["fit", "data.csv"])))
