@@ -14,12 +14,14 @@ the script stops otherwise.
 
 For every metric it prints each side's median and quartiles, how many pairs
 the working tree won (ties count for neither side), and whether the
-numerics digests of the two sides were equal in every pair.  A gain is
-claimed only when the working tree wins at least nine tenths of the pairs
-and the medians differ by more than the base's quartile spread; the script
-prints that verdict and, for end-to-end metrics, whether the working tree's
-median stays within the bound that BENCHMARK.json fixes.  The last line of
-standard output is a JSON object with every run's metrics and digest.
+numerics digests of the two sides were equal in every pair.  When a
+workload reports a `budget_gap` among its known defects (fit_budget does),
+it prints each side's largest gap.  A gain is claimed only when the working
+tree wins at least nine tenths of the pairs and the medians differ by more
+than the base's quartile spread; the script prints that verdict and, for
+end-to-end metrics, whether the working tree's median stays within the
+bound that BENCHMARK.json fixes.  The last line of standard output is a
+JSON object with every run's metrics, digest and known defects.
 
 With --out BENCH_<n>.json the result is also kept in a file: the machine
 block of run_bench.py's detail line, both commits (the base's and HEAD's,
@@ -157,6 +159,7 @@ def _run(tree: str, args, seed: int, seconds: float) -> dict:
     return {"seed": seed, "digest": detail.get("digest"),
             "correct": result["correct"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "known_defects": detail.get("known_defects", {}),
             "machine": detail.get("machine", {})}
 
 
@@ -240,6 +243,12 @@ def main(argv=None) -> int:
           f"{args.pairs} pairs, --seconds {seconds:g} --trace {args.trace}")
     print(f"digests equal in every pair: {digests_equal}; failed checks: "
           f"base {failed['base']}, head {failed['head']}")
+    gaps = {side: [r["known_defects"]["budget_gap"] for r in rs
+                   if "budget_gap" in r["known_defects"]]
+            for side, rs in runs.items()}
+    if gaps["base"] or gaps["head"]:
+        print("largest budget_gap (tolerances): " + ", ".join(
+            f"{side} {max(g):.4g}" for side, g in gaps.items() if g))
     print(f"{'metric':32} {'base median [q1, q3]':>32} "
           f"{'head median [q1, q3]':>32} {'wins':>7}  verdict")
     for r in rows:

@@ -40,15 +40,16 @@ from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             IsotropicNormalPrior, solve_u_hat,
                             tilted_weights, welfare_cost_matrix)
-from pbpolicy.harness import CV_FOLDS, GridSpec, StudyConfig, run_study
+from pbpolicy.harness import (CV_FOLDS, MH_STEPS_PER_STAGE, GridSpec,
+                              StudyConfig, run_study)
 from pbpolicy.oracle import oracle_report, solve_eta_B
 from pbpolicy.persist import (_fmt, _read_json, _write_atomic, _write_csv,
                               _write_rows, load_rule, save, save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import (LAMBDA_CAP, TAU_ESS, SMCConfig, _StageStreams,
-                          build_default_ladder, ess, run_smc)
+from pbpolicy.smc import (LAMBDA_CAP, TAU_ESS, AdaptiveLadder, SMCConfig,
+                          _StageStreams, build_default_ladder, ess, run_smc)
 
 __all__ = ["main", "build_parser"]
 
@@ -59,6 +60,10 @@ EXIT_RUNTIME = 2
 # SMC runs a budget fit may make before it gives up; an infeasible budget
 # takes 22 (u = 0, then doubling from 1 to the bracket cap 2^20)
 _MAX_SMC_RUNS = 50
+# unsettled tilts of adaptive-ladder pilots after which a budget fit goes on
+# with fixed-ladder runs; without a cap, a small cloud's pilots can chase
+# each other to _MAX_SMC_RUNS
+_LOCATE_RUNS = 4
 
 # flag spellings for required-value errors, where the argparse dest differs
 # from the flag users type
@@ -136,25 +141,37 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
 
     Each run is a pilot at penalty u_p.  Its cloud, tilted across penalties
     at the fit's own lambda (gibbs.tilted_weights), gives a cost curve that
-    is exactly monotone in u, and solve_u_hat inverts that curve.  The cloud
-    tilted to u_hat is the answer when its effective sample size is at least
-    smc.TAU_ESS * N, or at least the pilot's own (the tilt then cost nothing).
+    is exactly monotone in u, and solve_u_hat inverts that curve.  A tilt
+    settles when the tilted cloud's effective sample size is at least
+    smc.TAU_ESS * N, or at least the pilot's own (the tilt then cost
+    nothing).
 
-    Otherwise the next pilot runs at u_hat, or, when no penalty brings the
-    tilted cost down to the budget, at twice u_p (1 from 0); past the
-    bracket cap the budget is infeasible.  A tilt is trustworthy only near
-    its pilot, so earlier pilots bracket the next one: a pilot whose own
-    cost is over the budget bounds u_hat from below, one within it from
-    above, and a step that would leave the bracket bisects it instead.
+    The solve runs in two phases.  Locating pilots temper on the adaptive
+    ladder, posterior_at(u_p, trace, True), which is several times cheaper
+    than the fixed one.  When one of their tilts settles, the next run
+    starts at that u_hat, unclamped and with a fresh bracket; after
+    _LOCATE_RUNS tilts that did not settle it starts where the next pilot
+    would have.  Confirming runs temper on the fixed ladder,
+    posterior_at(u_p, trace, False), and the first one whose tilt settles
+    gives the answer: its cloud tilted to u_hat.  So the rule is always a
+    fixed-ladder cloud, and an infeasible budget is found by cheap pilots.
 
-    Returns the particles at u_hat, the last pilot's stage trace and the
-    budget-solve diagnostics.
+    When a tilt does not settle, the next pilot runs at u_hat, or, when no
+    penalty brings the tilted cost down to the budget, at twice u_p (1 from
+    0); past the bracket cap the budget is infeasible.  A tilt is
+    trustworthy only near its pilot, so earlier pilots bracket the next
+    one: a pilot whose own cost is over the budget bounds u_hat from below,
+    one within it from above, and a step that would leave the bracket
+    bisects it instead.
+
+    Returns the particles at u_hat, the last run's stage trace and the
+    budget-solve diagnostics; smc_runs counts the runs of both phases.
     """
     u_pilot, u_lo, u_hi = 0.0, 0.0, math.inf
-    runs = 0
+    runs, misses, locating = 0, 0, True
     while True:
         trace: list = []
-        pilot = posterior_at(u_pilot, trace)
+        pilot = posterior_at(u_pilot, trace, locating)
         runs += 1
         _, costs = welfare_cost_matrix(pilot.thetas, scores, feats)
 
@@ -179,16 +196,26 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
             tilted_ess = ess(weights)
             if tilted_ess >= min(TAU_ESS * pilot.n_particles,
                                  ess(pilot.weights)):
-                solved = replace(pilot, weights=weights, u=u_hat)
-                return solved, trace, {"smc_runs": runs, "pilot_u": u_pilot,
-                                       "tilted_ess": tilted_ess}
+                if not locating:
+                    solved = replace(pilot, weights=weights, u=u_hat)
+                    return solved, trace, {"smc_runs": runs,
+                                           "pilot_u": u_pilot,
+                                           "tilted_ess": tilted_ess}
+                # located: the adaptive pilots' bracket does not bind the
+                # fixed-ladder runs, and clamping a u_hat of 0 to it would
+                # bisect to inf
+                u_pilot, u_lo, u_hi, locating = u_hat, 0.0, math.inf, False
+                continue
             u_next = u_hat
+            if locating:
+                misses += 1
         if not u_lo < u_next < u_hi:
             u_next = 0.5 * (u_lo + u_hi)
         if runs == _MAX_SMC_RUNS:
             raise RuntimeError(
                 f"budget solve did not settle after {runs} SMC runs: the "
                 f"penalty is bracketed in [{u_lo!r}, {u_hi!r}]")
+        locating = locating and misses < _LOCATE_RUNS
         u_pilot = u_next
 
 
@@ -222,10 +249,14 @@ def _cmd_fit(cfg: dict) -> int:
     out = _echo_config(cfg)
     feats = fmap.transform(sample.x)
 
-    def posterior_at(u_value: float, trace: list):
-        ladder = build_default_ladder(u_value, lam)
-        return run_smc(scores, feats, prior, ladder, smc_cfg,
-                       trace=trace)[ladder.T]
+    def posterior_at(u_value: float, trace: list, adaptive: bool = False):
+        if adaptive:
+            ladder = AdaptiveLadder(u_value, [lam])
+            config = replace(smc_cfg, mh_steps_per_stage=MH_STEPS_PER_STAGE)
+        else:
+            ladder, config = build_default_ladder(u_value, lam), smc_cfg
+        harvested = run_smc(scores, feats, prior, ladder, config, trace=trace)
+        return harvested[max(harvested)]
 
     if budget is not None:
         particles, trace, solve_report = _fit_budget(
@@ -407,22 +438,28 @@ class _Parser(argparse.ArgumentParser):
 def _config_value(path: str, key: str, value, action):
     """A config file's value for one flag.  A string is left for argparse
     to parse by the flag's type; any other value must be one that the type
-    keeps exactly.  null leaves a flag that has no default unset."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    keeps exactly, and a grid flag's list holds finite numbers only.  null
+    leaves a flag that has no default unset."""
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def finite(v) -> bool:
+        return number(v) and abs(v) <= sys.float_info.max
+
     if isinstance(action, argparse._StoreTrueAction):
         want, ok = "true or false", isinstance(value, bool)
     elif isinstance(value, str) or (value is None and action.default is None):
         return value
     elif action.type is int:
         want = "an integer"
-        ok = number and (isinstance(value, int) or value.is_integer())
+        ok = number(value) and (isinstance(value, int) or value.is_integer())
     elif action.type is _finite:
-        want = "a finite number"
-        ok = number and abs(value) <= sys.float_info.max
+        want, ok = "a finite number", finite(value)
+    elif action.type is _float_list:
+        want = "a list of finite numbers"
+        ok = isinstance(value, list) and all(map(finite, value))
     else:
-        grid = action.type is _float_list
-        want = "a string" + (" or a list" if grid else "")
-        ok = grid and isinstance(value, list)
+        want, ok = "a string", False
     if not ok:
         raise ValueError(f"{path}: config key {key!r} must be {want}, "
                          f"not {json.dumps(value)}")

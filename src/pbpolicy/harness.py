@@ -117,6 +117,9 @@ class GridSpec:
         lam = self.lambda_grid
         if not np.all((lam > 0) & (lam <= LAMBDA_CAP)):
             raise ValueError(f"lambda_grid values must lie in (0, {LAMBDA_CAP:g}]")
+        if self.u_grid.size < 2:
+            # each replication's cost curves join one point per penalty
+            raise ValueError("u_grid needs at least 2 values")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from pbpolicy import cli
-from pbpolicy.smc import build_default_ladder
+from pbpolicy.harness import MH_STEPS_PER_STAGE
+from pbpolicy.smc import AdaptiveLadder, TemperatureLadder, build_default_ladder
 
 
 def run_cli(*argv):
@@ -216,9 +217,71 @@ def test_fit_slack_budget_is_the_unpenalized_fit(tmp_path, budget_csv):
     assert ((tmp_path / "u0" / "rule.json").read_bytes()
             == (tmp_path / "slack" / "rule.json").read_bytes())
     diag = json.loads((tmp_path / "slack" / "diagnostics.json").read_text())
-    assert diag["smc_runs"] == 1 and diag["budget_gap"] == 0.0
+    # one locating run on the adaptive ladder, one confirming run on the
+    # fixed one
+    assert diag["smc_runs"] == 2 and diag["budget_gap"] == 0.0
     fixed = json.loads((tmp_path / "u0" / "diagnostics.json").read_text())
     assert not {"budget_gap", "smc_runs", "pilot_u", "tilted_ess"} & set(fixed)
+
+
+def _thetas(out):
+    particles = json.loads((out / "rule.json").read_text())[
+        "payload"]["particles"]
+    return np.array(particles["thetas"]).tobytes()
+
+
+def test_fit_budget_rule_is_the_fixed_ladder_fit_at_its_pilot(tmp_path,
+                                                             budget_csv):
+    args = ["--lambda", "8", "--particles", 100, "--seed", 1]
+    assert run_cli("fit", budget_csv, "--out", tmp_path / "b",
+                   "--budget", "0.45", *args) == 0
+    diag = json.loads((tmp_path / "b" / "diagnostics.json").read_text())
+    assert run_cli("fit", budget_csv, "--out", tmp_path / "p",
+                   "--u", repr(diag["pilot_u"]), *args) == 0
+    assert _thetas(tmp_path / "b") == _thetas(tmp_path / "p")
+    assert len(diag["stages"]) == build_default_ladder(diag["u"], 8.0).T
+
+
+def test_fit_budget_locates_adaptively_and_confirms_on_the_fixed_ladder(
+        monkeypatch, tmp_path, budget_csv):
+    ladders = []
+    run_smc = cli.run_smc
+
+    def spy(scores, feats, prior, ladder, config, trace=None):
+        ladders.append((type(ladder), config.mh_steps_per_stage))
+        return run_smc(scores, feats, prior, ladder, config, trace=trace)
+
+    monkeypatch.setattr(cli, "run_smc", spy)
+    out = tmp_path / "b"
+    assert run_cli("fit", budget_csv, "--out", out, "--lambda", "8",
+                   "--budget", "0.45", "--particles", 100, "--seed", 1) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert len(ladders) == diag["smc_runs"]
+    assert ladders[0] == (AdaptiveLadder, MH_STEPS_PER_STAGE)
+    assert ladders[-1] == (TemperatureLadder, 1)
+    kinds = [kind for kind, _ in ladders]
+    located = kinds.count(AdaptiveLadder)
+    assert kinds[located:] == [TemperatureLadder] * (len(kinds) - located)
+
+
+@pytest.fixture(scope="module")
+def n1000_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("n1000_sim")
+    assert cli.main(["simulate", "--dgp", "dgp1", "--n", "1000",
+                     "--seed", "11", "--out", str(out)]) == 0
+    return out / "sample.csv"
+
+
+def test_fit_budget_whose_pilots_do_not_settle_confirms_after_the_cap(
+        tmp_path, n1000_csv):
+    # sixteen particles at lambda 32: the adaptive pilots' tilts keep
+    # missing, and without the cap they ran out of SMC runs
+    out = tmp_path / "b"
+    assert run_cli("fit", n1000_csv, "--out", out, "--lambda", "32",
+                   "--budget", "0.2", "--particles", 16, "--seed", 1) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["smc_runs"] > cli._LOCATE_RUNS
+    assert diag["budget_gap"] <= 1.0
 
 
 def test_fit_budget_miss_exits_with_runtime_code(monkeypatch, tmp_path,
@@ -271,6 +334,7 @@ _STUDY_ARGS = ("--dgp", "dgp1", "--reps", 1, "--n", 50, "--particles", 30,
     ("study", "--n-test", 0, "--n-test: n_test must be >= 1"),
     ("study", "--reps", 0, "--reps must be >= 1"),
     ("study", "--threads", 0, "--threads: workers must be >= 1"),
+    ("study", "--u-grid", 0.5, "--u-grid: u_grid needs at least 2 values"),
 ])
 def test_bad_settings_write_nothing_and_name_the_flag(tmp_path, sample_csv,
                                                       capsys, command, flag,
@@ -445,6 +509,17 @@ def test_config_file_values_must_fit_the_flag_type(tmp_path, sample_csv,
                    "--out", tmp_path / "o") == 1
     assert f"{cfg}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", [[False, True], ["a"]])
+def test_config_file_grid_lists_hold_finite_numbers(tmp_path, capsys, grid):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u_grid": grid}))
+    assert run_cli("study", "--dgp", "dgp1", "--config", cfg,
+                   "--out", tmp_path / "s") == 1
+    assert (f"{cfg}: config key 'u_grid' must be a list of finite numbers, "
+            f"not {json.dumps(grid)}") in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_config_file_numbers_take_the_flag_type(tmp_path):

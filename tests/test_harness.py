@@ -65,6 +65,9 @@ def test_grid_validation():
     for bad in ([-1.0, 0.0], [0.0, float("inf")], [float("nan")]):
         with pytest.raises(ValueError, match="finite and non-negative"):
             GridSpec(u_grid=bad)
+    # a one-penalty grid gives no cost curve; the value checks come first
+    with pytest.raises(ValueError, match="u_grid needs at least 2 values"):
+        GridSpec(u_grid=[0.5])
     for bad in ([2048.0], [0.0, 4.0], [-4.0], [4.0, float("nan")]):
         with pytest.raises(ValueError, match=r"lie in \(0, 1024\]"):
             GridSpec(lambda_grid=bad)
