@@ -7,13 +7,14 @@ Both sides are extracted as scripts/bench_pairs.py extracts them (`git
 archive` of the base ref, and of a tree object of the working tree).  Each
 side runs the fixed list RUNS from its own work directory with relative
 --out and input paths, so that the run_config.json echoes compare equal:
-simulate, fit (--u, --raw and the benchmark's --budget case), score in all
-three modes, oracle and bounds on stdout and with --out, both Python demos,
-and run_acceptance_studies.py's tiny study, serially and on two worker
+simulate, fit (--u, --raw, the benchmark's --budget case, and a --budget
+case whose locating pilots hand over without settling), score in all three
+modes, oracle and bounds on stdout and with --out, both Python demos, and
+run_acceptance_studies.py's tiny study, serially and on two worker
 processes; then fit, bounds and the study again from their own
 run_config.json echoes, so that a config file's values, grid lists
-included, are byte-checked too.  Every command's stdout is kept as stdout/<name>.txt, with an
-"[exit N]" line when it exits non-zero.
+included, are byte-checked too.  Every command's stdout is kept as
+stdout/<name>.txt, with an "[exit N]" line when it exits non-zero.
 
 Prints one line per file, equal, differs, or only on one side, and exits 1
 when any file is not equal.  A side takes about 7 s on a 2-core machine.
@@ -57,6 +58,10 @@ RUNS = [
                     "--budget", "0.45", "--budget-tol", "1e-3",
                     "--particles", "250", "--seed", "0",
                     "--out", "fit_budget"]),
+    # a tiny cloud whose adaptive pilots hand over after _LOCATE_RUNS misses
+    ("fit_budget_handover", ["fit", "sim_bench/sample.csv", "--lambda", "32",
+                             "--budget", "0.2", "--particles", "16",
+                             "--seed", "1", "--out", "fit_budget_handover"]),
     *((f"score_{mode}", ["score", "fit_u/rule.json", "sim_dgp2/sample.csv",
                          "--mode", mode, "--seed", "5",
                          "--out", f"score_{mode}"])

@@ -135,44 +135,41 @@ def _echo_config(cfg: dict) -> str:
 # fit / score
 
 
-def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
+def _fit_budget(budget: float, tol: float, lam: float, locate, confirm,
                 scores, feats, normalized: bool):
     """The posterior at u_hat(budget, lam) from as few SMC runs as it takes.
 
-    Each run is a pilot at penalty u_p.  Its cloud, tilted across penalties
-    at the fit's own lambda (gibbs.tilted_weights), gives a cost curve that
-    is exactly monotone in u, and solve_u_hat inverts that curve.  A tilt
-    settles when the tilted cloud's effective sample size is at least
-    smc.TAU_ESS * N, or at least the pilot's own (the tilt then cost
-    nothing).
+    Each run is a pilot at penalty u_p from the current runner, called as
+    runner(u_p, trace).  Its cloud, tilted across penalties at the fit's own
+    lambda (gibbs.tilted_weights), gives a cost curve that is exactly
+    monotone in u, and solve_u_hat inverts that curve.  A tilt settles when
+    the tilted cloud's effective sample size is at least smc.TAU_ESS * N, or
+    at least the pilot's own (the tilt then cost nothing).
 
-    The solve runs in two phases.  Locating pilots temper on the adaptive
-    ladder, posterior_at(u_p, trace, True), which is several times cheaper
-    than the fixed one.  When one of their tilts settles, the next run
-    starts at that u_hat, unclamped and with a fresh bracket; after
-    _LOCATE_RUNS tilts that did not settle it starts where the next pilot
-    would have.  Confirming runs temper on the fixed ladder,
-    posterior_at(u_p, trace, False), and the first one whose tilt settles
-    gives the answer: its cloud tilted to u_hat.  So the rule is always a
-    fixed-ladder cloud, and an infeasible budget is found by cheap pilots.
+    The runner starts as locate, which is cheap, and is handed over once to
+    confirm, whose first settled tilt gives the answer: its cloud tilted to
+    u_hat.  The hand-over comes when a locating tilt settles, and the next
+    run then starts at that u_hat, unclamped; or after _LOCATE_RUNS tilts
+    that did not settle, and the next run starts where the next pilot would
+    have.  Either way the bracket resets, since the locating pilots' bracket
+    does not bind the confirming runs.
 
     When a tilt does not settle, the next pilot runs at u_hat, or, when no
     penalty brings the tilted cost down to the budget, at twice u_p (1 from
     0); past the bracket cap the budget is infeasible.  A tilt is
-    trustworthy only near its pilot, so earlier pilots bracket the next
-    one: a pilot whose own cost is over the budget bounds u_hat from below,
-    one within it from above, and a step that would leave the bracket
-    bisects it instead.
+    trustworthy only near its pilot, so earlier pilots of the same runner
+    bracket the next one: a pilot whose own cost is over the budget bounds
+    u_hat from below, one within it from above, and a step that would leave
+    the bracket bisects it instead.  _MAX_SMC_RUNS bounds the runs of both
+    runners together.
 
     Returns the particles at u_hat, the last run's stage trace and the
-    budget-solve diagnostics; smc_runs counts the runs of both phases.
+    budget-solve diagnostics; smc_runs counts the runs of both runners.
     """
-    u_pilot, u_lo, u_hi = 0.0, 0.0, math.inf
-    runs, misses, locating = 0, 0, True
-    while True:
+    runner, u_pilot, u_lo, u_hi, misses = locate, 0.0, 0.0, math.inf, 0
+    for runs in range(1, _MAX_SMC_RUNS + 1):
         trace: list = []
-        pilot = posterior_at(u_pilot, trace, locating)
-        runs += 1
+        pilot = runner(u_pilot, trace)
         _, costs = welfare_cost_matrix(pilot.thetas, scores, feats)
 
         def curve(_lam, u):
@@ -185,38 +182,32 @@ def _fit_budget(budget: float, tol: float, lam: float, posterior_at,
         else:
             u_hi = u_pilot
         try:
-            u_hat = solve_u_hat(budget, lam, curve, tolerance=tol)
+            u_next = solve_u_hat(budget, lam, curve, tolerance=tol)
         except InfeasibleBudgetError:
             if u_pilot >= U_BRACKET_CAP:
                 raise
-            u_next = max(2.0 * u_pilot, 1.0)
+            u_next, settled = max(2.0 * u_pilot, 1.0), False
         else:
             weights = tilted_weights(pilot.weights, costs, lam, u_pilot,
-                                     u_hat, scores, normalized)
+                                     u_next, scores, normalized)
             tilted_ess = ess(weights)
-            if tilted_ess >= min(TAU_ESS * pilot.n_particles,
-                                 ess(pilot.weights)):
-                if not locating:
-                    solved = replace(pilot, weights=weights, u=u_hat)
-                    return solved, trace, {"smc_runs": runs,
-                                           "pilot_u": u_pilot,
-                                           "tilted_ess": tilted_ess}
-                # located: the adaptive pilots' bracket does not bind the
-                # fixed-ladder runs, and clamping a u_hat of 0 to it would
-                # bisect to inf
-                u_pilot, u_lo, u_hi, locating = u_hat, 0.0, math.inf, False
-                continue
-            u_next = u_hat
-            if locating:
-                misses += 1
-        if not u_lo < u_next < u_hi:
+            settled = tilted_ess >= min(TAU_ESS * pilot.n_particles,
+                                        ess(pilot.weights))
+            if settled and runner is confirm:
+                solved = replace(pilot, weights=weights, u=u_next)
+                return solved, trace, {"smc_runs": runs, "pilot_u": u_pilot,
+                                       "tilted_ess": tilted_ess}
+            misses += not settled
+        # a settled u_hat hands over to a fresh bracket, where clamping a
+        # u_hat of 0 would bisect to inf
+        if not (settled or u_lo < u_next < u_hi):
             u_next = 0.5 * (u_lo + u_hi)
-        if runs == _MAX_SMC_RUNS:
-            raise RuntimeError(
-                f"budget solve did not settle after {runs} SMC runs: the "
-                f"penalty is bracketed in [{u_lo!r}, {u_hi!r}]")
-        locating = locating and misses < _LOCATE_RUNS
+        if runner is locate and (settled or misses == _LOCATE_RUNS):
+            runner, u_lo, u_hi = confirm, 0.0, math.inf
         u_pilot = u_next
+    raise RuntimeError(
+        f"budget solve did not settle after {_MAX_SMC_RUNS} SMC runs: the "
+        f"penalty is bracketed in [{u_lo!r}, {u_hi!r}]")
 
 
 def _cmd_fit(cfg: dict) -> int:
@@ -249,22 +240,24 @@ def _cmd_fit(cfg: dict) -> int:
     out = _echo_config(cfg)
     feats = fmap.transform(sample.x)
 
-    def posterior_at(u_value: float, trace: list, adaptive: bool = False):
-        if adaptive:
-            ladder = AdaptiveLadder(u_value, [lam])
-            config = replace(smc_cfg, mh_steps_per_stage=MH_STEPS_PER_STAGE)
-        else:
-            ladder, config = build_default_ladder(u_value, lam), smc_cfg
+    def fixed(u_value: float, trace: list):
+        ladder = build_default_ladder(u_value, lam)
+        harvested = run_smc(scores, feats, prior, ladder, smc_cfg, trace=trace)
+        return harvested[max(harvested)]
+
+    def adaptive(u_value: float, trace: list):
+        ladder = AdaptiveLadder(u_value, [lam])
+        config = replace(smc_cfg, mh_steps_per_stage=MH_STEPS_PER_STAGE)
         harvested = run_smc(scores, feats, prior, ladder, config, trace=trace)
         return harvested[max(harvested)]
 
     if budget is not None:
         particles, trace, solve_report = _fit_budget(
-            budget, tol, lam, posterior_at, scores, feats, normalized)
+            budget, tol, lam, adaptive, fixed, scores, feats, normalized)
         u_final = particles.u
     else:
         u_final, trace = cfg["u"], []
-        particles = posterior_at(u_final, trace)
+        particles = fixed(u_final, trace)
 
     rule = GibbsRule(particles, fmap)
     save_rule(particles, fmap, normalized, os.path.join(out, "rule.json"))

@@ -284,6 +284,46 @@ def test_fit_budget_whose_pilots_do_not_settle_confirms_after_the_cap(
     assert diag["budget_gap"] <= 1.0
 
 
+def test_fit_budget_cap_hand_over_resets_the_bracket(monkeypatch, tmp_path,
+                                                     n1000_csv):
+    # the case above: its adaptive pilots leave a bracket that excludes the
+    # u_hat of the first fixed-ladder run, which the next one must still use
+    runs, solved = [], []
+    run_smc, solve_u_hat = cli.run_smc, cli.solve_u_hat
+
+    def run_spy(scores, feats, prior, ladder, config, trace=None):
+        runs.append(ladder)
+        return run_smc(scores, feats, prior, ladder, config, trace=trace)
+
+    def solve_spy(*args, **kwargs):
+        solved.append(None)  # stays None when the solve raises
+        solved[-1] = solve_u_hat(*args, **kwargs)
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "run_smc", run_spy)
+    monkeypatch.setattr(cli, "solve_u_hat", solve_spy)
+    assert run_cli("fit", n1000_csv, "--out", tmp_path / "b", "--lambda", "32",
+                   "--budget", "0.2", "--particles", 16, "--seed", 1) == 0
+    assert len(solved) == len(runs)
+    fixed = [i for i, ladder in enumerate(runs)
+             if isinstance(ladder, TemperatureLadder)]
+    assert len(fixed) >= 2
+    first, second = fixed[:2]
+    assert solved[first] is not None
+    assert runs[second].steps[-1][1] == solved[first]
+
+
+def test_fit_budget_run_cap_bounds_every_run(monkeypatch, tmp_path,
+                                             budget_csv, capsys):
+    # a slack budget settles on the first, locating run; the confirming run
+    # it hands over to would be the second
+    monkeypatch.setattr(cli, "_MAX_SMC_RUNS", 1)
+    assert run_cli("fit", budget_csv, "--out", tmp_path / "b",
+                   "--lambda", "8", "--budget", "50", "--particles", 40,
+                   "--seed", 5) == 2
+    assert "did not settle after 1 SMC runs" in capsys.readouterr().err
+
+
 def test_fit_budget_miss_exits_with_runtime_code(monkeypatch, tmp_path,
                                                  budget_csv, capsys):
     monkeypatch.setattr(cli, "rule_empirical_cost", lambda *args: 0.5)
