@@ -9,9 +9,10 @@ side runs the fixed list RUNS from its own work directory with relative
 --out and input paths, so that the run_config.json echoes compare equal:
 simulate, fit (--u, --raw, the benchmark's --budget case, and a --budget
 case whose locating pilots hand over without settling), score in all three
-modes, oracle and bounds on stdout and with --out, both Python demos, and
-run_acceptance_studies.py's tiny study, serially and on two worker
-processes; then fit, bounds and the study again from their own
+modes on a small sample and on one that ends a row past a block edge of
+score's CSV reader, oracle and bounds on stdout and with --out, both Python
+demos, and run_acceptance_studies.py's tiny study, serially and on two
+worker processes; then fit, bounds and the study again from their own
 run_config.json echoes, so that a config file's values, grid lists
 included, are byte-checked too.  Every command's stdout is kept as
 stdout/<name>.txt, with an "[exit N]" line when it exits non-zero.
@@ -32,6 +33,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bench_pairs import _extract, _working_tree  # noqa: E402
 from run_acceptance_studies import TINY_STUDY_ARGS  # noqa: E402
+
+from pbpolicy.data import CSV_BLOCK_ROWS  # noqa: E402
 
 HIGH_SEED = str(2**63 + 7)
 _FIT = ["--lambda", "16", "--particles", "200", "--seed", "1"]
@@ -65,6 +68,14 @@ RUNS = [
     *((f"score_{mode}", ["score", "fit_u/rule.json", "sim_dgp2/sample.csv",
                          "--mode", mode, "--seed", "5",
                          "--out", f"score_{mode}"])
+      for mode in ("prob", "mv", "sample")),
+    # two full blocks and a one-row remainder, which joins the second block
+    ("simulate_blocks", ["simulate", "--dgp", "dgp1",
+                         "--n", str(2 * CSV_BLOCK_ROWS + 1), "--seed", "13",
+                         "--out", "sim_blocks"]),
+    *((f"score_blocks_{mode}", ["score", "fit_u/rule.json",
+                                "sim_blocks/sample.csv", "--mode", mode,
+                                "--seed", "6", "--out", f"score_blocks_{mode}"])
       for mode in ("prob", "mv", "sample")),
     ("oracle_stdout", ["oracle", "--dgp", "dgp1", "--budget", "0.6",
                        "--n", "20000", "--seed", "7"]),

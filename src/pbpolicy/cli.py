@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from pbpolicy.bounds import BoundInputs, bound_report
-from pbpolicy.data import (_read_csv, ipw_transform, load_sample_csv,
+from pbpolicy.data import (_csv_blocks, ipw_transform, load_sample_csv,
                            poly_feature_map)
 from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
@@ -289,29 +289,45 @@ def _cmd_fit(cfg: dict) -> int:
 
 
 def _cmd_score(cfg: dict) -> int:
+    """Write the rule's assignment for each covariate row.
+
+    The covariates are read one block of rows at a time (data._csv_blocks),
+    and each block goes through the feature map, the vote shares and the
+    formatting of its rows before the next is read; so memory holds one
+    block, whatever the number of units.  The blocks are cut as the vote
+    shares cut the decision matrix, so every value is bit for bit that of
+    one call over all rows, and in sample mode the blocks' uniform draws
+    continue one stream, as one draw over all rows would.  The rows stream
+    into the atomic write: a bad row anywhere in the file removes its
+    temporary file and leaves no assignments.csv.
+    """
     _require(cfg, "out")
-    if cfg["mode"] not in ("prob", "mv", "sample"):
-        raise ValueError(f"unknown score mode {cfg['mode']!r}")
-    if cfg["mode"] == "sample":
+    mode = cfg["mode"]
+    if mode not in ("prob", "mv", "sample"):
+        raise ValueError(f"unknown score mode {mode!r}")
+    if mode == "sample":
         with _flags_named(seed="--seed"):
             rng = _StageStreams(cfg["seed"]).at(0)
     out = _echo_config(cfg)
 
     particles, fmap = load_rule(cfg["rule"])
-    _, _, x = _read_csv(cfg["covariates"])
-    if x.shape[1] != fmap.d_x:
-        raise ValueError(f"rule expects {fmap.d_x} covariates but "
-                         f"{cfg['covariates']} has {x.shape[1]}")
-    rule = GibbsRule(particles, fmap)
-    if cfg["mode"] == "prob":
-        values = [_fmt(v) for v in treat_probability(rule, x)]
-    elif cfg["mode"] == "mv":
-        values = [str(int(v)) for v in mv_decide(MajorityVoteRule(
-            particles, fmap), x)]
-    else:
-        values = [str(int(v)) for v in sample_assignments(rule, x, rng)]
-    _write_csv(os.path.join(out, "assignments.csv"), ["assignment"],
-               ([v] for v in values))
+    rule = (MajorityVoteRule if mode == "mv" else GibbsRule)(particles, fmap)
+
+    def rows():
+        for block in _csv_blocks(cfg["covariates"]):
+            x = block["x"]
+            if x.shape[1] != fmap.d_x:
+                raise ValueError(f"rule expects {fmap.d_x} covariates but "
+                                 f"{cfg['covariates']} has {x.shape[1]}")
+            if mode == "prob":
+                cells = map(_fmt, treat_probability(rule, x).tolist())
+            elif mode == "mv":
+                cells = map(str, mv_decide(rule, x).tolist())
+            else:
+                cells = map(str, sample_assignments(rule, x, rng).tolist())
+            yield from ([cell] for cell in cells)
+
+    _write_csv(os.path.join(out, "assignments.csv"), ["assignment"], rows())
     return EXIT_OK
 
 

@@ -8,6 +8,12 @@ Scores are the per-unit transforms
 and analogously delta_c_i with the cost C_i.  A linear threshold policy treats
 when phi(x)' theta > 0 (strict; ties assign no treatment), so all empirical
 functionals are scale invariant in theta.
+
+CSV input is read by one block reader (_csv_blocks): it checks the header
+once, then parses CSV_BLOCK_ROWS rows at a time.  load_sample_csv joins the
+blocks into a Sample; `pbpolicy score` scores and writes each block before
+it reads the next, so its memory holds one block whatever the number of
+units.
 """
 
 from __future__ import annotations
@@ -27,6 +33,14 @@ __all__ = [
     "poly_feature_map",
     "load_sample_csv",
 ]
+
+# Rows in one block of a CSV read: `score` holds about this many covariate
+# rows, as text and as features, at a time.  A multiple of _BLOCK_ALIGN.
+CSV_BLOCK_ROWS = 2048
+# Row blocks of the covariates and of the decision matrix start on multiples
+# of this many rows, and a remainder of fewer rows joins the block before it
+# (gibbs._blocks says why).
+_BLOCK_ALIGN = 8
 
 
 @dataclass
@@ -159,8 +173,18 @@ class PolyFeatureMap:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.d_x:
             raise ValueError(f"expected {self.d_x} covariates, got {x.shape[1]}")
-        # x[:, None, :] ** exponents -> product over covariates per monomial
-        return np.prod(x[:, None, :] ** self.exponents[None, :, :], axis=2)
+        # monomial j is prod_k x[:, k] ** exponents[j, k], multiplied left
+        # to right into one (n, q) array.  Each covariate's powers come as
+        # an (n, q) block whose exponent varies along the row, so numpy runs
+        # its array power loop at every d_x; a power per monomial column
+        # would broadcast one exponent down the column when d_x = 1, and
+        # numpy squares such an exponent of 2 by a multiplication, which can
+        # differ from the power loop in the last bit.
+        out = x[:, :1] ** self.exponents[:, 0]
+        power = np.empty_like(out)
+        for k in range(1, self.d_x):
+            out *= np.power(x[:, k:k + 1], self.exponents[:, k], out=power)
+        return out
 
     def fit_normalization(self, x_train: np.ndarray) -> "PolyFeatureMap":
         m = self.raw(x_train)
@@ -211,14 +235,14 @@ def load_sample_csv(path, propensity_const: Optional[float] = None,
     optional propensity column e.  When no e column exists, a constant
     propensity must be supplied.  Every value read must be finite.
     """
-    cols, rows, x = _read_csv(path, required=("y", "c", "d"))
-    y = _float_column(path, rows, "y")
-    c = _float_column(path, rows, "c")
-    d = _float_column(path, rows, "d")
+    blocks = list(_csv_blocks(path, required=("y", "c", "d"),
+                              optional=("e",)))
+    cols = {name: np.concatenate([b[name] for b in blocks])
+            for name in blocks[0]}
     if "e" in cols:
-        e = _float_column(path, rows, "e")
+        e = cols["e"]
     elif propensity_const is not None:
-        e = np.full(len(rows), float(propensity_const))
+        e = np.full(len(cols["y"]), float(propensity_const))
     else:
         raise ValueError(f"{path}: no e column and no constant propensity given")
     if kappa is None:
@@ -226,42 +250,78 @@ def load_sample_csv(path, propensity_const: Optional[float] = None,
         kappa = min(lo, 0.49)
         if kappa <= 0:
             raise ValueError("propensities leave no room for a positive kappa")
-    return Sample(y, c, d, x, e, kappa, m_y=m_y, m_c=m_c)
+    return Sample(cols["y"], cols["c"], cols["d"], cols["x"], e, kappa,
+                  m_y=m_y, m_c=m_c)
 
 
-def _read_csv(path, required=()) -> tuple[list, list, np.ndarray]:
-    """The header, the rows and the covariate matrix (columns x1..xk, in
-    index order, every value finite) of a CSV that must hold the required
-    columns."""
+def _csv_blocks(path, required=(), optional=()):
+    """Yield the float columns of a CSV one block of rows at a time.
+
+    Each block is a dict: "x" holds the block's covariates (the columns
+    x1..xk, in index order), and each required column and each optional one
+    the header holds is a 1-D array under its own name.  The header is
+    checked when the first block is asked for: the file is not empty, no
+    name repeats, the required columns and at least one xk are present.
+
+    Every block holds CSV_BLOCK_ROWS rows but the last, and a remainder of
+    fewer than _BLOCK_ALIGN rows joins the block before it, as gibbs._blocks
+    cuts the decision matrix; so a caller that scores block by block meets
+    the same matrix-vector products as one call over every row.  Blank lines
+    are skipped.  A row whose width is not the header's, a cell float()
+    rejects and a non-finite value are each a ValueError naming the file
+    (and the line or the column), raised when the reader reaches it.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty CSV")
-        cols = list(reader.fieldnames)
-        repeated = [c for i, c in enumerate(cols) if c in cols[:i]]
+        repeated = [c for i, c in enumerate(header) if c in header[:i]]
         if repeated:
             raise ValueError(f"{path}: column {repeated[0]!r} appears more "
                              f"than once")
-        xcols = sorted((c for c in cols if c.startswith("x") and c[1:].isdigit()),
-                       key=lambda c: int(c[1:]))
         for name in required:
-            if name not in cols:
+            if name not in header:
                 raise ValueError(f"{path}: missing column {name!r}")
+        xcols = sorted((c for c in header
+                        if c.startswith("x") and c[1:].isdigit()),
+                       key=lambda c: int(c[1:]))
         if not xcols:
             raise ValueError(f"{path}: no covariate columns x1..xk found")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    x = np.column_stack([_float_column(path, rows, c) for c in xcols])
-    return cols, rows, x
+        named = [*required, *(c for c in optional if c in header)]
+
+        def parse(rows) -> dict:
+            block = {"x": np.column_stack(
+                [_float_column(path, header, rows, c) for c in xcols])}
+            block.update((name, _float_column(path, header, rows, name))
+                         for name in named)
+            return block
+
+        rows: list = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has "
+                                 f"{len(row)} fields, the header has "
+                                 f"{len(header)}")
+            rows.append(row)
+            # a block goes out once the rows after it could not form a
+            # remainder short enough to join it
+            if len(rows) == CSV_BLOCK_ROWS + _BLOCK_ALIGN:
+                yield parse(rows[:CSV_BLOCK_ROWS])
+                del rows[:CSV_BLOCK_ROWS]
+        if not rows:
+            raise ValueError(f"{path}: no data rows")
+        yield parse(rows)
 
 
-def _float_column(path, rows, name: str) -> np.ndarray:
-    cell = None
+def _float_column(path, header: list, rows: list, name: str) -> np.ndarray:
+    j, cell = header.index(name), None
     try:
         # one pass; cell holds the value being parsed when float() fails
-        values = np.array([float(cell := r[name]) for r in rows])
-    except (TypeError, ValueError):
+        values = np.array([float(cell := r[j]) for r in rows])
+    except ValueError:
         raise ValueError(f"{path}: column {name!r} holds a non-numeric "
                          f"value {cell!r}") from None
     _check_finite(values, f"{path}: column {name!r}")

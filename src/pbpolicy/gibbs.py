@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pbpolicy.data import IPWScores
+from pbpolicy.data import _BLOCK_ALIGN, IPWScores
 
 __all__ = [
     "IsotropicNormalPrior",
@@ -42,7 +42,6 @@ U_BRACKET_CAP = 2.0**20
 # and the vote shares never hold more than about this many at once.  Picked
 # from a sweep over n in {250, 500, 1000} and 250-1000 particles.
 DECISION_BLOCK_ELEMENTS = 2**17
-_BLOCK_ALIGN = 8
 
 
 class InfeasibleBudgetError(ValueError):

@@ -6,16 +6,23 @@ packaging wiring.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import tracemalloc
 from itertools import takewhile
 
 import numpy as np
 import pytest
 
 from pbpolicy import cli
+from pbpolicy.data import CSV_BLOCK_ROWS, poly_feature_map
 from pbpolicy.harness import MH_STEPS_PER_STAGE
-from pbpolicy.smc import AdaptiveLadder, TemperatureLadder, build_default_ladder
+from pbpolicy.persist import _fmt, load_rule, save_rule
+from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
+                            sample_assignments, treat_probability)
+from pbpolicy.smc import (AdaptiveLadder, TemperatureLadder, WeightedParticles,
+                          _StageStreams, build_default_ladder)
 
 
 def run_cli(*argv):
@@ -660,6 +667,18 @@ def test_fit_rejects_non_finite_values(tmp_path, small_csv, capsys, column,
     assert not (tmp_path / "o" / "rule.json").exists()
 
 
+def test_fit_rejects_a_row_of_the_wrong_width(tmp_path, small_csv, capsys):
+    lines = small_csv.read_text().splitlines()
+    lines[5] += ",0.7"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_cli("fit", bad, "--out", tmp_path / "o", "--lambda", "4",
+                   "--u", "0", "--particles", 20) == 1
+    assert f"{bad}: line 6 has 8 fields, the header has 7" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", ""])
 def test_fit_and_score_name_a_non_numeric_cell(tmp_path, small_csv, fitted,
                                                capsys, value):
@@ -724,7 +743,7 @@ def test_score_sample_mode_keeps_every_64_bit_seed_apart(tmp_path, fitted,
 def test_score_sample_mode_draws_below_2_63_are_unchanged(tmp_path, fitted,
                                                          sample_csv):
     # below 2^63 the uint64 key is the list key the output was drawn with
-    from pbpolicy.data import _read_csv
+    from pbpolicy.data import load_sample_csv
     from pbpolicy.persist import load_rule
     from pbpolicy.rules import GibbsRule, sample_assignments
 
@@ -733,7 +752,7 @@ def test_score_sample_mode_draws_below_2_63_are_unchanged(tmp_path, fitted,
         assert run_cli("score", fitted / "rule.json", sample_csv,
                        "--out", out, "--mode", "sample", "--seed", seed) == 0
         particles, fmap = load_rule(fitted / "rule.json")
-        _, _, x = _read_csv(sample_csv)
+        x = load_sample_csv(sample_csv).x
         want = sample_assignments(
             GibbsRule(particles, fmap), x,
             np.random.Generator(np.random.Philox(key=[seed, 0])))
@@ -777,6 +796,92 @@ def test_score_rejects_wrong_kind(tmp_path, sample_csv, capsys):
     assert run_cli("score", impostor, sample_csv,
                    "--out", tmp_path / "o") == 1
     assert "not a fitted rule" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# score streams its covariates in blocks of CSV_BLOCK_ROWS rows
+
+R = CSV_BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def block_rules(tmp_path_factory):
+    """Saved rules of 1000 and 300 particles.  The vote shares' row blocks
+    (gibbs._blocks) divide R at 1000 particles and do not at 300."""
+    out = tmp_path_factory.mktemp("rules")
+    rng = np.random.default_rng(5)
+    fmap = poly_feature_map(2, 3).fit_normalization(rng.normal(size=(200, 3)))
+    paths = {}
+    for m in (1000, 300):
+        weights = rng.uniform(size=m)
+        particles = WeightedParticles(rng.normal(size=(m, fmap.dimension)),
+                                      weights / weights.sum(), 0, 1.0, 0.0, 0)
+        paths[m] = out / f"rule_{m}.json"
+        save_rule(particles, fmap, True, paths[m])
+    return paths
+
+
+def _write_covariates(path, n: int) -> np.ndarray:
+    x = np.random.default_rng(n).normal(size=(n, 3))
+    path.write_text("x1,x2,x3\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in x.tolist()))
+    return x
+
+
+@pytest.mark.parametrize("n_particles", [1000, 300])
+@pytest.mark.parametrize("n", [2 * R, 2 * R + 1, 2 * R + 7])
+def test_streamed_score_equals_one_call_over_all_rows(tmp_path, block_rules,
+                                                      n_particles, n):
+    cov = tmp_path / "cov.csv"
+    x = _write_covariates(cov, n)
+    particles, fmap = load_rule(block_rules[n_particles])
+    rule = GibbsRule(particles, fmap)
+    want = {
+        "prob": map(_fmt, treat_probability(rule, x).tolist()),
+        "mv": map(str, mv_decide(MajorityVoteRule(particles, fmap),
+                                 x).tolist()),
+        # one draw over all rows
+        "sample": map(str, sample_assignments(
+            rule, x, _StageStreams(4).at(0)).tolist()),
+    }
+    for mode, values in want.items():
+        assert run_cli("score", block_rules[n_particles], cov, "--mode", mode,
+                       "--seed", 4, "--out", tmp_path / mode) == 0
+        assert (tmp_path / mode / "assignments.csv").read_text() == \
+            "assignment\n" + "".join(v + "\n" for v in values)
+
+
+def test_score_memory_does_not_grow_with_the_units(tmp_path, block_rules):
+    def peak(n: int) -> int:
+        cov = tmp_path / f"cov{n}.csv"
+        _write_covariates(cov, n)
+        tracemalloc.start()
+        try:
+            assert run_cli("score", block_rules[1000], cov,
+                           "--out", tmp_path / f"o{n}") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # first-call allocations
+    assert peak(8 * R) - peak(2 * R) < 2**20
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0.1,abc,0.3", "column 'x2' holds a non-numeric value 'abc'"),
+    ("0.1,0.2,nan", "column 'x3' holds a non-finite value"),
+    ("0.1,0.2", f"line {2 * R + 8} has 2 fields, the header has 3"),
+])
+def test_score_bad_row_in_the_last_block_writes_no_assignments(
+        tmp_path, block_rules, capsys, line, message):
+    cov = tmp_path / "cov.csv"
+    _write_covariates(cov, 2 * R + 6)
+    with open(cov, "a") as fh:
+        fh.write(line + "\n")
+    out = tmp_path / "o"
+    assert run_cli("score", block_rules[1000], cov, "--out", out) == 1
+    assert f"{cov}: {message}" in capsys.readouterr().err
+    assert os.listdir(out) == ["run_config.json"]
 
 
 # ---------------------------------------------------------------------------

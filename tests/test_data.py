@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from pbpolicy.data import (
+    _BLOCK_ALIGN,
+    CSV_BLOCK_ROWS,
     Sample,
+    _csv_blocks,
     ipw_transform,
     load_sample_csv,
     poly_feature_map,
@@ -102,6 +105,19 @@ def test_monomial_values_and_order():
     row = fm.transform(np.array([[2.0, 3.0]]))[0]
     # constant, x1, x2, x1^2, x1 x2, x2^2
     np.testing.assert_allclose(row, [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("d_x", [1, 3])
+@pytest.mark.parametrize("n", [1, 9, 5000])
+def test_monomials_equal_the_broadcast_product_bit_for_bit(degree, d_x, n):
+    # DGP2's covariates take both signs; the (n, q, d_x) broadcast is the
+    # reference, and its power loop is the one the features must keep
+    fm = poly_feature_map(degree, d_x)
+    x = np.random.default_rng(degree * 10 + d_x).normal(scale=3.0,
+                                                        size=(n, d_x))
+    broadcast = np.prod(x[:, None, :] ** fm.exponents[None, :, :], axis=2)
+    assert fm.raw(x).tobytes() == broadcast.tobytes()
 
 
 def test_normalization_statistics():
@@ -239,3 +255,41 @@ def test_csv_rejects_non_finite_values_naming_the_column(tmp_path, column,
     with pytest.raises(ValueError,
                        match=f"column '{column}' holds a non-finite value"):
         load_sample_csv(path)
+
+
+@pytest.mark.parametrize("line, width", [("1.0,0.0,1,0.4,0.5,0.5,0.7", 7),
+                                         ("1.0,0.0,1,0.2,0.5", 5)])
+def test_csv_rejects_a_row_of_the_wrong_width(tmp_path, line, width):
+    # a surplus cell must not be dropped, nor a missing one read as None
+    path = tmp_path / "sample.csv"
+    path.write_text("y,c,d,x1,x2,e\n2.0,1.0,1,0.1,0.9,0.5\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: line 3 has {width} "
+                                         f"fields, the header has 6$"):
+        load_sample_csv(path)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "sample.csv"
+    path.write_text("y,c,d,x1,e\n\n2.0,1.0,1,0.1,0.5\n\n"
+                    "1.0,-1.0,0,0.4,0.6\n\n")
+    sample = load_sample_csv(path)
+    np.testing.assert_array_equal(sample.x, [[0.1], [0.4]])
+
+
+@pytest.mark.parametrize("extra", [0, 1, _BLOCK_ALIGN - 1, _BLOCK_ALIGN])
+def test_csv_blocks_join_a_short_remainder_to_the_block_before(tmp_path,
+                                                              extra):
+    n = 2 * CSV_BLOCK_ROWS + extra
+    path = tmp_path / "sample.csv"
+    path.write_text("y,c,d,x1,x2\n" + "".join(
+        f"{i},{-i},{i % 2},{i},{0.5 * i}\n" for i in range(n)))
+    blocks = list(_csv_blocks(path, required=("y", "d"), optional=("e", "c")))
+    assert [len(b["y"]) for b in blocks] == (
+        [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + extra] if extra < _BLOCK_ALIGN
+        else [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS, extra])
+    assert all(list(b) == ["x", "y", "d", "c"] for b in blocks)
+    x = np.concatenate([b["x"] for b in blocks])
+    np.testing.assert_array_equal(x[:, 0], np.arange(n))
+    np.testing.assert_array_equal(x[:, 1], 0.5 * np.arange(n))
+    np.testing.assert_array_equal(load_sample_csv(
+        path, propensity_const=0.5).y, np.arange(n))
