@@ -75,7 +75,8 @@ RUNS = [
                          "--out", "sim_blocks"]),
     *((f"score_blocks_{mode}", ["score", "fit_u/rule.json",
                                 "sim_blocks/sample.csv", "--mode", mode,
-                                "--seed", "6", "--out", f"score_blocks_{mode}"])
+                                "--seed", "6",
+                                "--out", f"score_blocks_{mode}"])
       for mode in ("prob", "mv", "sample")),
     ("oracle_stdout", ["oracle", "--dgp", "dgp1", "--budget", "0.6",
                        "--n", "20000", "--seed", "7"]),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pbpolicy import cli
-from pbpolicy.data import CSV_BLOCK_ROWS, poly_feature_map
+from pbpolicy.data import CSV_BLOCK_ROWS, load_sample_csv, poly_feature_map
 from pbpolicy.harness import MH_STEPS_PER_STAGE
 from pbpolicy.persist import _fmt, load_rule, save_rule
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
@@ -743,10 +743,6 @@ def test_score_sample_mode_keeps_every_64_bit_seed_apart(tmp_path, fitted,
 def test_score_sample_mode_draws_below_2_63_are_unchanged(tmp_path, fitted,
                                                          sample_csv):
     # below 2^63 the uint64 key is the list key the output was drawn with
-    from pbpolicy.data import load_sample_csv
-    from pbpolicy.persist import load_rule
-    from pbpolicy.rules import GibbsRule, sample_assignments
-
     for seed in (0, 8, 2**62 + 3):
         out = tmp_path / f"s{seed}"
         assert run_cli("score", fitted / "rule.json", sample_csv,
