@@ -40,16 +40,15 @@ from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             IsotropicNormalPrior, solve_u_hat,
                             tilted_weights, welfare_cost_matrix)
-from pbpolicy.harness import (CV_FOLDS, MH_STEPS_PER_STAGE, GridSpec,
-                              StudyConfig, run_study)
 from pbpolicy.oracle import oracle_report, solve_eta_B
 from pbpolicy.persist import (_fmt, _read_json, _write_atomic, _write_csv,
                               _write_rows, load_rule, save, save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import (LAMBDA_CAP, TAU_ESS, AdaptiveLadder, SMCConfig,
-                          _StageStreams, build_default_ladder, ess, run_smc)
+from pbpolicy.smc import (LAMBDA_CAP, MH_STEPS_PER_STAGE, TAU_ESS,
+                          AdaptiveLadder, SMCConfig, _StageStreams,
+                          build_default_ladder, ess, run_smc)
 
 __all__ = ["main", "build_parser"]
 
@@ -335,6 +334,7 @@ def _cmd_score(cfg: dict) -> int:
 # study
 
 def _cmd_study(cfg: dict) -> int:
+    from pbpolicy.harness import CV_FOLDS, GridSpec, StudyConfig, run_study
     _require(cfg, "out", "dgp")
     if cfg["n"] < 2 * CV_FOLDS:
         raise ValueError(f"--n must be at least {2 * CV_FOLDS}, so that "

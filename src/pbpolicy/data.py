@@ -261,7 +261,7 @@ def _csv_blocks(path, required=(), optional=()):
     x1..xk, in index order), and each required column and each optional one
     the header holds is a 1-D array under its own name.  The header is
     checked when the first block is asked for: the file is not empty, no
-    name repeats, the required columns and at least one xk are present.
+    name repeats, the required columns are present, the covariates are x1..xk.
 
     Every block holds CSV_BLOCK_ROWS rows but the last, and a remainder of
     fewer than _BLOCK_ALIGN rows joins the block before it, as gibbs._blocks
@@ -283,11 +283,13 @@ def _csv_blocks(path, required=(), optional=()):
         for name in required:
             if name not in header:
                 raise ValueError(f"{path}: missing column {name!r}")
-        xcols = sorted((c for c in header
-                        if c.startswith("x") and c[1:].isdigit()),
-                       key=lambda c: int(c[1:]))
+        xnames = [c for c in header if c.startswith("x") and c[1:].isdigit()]
+        xcols = [f"x{k}" for k in range(1, len(xnames) + 1)]
         if not xcols:
             raise ValueError(f"{path}: no covariate columns x1..xk found")
+        odd = [c for c in xnames if c not in xcols]
+        if odd:
+            raise ValueError(f"{path}: unexpected covariate column {odd[0]!r}")
         named = [*required, *(c for c in optional if c in header)]
 
         def parse(rows) -> dict:

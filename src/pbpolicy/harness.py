@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -41,6 +40,7 @@ from .rules import (
 )
 from .smc import (
     LAMBDA_CAP,
+    MH_STEPS_PER_STAGE,
     AdaptiveLadder,
     SMCConfig,
     run_smc,
@@ -70,7 +70,6 @@ BASELINE_NOTE = (
 FEATURE_DEGREE = 2
 PRIOR_SIGMA = 1.0
 CV_FOLDS = 2
-MH_STEPS_PER_STAGE = 5
 
 # a doubling grid with midpoints, 4, 6, 8, 12, ..., 768, 1024, each at the
 # step of the fixed tempering ladder nearest it
@@ -406,6 +405,7 @@ def _replications(jobs, workers: int):
         for job in jobs:
             yield _run_replication(*job)
         return
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_replication, *job) for job in jobs]
         try:

@@ -83,6 +83,7 @@ U_RAMP_LAMBDA = LADDER_KNOT_LAMBDAS[1]  # lambda at step U_RAMP_END
 # below the fixed ladder's; at these values 1 of 96 such gaps exceeded 3.
 CESS_FRACTION = 0.9
 RW_SCALE = 0.1 * 2.38**2
+MH_STEPS_PER_STAGE = 5
 # Both ladders resample below TAU_ESS * N, and cli's budget solve accepts a
 # tilted cloud whose ESS reaches it.  The fixed ladder proposes with
 # t^-COVARIANCE_SCALE_EXPONENT times the cloud covariance at stage t.

@@ -9,6 +9,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from itertools import takewhile
 
@@ -17,12 +18,12 @@ import pytest
 
 from pbpolicy import cli
 from pbpolicy.data import CSV_BLOCK_ROWS, load_sample_csv, poly_feature_map
-from pbpolicy.harness import MH_STEPS_PER_STAGE
 from pbpolicy.persist import _fmt, load_rule, save_rule
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import (AdaptiveLadder, TemperatureLadder, WeightedParticles,
-                          _StageStreams, build_default_ladder)
+from pbpolicy.smc import (MH_STEPS_PER_STAGE, AdaptiveLadder,
+                          TemperatureLadder, WeightedParticles, _StageStreams,
+                          build_default_ladder)
 
 
 def run_cli(*argv):
@@ -695,6 +696,26 @@ def test_fit_and_score_name_a_non_numeric_cell(tmp_path, small_csv, fitted,
     assert not (tmp_path / "s" / "assignments.csv").exists()
 
 
+@pytest.mark.parametrize("header, odd", [("x1,x3", "x3"), ("x1,x01", "x01")])
+def test_fit_and_score_take_only_covariates_named_x1_to_xk(tmp_path, fitted,
+                                                          capsys, header, odd):
+    rows = ["1.0,0.5,1,0.2,0.3,0.5", "-1.0,0.0,0,0.6,0.1,0.5"] * 4
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([f"y,c,d,{header},e", *rows]) + "\n")
+    assert run_cli("fit", bad, "--out", tmp_path / "o", "--lambda", "4",
+                   "--u", "0", "--particles", 20) == 1
+    assert f"{bad}: unexpected covariate column {odd!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    bad_x = tmp_path / "bad_x.csv"
+    bad_x.write_text(f"{header}\n0.2,0.3\n0.6,0.1\n")
+    assert run_cli("score", fitted / "rule.json", bad_x,
+                   "--out", tmp_path / "s") == 1
+    assert f"{bad_x}: unexpected covariate column {odd!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "s" / "assignments.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # score
 
@@ -1030,7 +1051,7 @@ def test_runtime_failure_exit_code(monkeypatch, tmp_path, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("weights vanished")
 
-    monkeypatch.setattr(cli, "run_study", boom)
+    monkeypatch.setattr("pbpolicy.harness.run_study", boom)
     rc = run_cli("study", "--dgp", "dgp1", "--out", tmp_path / "s")
     assert rc == 2
     assert "weights vanished" in capsys.readouterr().err
@@ -1046,6 +1067,18 @@ def test_fit_exits_2_on_a_bad_proposal_covariance(monkeypatch, tmp_path,
                  "--u", "0", "--particles", "20")
     assert rc == 2
     assert "not positive definite at step 1" in capsys.readouterr().err
+
+
+def test_importing_cli_loads_neither_the_study_harness_nor_a_process_pool():
+    # fit and score start without them; study imports them when it runs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    probe = ("import sys, pbpolicy.cli; print([m for m in ('pbpolicy.harness',"
+             " 'concurrent.futures.process', 'multiprocessing')"
+             " if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=root,
+                          env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed():

@@ -336,6 +336,27 @@ def test_each_replication_is_written_as_it_returns(tmp_path, monkeypatch,
         (full / "replication_0.json").read_bytes()
 
 
+def test_a_study_on_two_workers_writes_the_files_of_one_worker(tmp_path):
+    outs = {}
+    for workers in (1, 2):
+        outs[workers] = tmp_path / f"w{workers}"
+        run_study(DGPSpec("DGP1", 23, 60), replications=2, grids=SMOKE_GRIDS,
+                  config=StudyConfig(out_dir=str(outs[workers]),
+                                     workers=workers, particles=30,
+                                     n_test=100, n_bins=3))
+    names = sorted(os.listdir(outs[1]))
+    assert sorted(os.listdir(outs[2])) == names
+    for name in names:
+        one, two = (outs[w] / name for w in (1, 2))
+        if name == "study_config.json":
+            # the manifest records the worker count, and nothing else differs
+            one, two = (json.loads(p.read_text()) for p in (one, two))
+            assert (one.pop("workers"), two.pop("workers")) == (1, 2)
+            assert one == two
+        else:
+            assert one.read_bytes() == two.read_bytes(), name
+
+
 def test_run_study_validation():
     with pytest.raises(ValueError, match="replication"):
         run_study(DGPSpec("DGP1", 1, 50), replications=0)
