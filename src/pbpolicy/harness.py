@@ -400,7 +400,7 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
 
 def _replications(jobs, workers: int):
     """Each job's replication as it returns: in order on one worker, in the
-    order they finish on a pool of processes."""
+    order they finish on a pool of processes (imported only for a pool)."""
     if workers == 1:
         for job in jobs:
             yield _run_replication(*job)

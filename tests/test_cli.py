@@ -1069,12 +1069,19 @@ def test_fit_exits_2_on_a_bad_proposal_covariance(monkeypatch, tmp_path,
     assert "not positive definite at step 1" in capsys.readouterr().err
 
 
-def test_importing_cli_loads_neither_the_study_harness_nor_a_process_pool():
-    # fit and score start without them; study imports them when it runs
+_POOL = ["concurrent.futures.process", "multiprocessing"]
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("pbpolicy.cli", ["pbpolicy.harness", *_POOL]),
+    ("pbpolicy.harness", _POOL)])
+def test_importing_loads_neither_the_study_harness_nor_a_process_pool(
+        module, absent):
+    # fit and score start without them; study imports the harness when it
+    # runs, and the harness imports the pool only for more than one worker
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    probe = ("import sys, pbpolicy.cli; print([m for m in ('pbpolicy.harness',"
-             " 'concurrent.futures.process', 'multiprocessing')"
-             " if m in sys.modules])")
+    probe = (f"import sys, {module}; "
+             f"print([m for m in {absent!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=root,
                           env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True, check=True)
