@@ -1052,7 +1052,12 @@ def test_runtime_failure_exit_code(monkeypatch, tmp_path, capsys):
         raise RuntimeError("weights vanished")
 
     monkeypatch.setattr("pbpolicy.harness.run_study", boom)
-    rc = run_cli("study", "--dgp", "dgp1", "--out", tmp_path / "s")
+    # a tiny study, so that a patch which misses fails fast instead of
+    # running the default twenty replications
+    rc = run_cli("study", "--dgp", "dgp1", "--reps", 1, "--n", 50,
+                 "--particles", 30, "--n-test", 100, "--bins", 3,
+                 "--u-grid", "0,0.8", "--lambda-grid", "4,8",
+                 "--out", tmp_path / "s")
     assert rc == 2
     assert "weights vanished" in capsys.readouterr().err
 
