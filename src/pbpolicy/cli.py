@@ -19,8 +19,8 @@ Conventions shared by every subcommand:
     echo replays the run when its command and inputs match the command line;
   * identical inputs and seeds produce byte-identical outputs;
   * every default comes from its flag or a --config file, never from the
-    environment; --seed defaults to 0 and --threads to 1, since each
-    worker's BLAS already starts a thread per core.
+    environment; --seed defaults to 0 and --threads to 1: study_config.json
+    records the workers, so a per-core default would tie its bytes to the host.
 """
 
 from __future__ import annotations

@@ -15,10 +15,14 @@ particle cloud reweighted ("tilted") across penalties.
 Every decision, welfare and cost evaluation goes through one kernel,
 _block_decisions (features @ thetas.T > 0), which walks the units-by-rules
 matrix in blocks of about DECISION_BLOCK_ELEMENTS entries (_blocks).
+Those blocks are too small to share across threads, so importing this module
+sets numpy's OpenBLAS to one thread for the whole process, once
+(_one_blas_thread); setting it per kernel call and restoring it was slower.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -42,6 +46,25 @@ U_BRACKET_CAP = 2.0**20
 # and the vote shares never hold more than about this many at once.  Picked
 # from a sweep over n in {250, 500, 1000} and 250-1000 particles.
 DECISION_BLOCK_ELEMENTS = 2**17
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS mapped in this process (numpy's) to one thread."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {ln.split()[-1] for ln in maps if "openblas" in ln.lower()}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_set_num_threads64_",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, sym):
+                ctypes.CFUNCTYPE(None, ctypes.c_int)((sym, lib))(1)
+                break
+
+
+_one_blas_thread()
 
 
 class InfeasibleBudgetError(ValueError):
@@ -105,10 +128,7 @@ def _blocks(size: int, other: int) -> list[slice]:
     rows in groups of four and a leftover row in another order, and numpy
     hands a one-row product to a dot product instead; so each row keeps the
     group and the position it has in the product over the whole matrix, and
-    the blocked reductions equal the one-shot ones bit for bit.  The one
-    exception is a one-shot product big enough for OpenBLAS to split across
-    threads at a row count that is not a multiple of 4: there the blocks
-    give the single-thread sums.
+    the blocked reductions equal the one-shot ones bit for bit.
     """
     step = max(_BLOCK_ALIGN, DECISION_BLOCK_ELEMENTS // max(other, 1)
                // _BLOCK_ALIGN * _BLOCK_ALIGN)

@@ -87,8 +87,8 @@ def test_simulate_file_deterministic(tmp_path):
 
 
 def test_study_threads_default_to_one_worker(monkeypatch):
-    # each worker's BLAS already starts a thread per core, so a worker per
-    # core would oversubscribe them
+    # study_config.json records the worker count, so a default that followed
+    # the host's cores would make the study's bytes depend on the host
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert cli.build_parser().parse_args(["study"]).threads == 1
 
@@ -1091,6 +1091,43 @@ def test_importing_loads_neither_the_study_harness_nor_a_process_pool(
                           env={**os.environ, "PYTHONPATH": "src"},
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# the BLAS numpy was built against, as numpy reports it
+NUMPY_BLAS = (getattr(np.__config__, "CONFIG", {})
+              .get("Build Dependencies", {}).get("blas", {})
+              .get("name", "unknown"))
+
+# reads, in the process that runs it, the thread count of every OpenBLAS
+# mapped into it through the getter that matches gibbs's setter
+BLAS_THREADS_PROBE = """
+import ctypes
+import pbpolicy.cli
+counts = []
+paths = {ln.split()[-1] for ln in open("/proc/self/maps")
+         if "openblas" in ln.lower()}
+for path in sorted(p for p in paths if p.startswith("/")):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            counts.append(getattr(lib, sym)())
+            break
+print(counts)
+"""
+
+
+@pytest.mark.skipif("openblas" not in NUMPY_BLAS.lower(),
+                    reason=f"numpy reports BLAS {NUMPY_BLAS!r}, not OpenBLAS")
+def test_importing_sets_numpys_openblas_to_one_thread():
+    # the kernel's blocks are too small to share across threads, so the
+    # import overrides a thread count asked for before numpy loaded
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
+                          cwd=root, capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": "src",
+                               "OPENBLAS_NUM_THREADS": "2"})
+    assert proc.stdout.strip() == "[1]"
 
 
 def test_console_script_installed():

@@ -15,7 +15,7 @@ from pbpolicy.gibbs import (
     tilted_weights,
     welfare_cost_matrix,
 )
-from pbpolicy.gibbs import _blocks, _logsumexp
+from pbpolicy.gibbs import _block_decisions, _blocks, _logsumexp
 
 
 def scores_of(dy, dc):
@@ -346,6 +346,23 @@ def test_blocked_kernel_equals_the_one_shot_product(n):
         w, k = welfare_cost_matrix(thetas, s, feats)
         assert w.tobytes() == ((s.delta_y @ dec) / n).tobytes()
         assert k.tobytes() == ((s.delta_c @ dec) / n).tobytes()
+
+
+@pytest.mark.parametrize("n", [4003, 20003])
+@pytest.mark.parametrize("m", [250, 1000])
+def test_blocked_votes_equal_a_one_shot_product_big_enough_to_thread(n, m):
+    # OpenBLAS would split a one-shot product this big across threads, and
+    # at a row count that is not a multiple of 4 its sums would then differ
+    # from the blocks'; importing gibbs keeps it on one thread
+    rng = np.random.default_rng(n + m)
+    feats = rng.normal(size=(n, 6))
+    thetas = rng.normal(size=(m, 6))
+    weights = rng.dirichlet(np.ones(m))
+    got = np.empty(n)
+    for rows, dec in _block_decisions(thetas, feats, True):
+        got[rows] = dec @ weights
+    want = (feats @ thetas.T > 0.0).astype(float) @ weights
+    assert got.tobytes() == want.tobytes()
 
 
 def test_blocks_cover_the_range_in_aligned_steps():
