@@ -1111,7 +1111,7 @@ for path in sorted(p for p in paths if p.startswith("/")):
     for sym in ("scipy_openblas_get_num_threads64_",
                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
         if hasattr(lib, sym):
-            counts.append(getattr(lib, sym)())
+            counts.append(ctypes.CFUNCTYPE(ctypes.c_int)((sym, lib))())
             break
 print(counts)
 """
