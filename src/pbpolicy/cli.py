@@ -553,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--seed", type=int, default=0,
                        help="master seed (default %(default)s)")
     study.add_argument("--threads", type=int, default=1,
-                       help="worker processes (default %(default)s; each "
-                            "worker's BLAS already uses every core)")
+                       help="worker processes (default %(default)s; "
+                            "study_config.json records the count)")
     study.add_argument("--u-grid", dest="u_grid", type=_float_list,
                        help="comma separated penalty grid override")
     study.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list,

@@ -17,39 +17,41 @@ per stage, and every sweep of the stage proposes with that Cholesky root; a
 covariance that is not finite or not positive definite raises RuntimeError
 naming the stage, lambda and u.
 
-Two schedules drive the stages:
+Two schedules drive the stages.  Each is built from a final penalty u_final
+and a tuple of rungs, the lambdas at which the run harvests its cloud; the
+run ends at the last rung.
 
-- TemperatureLadder is fixed in advance: build_default_ladder's 800-step
-  piecewise-linear ladder, or any other increasing tuple of pairs.  The
-  proposal scale is t^-COVARIANCE_SCALE_EXPONENT and one run harvests the
-  ladder's checkpoint steps.
+- TemperatureLadder is fixed in advance: the 800-step piecewise-linear
+  ladder, truncated at the last rung, whose other rungs must be lambdas of
+  its steps.  u ramps with the step count, u_t = u_final * min(t / 200, 1),
+  and the proposal scale is t^-COVARIANCE_SCALE_EXPONENT.
+  build_default_ladder(u, lam) is the one-rung ladder.
 - AdaptiveLadder picks each lambda_t from the particles: the largest step,
   up to the next rung, whose incremental weights keep the conditional ESS
   (Zhou, Johansen & Aston 2016) at CESS_FRACTION * N, found by bisection.
   The next rung is taken whenever its own CESS meets the target, so every
-  rung is reached exactly and harvested.  u follows lambda along the fixed
-  ladder's ramp, u_t = u_final * min(lambda_t / 4, 1); when the first rung
-  lies below 4 the ramp ends there instead, so every harvest is at u_final.
-  Each stage runs config.mh_steps_per_stage sweeps with proposal scale
-  RW_SCALE / q (Chopin & Papaspiliopoulos 2020, ch. 17).  A stage that
-  cannot raise lambda by 2^-20 of the way to the next rung raises
-  RuntimeError naming the stage, lambda and u.
+  rung is reached exactly.  u follows lambda along the fixed ladder's ramp,
+  u_t = u_final * min(lambda_t / 4, 1); when the first rung lies below 4
+  the ramp ends there instead, so every harvest is at u_final.  Each stage
+  runs config.mh_steps_per_stage sweeps with proposal scale RW_SCALE / q
+  (Chopin & Papaspiliopoulos 2020, ch. 17).  A stage that cannot raise
+  lambda by 2^-20 of the way to the next rung raises RuntimeError naming
+  the stage, lambda and u.
 
 Determinism: stage t consumes a dedicated counter-based RNG stream, the one
 np.random.Philox(key=np.array([seed, t], dtype=np.uint64)) gives, drawing in
 a fixed order (resampling uniform if triggered, then per Metropolis step a
 proposal block and an acceptance block).  Choosing an adaptive lambda_t
-draws nothing.  So a default ladder built to a lower lambda, which is a
-prefix of the longer ladder, reproduces that prefix of the longer run bit for
-bit, and an adaptive run over the first k rungs reproduces the first k
-harvests of a run over more rungs; that is what makes mid-ladder checkpoints
-trustworthy.  Every 64-bit seed is its own first key word.
+draws nothing.  So a run of either ladder over the first k rungs reproduces
+the first k harvests of a run over more rungs bit for bit (a fixed ladder
+truncated at a lower rung is a prefix of the longer one); that is what makes
+the harvests at lower rungs trustworthy.  Every 64-bit seed is its own first
+key word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,47 +94,66 @@ COVARIANCE_SCALE_EXPONENT = 0.9
 _BISECTION_STEPS = 20  # lambda_t is found to 2^-20 of the way to the rung
 
 
-@dataclass(frozen=True)
-class TemperatureLadder:
-    """Schedule of (lambda_t, u_t) pairs with harvest points."""
+def _lambda_at(t: float) -> float:
+    for a, b, la, lb in zip(LADDER_KNOT_STEPS, LADDER_KNOT_STEPS[1:],
+                            LADDER_KNOT_LAMBDAS, LADDER_KNOT_LAMBDAS[1:]):
+        if t <= b:
+            return la + (lb - la) * (t - a) / (b - a)
+    raise ValueError(f"step {t} beyond the ladder")
 
-    steps: tuple  # ((lam_0, u_0), ..., (lam_T, u_T))
-    checkpoints: tuple = ()
+
+@dataclass(frozen=True)
+class _Ladder:
+    """A schedule that ends at the last of its rungs and harvests every rung,
+    tempering towards the penalty u_final."""
+
+    u_final: float
+    rungs: tuple
 
     def __post_init__(self):
-        steps = tuple((float(l), float(u)) for l, u in self.steps)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "checkpoints",
-                           tuple(sorted(int(c) for c in set(self.checkpoints))))
-        if not steps:
-            raise ValueError("ladder has no steps")
-        if steps[0] != (0.0, 0.0):
-            raise ValueError("ladder must start at (lambda, u) = (0, 0)")
-        for t, ((la, ua), (lb, ub)) in enumerate(zip(steps, steps[1:]), start=1):
-            if lb < la or ub < ua:
-                raise ValueError(f"ladder decreases at step {t}")
-            if lb == la and ub == ua:
-                raise ValueError(f"ladder stalls at step {t}")
-        for c in self.checkpoints:
-            if not 0 <= c <= self.T:
-                raise ValueError(f"checkpoint {c} outside 0..{self.T}")
+        u_final = float(self.u_final)
+        if not (np.isfinite(u_final) and u_final >= 0.0):
+            raise ValueError("u_final must be non-negative")
+        rungs = tuple(sorted({float(r) for r in self.rungs}))
+        if not rungs:
+            raise ValueError("ladder has no rungs")
+        if not all(0.0 < r <= LAMBDA_CAP for r in rungs):
+            raise ValueError(f"rungs must lie in (0, {LAMBDA_CAP:g}]")
+        object.__setattr__(self, "u_final", u_final)
+        object.__setattr__(self, "rungs", rungs)
+
+
+@dataclass(frozen=True)
+class TemperatureLadder(_Ladder):
+    """The piecewise-linear schedule through the LADDER_KNOT_* knots, with u
+    ramping to u_final over the first U_RAMP_END steps.  It stops at the
+    first step whose lambda reaches the last rung, clamped to exactly
+    (rungs[-1], u_final); every other rung must be the lambda of a step."""
+
+    steps: tuple = field(init=False, repr=False)  # ((0, 0), ..., (lam_T, u_T))
+
+    def __post_init__(self):
+        super().__post_init__()
+        lambda_final = self.rungs[-1]
+        steps = [(0.0, 0.0)]
+        for t in range(1, LADDER_KNOT_STEPS[-1] + 1):
+            lam = _lambda_at(t)
+            if lam >= lambda_final - 1e-12:
+                steps.append((lambda_final, self.u_final))
+                break
+            steps.append((lam, self.u_final * min(t / U_RAMP_END, 1.0)))
+        stray = set(self.rungs).difference(lam for lam, _ in steps)
+        if stray:
+            raise ValueError(f"rung {min(stray):g} is not a step of the ladder")
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def T(self) -> int:
         return len(self.steps) - 1
 
-    def with_checkpoints(self, indices: Sequence[int]) -> "TemperatureLadder":
-        return replace(self, checkpoints=tuple(indices))
-
-    # the schedule run_smc drives: next pair, harvest, end, proposal scale
+    # the schedule run_smc drives: rungs, next pair, proposal scale
     def _next(self, t, lam_prev, u_prev, log_psi, wbar, kbar):
         return self.steps[t]
-
-    def _harvests(self, t: int, lam: float) -> bool:
-        return t in self.checkpoints
-
-    def _finished(self, t: int, lam: float) -> bool:
-        return t == self.T
 
     def _proposal_scale(self, t: int, q: int) -> float:
         return t**(-COVARIANCE_SCALE_EXPONENT)
@@ -152,28 +173,11 @@ def _cess_fraction(log_psi: np.ndarray, log_inc: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class AdaptiveLadder:
+class AdaptiveLadder(_Ladder):
     """A schedule chosen stage by stage from the particles (see the module
-    docstring), ending at the last rung and harvesting every rung.
-
-    The harvest of a rung is keyed by its stage index like a fixed ladder's
-    checkpoint; its lam equals the rung value exactly.
+    docstring).  Every rung is reached exactly: a harvest's lam equals its
+    rung, and the harvest is keyed by its stage index.
     """
-
-    u_final: float
-    rungs: tuple
-
-    def __post_init__(self):
-        u_final = float(self.u_final)
-        if not (np.isfinite(u_final) and u_final >= 0.0):
-            raise ValueError("u_final must be non-negative")
-        rungs = tuple(sorted({float(r) for r in self.rungs}))
-        if not rungs:
-            raise ValueError("adaptive ladder has no rungs")
-        if not all(0.0 < r <= LAMBDA_CAP for r in rungs):
-            raise ValueError(f"rungs must lie in (0, {LAMBDA_CAP:g}]")
-        object.__setattr__(self, "u_final", u_final)
-        object.__setattr__(self, "rungs", rungs)
 
     def u_at(self, lam: float) -> float:
         """The penalty on the ramp at inverse temperature lam."""
@@ -202,12 +206,6 @@ class AdaptiveLadder:
                 f"u={u_prev:g}): no step keeps the conditional ESS at "
                 f"{CESS_FRACTION:g} N")
         return lo, self.u_at(lo)
-
-    def _harvests(self, t: int, lam: float) -> bool:
-        return lam in self.rungs
-
-    def _finished(self, t: int, lam: float) -> bool:
-        return lam == self.rungs[-1]
 
     def _proposal_scale(self, t: int, q: int) -> float:
         return RW_SCALE / q
@@ -264,36 +262,10 @@ class SMCConfig:
         _check_seed(self.seed)
 
 
-def _lambda_at(t: float) -> float:
-    for a, b, la, lb in zip(LADDER_KNOT_STEPS, LADDER_KNOT_STEPS[1:],
-                            LADDER_KNOT_LAMBDAS, LADDER_KNOT_LAMBDAS[1:]):
-        if t <= b:
-            return la + (lb - la) * (t - a) / (b - a)
-    raise ValueError(f"step {t} beyond the ladder")
-
-
 def build_default_ladder(u_final: float, lambda_final: float) -> TemperatureLadder:
-    """The piecewise-linear schedule, truncated at the requested temperature.
-
-    lambda ramps through the fixed knots, u ramps linearly to u_final over the
-    first 200 steps and then stays flat.  The ladder stops at the first step
-    whose lambda reaches lambda_final and that last pair is clamped to exactly
-    (lambda_final, u_final).  Harvest defaults to the last step only.
-    """
-    if u_final < 0:
-        raise ValueError("u_final must be non-negative")
-    if not (0.0 < lambda_final <= LAMBDA_CAP):
-        raise ValueError(f"lambda_final must lie in (0, {LAMBDA_CAP:g}]")
-    steps = []
-    for t in range(LADDER_KNOT_STEPS[-1] + 1):
-        lam = _lambda_at(t)
-        u = u_final * min(t / U_RAMP_END, 1.0)
-        if lam >= lambda_final - 1e-12:
-            steps.append((lambda_final, u_final))
-            break
-        steps.append((lam, u))
-    ladder = TemperatureLadder(tuple(steps))
-    return ladder.with_checkpoints([ladder.T])
+    """The fixed ladder with the one rung lambda_final, harvested at its last
+    step."""
+    return TemperatureLadder(u_final, (lambda_final,))
 
 
 def ess(weights: np.ndarray) -> float:
@@ -394,8 +366,8 @@ def _cov(thetas: np.ndarray) -> np.ndarray:
 def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
             ladder: TemperatureLadder | AdaptiveLadder, config: SMCConfig,
             trace=None) -> dict[int, WeightedParticles]:
-    """Run the ladder and harvest its checkpoints (a TemperatureLadder) or
-    its rungs (an AdaptiveLadder), keyed by stage index.
+    """Run the ladder to its last rung and harvest the cloud at every rung,
+    keyed by stage index.
 
     trace, when given a list, receives one record per stage with the
     effective sample size before resampling, whether resampling fired, and
@@ -419,16 +391,9 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
     state = evaluate(thetas)
     log_psi = np.full(n_p, -np.log(n_p))
 
-    def harvest(step: int, lam: float, u: float) -> WeightedParticles:
-        return WeightedParticles(thetas=thetas.copy(), weights=np.exp(log_psi),
-                                 step_index=step, lam=lam, u=u, seed=config.seed)
-
     out: dict[int, WeightedParticles] = {}
     t, lam_prev, u_prev = 0, 0.0, 0.0
-    if ladder._harvests(t, lam_prev):
-        out[0] = harvest(0, lam_prev, u_prev)
-
-    while not ladder._finished(t, lam_prev):
+    while lam_prev != ladder.rungs[-1]:
         t += 1
         rng = streams.at(t)
 
@@ -482,8 +447,10 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
                 f"(lambda={lam_t:g}, u={u_t:g})")
         log_psi = log_psi - norm
 
-        if ladder._harvests(t, lam_t):
-            out[t] = harvest(t, lam_t, u_t)
+        if lam_t in ladder.rungs:
+            out[t] = WeightedParticles(
+                thetas=thetas.copy(), weights=np.exp(log_psi), step_index=t,
+                lam=lam_t, u=u_t, seed=config.seed)
         lam_prev, u_prev = lam_t, u_t
 
     return out

@@ -9,7 +9,10 @@ unchanged: a change here would move the reference, not the sampler.  Its
 revisions key each stage by a uint64 array, so that seeds of 2^63 and above
 are no longer rounded to 53 bits on the way in, and read the resampling
 threshold and the proposal scale exponent from the sampler's constants,
-which replaced the config fields of the same values.
+which replaced the config fields of the same values, and harvest the stages
+whose lambda is one of the ladder's rungs, which replaced its checkpoint
+step indices; the fixed ladder's lambda strictly increases, so these pick
+the same stages.
 
 reference_run_adaptive is run_smc's adaptive path, written out with the same
 steps: each stage's lambda is the next rung when that rung keeps the
@@ -51,7 +54,7 @@ def _stage_rng(seed, step):
 
 
 def reference_run_smc(sample_scores, features, prior, ladder, config):
-    """Harvest {step: (thetas, weights)} at the ladder's checkpoints, and
+    """Harvest {step: (thetas, weights)} at the fixed ladder's rungs, and
     the per-stage trace, exactly as run_smc did."""
     features = np.asarray(features, dtype=float)
     n_p = config.n_particles
@@ -65,8 +68,6 @@ def reference_run_smc(sample_scores, features, prior, ladder, config):
     log_psi = np.full(n_p, -np.log(n_p))
 
     out, trace = {}, []
-    if 0 in ladder.checkpoints:
-        out[0] = (thetas.copy(), np.exp(log_psi))
     lam_prev, u_prev = ladder.steps[0]
     for t in range(1, ladder.T + 1):
         lam_t, u_t = ladder.steps[t]
@@ -118,7 +119,7 @@ def reference_run_smc(sample_scores, features, prior, ladder, config):
         log_psi = log_psi + log_inc
         log_psi = log_psi - logsumexp(log_psi)
 
-        if t in ladder.checkpoints:
+        if lam_t in ladder.rungs:
             out[t] = (thetas.copy(), np.exp(log_psi))
         lam_prev, u_prev = lam_t, u_t
     return out, trace

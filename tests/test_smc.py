@@ -24,9 +24,9 @@ from pbpolicy.smc import (
     resample_systematic,
     run_smc,
 )
-from pbpolicy.harness import subseed
-from pbpolicy.smc import (CESS_FRACTION, TAU_ESS, _cess_fraction, _cov,
-                          _StageStreams)
+from pbpolicy.harness import GridSpec, subseed
+from pbpolicy.smc import (CESS_FRACTION, LAMBDA_CAP, TAU_ESS, _cess_fraction,
+                          _cov, _StageStreams)
 
 
 def test_default_ladder_shapes():
@@ -34,7 +34,7 @@ def test_default_ladder_shapes():
     assert full.T == 800
     assert full.steps[0] == (0.0, 0.0)
     assert full.steps[-1] == (1024.0, 4.0)
-    assert full.checkpoints == (800,)
+    assert full.rungs == (1024.0,)
     short = build_default_ladder(0.0, 4.0)
     assert short.T == 200
     assert len(short.steps) == 201
@@ -71,14 +71,50 @@ def test_ladder_validation():
         build_default_ladder(0.0, 0.0)
     with pytest.raises(ValueError):
         build_default_ladder(0.0, 2000.0)
-    with pytest.raises(ValueError, match="start"):
-        TemperatureLadder(((1.0, 0.0), (2.0, 0.0)))
-    with pytest.raises(ValueError, match="decreases"):
-        TemperatureLadder(((0.0, 0.0), (1.0, 1.0), (0.5, 1.0)))
-    with pytest.raises(ValueError, match="stalls"):
-        TemperatureLadder(((0.0, 0.0), (1.0, 1.0), (1.0, 1.0)))
-    with pytest.raises(ValueError, match="checkpoint"):
-        TemperatureLadder(((0.0, 0.0), (1.0, 0.0)), checkpoints=(5,))
+    with pytest.raises(ValueError, match="u_final must be non-negative"):
+        build_default_ladder(float("nan"), 4.0)
+    with pytest.raises(ValueError, match="rung 5 is not a step"):
+        TemperatureLadder(1.0, (5.0, 32.0))
+    # rungs on steps are harvested where they fall: 4 at step 200, 32 at 320
+    ladder = TemperatureLadder(1, [32, 4.0, 32.0])
+    assert ladder.rungs == (4.0, 32.0) and ladder.u_final == 1.0
+    assert ladder.steps == build_default_ladder(1.0, 32.0).steps
+
+
+@pytest.mark.parametrize("kind", [TemperatureLadder, AdaptiveLadder])
+@pytest.mark.parametrize("u_final,rungs,message", [
+    (float("nan"), (4.0,), "u_final must be non-negative"),
+    (float("inf"), (4.0,), "u_final must be non-negative"),
+    (-1.0, (4.0,), "u_final must be non-negative"),
+    (1.0, (), "ladder has no rungs"),
+    (1.0, (0.0,), "rungs must lie in"),
+    (1.0, (-4.0, 4.0), "rungs must lie in"),
+    (1.0, (2048.0,), "rungs must lie in"),
+    (1.0, (4.0, 2048.0), "rungs must lie in"),
+    (1.0, (float("nan"),), "rungs must lie in"),
+])
+def test_both_ladders_share_one_validation(kind, u_final, rungs, message):
+    with pytest.raises(ValueError, match=message):
+        kind(u_final, rungs)
+
+
+@pytest.mark.parametrize("lambda_final", sorted(
+    {4.0, 32.0, 256.0, 1024.0, 1e-3, LAMBDA_CAP,
+     *GridSpec().lambda_grid.tolist()}))
+def test_fixed_ladder_reaches_its_last_rung_only_at_its_last_step(
+        lambda_final):
+    # the invariant that lets run_smc harvest on "lambda is a rung": lambda
+    # strictly increases and equals the last rung only at the last step
+    lams = [lam for lam, _ in build_default_ladder(1.0, lambda_final).steps]
+    assert all(b > a for a, b in zip(lams, lams[1:]))
+    assert [t for t, lam in enumerate(lams) if lam == lambda_final] == \
+        [len(lams) - 1]
+
+
+def test_fixed_ladder_harvests_its_rungs_at_their_steps():
+    ladder = TemperatureLadder(1.6, (3.0, 256.0))
+    assert [t for t, (lam, _) in enumerate(ladder.steps)
+            if lam in ladder.rungs] == [150, 470]
 
 
 def test_ladder_truncation_is_prefix():
@@ -233,37 +269,22 @@ def scores_of(dy, dc):
     return IPWScores(dy, np.asarray(dc, dtype=float))
 
 
-def test_run_smc_initial_step_only():
-    prior = IsotropicNormalPrior(q=2, sigma=1.0)
-    ladder = TemperatureLadder(((0.0, 0.0),), checkpoints=(0,))
-    s = scores_of([1.0, -0.5], [1.0, 1.0])
-    feats = np.eye(2)
-    cfg = SMCConfig(n_particles=64, seed=9)
-    out = run_smc(s, feats, prior, ladder, cfg)
-    assert set(out) == {0}
-    cloud = out[0]
-    np.testing.assert_allclose(cloud.weights, 1 / 64)
-    # the draws are exactly the prior draws from the stage-0 stream
-    want = prior.sample(64, np.random.Generator(np.random.Philox(key=[9, 0])))
-    np.testing.assert_array_equal(cloud.thetas, want)
-
-
 def test_run_smc_deterministic_and_prefix_property():
     rng = np.random.default_rng(2)
     grid, masses, dy, dc, feats = random_grid_problem(rng, n_units=20,
                                                       grid_size=5, q=2)
     prior = GridMixturePrior(grid, masses)
     s = scores_of(dy, dc)
-    full = build_default_ladder(1.0, 32.0).with_checkpoints([200, 320])
+    full = TemperatureLadder(1.0, (4.0, 32.0))
     cfg = SMCConfig(n_particles=200, seed=31, normalized=False)
     out1 = run_smc(s, feats, prior, full, cfg)
     out2 = run_smc(s, feats, prior, full, cfg)
     np.testing.assert_array_equal(out1[320].thetas, out2[320].thetas)
     np.testing.assert_array_equal(out1[320].weights, out2[320].weights)
     # the ladder built to lambda = 4, full's first 201 steps, ends on the
-    # step-200 checkpoint bit for bit
+    # step-200 harvest bit for bit
     cut = build_default_ladder(1.0, 4.0)
-    assert cut.steps == full.steps[:201] and cut.checkpoints == (200,)
+    assert cut.steps == full.steps[:201] and cut.rungs == (4.0,)
     out3 = run_smc(s, feats, prior, cut, cfg)
     assert set(out3) == {200}
     np.testing.assert_array_equal(out3[200].thetas, out1[200].thetas)
@@ -311,11 +332,10 @@ def test_run_smc_weight_normalization_along_ladder():
                                                       grid_size=4, q=2)
     prior = GridMixturePrior(grid, masses)
     s = scores_of(dy, dc)
-    ladder = build_default_ladder(0.5, 4.0)
-    ladder = ladder.with_checkpoints(list(range(0, 201, 25)))
+    ladder = TemperatureLadder(0.5, [0.5 * k for k in range(1, 9)])
     out = run_smc(s, feats, prior, ladder, SMCConfig(n_particles=100, seed=1,
                                                      normalized=False))
-    assert set(out) == set(range(0, 201, 25))
+    assert set(out) == set(range(25, 201, 25))
     for cloud in out.values():
         assert abs(cloud.weights.sum() - 1.0) < 1e-10
         assert cloud.lam == pytest.approx(ladder.steps[cloud.step_index][0])
@@ -424,7 +444,7 @@ def test_run_smc_matches_frozen_reference_loop(normalized, mh_steps):
     scores = ipw_transform(training)
     feats = fmap.transform(training.x)
     prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=1.0)
-    ladder = build_default_ladder(1.6, 256.0).with_checkpoints([150, 470])
+    ladder = TemperatureLadder(1.6, (3.0, 256.0))
     seed = subseed(5, "probe", 2)
     assert seed >= 2**63
     cfg = SMCConfig(n_particles=200, seed=seed, normalized=normalized,
@@ -476,13 +496,6 @@ def test_adaptive_ladder_validation():
     assert ladder.u_at(2.0) == 0.5 and ladder.u_at(32.0) == 1.0
     # a first rung below 4 ends the u ramp there
     assert AdaptiveLadder(1.0, [2.0, 8.0]).u_at(2.0) == 1.0
-    with pytest.raises(ValueError, match="non-negative"):
-        AdaptiveLadder(-1.0, [4.0])
-    with pytest.raises(ValueError, match="no rungs"):
-        AdaptiveLadder(0.0, [])
-    for bad in ([0.0], [2048.0], [float("nan")]):
-        with pytest.raises(ValueError, match="rungs must lie"):
-            AdaptiveLadder(0.0, bad)
 
 
 def test_adaptive_step_bisects_to_the_cess_target_or_takes_the_rung():
@@ -607,8 +620,7 @@ def test_adaptive_posterior_means_agree_with_the_fixed_ladder_across_seeds():
         return cloud.weights @ w, cloud.weights @ k
 
     for u in (0.0, 1.0, 2.0):
-        fixed = build_default_ladder(u, 1024.0).with_checkpoints(
-            [200, 320, 470, 800])
+        fixed = TemperatureLadder(u, rungs)
         got = {"fixed": [], "adaptive": []}
         for seed in seeds:
             out = run_smc(scores, feats, prior, fixed,
