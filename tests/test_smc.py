@@ -99,7 +99,7 @@ def test_both_ladders_share_one_validation(kind, u_final, rungs, message):
 
 
 @pytest.mark.parametrize("lambda_final", sorted(
-    {4.0, 32.0, 256.0, 1024.0, 1e-3, LAMBDA_CAP,
+    {4.0, 32.0, 256.0, 1024.0, 1e-3, 1e-13, LAMBDA_CAP,
      *GridSpec().lambda_grid.tolist()}))
 def test_fixed_ladder_reaches_its_last_rung_only_at_its_last_step(
         lambda_final):
