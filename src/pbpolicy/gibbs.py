@@ -202,7 +202,7 @@ def grid_posterior(grid, prior_masses, lam: float, u: float,
                    normalized: bool = True) -> np.ndarray:
     """Exact Gibbs posterior on a finite grid of rules: the probability of
     each grid row at inverse temperature lam and penalty u."""
-    if u < 0:
+    if not u >= 0:
         raise ValueError(f"u must be non-negative, got {u}")
     if len(grid) == 0:
         raise ValueError("grid is empty")
@@ -210,9 +210,9 @@ def grid_posterior(grid, prior_masses, lam: float, u: float,
     pm = np.asarray(prior_masses, dtype=float)
     if pm.shape[0] != thetas.shape[0]:
         raise ValueError("prior masses not aligned with the grid")
-    if np.any(pm <= 0):
+    if not np.all(pm > 0):
         raise ValueError("prior masses must be positive")
-    if abs(pm.sum() - 1.0) > 1e-8:
+    if not abs(pm.sum() - 1.0) <= 1e-8:
         raise ValueError("prior masses must sum to 1")
     w, k = welfare_cost_matrix(thetas, scores, features)
     logw = np.log(pm) + _scaled(lam, normalized, scores) * (w - u * k)

@@ -200,15 +200,11 @@ class StudyReport:
 
 def build_cost_curve(points) -> CostCurve:
     """Sort gain-cost points by cost, keeping the best gain at equal costs."""
-    pts = [(float(c), float(g)) for c, g in points]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
     best: dict = {}
-    for c, g in pts:
+    for c, g in points:
+        c, g = float(c), float(g)
         if c not in best or g > best[c]:
             best[c] = g
-    if len(best) < 2:
-        raise ValueError("need at least 2 distinct costs")
     costs = np.array(sorted(best))
     return CostCurve(costs=costs, gains=np.array([best[c] for c in costs]))
 
@@ -293,13 +289,12 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample,
                         particles: int, seed: int) -> dict[str, np.ndarray]:
     """Mean held-out penalized welfare per candidate, for both rule kinds.
 
-    "lambda" holds the distinct candidates in ascending order; "gibbs" and
-    "mv" hold the objective of each rule kind at them.
+    "lambda" holds the grid's candidates, which GridSpec keeps strictly
+    increasing; "gibbs" and "mv" hold the objective of each rule kind at
+    them.
     """
-    lambdas = sorted({float(lam) for lam in lambda_grid})
-    if not lambdas:
-        raise ValueError("lambda grid is empty")
-    totals = {"gibbs": np.zeros(len(lambdas)), "mv": np.zeros(len(lambdas))}
+    lambdas = np.array(lambda_grid, dtype=float)
+    totals = {"gibbs": np.zeros(lambdas.size), "mv": np.zeros(lambdas.size)}
     halves = _fold_indices(training.n, CV_FOLDS, subseed(seed, "folds"))
     for f, hold_idx in enumerate(halves):
         fit_idx = np.concatenate([h for g, h in enumerate(halves) if g != f])
@@ -315,7 +310,7 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample,
             dec = (prob > 0.5).astype(float)
             totals["gibbs"][j] += float(np.mean(penalized * prob))
             totals["mv"][j] += float(np.mean(penalized * dec))
-    return {"lambda": np.array(lambdas),
+    return {"lambda": lambdas,
             **{kind: v / CV_FOLDS for kind, v in totals.items()}}
 
 

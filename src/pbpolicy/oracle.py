@@ -101,12 +101,14 @@ def budget_curve_beta(b: float, dy, dc) -> float:
 def solve_eta_B(B: float, dy, dc) -> OptimalRule:
     """Solve for the smallest multiplier whose rule fits the budget B.
 
-    The budget curve on a finite population is a right-continuous-from-
-    neither-side step function whose jumps sit at the population's
-    cost-benefit ratios, so the infimum is located by a search over those
-    ratios rather than blind bisection.  When the budget lands strictly
-    inside a jump, the tie units at the solved ratio are treated with a
-    fractional probability chosen so the realized cost equals B exactly.
+    The least a rule at multiplier η can spend is the strict rule's cost
+    plus every negative-cost tie at η.  That least cost falls as η grows,
+    jumps only at the population's cost-benefit ratios and reaches the
+    cheapest possible cost at the largest ratio, so one search over 0 and
+    the positive ratios finds the smallest η where it fits B.  The tie
+    units at η then fill the budget with a fractional treatment
+    probability: the positive-cost ties when the strict rule is within B,
+    the negative-cost ties when it is not, so the realized cost equals B.
 
     Requires B to exceed the cost of the cheapest possible rule (treating
     only the units whose treatment reduces cost).
@@ -132,35 +134,24 @@ def solve_eta_B(B: float, dy, dc) -> OptimalRule:
         at = (r == eta) & ((dc > 0.0) if sign > 0 else (dc < 0.0))
         return float(np.sum(dc[at])) / m
 
-    if _beta(cands[-1], dy, dc, r) > B:
-        lo, hi = len(cands) - 1, None
-    else:
-        lo, hi = 0, len(cands) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _beta(cands[mid], dy, dc, r) <= B:
-                hi = mid
-            else:
-                lo = mid
+    # the largest ratio is taken to fit, as it does in exact arithmetic
+    lo, hi = -1, len(cands) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _beta(cands[mid], dy, dc, r) + tie_mass(cands[mid], -1) <= B:
+            hi = mid
+        else:
+            lo = mid
 
-    # The infimum is either cands[lo] (curve drops past B just to its
-    # right, where the negative-cost tie units enter) or cands[hi] (curve
-    # is already at or below B there).
-    beta_lo = _beta(cands[lo], dy, dc, r)
-    neg_lo = tie_mass(cands[lo], -1)
-    if beta_lo + neg_lo <= B:
-        eta = float(cands[lo])
-        k_eta = beta_lo
-        a1 = 0.0
-        a2 = (B - beta_lo) / neg_lo if neg_lo != 0.0 else 0.0
-    elif hi is None:
-        raise RuntimeError("budget curve failed to bracket the budget")
-    else:
-        eta = float(cands[hi])
-        k_eta = _beta(eta, dy, dc, r)
+    eta = float(cands[hi])
+    k_eta = _beta(eta, dy, dc, r)
+    a1 = a2 = 0.0
+    if k_eta <= B:
         pos = tie_mass(eta, +1)
         a1 = (B - k_eta) / pos if pos != 0.0 else 0.0
-        a2 = 0.0
+    else:
+        neg = tie_mass(eta, -1)
+        a2 = (B - k_eta) / neg if neg != 0.0 else 0.0
 
     a1 = min(max(a1, 0.0), 1.0)
     a2 = min(max(a2, 0.0), 1.0)
@@ -199,7 +190,7 @@ def _decision_vector(f, m: int) -> np.ndarray:
     dec = np.asarray(f, dtype=float)
     if dec.shape != (m,):
         raise ValueError("rule decisions not aligned with the population")
-    if np.any((dec < 0.0) | (dec > 1.0)):
+    if not np.all((dec >= 0.0) & (dec <= 1.0)):
         raise ValueError("rule decisions must lie in [0, 1]")
     return dec
 

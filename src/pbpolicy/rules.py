@@ -120,7 +120,7 @@ class BatchCandidates:
         self.unit_costs = np.asarray(self.unit_costs, dtype=float)
         if self.unit_costs.shape != (self.x.shape[0],):
             raise ValueError("unit costs not aligned with candidates")
-        if np.any(self.unit_costs < 0):
+        if not np.all(self.unit_costs >= 0):
             raise ValueError("unit costs must be non-negative")
 
     @property
@@ -145,7 +145,7 @@ class BatchPlan:
 
     def __post_init__(self):
         for edge, cost in zip(self.bin_edges, self.realized_cost_by_bin):
-            if cost > edge + 1e-9:
+            if not cost <= edge + 1e-9:
                 raise ValueError("realized cost exceeds its bin edge")
 
 
@@ -165,7 +165,7 @@ def batch_assign(candidates: BatchCandidates,
     """
     if not mv_rules_by_u:
         raise ValueError("no vote rules to select from")
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise ValueError("budget must be positive")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")

@@ -271,7 +271,7 @@ def build_default_ladder(u_final: float, lambda_final: float) -> TemperatureLadd
 def ess(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum of squared normalized weights."""
     weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-8:
+    if not abs(weights.sum() - 1.0) <= 1e-8:
         raise ValueError("weights must be normalized")
     return float(1.0 / (weights * weights).sum())
 

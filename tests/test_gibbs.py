@@ -277,6 +277,16 @@ def test_prior_mass_validation():
         grid_posterior(grid, [1.0], 1.0, 0.0, s, feats)
 
 
+def test_nan_penalty_and_prior_masses_are_rejected():
+    feats = np.array([[1.0]])
+    s = scores_of([1.0], [0.0])
+    grid = np.array([[1.0], [-1.0]])
+    with pytest.raises(ValueError, match="u must be non-negative"):
+        grid_posterior(grid, [0.5, 0.5], 1.0, np.nan, s, feats)
+    with pytest.raises(ValueError, match="positive"):
+        grid_posterior(grid, [np.nan, 0.5], 1.0, 0.0, s, feats)
+
+
 def test_isotropic_prior():
     prior = IsotropicNormalPrior(q=3, sigma=2.0)
     rng = np.random.default_rng(0)

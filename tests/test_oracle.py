@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.oracle import (
@@ -171,6 +172,42 @@ def test_loss_equals_regret_when_unconstrained():
     assert mv_loss_L_B(f, rule, dy, dc) == regret_under_budget(f, rule, dy, dc)
 
 
+def assert_lp_optimal(budget, dy, dc):
+    """The solved rule reaches the LP optimum of max mean(dy·f) subject to
+    mean(dc·f) <= budget and f in [0, 1]^m, and spends within the budget."""
+    m = dy.shape[0]
+    lp = linprog(-dy / m, A_ub=[dc / m], b_ub=[budget], bounds=(0.0, 1.0),
+                 method="highs")
+    assert lp.status == 0
+    gain, cost = gain_cost(
+        oracle_decisions(solve_eta_B(budget, dy, dc), dy, dc), dy, dc)
+    assert gain == pytest.approx(-lp.fun, abs=1e-9)
+    assert cost <= budget + 1e-12
+
+
+def test_solved_rule_is_the_linear_programs_optimum():
+    # one float above the floor, where the search once failed to bracket a
+    # feasible budget
+    rng = np.random.default_rng(45)
+    dy = rng.normal(size=20)
+    dc = rng.normal(size=20)
+    assert_lp_optimal(np.nextafter(np.sum(dc[dc < 0]) / 20, np.inf), dy, dc)
+    rng = np.random.default_rng(57)
+    for i in range(60):
+        m = int(rng.integers(5, 61))
+        if i % 2:  # tie-heavy integer effects
+            dy, dc = rng.integers(-2, 3, size=(2, m)).astype(float)
+        else:
+            dy, dc = rng.normal(size=m), rng.normal(size=m)
+        floor = np.sum(dc[dc < 0]) / m
+        top = budget_curve_beta(0.0, dy, dc)
+        for budget in (np.nextafter(floor, np.inf),
+                       floor + 0.3 * (top - floor),
+                       floor + 0.8 * (top - floor)):
+            if budget > floor:  # top == floor leaves only the first
+                assert_lp_optimal(budget, dy, dc)
+
+
 def test_decisions_match_strict_indicator_off_ties():
     rng = np.random.default_rng(56)
     dy, dc = random_truth(rng)
@@ -219,3 +256,14 @@ def test_gain_cost():
         gain_cost(np.ones(3), dy, dc)
     with pytest.raises(ValueError, match="lie in"):
         gain_cost(np.full(pop.n, 1.5), dy, dc)
+
+
+def test_nan_decisions_fail_the_range_check():
+    rule = solve_eta_B(0.5, *TWO_TYPE)
+    nan_rule = [np.nan, 1.0]
+    with pytest.raises(ValueError, match="lie in"):
+        gain_cost(nan_rule, [1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="lie in"):
+        regret_under_budget(nan_rule, rule, *TWO_TYPE)
+    with pytest.raises(ValueError, match="lie in"):
+        mv_loss_L_B(nan_rule, rule, *TWO_TYPE)

@@ -134,6 +134,11 @@ def test_ess_values():
         ess(np.array([0.5, 0.2]))
 
 
+def test_ess_rejects_nan_weights():
+    with pytest.raises(ValueError, match="normalized"):
+        ess(np.array([np.nan, np.nan]))
+
+
 def particles_with_weights(weights, rng=None):
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
