@@ -241,15 +241,13 @@ def test_batch_plan_invariant():
                   realized_cost_by_bin=(1.5,), assignment_log=())
 
 
-def test_nan_fails_the_batch_range_checks(monkeypatch):
-    patched_shares(monkeypatch)
+def test_nan_fails_the_batch_range_checks():
     xs = np.zeros((2, 1))
-    rule = fixed_rule([[0.0], [0.0]], [0.5])
     with pytest.raises(ValueError, match="non-negative"):
         BatchCandidates(x=xs, unit_costs=np.array([0.5, np.nan]))
     with pytest.raises(ValueError, match="budget must be positive"):
         batch_assign(BatchCandidates(x=xs, unit_costs=np.ones(2)),
-                     {0.0: (rule, 1.0)}, budget=np.nan, n_bins=2)
+                     {0.0: (None, 1.0)}, budget=np.nan, n_bins=2)
     with pytest.raises(ValueError, match="exceeds"):
         BatchPlan(bin_edges=np.array([np.nan]), selected_u=(0.0,),
                   treated_by_bin=(np.array([True]),),
