@@ -11,12 +11,13 @@ Run:  python3 demos/fit_and_score.py
 """
 
 from pbpolicy import (
+    MH_STEPS_PER_STAGE,
+    AdaptiveLadder,
     DGPSpec,
     GibbsRule,
     IsotropicNormalPrior,
     MajorityVoteRule,
     SMCConfig,
-    build_default_ladder,
     gain_cost,
     generate,
     ipw_transform,
@@ -40,12 +41,14 @@ def main():
     scores = ipw_transform(training)
     fmap = poly_feature_map(2, training.x.shape[1]).fit_normalization(training.x)
     prior = IsotropicNormalPrior(q=fmap.dimension, sigma=1.0)
-    ladder = build_default_ladder(U, LAM)
-
-    print(f"fitting: n={N_TRAIN}, lambda={LAM}, u={U}, "
-          f"{PARTICLES} particles, {ladder.T} tempering stages")
-    cloud = run_smc(scores, fmap.transform(training.x), prior, ladder,
-                    SMCConfig(n_particles=PARTICLES, seed=3))[ladder.T]
+    config = SMCConfig(n_particles=PARTICLES, seed=3,
+                       mh_steps_per_stage=MH_STEPS_PER_STAGE)
+    stages = []
+    harvested = run_smc(scores, fmap.transform(training.x), prior,
+                        AdaptiveLadder(U, [LAM]), config, trace=stages)
+    cloud = harvested[max(harvested)]
+    print(f"fitted: n={N_TRAIN}, lambda={LAM}, u={U}, "
+          f"{PARTICLES} particles, {len(stages)} tempering stages")
     gibbs = GibbsRule(cloud, fmap)
     vote = MajorityVoteRule(cloud, fmap)
 

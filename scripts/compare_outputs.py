@@ -7,12 +7,13 @@ Both sides are extracted as scripts/bench_pairs.py extracts them (`git
 archive` of the base ref, and of a tree object of the working tree).  Each
 side runs the fixed list RUNS from its own work directory with relative
 --out and input paths, so that the run_config.json echoes compare equal:
-simulate, fit (--u, --raw, the benchmark's --budget case, and a --budget
-case whose locating pilots hand over without settling), score in all three
-modes on a small sample and on one that ends a row past a block edge of
-score's CSV reader, oracle and bounds on stdout and with --out, both Python
-demos, and run_acceptance_studies.py's tiny study, serially and on two
-worker processes; then fit, bounds and the study again from their own
+simulate, fit (--u, --raw, the benchmark's deploy set-up fit, the
+benchmark's --budget case, and a --budget case whose locating pilots hand
+over without settling), score in all three modes on a small sample and on
+one that ends a row past a block edge of score's CSV reader, oracle and
+bounds on stdout and with --out, both Python demos, and
+run_acceptance_studies.py's tiny study, serially and on two worker
+processes; then fit, bounds and the study again from their own
 run_config.json echoes, so that a config file's values, grid lists
 included, are byte-checked too.  Every command's stdout is kept as
 stdout/<name>.txt, with an "[exit N]" line when it exits non-zero.
@@ -54,6 +55,12 @@ RUNS = [
                "--out", "fit_u"]),
     ("fit_raw", ["fit", "sim_dgp1/sample.csv", "--u", "0.5", "--raw", *_FIT,
                  "--out", "fit_raw"]),
+    # the fit in the benchmark's deploy set-up
+    ("simulate_deploy", ["simulate", "--dgp", "dgp1", "--n", "500",
+                         "--seed", "1", "--out", "sim_deploy"]),
+    ("fit_u_deploy", ["fit", "sim_deploy/sample.csv", "--lambda", "8",
+                      "--u", "0.6", "--particles", "1000", "--seed", "1",
+                      "--out", "fit_u_deploy"]),
     # the benchmark's fit_budget case
     ("simulate_bench", ["simulate", "--dgp", "dgp1", "--n", "1000",
                         "--seed", "11", "--out", "sim_bench"]),

@@ -256,7 +256,7 @@ def _cmd_fit(cfg: dict) -> int:
         u_final = particles.u
     else:
         u_final, trace = cfg["u"], []
-        particles = fixed(u_final, trace)
+        particles = adaptive(u_final, trace)
 
     rule = GibbsRule(particles, fmap)
     save_rule(particles, fmap, normalized, os.path.join(out, "rule.json"))

@@ -197,13 +197,17 @@ def _scaled(lam: float, normalized: bool, scores: IPWScores) -> float:
     return lam / scores.mean_delta_y
 
 
+def _check_penalty(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def grid_posterior(grid, prior_masses, lam: float, u: float,
                    scores: IPWScores, features,
                    normalized: bool = True) -> np.ndarray:
     """Exact Gibbs posterior on a finite grid of rules: the probability of
     each grid row at inverse temperature lam and penalty u."""
-    if not u >= 0:
-        raise ValueError(f"u must be non-negative, got {u}")
+    _check_penalty("u", u)
     if len(grid) == 0:
         raise ValueError("grid is empty")
     thetas = np.vstack(grid).astype(float)
@@ -238,6 +242,8 @@ def tilted_weights(weights, costs, lam: float, u_from: float, u: float,
     """
     weights = np.asarray(weights, dtype=float)
     scale = _scaled(lam, normalized, scores)
+    _check_penalty("u_from", u_from)
+    _check_penalty("u", u)
     if u == u_from:
         return weights.copy()
     with np.errstate(divide="ignore"):
@@ -254,8 +260,11 @@ def solve_u_hat(B: float, lam: float, posterior_evaluator,
     doubling bracket followed by bisection suffices; the stopping rule is on
     the curve value, |Lambda_hat(u) - B| <= tolerance.  A curve that jumps
     across the budget instead raises RuntimeError as soon as its bracket can
-    no longer be split.
+    no longer be split.  A budget that is not a finite number raises
+    ValueError.
     """
+    if not math.isfinite(B):
+        raise ValueError(f"budget must be a finite number, got {B!r}")
     val0 = float(posterior_evaluator(lam, 0.0))
     if val0 <= B:
         return 0.0

@@ -17,13 +17,15 @@ import numpy as np
 import pytest
 
 from pbpolicy import cli
-from pbpolicy.data import CSV_BLOCK_ROWS, load_sample_csv, poly_feature_map
+from pbpolicy.data import (CSV_BLOCK_ROWS, ipw_transform, load_sample_csv,
+                           poly_feature_map)
+from pbpolicy.gibbs import IsotropicNormalPrior, welfare_cost_matrix
 from pbpolicy.persist import _fmt, load_rule, save_rule
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import (MH_STEPS_PER_STAGE, AdaptiveLadder,
+from pbpolicy.smc import (MH_STEPS_PER_STAGE, AdaptiveLadder, SMCConfig,
                           TemperatureLadder, WeightedParticles, _StageStreams,
-                          build_default_ladder)
+                          build_default_ladder, run_smc)
 
 
 def run_cli(*argv):
@@ -147,10 +149,11 @@ def test_fit_outputs(fitted):
     assert diag["u_solved"] is False
     assert np.isfinite(diag["estimated_cost"])
     stages = diag["stages"]
-    assert len(stages) == 200
+    lams = [s["lam"] for s in stages]
+    assert all(a < b for a, b in zip(lams, lams[1:]))
     assert all(0.0 <= s["acceptance"] <= 1.0 for s in stages)
     assert all(1.0 <= s["ess"] <= 40.0 for s in stages)
-    assert stages[-1]["lam"] == 4.0
+    assert lams[-1] == 4.0
 
     echoed = json.loads((fitted / "run_config.json").read_text())
     assert echoed["command"] == "fit"
@@ -216,20 +219,36 @@ def test_fit_budget_meets_its_tolerance(tmp_path, budget_csv, seed, budget):
     assert len(diag["stages"]) == build_default_ladder(diag["u"], 8.0).T
 
 
+def _fixed_ladder_fit(csv, u, lam, particles, seed):
+    """The fixed-ladder cloud at (lam, u) that a confirming run of fit
+    --budget makes with these flags, with its feature map, scores and
+    features."""
+    sample = load_sample_csv(csv, kappa=0.25)
+    fmap = poly_feature_map(2, sample.x.shape[1]).fit_normalization(sample.x)
+    scores, feats = ipw_transform(sample), fmap.transform(sample.x)
+    ladder = build_default_ladder(u, lam)
+    cloud = run_smc(scores, feats,
+                    IsotropicNormalPrior(q=fmap.dimension, sigma=1.0),
+                    ladder, SMCConfig(n_particles=particles, seed=seed))
+    return cloud[ladder.T], fmap, scores, feats
+
+
 def test_fit_slack_budget_is_the_unpenalized_fit(tmp_path, budget_csv):
     args = ["--lambda", "8", "--particles", 40, "--seed", 5]
-    assert run_cli("fit", budget_csv, "--out", tmp_path / "u0",
-                   "--u", "0", *args) == 0
     assert run_cli("fit", budget_csv, "--out", tmp_path / "slack",
                    "--budget", "50", *args) == 0
-    assert ((tmp_path / "u0" / "rule.json").read_bytes()
+    cloud, fmap, _, _ = _fixed_ladder_fit(budget_csv, 0.0, 8.0, 40, 5)
+    save_rule(cloud, fmap, True, tmp_path / "fixed.json")
+    assert ((tmp_path / "fixed.json").read_bytes()
             == (tmp_path / "slack" / "rule.json").read_bytes())
     diag = json.loads((tmp_path / "slack" / "diagnostics.json").read_text())
     # one locating run on the adaptive ladder, one confirming run on the
     # fixed one
     assert diag["smc_runs"] == 2 and diag["budget_gap"] == 0.0
-    fixed = json.loads((tmp_path / "u0" / "diagnostics.json").read_text())
-    assert not {"budget_gap", "smc_runs", "pilot_u", "tilted_ess"} & set(fixed)
+    assert run_cli("fit", budget_csv, "--out", tmp_path / "u0",
+                   "--u", "0", *args) == 0
+    plain = json.loads((tmp_path / "u0" / "diagnostics.json").read_text())
+    assert not {"budget_gap", "smc_runs", "pilot_u", "tilted_ess"} & set(plain)
 
 
 def _thetas(out):
@@ -240,13 +259,13 @@ def _thetas(out):
 
 def test_fit_budget_rule_is_the_fixed_ladder_fit_at_its_pilot(tmp_path,
                                                              budget_csv):
-    args = ["--lambda", "8", "--particles", 100, "--seed", 1]
     assert run_cli("fit", budget_csv, "--out", tmp_path / "b",
-                   "--budget", "0.45", *args) == 0
+                   "--budget", "0.45", "--lambda", "8", "--particles", 100,
+                   "--seed", 1) == 0
     diag = json.loads((tmp_path / "b" / "diagnostics.json").read_text())
-    assert run_cli("fit", budget_csv, "--out", tmp_path / "p",
-                   "--u", repr(diag["pilot_u"]), *args) == 0
-    assert _thetas(tmp_path / "b") == _thetas(tmp_path / "p")
+    cloud, _, _, _ = _fixed_ladder_fit(budget_csv, diag["pilot_u"], 8.0,
+                                       100, 1)
+    assert _thetas(tmp_path / "b") == cloud.thetas.tobytes()
     assert len(diag["stages"]) == build_default_ladder(diag["u"], 8.0).T
 
 
@@ -270,6 +289,46 @@ def test_fit_budget_locates_adaptively_and_confirms_on_the_fixed_ladder(
     kinds = [kind for kind, _ in ladders]
     located = kinds.count(AdaptiveLadder)
     assert kinds[located:] == [TemperatureLadder] * (len(kinds) - located)
+
+
+def test_fit_u_runs_once_on_the_adaptive_ladder(monkeypatch, tmp_path,
+                                                budget_csv):
+    runs = []
+    run_smc = cli.run_smc
+
+    def spy(scores, feats, prior, ladder, config, trace=None):
+        runs.append((type(ladder), ladder.u_final, ladder.rungs,
+                     config.mh_steps_per_stage))
+        return run_smc(scores, feats, prior, ladder, config, trace=trace)
+
+    monkeypatch.setattr(cli, "run_smc", spy)
+    out = tmp_path / "u"
+    assert run_cli("fit", budget_csv, "--out", out, "--lambda", "8",
+                   "--u", "0.6", "--particles", 100, "--seed", 1) == 0
+    assert runs == [(AdaptiveLadder, 0.6, (8.0,), MH_STEPS_PER_STAGE)]
+    particles = json.loads((out / "rule.json").read_text())[
+        "payload"]["particles"]
+    assert (particles["lam"], particles["u"]) == (8.0, 0.6)
+
+
+def test_fit_u_agrees_with_the_fixed_ladder(tmp_path, budget_csv):
+    # posterior means of W and K over eight seeds on each ladder agree
+    # within 4 combined standard errors
+    adaptive, fixed = [], []
+    for seed in range(8):
+        out = tmp_path / str(seed)
+        assert run_cli("fit", budget_csv, "--out", out, "--lambda", "8",
+                       "--u", "0.6", "--particles", 200, "--seed", seed) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        adaptive.append((diag["estimated_welfare"], diag["estimated_cost"]))
+        cloud, _, scores, feats = _fixed_ladder_fit(budget_csv, 0.6, 8.0,
+                                                    200, seed)
+        w, k = welfare_cost_matrix(cloud.thetas, scores, feats)
+        fixed.append((cloud.weights @ w, cloud.weights @ k))
+    adaptive, fixed = np.array(adaptive), np.array(fixed)
+    gap = np.abs(adaptive.mean(axis=0) - fixed.mean(axis=0))
+    se = np.hypot(adaptive.std(axis=0, ddof=1), fixed.std(axis=0, ddof=1))
+    assert np.all(gap <= 4.0 * se / np.sqrt(8))
 
 
 @pytest.fixture(scope="module")

@@ -106,6 +106,20 @@ def test_u_hat_infeasible_budget():
         solve_u_hat(-0.5, 1.0, ev)  # below the min cost on the grid
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_u_hat_rejects_a_budget_that_is_not_finite(budget):
+    calls = []
+
+    def ev(lam, u):
+        calls.append(u)
+        return 1.0 / (1.0 + u)
+
+    with pytest.raises(ValueError, match=f"budget must be a finite number, "
+                                         f"got {budget!r}"):
+        solve_u_hat(budget, 1.0, ev)
+    assert calls == []
+
+
 def test_u_hat_stops_once_a_jump_collapses_the_bracket():
     # the cost jumps from 0.6 to 0.4 across the budget 0.5 at u = 1.1, so no
     # penalty meets any tolerance: bisection must stop when it cannot split
@@ -285,6 +299,28 @@ def test_nan_penalty_and_prior_masses_are_rejected():
         grid_posterior(grid, [0.5, 0.5], 1.0, np.nan, s, feats)
     with pytest.raises(ValueError, match="positive"):
         grid_posterior(grid, [np.nan, 0.5], 1.0, 0.0, s, feats)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -3.0, -1e-300, math.inf])
+def test_a_negative_or_non_finite_penalty_is_rejected(bad):
+    s = scores_of([1.0, 2.0], [1.0, 0.0])
+    for normalized in (True, False):
+        with pytest.raises(ValueError,
+                           match=f"^u must be non-negative, got {bad}$"):
+            grid_posterior(np.array([[1.0], [-1.0]]), [0.5, 0.5], 1.0, bad,
+                           s, np.array([[1.0], [1.0]]), normalized)
+        with pytest.raises(ValueError,
+                           match=f"^u must be non-negative, got {bad}$"):
+            tilted_weights([0.5, 0.5], [1.0, 0.0], 1.0, 0.0, bad, s,
+                           normalized)
+        with pytest.raises(ValueError,
+                           match=f"^u_from must be non-negative, got {bad}$"):
+            tilted_weights([0.5, 0.5], [1.0, 0.0], 1.0, bad, 0.5, s,
+                           normalized)
+        # u == u_from returns the weights unchanged, but not for a bad value
+        with pytest.raises(ValueError, match="must be non-negative"):
+            tilted_weights([0.5, 0.5], [1.0, 0.0], 1.0, bad, bad, s,
+                           normalized)
 
 
 def test_isotropic_prior():
