@@ -11,21 +11,18 @@ Run:  python3 demos/fit_and_score.py
 """
 
 from pbpolicy import (
-    MH_STEPS_PER_STAGE,
-    AdaptiveLadder,
     DGPSpec,
     GibbsRule,
     IsotropicNormalPrior,
     MajorityVoteRule,
-    SMCConfig,
     gain_cost,
     generate,
     ipw_transform,
     mv_decide,
     oracle_report,
     poly_feature_map,
-    run_smc,
     solve_eta_B,
+    temper,
     treat_probability,
 )
 
@@ -41,12 +38,10 @@ def main():
     scores = ipw_transform(training)
     fmap = poly_feature_map(2, training.x.shape[1]).fit_normalization(training.x)
     prior = IsotropicNormalPrior(q=fmap.dimension, sigma=1.0)
-    config = SMCConfig(n_particles=PARTICLES, seed=3,
-                       mh_steps_per_stage=MH_STEPS_PER_STAGE)
     stages = []
-    harvested = run_smc(scores, fmap.transform(training.x), prior,
-                        AdaptiveLadder(U, [LAM]), config, trace=stages)
-    cloud = harvested[max(harvested)]
+    cloud = temper(scores, fmap.transform(training.x), prior, u=U,
+                   rungs=[LAM], n_particles=PARTICLES, seed=3,
+                   trace=stages)[LAM]
     print(f"fitted: n={N_TRAIN}, lambda={LAM}, u={U}, "
           f"{PARTICLES} particles, {len(stages)} tempering stages")
     gibbs = GibbsRule(cloud, fmap)

@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
 from pbpolicy.gibbs import IsotropicNormalPrior, grid_posterior, solve_u_hat
 from pbpolicy.bounds import BoundInputs, bound_report
-from pbpolicy.smc import (MH_STEPS_PER_STAGE, AdaptiveLadder, SMCConfig,
-                          run_smc)
+from pbpolicy.smc import temper
 from pbpolicy.rules import (
     GibbsRule,
     MajorityVoteRule,

@@ -46,9 +46,8 @@ from pbpolicy.persist import (_fmt, _read_json, _write_atomic, _write_csv,
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
-from pbpolicy.smc import (LAMBDA_CAP, MH_STEPS_PER_STAGE, TAU_ESS,
-                          AdaptiveLadder, SMCConfig, _StageStreams,
-                          build_default_ladder, ess, run_smc)
+from pbpolicy.smc import (LAMBDA_CAP, TAU_ESS, SMCConfig, _StageStreams,
+                          build_default_ladder, ess, run_smc, temper)
 
 __all__ = ["main", "build_parser"]
 
@@ -245,10 +244,9 @@ def _cmd_fit(cfg: dict) -> int:
         return harvested[max(harvested)]
 
     def adaptive(u_value: float, trace: list):
-        ladder = AdaptiveLadder(u_value, [lam])
-        config = replace(smc_cfg, mh_steps_per_stage=MH_STEPS_PER_STAGE)
-        harvested = run_smc(scores, feats, prior, ladder, config, trace=trace)
-        return harvested[max(harvested)]
+        return temper(scores, feats, prior, u_value, [lam],
+                      smc_cfg.n_particles, smc_cfg.seed, normalized,
+                      trace=trace)[lam]
 
     if budget is not None:
         particles, trace, solve_report = _fit_budget(

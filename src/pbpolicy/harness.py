@@ -25,8 +25,8 @@ from .dgp import DGPSpec, SimulatedPopulation, generate
 from .gibbs import IsotropicNormalPrior
 from .oracle import gain_cost
 from .persist import _fmt, _write_atomic, _write_csv
-# treat_probability and mv_decide are not called here any more, but the
-# benchmark's tracer (bench/tracing.py) rebinds them in this module
+# treat_probability, mv_decide and run_smc are not called here any more, but
+# the benchmark's tracer (bench/tracing.py) rebinds them in this module
 from .rules import (
     BatchCandidates,
     GibbsRule,
@@ -38,13 +38,7 @@ from .rules import (
     rule_empirical_cost,
     treat_probability,
 )
-from .smc import (
-    LAMBDA_CAP,
-    MH_STEPS_PER_STAGE,
-    AdaptiveLadder,
-    SMCConfig,
-    run_smc,
-)
+from .smc import LAMBDA_CAP, run_smc, temper
 
 __all__ = [
     "GridSpec",
@@ -265,24 +259,12 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def _prepare(sample: Sample):
-    """The feature map normalized on sample, the sample's features under it
-    and its IPW scores."""
+    """The feature map normalized on sample, the sample's features under it,
+    its IPW scores and the prior over the map's coefficients."""
     fmap = poly_feature_map(FEATURE_DEGREE, sample.x.shape[1])
     fmap = fmap.fit_normalization(sample.x)
-    return fmap, fmap.transform(sample.x), ipw_transform(sample)
-
-
-def _tempered_clouds(u: float, lambdas, prepared, particles: int,
-                     seed: int) -> dict:
-    """One adaptive tempering run on a _prepare'd sample up to the highest
-    inverse temperature, with the cloud harvested at every one, keyed by
-    lambda."""
-    fmap, feats, scores = prepared
     prior = IsotropicNormalPrior(q=len(fmap.exponents), sigma=PRIOR_SIGMA)
-    harvested = run_smc(scores, feats, prior, AdaptiveLadder(u, lambdas),
-                        SMCConfig(n_particles=particles, seed=seed,
-                                  mh_steps_per_stage=MH_STEPS_PER_STAGE))
-    return {cloud.lam: cloud for cloud in harvested.values()}
+    return fmap, fmap.transform(sample.x), ipw_transform(sample), prior
 
 
 def _holdout_objectives(u: float, lambda_grid, training: Sample,
@@ -298,12 +280,13 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample,
     halves = _fold_indices(training.n, CV_FOLDS, subseed(seed, "folds"))
     for f, hold_idx in enumerate(halves):
         fit_idx = np.concatenate([h for g, h in enumerate(halves) if g != f])
-        prepared = _prepare(training.subset(np.sort(fit_idx)))
-        clouds = _tempered_clouds(u, lambdas, prepared, particles,
-                                  subseed(seed, "cv", f))
+        fmap, feats, scores, prior = _prepare(
+            training.subset(np.sort(fit_idx)))
+        clouds = temper(scores, feats, prior, u, lambdas, particles,
+                        subseed(seed, "cv", f))
         hold = training.subset(np.sort(hold_idx))
         hold_scores = ipw_transform(hold)
-        hold_feats = prepared[0].transform(hold.x)
+        hold_feats = fmap.transform(hold.x)
         penalized = hold_scores.delta_y - u * hold_scores.delta_c
         for j, lam in enumerate(lambdas):
             prob = _clipped_votes(hold_feats, clouds[lam])
@@ -335,7 +318,7 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
     training = generate(DGPSpec(dgp.id, rep_seed, dgp.n)).sample
     # every penalty's final fit is normalized on the whole training sample,
     # so its features and the test population's are built once here
-    prepared = fmap, feats, scores = _prepare(training)
+    fmap, feats, scores, prior = _prepare(training)
     test_feats = fmap.transform(test_pop.x)
     dy, dc = test_pop.cate, test_pop.expected_cost
 
@@ -347,8 +330,8 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         lam_sa, lam_mv = _select_lambdas(u, grids.lambda_grid, training,
                                          config.particles, u_seed)
         # one tempering run, cut at the larger target, harvests both rules
-        clouds = _tempered_clouds(u, [lam_sa, lam_mv], prepared,
-                                  config.particles, subseed(u_seed, "fit"))
+        clouds = temper(scores, feats, prior, u, [lam_sa, lam_mv],
+                        config.particles, subseed(u_seed, "fit"))
         rule_sa = GibbsRule(clouds[lam_sa], fmap)
         rule_mv = MajorityVoteRule(clouds[lam_mv], fmap)
 

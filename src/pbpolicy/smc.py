@@ -38,6 +38,10 @@ run ends at the last rung.
   lambda by 2^-20 of the way to the next rung raises RuntimeError naming
   the stage, lambda and u.
 
+temper is the adaptive run at MH_STEPS_PER_STAGE sweeps per stage that
+`fit` (but for the budget solve's confirming runs), the study and the
+examples make, its clouds keyed by lambda.
+
 Determinism: stage t consumes a dedicated counter-based RNG stream, the one
 np.random.Philox(key=np.array([seed, t], dtype=np.uint64)) gives, drawing in
 a fixed order (resampling uniform if triggered, then per Metropolis step a
@@ -69,6 +73,7 @@ __all__ = [
     "resample_systematic",
     "mh_move",
     "run_smc",
+    "temper",
 ]
 
 LADDER_KNOT_STEPS = (0, 200, 320, 470, 800)
@@ -454,3 +459,17 @@ def run_smc(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
         lam_prev, u_prev = lam_t, u_t
 
     return out
+
+
+def temper(sample_scores: IPWScores, features, prior: IsotropicNormalPrior,
+           u: float, rungs, n_particles: int, seed: int,
+           normalized: bool = True,
+           trace=None) -> dict[float, WeightedParticles]:
+    """One run_smc on AdaptiveLadder(u, rungs) at MH_STEPS_PER_STAGE sweeps
+    per stage, its clouds keyed by lambda; trace is run_smc's."""
+    config = SMCConfig(n_particles=n_particles, seed=seed,
+                       normalized=normalized,
+                       mh_steps_per_stage=MH_STEPS_PER_STAGE)
+    harvested = run_smc(sample_scores, features, prior,
+                        AdaptiveLadder(u, rungs), config, trace=trace)
+    return {cloud.lam: cloud for cloud in harvested.values()}

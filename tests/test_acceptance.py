@@ -20,7 +20,6 @@ import importlib.util
 import json
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +51,11 @@ from pbpolicy.oracle import (
 )
 from pbpolicy.rules import GibbsRule, MajorityVoteRule, mv_decide, treat_probability
 from pbpolicy.smc import (
-    AdaptiveLadder,
     SMCConfig,
     build_default_ladder,
     resample_systematic,
     run_smc,
+    temper,
 )
 from pbpolicy import cli
 
@@ -163,10 +162,9 @@ def test_c01_adaptive_ladder_matches_exact_grid_posteriors(grid_problems):
     # criterion 1 for the schedule the study runs: adaptive stages with the
     # study's five Metropolis sweeps each, harvested at the one rung
     def cloud_of(prob, prior, config):
-        (cloud,) = run_smc(
-            prob.scores, prob.features, prior,
-            AdaptiveLadder(prob.u, [prob.lam]),
-            replace(config, mh_steps_per_stage=5)).values()
+        cloud = temper(prob.scores, prob.features, prior, prob.u, [prob.lam],
+                       config.n_particles, config.seed,
+                       config.normalized)[prob.lam]
         assert (cloud.lam, cloud.u) == (prob.lam, prob.u)
         return cloud
 

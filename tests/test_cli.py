@@ -16,7 +16,7 @@ from itertools import takewhile
 import numpy as np
 import pytest
 
-from pbpolicy import cli
+from pbpolicy import cli, smc
 from pbpolicy.data import (CSV_BLOCK_ROWS, ipw_transform, load_sample_csv,
                            poly_feature_map)
 from pbpolicy.gibbs import IsotropicNormalPrior, welfare_cost_matrix
@@ -269,16 +269,25 @@ def test_fit_budget_rule_is_the_fixed_ladder_fit_at_its_pilot(tmp_path,
     assert len(diag["stages"]) == build_default_ladder(diag["u"], 8.0).T
 
 
+def _spy_on_run_smc(monkeypatch, record):
+    """Call record(ladder, config) before every SMC run of the CLI: the
+    fixed ladder's runs go through cli.run_smc and temper's through
+    smc.run_smc, so both names get the same spy."""
+    real = smc.run_smc
+
+    def spy(scores, feats, prior, ladder, config, trace=None):
+        record(ladder, config)
+        return real(scores, feats, prior, ladder, config, trace=trace)
+
+    monkeypatch.setattr(cli, "run_smc", spy)
+    monkeypatch.setattr(smc, "run_smc", spy)
+
+
 def test_fit_budget_locates_adaptively_and_confirms_on_the_fixed_ladder(
         monkeypatch, tmp_path, budget_csv):
     ladders = []
-    run_smc = cli.run_smc
-
-    def spy(scores, feats, prior, ladder, config, trace=None):
-        ladders.append((type(ladder), config.mh_steps_per_stage))
-        return run_smc(scores, feats, prior, ladder, config, trace=trace)
-
-    monkeypatch.setattr(cli, "run_smc", spy)
+    _spy_on_run_smc(monkeypatch, lambda ladder, config: ladders.append(
+        (type(ladder), config.mh_steps_per_stage)))
     out = tmp_path / "b"
     assert run_cli("fit", budget_csv, "--out", out, "--lambda", "8",
                    "--budget", "0.45", "--particles", 100, "--seed", 1) == 0
@@ -294,14 +303,9 @@ def test_fit_budget_locates_adaptively_and_confirms_on_the_fixed_ladder(
 def test_fit_u_runs_once_on_the_adaptive_ladder(monkeypatch, tmp_path,
                                                 budget_csv):
     runs = []
-    run_smc = cli.run_smc
-
-    def spy(scores, feats, prior, ladder, config, trace=None):
-        runs.append((type(ladder), ladder.u_final, ladder.rungs,
-                     config.mh_steps_per_stage))
-        return run_smc(scores, feats, prior, ladder, config, trace=trace)
-
-    monkeypatch.setattr(cli, "run_smc", spy)
+    _spy_on_run_smc(monkeypatch, lambda ladder, config: runs.append(
+        (type(ladder), ladder.u_final, ladder.rungs,
+         config.mh_steps_per_stage)))
     out = tmp_path / "u"
     assert run_cli("fit", budget_csv, "--out", out, "--lambda", "8",
                    "--u", "0.6", "--particles", 100, "--seed", 1) == 0
@@ -356,18 +360,14 @@ def test_fit_budget_cap_hand_over_resets_the_bracket(monkeypatch, tmp_path,
     # the case above: its adaptive pilots leave a bracket that excludes the
     # u_hat of the first fixed-ladder run, which the next one must still use
     runs, solved = [], []
-    run_smc, solve_u_hat = cli.run_smc, cli.solve_u_hat
-
-    def run_spy(scores, feats, prior, ladder, config, trace=None):
-        runs.append(ladder)
-        return run_smc(scores, feats, prior, ladder, config, trace=trace)
+    solve_u_hat = cli.solve_u_hat
 
     def solve_spy(*args, **kwargs):
         solved.append(None)  # stays None when the solve raises
         solved[-1] = solve_u_hat(*args, **kwargs)
         return solved[-1]
 
-    monkeypatch.setattr(cli, "run_smc", run_spy)
+    _spy_on_run_smc(monkeypatch, lambda ladder, config: runs.append(ladder))
     monkeypatch.setattr(cli, "solve_u_hat", solve_spy)
     assert run_cli("fit", n1000_csv, "--out", tmp_path / "b", "--lambda", "32",
                    "--budget", "0.2", "--particles", 16, "--seed", 1) == 0

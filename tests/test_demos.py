@@ -1,6 +1,8 @@
-"""The demos run to completion against the current package."""
+"""The demos and README's python examples run to completion against the
+current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,18 @@ def test_demo_runs(demo):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    examples = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert examples
+    for code in examples:
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=_env(),
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()
 
 
 def test_cli_walkthrough_runs(tmp_path):

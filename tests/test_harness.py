@@ -226,28 +226,6 @@ def test_cross_validation_is_deterministic():
     assert len(picks) == 1
 
 
-def test_tempered_clouds_run_the_adaptive_ladder_through_harness_run_smc(
-        monkeypatch):
-    sample = generate(DGPSpec("DGP1", 6, 80)).sample
-    calls, real_run_smc = [], harness.run_smc
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real_run_smc(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "run_smc", spy)
-    lambdas = [4.0, 32.0, 256.0]
-    clouds = harness._tempered_clouds(0.7, lambdas, harness._prepare(sample),
-                                      40, 5)
-    (ladder, config), = [(a[3], a[4]) for a in calls]
-    assert isinstance(ladder, harness.AdaptiveLadder)
-    assert ladder.rungs == tuple(lambdas)
-    assert config.mh_steps_per_stage == harness.MH_STEPS_PER_STAGE == 5
-    assert list(clouds) == lambdas
-    for lam, cloud in clouds.items():
-        assert (cloud.lam, cloud.u) == (lam, 0.7)
-
-
 SMOKE_GRIDS = GridSpec(u_grid=[0.0, 0.6, 1.2], lambda_grid=[4.0, 32.0])
 SMOKE_CONFIG = dict(particles=40, n_test=300, n_bins=4)
 

@@ -14,6 +14,7 @@ from pbpolicy.gibbs import (
     welfare_cost_matrix,
 )
 from pbpolicy.smc import (
+    MH_STEPS_PER_STAGE,
     AdaptiveLadder,
     SMCConfig,
     TemperatureLadder,
@@ -23,6 +24,7 @@ from pbpolicy.smc import (
     mh_move,
     resample_systematic,
     run_smc,
+    temper,
 )
 from pbpolicy.harness import GridSpec, subseed
 from pbpolicy.smc import (CESS_FRACTION, LAMBDA_CAP, TAU_ESS, _cess_fraction,
@@ -575,6 +577,37 @@ def test_adaptive_run_is_deterministic_and_rung_prefix_reproduces():
     for step in cut:
         assert np.array_equal(cut[step].thetas, full[step].thetas)
         assert np.array_equal(cut[step].weights, full[step].weights)
+
+
+def test_temper_is_the_adaptive_run_keyed_by_rung():
+    # temper is one run_smc on the adaptive ladder at MH_STEPS_PER_STAGE
+    # sweeps, bit for bit, with its clouds keyed by lambda
+    scores, feats, prior = _dgp_problem(n=80, seed=6)
+    rungs = [4.0, 32.0, 256.0]
+    assert MH_STEPS_PER_STAGE == 5
+    last = {}
+    for normalized in (True, False):
+        trace, want_trace = [], []
+        got = temper(scores, feats, prior, 0.7, rungs, 40, 5, normalized,
+                     trace=trace)
+        want = run_smc(scores, feats, prior, AdaptiveLadder(0.7, rungs),
+                       SMCConfig(n_particles=40, seed=5, normalized=normalized,
+                                 mh_steps_per_stage=MH_STEPS_PER_STAGE),
+                       trace=want_trace)
+        assert list(got) == rungs
+        for (lam, cloud), ref in zip(got.items(), want.values()):
+            assert (cloud.lam, cloud.u) == (lam, 0.7)
+            assert cloud.step_index == ref.step_index
+            assert np.array_equal(cloud.thetas, ref.thetas)
+            assert np.array_equal(cloud.weights, ref.weights)
+        # the trace gets one record per stage, as run_smc's does
+        assert trace == want_trace
+        assert [rec["step"] for rec in trace] == list(range(1, max(want) + 1))
+        last[normalized] = got[256.0].thetas
+    # normalized=False reaches the config: the raw criterion moves the run
+    assert not np.array_equal(last[True], last[False])
+    untraced = temper(scores, feats, prior, 0.7, rungs, 40, 5)
+    assert np.array_equal(untraced[256.0].thetas, last[True])
 
 
 def test_adaptive_run_raises_when_lambda_cannot_advance():
