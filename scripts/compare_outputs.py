@@ -15,7 +15,10 @@ bounds on stdout and with --out, both Python demos, and
 run_acceptance_studies.py's tiny study, serially and on two worker
 processes; then fit, bounds and the study again from their own
 run_config.json echoes, so that a config file's values, grid lists
-included, are byte-checked too.  Every command's stdout is kept as
+included, are byte-checked too.  One fit and one score read CSVs written
+here in every form the CSV reader takes (_write_odd_csvs): quoted cells,
+CRLF line ends, empty lines, exponents, a leading + and spaces around
+cells.  Every command's stdout is kept as
 stdout/<name>.txt, with an "[exit N]" line when it exits non-zero.
 
 Prints one line per file, equal, differs, or only on one side, and exits 1
@@ -29,6 +32,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,6 +90,11 @@ RUNS = [
                                 "--seed", "6",
                                 "--out", f"score_blocks_{mode}"])
       for mode in ("prob", "mv", "sample")),
+    # the CSVs of _write_odd_csvs
+    ("fit_odd_csv", ["fit", "odd/sample.csv", "--u", "0.5", *_FIT,
+                     "--out", "fit_odd_csv"]),
+    ("score_odd_csv", ["score", "fit_u/rule.json", "odd/covariates.csv",
+                       "--mode", "prob", "--out", "score_odd_csv"]),
     ("oracle_stdout", ["oracle", "--dgp", "dgp1", "--budget", "0.6",
                        "--n", "20000", "--seed", "7"]),
     ("oracle_out", ["oracle", "--dgp", "dgp2", "--budget", "2",
@@ -110,10 +120,50 @@ RUNS = [
 ]
 
 
+# a cell's text forms, and its dress, cycled through a file's cells
+_FORMS = [repr, "%.17g".__mod__, "%e".__mod__,
+          lambda v: ("" if repr(v)[0] == "-" else "+") + repr(v)]
+_DRESS = [str, '"{}"'.format, " {} ".format, '" {}"'.format]
+
+
+def _write_odd_csv(path: str, header: list, table: np.ndarray) -> None:
+    """table as a CSV with CRLF line ends, an empty line after every
+    seventh row and its cells in the forms above."""
+    lines = [",".join(header)]
+    for i, row in enumerate(table.tolist()):
+        lines.append(",".join(
+            _DRESS[(i + j) % len(_DRESS)](_FORMS[(i + 2 * j) % len(_FORMS)](v))
+            for j, v in enumerate(row)))
+        if i % 7 == 6:
+            lines.append("")
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + "\r\n" for line in lines))
+
+
+def _write_odd_csvs(work: str) -> None:
+    """odd/sample.csv, a 300-unit sample for fit, and odd/covariates.csv,
+    covariates for score whose rows end past a block edge of the reader."""
+    rng = np.random.default_rng(27)
+    os.makedirs(os.path.join(work, "odd"))
+    n = 300
+    d = rng.integers(0, 2, size=n)
+    x = rng.uniform(size=(n, 3))
+    y = 1.0 + x @ [1.0, -2.0, 0.5] + d * (x[:, 0] - 0.4) \
+        + rng.normal(scale=0.3, size=n)
+    c = d * rng.uniform(0.5, 1.5, size=n)
+    _write_odd_csv(os.path.join(work, "odd", "sample.csv"),
+                   ["y", "c", "d", "x1", "x2", "x3", "e"],
+                   np.column_stack([y, c, d, x, np.full(n, 0.5)]))
+    _write_odd_csv(os.path.join(work, "odd", "covariates.csv"),
+                   ["x1", "x2", "x3"],
+                   rng.uniform(size=(2 * CSV_BLOCK_ROWS + 3, 3)))
+
+
 def _run_all(tree: str, work: str) -> None:
     """Run RUNS with the package in tree, from the directory work."""
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
     os.makedirs(os.path.join(work, "stdout"))
+    _write_odd_csvs(work)
     for name, argv in RUNS:
         cmd = ([sys.executable, os.path.join(tree, argv[0])]
                if argv[0].endswith(".py")

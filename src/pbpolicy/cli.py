@@ -34,8 +34,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from pbpolicy.bounds import BoundInputs, bound_report
-from pbpolicy.data import (_csv_blocks, ipw_transform, load_sample_csv,
-                           poly_feature_map)
+from pbpolicy.data import (CSV_BLOCK_ROWS, _csv_blocks, ipw_transform,
+                           load_sample_csv, poly_feature_map)
 from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             IsotropicNormalPrior, solve_u_hat,
@@ -62,6 +62,11 @@ _MAX_SMC_RUNS = 50
 # with fixed-ladder runs; without a cap, a small cloud's pilots can chase
 # each other to _MAX_SMC_RUNS
 _LOCATE_RUNS = 4
+# width, relative to its upper end (so in no unit of u), below which the
+# confirming runs' bracket ends a budget fit that has not settled.  A tiny
+# cloud's tilts can miss at every penalty; over a 300-fit sweep, no fit
+# that settled had passed through a bracket narrower than 0.0088.
+_BRACKET_RTOL = 1e-4
 
 # flag spellings for required-value errors, where the argparse dest differs
 # from the flag users type
@@ -159,7 +164,8 @@ def _fit_budget(budget: float, tol: float, lam: float, locate, confirm,
     bracket the next one: a pilot whose own cost is over the budget bounds
     u_hat from below, one within it from above, and a step that would leave
     the bracket bisects it instead.  _MAX_SMC_RUNS bounds the runs of both
-    runners together.
+    runners together, and a confirming bracket narrower than _BRACKET_RTOL
+    of its upper end ends the solve.
 
     Returns the particles at u_hat, the last run's stage trace and the
     budget-solve diagnostics; smc_runs counts the runs of both runners.
@@ -196,6 +202,12 @@ def _fit_budget(budget: float, tol: float, lam: float, locate, confirm,
                 return solved, trace, {"smc_runs": runs, "pilot_u": u_pilot,
                                        "tilted_ess": tilted_ess}
             misses += not settled
+        if runner is confirm and u_hi - u_lo < _BRACKET_RTOL * u_hi:
+            raise RuntimeError(
+                f"budget solve did not settle after {runs} SMC runs: the "
+                f"confirming runs bracket the penalty in [{u_lo!r}, "
+                f"{u_hi!r}], narrower than {_BRACKET_RTOL:g} of its upper "
+                f"end")
         # a settled u_hat hands over to a fresh bracket, where clamping a
         # u_hat of 0 would bisect to inf
         if not (settled or u_lo < u_next < u_hi):
@@ -310,7 +322,7 @@ def _cmd_score(cfg: dict) -> int:
     particles, fmap = load_rule(cfg["rule"])
     rule = (MajorityVoteRule if mode == "mv" else GibbsRule)(particles, fmap)
 
-    def rows():
+    def blocks():
         for block in _csv_blocks(cfg["covariates"]):
             x = block["x"]
             if x.shape[1] != fmap.d_x:
@@ -322,9 +334,9 @@ def _cmd_score(cfg: dict) -> int:
                 cells = map(str, mv_decide(rule, x).tolist())
             else:
                 cells = map(str, sample_assignments(rule, x, rng).tolist())
-            yield from ([cell] for cell in cells)
+            yield zip(cells)
 
-    _write_csv(os.path.join(out, "assignments.csv"), ["assignment"], rows())
+    _write_csv(os.path.join(out, "assignments.csv"), ["assignment"], blocks())
     return EXIT_OK
 
 
@@ -393,14 +405,16 @@ def _cmd_simulate(cfg: dict) -> int:
     s = population.sample
     header = (["y", "c", "d"]
               + [f"x{j + 1}" for j in range(s.x.shape[1])] + ["e"])
-    rows = ([_fmt(s.y[i]), _fmt(s.c[i]), str(int(s.d[i]))]
-            + [_fmt(v) for v in s.x[i]] + [_fmt(s.e[i])]
-            for i in range(s.n))
+    columns = [(_fmt, s.y), (_fmt, s.c), (str, s.d.astype(int)),
+               *((_fmt, x) for x in s.x.T), (_fmt, s.e)]
+    blocks = (zip(*(map(fmt, col[lo:lo + CSV_BLOCK_ROWS].tolist())
+                    for fmt, col in columns))
+              for lo in range(0, s.n, CSV_BLOCK_ROWS))
     if cfg["out"] is not None:
         out = _echo_config(cfg)
-        _write_csv(os.path.join(out, "sample.csv"), header, rows)
+        _write_csv(os.path.join(out, "sample.csv"), header, blocks)
     else:
-        _write_rows(sys.stdout, header, rows)
+        _write_rows(sys.stdout, header, blocks)
     return EXIT_OK
 
 

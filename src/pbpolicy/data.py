@@ -266,10 +266,11 @@ def _csv_blocks(path, required=(), optional=()):
     Every block holds CSV_BLOCK_ROWS rows but the last, and a remainder of
     fewer than _BLOCK_ALIGN rows joins the block before it, as gibbs._blocks
     cuts the decision matrix; so a caller that scores block by block meets
-    the same matrix-vector products as one call over every row.  Blank lines
-    are skipped.  A row whose width is not the header's, a cell float()
-    rejects and a non-finite value are each a ValueError naming the file
-    (and the line or the column), raised when the reader reaches it.
+    the same matrix-vector products as one call over every row.  Empty
+    lines are skipped.  One np.loadtxt call parses a block; a block it
+    rejects, or whose columns hold a non-finite value, is read again row by
+    row (_parse_rows), which names the fault or, when it lies only in
+    columns the caller does not take, returns the block.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -291,43 +292,90 @@ def _csv_blocks(path, required=(), optional=()):
         if odd:
             raise ValueError(f"{path}: unexpected covariate column {odd[0]!r}")
         named = [*required, *(c for c in optional if c in header)]
+        # the columns taken, in the order their faults are reported
+        used = [header.index(c) for c in (*xcols, *named)]
 
-        def parse(rows) -> dict:
-            block = {"x": np.column_stack(
-                [_float_column(path, header, rows, c) for c in xcols])}
-            block.update((name, _float_column(path, header, rows, name))
-                         for name in named)
+        def parse(lines, rows, first) -> dict:
+            try:
+                table = np.loadtxt(lines, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=2)
+            except ValueError:
+                table = None
+            if (table is None or table.shape != (rows, len(header))
+                    or not np.isfinite(table[:, used]).all()):
+                table = _parse_rows(path, header, used, lines, first)
+            block = {"x": table[:, used[:len(xcols)]]}
+            block.update((name, table[:, j])
+                         for name, j in zip(named, used[len(xcols):]))
             return block
 
-        rows: list = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has "
-                                 f"{len(row)} fields, the header has "
-                                 f"{len(header)}")
-            rows.append(row)
-            # a block goes out once the rows after it could not form a
-            # remainder short enough to join it
-            if len(rows) == CSV_BLOCK_ROWS + _BLOCK_ALIGN:
-                yield parse(rows[:CSV_BLOCK_ROWS])
-                del rows[:CSV_BLOCK_ROWS]
+        # the line number of the block's first line: the blocks keep their
+        # empty lines, so that a row's line number is its place in the file
+        first = reader.line_num + 1
+        lines, rows = _read_rows(fh, CSV_BLOCK_ROWS)
         if not rows:
             raise ValueError(f"{path}: no data rows")
-        yield parse(rows)
+        while rows:
+            ahead, more = _read_rows(fh, CSV_BLOCK_ROWS)
+            if more < _BLOCK_ALIGN:
+                lines, rows, ahead, more = lines + ahead, rows + more, [], 0
+            yield parse(lines, rows, first)
+            first += len(lines)
+            lines, rows = ahead, more
 
 
-def _float_column(path, header: list, rows: list, name: str) -> np.ndarray:
-    j, cell = header.index(name), None
-    try:
-        # one pass; cell holds the value being parsed when float() fails
-        values = np.array([float(cell := r[j]) for r in rows])
-    except ValueError:
-        raise ValueError(f"{path}: column {name!r} holds a non-numeric "
-                         f"value {cell!r}") from None
-    _check_finite(values, f"{path}: column {name!r}")
-    return values
+# the lines csv.reader reads as no row
+_EMPTY_LINES = ("\n", "\r\n", "\r")
+
+
+def _read_rows(fh, n: int) -> tuple:
+    """The lines of fh up to its n-th non-empty line, or to its end, and
+    the number of non-empty lines among them."""
+    lines, rows = [], 0
+    while rows < n and (more := list(itertools.islice(fh, n - rows))):
+        lines += more
+        rows += len(more) - sum(map(more.count, _EMPTY_LINES))
+    return lines, rows
+
+
+def _parse_rows(path, header: list, used: list, lines: list,
+                first: int) -> np.ndarray:
+    """A block's table read row by row, as csv.reader splits the lines and
+    np.loadtxt reads a cell; the columns not in used are NaN.
+
+    A ValueError names the file and the first fault: the line of a row
+    whose width is not the header's; else, column by column in used's
+    order, a cell that is not a number or a value that is not finite.
+    """
+    reader = csv.reader(lines)
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {first - 1 + reader.line_num} "
+                             f"has {len(row)} fields, the header has "
+                             f"{len(header)}")
+        rows.append(row)
+    table = np.full((len(rows), len(header)), np.nan)
+    for j in used:
+        cell = None
+        try:
+            # one pass; cell holds the value being parsed when it fails
+            table[:, j] = [_cell_value(cell := r[j]) for r in rows]
+        except ValueError:
+            raise ValueError(f"{path}: column {header[j]!r} holds a "
+                             f"non-numeric value {cell!r}") from None
+        _check_finite(table[:, j], f"{path}: column {header[j]!r}")
+    return table
+
+
+def _cell_value(cell: str) -> float:
+    # np.loadtxt's grammar: what float() takes, but for digit separators
+    # and non-ASCII characters other than the whitespace around the number
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(cell)
+    return float(cell)
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:

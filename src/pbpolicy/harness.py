@@ -25,11 +25,11 @@ from .dgp import DGPSpec, SimulatedPopulation, generate
 from .gibbs import IsotropicNormalPrior
 from .oracle import gain_cost
 from .persist import _fmt, _write_atomic, _write_csv
-# treat_probability, mv_decide and run_smc are not called here any more, but
-# the benchmark's tracer (bench/tracing.py) rebinds them in this module
+# treat_probability, mv_decide, rule_empirical_cost and run_smc are not
+# called here any more, but the benchmark's tracer (bench/tracing.py)
+# rebinds them in this module
 from .rules import (
     BatchCandidates,
-    GibbsRule,
     MajorityVoteRule,
     _clipped_votes,
     _weighted_votes,
@@ -332,18 +332,22 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         # one tempering run, cut at the larger target, harvests both rules
         clouds = temper(scores, feats, prior, u, [lam_sa, lam_mv],
                         config.particles, subseed(u_seed, "fit"))
-        rule_sa = GibbsRule(clouds[lam_sa], fmap)
-        rule_mv = MajorityVoteRule(clouds[lam_mv], fmap)
+        # the training and test vote shares of each distinct cloud: the
+        # two rules often share one
+        train, test = {}, {}
+        for lam in {lam_sa, lam_mv}:
+            train[lam] = _weighted_votes(feats, clouds[lam])
+            test[lam] = _clipped_votes(test_feats, clouds[lam])
 
-        est_cost_sa = rule_empirical_cost(rule_sa, scores, feats)
-        est_cost_mv = float(scores.delta_c @ (_weighted_votes(
-            feats, rule_mv.particles) > 0.5) / scores.n)
-        mv_shares = _clipped_votes(test_feats, rule_mv.particles)
-        gain_sa, cost_sa = gain_cost(
-            _clipped_votes(test_feats, rule_sa.particles), dy, dc)
+        est_cost_sa = float(scores.delta_c @ train[lam_sa] / scores.n)
+        est_cost_mv = float(scores.delta_c @ (train[lam_mv] > 0.5)
+                            / scores.n)
+        mv_shares = test[lam_mv]
+        gain_sa, cost_sa = gain_cost(test[lam_sa], dy, dc)
         gain_mv, cost_mv = gain_cost((mv_shares > 0.5).astype(float), dy, dc)
 
-        mv_rules_by_u[float(u)] = (rule_mv, est_cost_mv)
+        mv_rules_by_u[float(u)] = (MajorityVoteRule(clouds[lam_mv], fmap),
+                                   est_cost_mv)
         mv_shares_by_u[float(u)] = mv_shares
         sa_points.append((cost_sa, gain_sa))
         mv_points.append((cost_mv, gain_mv))
@@ -468,7 +472,7 @@ def _write_artifacts(report: StudyReport, grids: GridSpec,
         rows = ([_fmt(c), _fmt(g), _fmt(s), reps] for c, g, s in
                 zip(curve.costs, curve.gains, report.gain_se[method]))
         _write_csv(os.path.join(out, f"cost_curves_{method}.csv"),
-                   ["cost", "gain_mean", "gain_se", "n_reps"], rows)
+                   ["cost", "gain_mean", "gain_se", "n_reps"], [rows])
 
     echo = {
         "package_version": __version__,

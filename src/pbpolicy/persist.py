@@ -55,17 +55,19 @@ def _write_atomic(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_rows(fh, header, rows) -> None:
-    """A CSV of a header and rows of string cells, written to fh."""
+def _write_rows(fh, header, blocks) -> None:
+    """A CSV of a header and blocks of rows of string cells, written to fh
+    with one write per block."""
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(row) + "\n")
+    for rows in blocks:
+        fh.write("\n".join([*map(",".join, rows), ""]))
 
 
-def _write_csv(path, header, rows) -> None:
-    """A CSV of a header and rows of string cells, written atomically."""
+def _write_csv(path, header, blocks) -> None:
+    """A CSV of a header and blocks of rows of string cells, written
+    atomically."""
     with _open_atomic(path) as fh:
-        _write_rows(fh, header, rows)
+        _write_rows(fh, header, blocks)
 
 
 def _fmt(value) -> str:

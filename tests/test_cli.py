@@ -380,6 +380,24 @@ def test_fit_budget_cap_hand_over_resets_the_bracket(monkeypatch, tmp_path,
     assert runs[second].steps[-1][1] == solved[first]
 
 
+def test_fit_budget_ends_on_a_narrow_confirming_bracket(monkeypatch,
+                                                        tmp_path, n1000_csv,
+                                                        capsys):
+    # twelve particles at lambda 16: the confirming runs' tilts keep
+    # missing, and the bisection went on to the 50-run cap over a bracket
+    # 1e-12 wide
+    runs = []
+    _spy_on_run_smc(monkeypatch, lambda ladder, config: runs.append(ladder))
+    out = tmp_path / "b"
+    assert run_cli("fit", n1000_csv, "--out", out, "--lambda", "16",
+                   "--budget", "0.3", "--particles", 12, "--seed", 4) == 2
+    assert len(runs) <= 25
+    err = capsys.readouterr().err
+    assert f"after {len(runs)} SMC runs" in err
+    assert "the confirming runs bracket the penalty in [" in err
+    assert not (out / "rule.json").exists()
+
+
 def test_fit_budget_run_cap_bounds_every_run(monkeypatch, tmp_path,
                                              budget_csv, capsys):
     # a slack budget settles on the first, locating run; the confirming run
@@ -751,6 +769,25 @@ def test_fit_and_score_name_a_non_numeric_cell(tmp_path, small_csv, fitted,
     assert run_cli("score", fitted / "rule.json", bad,
                    "--out", tmp_path / "s") == 1
     assert f"{bad}: column 'x1' holds a non-numeric value {value!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "s" / "assignments.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11.5"])
+def test_fit_and_score_refuse_cells_float_takes_but_numpy_does_not(
+        tmp_path, small_csv, fitted, capsys, value):
+    # digit separators and non-ASCII digits: float() reads them, the CSV
+    # reader's grammar (np.loadtxt's) does not
+    float(value)
+    bad = _edit_cell(small_csv, tmp_path / "bad.csv", "c", value)
+    assert run_cli("fit", bad, "--out", tmp_path / "o", "--lambda", "4",
+                   "--u", "0", "--particles", 20) == 1
+    assert f"{bad}: column 'c' holds a non-numeric value {value!r}" in \
+        capsys.readouterr().err
+    bad = _edit_cell(small_csv, tmp_path / "bad_x.csv", "x3", value)
+    assert run_cli("score", fitted / "rule.json", bad,
+                   "--out", tmp_path / "s") == 1
+    assert f"{bad}: column 'x3' holds a non-numeric value {value!r}" in \
         capsys.readouterr().err
     assert not (tmp_path / "s" / "assignments.csv").exists()
 

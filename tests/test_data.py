@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from pbpolicy import data
 from pbpolicy.data import (
     _BLOCK_ALIGN,
     CSV_BLOCK_ROWS,
@@ -295,3 +296,83 @@ def test_csv_blocks_join_a_short_remainder_to_the_block_before(tmp_path,
     np.testing.assert_array_equal(x[:, 1], 0.5 * np.arange(n))
     np.testing.assert_array_equal(load_sample_csv(
         path, propensity_const=0.5).y, np.arange(n))
+
+
+def _random_cells(rng, n: int) -> tuple:
+    """n rows of three cells in the forms a CSV writer may use, each with
+    the float() of its value: reprs of random doubles, subnormals and
+    signed zeros, %.17g and %e forms, a leading +, spaces around the cell
+    and quotes; rows end in LF or CRLF, with empty lines between."""
+    bits = rng.integers(0, 2**64, size=(n, 3), dtype=np.uint64)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 1.5
+    kinds = rng.integers(0, 4, size=(n, 3))
+    values[kinds == 1] = rng.integers(1, 2**52, size=(kinds == 1).sum()) \
+        * 5e-324                                     # subnormals
+    values[kinds == 2] = rng.choice([0.0, -0.0], size=(kinds == 2).sum())
+    forms = [repr, "%.17g".__mod__, "%e".__mod__, "%.3e".__mod__,
+             lambda v: ("" if repr(v)[0] == "-" else "+") + repr(v)]
+    dress = [str, " {} ".format, '"{}"'.format, '" {}"'.format, "\t{}".format]
+    text, want = [], []
+    for row in values.tolist():
+        cells = [forms[rng.integers(len(forms))](v) for v in row]
+        want.append([float(c) for c in cells])
+        end = "\r\n" if rng.random() < 0.5 else "\n"
+        text.append(",".join(dress[rng.integers(len(dress))](c)
+                             for c in cells) + end)
+        if rng.random() < 0.05:
+            text.append(end)
+    return "".join(text), np.array(want)
+
+
+@pytest.mark.parametrize("n", [2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS,
+                               2 * CSV_BLOCK_ROWS + 7])
+def test_csv_reads_cells_as_float_does_bit_for_bit(tmp_path, monkeypatch,
+                                                   n):
+    text, want = _random_cells(np.random.default_rng(n), n)
+    path = tmp_path / "cov.csv"
+    path.write_bytes(("x1,x2,x3\r\n" + text).encode())
+
+    def read():
+        # every n is short of a third block
+        blocks = list(_csv_blocks(path))
+        assert [len(b["x"]) for b in blocks] == [CSV_BLOCK_ROWS,
+                                                 n - CSV_BLOCK_ROWS]
+        return np.concatenate([b["x"] for b in blocks])
+
+    def fail(*args):
+        raise AssertionError("a well-formed block was read row by row")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_parse_rows", fail)
+        fast = read()
+    np.testing.assert_array_equal(fast.view(np.int64), want.view(np.int64))
+
+    # the row-by-row reading takes the same cells to the same bits
+    def refuse(*args, **kwargs):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(data.np, "loadtxt", refuse)
+    np.testing.assert_array_equal(read().view(np.int64),
+                                  want.view(np.int64))
+
+
+def test_csv_reads_past_a_text_column_it_does_not_take(tmp_path):
+    # the block np.loadtxt refuses is read row by row, and its values kept
+    path = tmp_path / "cov.csv"
+    path.write_text("id,x1,x2\nunit a,0.5,-1e-3\nunit b,+2, 3 \n")
+    (block,) = _csv_blocks(path)
+    np.testing.assert_array_equal(block["x"], [[0.5, -1e-3], [2.0, 3.0]])
+
+
+@pytest.mark.parametrize("header, message", [
+    ("y,c,d,x1,x2,e", "line 3 has 1 fields, the header has 6"),
+    ("x1", "column 'x1' holds a non-numeric value '   '"),
+])
+def test_csv_line_of_spaces_is_a_row(tmp_path, header, message):
+    # only a line with nothing before its end is skipped
+    path = tmp_path / "sample.csv"
+    width = header.count(",") + 1
+    path.write_text(f"{header}\n{','.join(['0.5'] * width)}\n   \n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        list(_csv_blocks(path))

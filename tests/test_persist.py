@@ -141,18 +141,18 @@ def test_save_leaves_no_temp_files(tmp_path):
 
 
 def test_failed_write_leaves_no_temp_file_and_keeps_target(tmp_path):
-    def rows():
-        yield ["1.0"]
+    def blocks():
+        yield [["1.0"]]
         raise RuntimeError("row source failed")
 
     fresh = tmp_path / "a.csv"
     with pytest.raises(RuntimeError, match="row source failed"):
-        cli._write_csv(str(fresh), ["assignment"], rows())
+        cli._write_csv(str(fresh), ["assignment"], blocks())
     assert list(tmp_path.iterdir()) == []
 
     kept = tmp_path / "b.csv"
     kept.write_bytes(b"assignment\n0.5\n")
     with pytest.raises(RuntimeError, match="row source failed"):
-        cli._write_csv(str(kept), ["assignment"], rows())
+        cli._write_csv(str(kept), ["assignment"], blocks())
     assert kept.read_bytes() == b"assignment\n0.5\n"
     assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
