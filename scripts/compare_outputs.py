@@ -10,7 +10,9 @@ side runs the fixed list RUNS from its own work directory with relative
 simulate, fit (--u, --raw, the benchmark's deploy set-up fit, the
 benchmark's --budget case, and a --budget case whose locating pilots hand
 over without settling), score in all three modes on a small sample and on
-one that ends a row past a block edge of score's CSV reader, oracle and
+one that ends a row past a block edge of score's CSV reader, the decision
+kernel's split of one block between two threads (fit) and its many blocks
+on a unit count that is not a multiple of 8 (score), oracle and
 bounds on stdout and with --out, both Python demos, and
 run_acceptance_studies.py's tiny study, serially and on two worker
 processes; then fit, bounds and the study again from their own
@@ -90,6 +92,20 @@ RUNS = [
                                 "--seed", "6",
                                 "--out", f"score_blocks_{mode}"])
       for mode in ("prob", "mv", "sample")),
+    # a fit whose 300 units x 350 particles are one block of the decision
+    # kernel, cut into halves of 168 and 182 particles for its two threads
+    ("simulate_split", ["simulate", "--dgp", "dgp1", "--n", "300",
+                        "--seed", "21", "--out", "sim_split"]),
+    ("fit_split", ["fit", "sim_split/sample.csv", "--lambda", "16",
+                   "--u", "0.5", "--particles", "350", "--seed", "2",
+                   "--out", "fit_split"]),
+    # vote shares of a 1000-particle rule on a unit count that is not a
+    # multiple of 8: many kernel blocks of 128 units in each block of rows
+    ("simulate_many", ["simulate", "--dgp", "dgp2",
+                       "--n", str(3 * CSV_BLOCK_ROWS + 5), "--seed", "19",
+                       "--out", "sim_many"]),
+    ("score_many", ["score", "fit_u_deploy/rule.json", "sim_many/sample.csv",
+                    "--mode", "prob", "--out", "score_many"]),
     # the CSVs of _write_odd_csvs
     ("fit_odd_csv", ["fit", "odd/sample.csv", "--u", "0.5", *_FIT,
                      "--out", "fit_odd_csv"]),

@@ -15,15 +15,22 @@ particle cloud reweighted ("tilted") across penalties.
 Every decision, welfare and cost evaluation goes through one kernel,
 _block_decisions (features @ thetas.T > 0), which walks the units-by-rules
 matrix in blocks of about DECISION_BLOCK_ELEMENTS entries (_blocks).
-Those blocks are too small to share across threads, so importing this module
-sets numpy's OpenBLAS to one thread for the whole process, once
-(_one_blas_thread); setting it per kernel call and restoring it was slower.
+Each block is too small for OpenBLAS to split across its own threads, so
+importing this module sets numpy's OpenBLAS to one thread for the whole
+process, once (_one_blas_thread); setting it per kernel call and restoring
+it was slower.  Whole blocks are shared between two Python threads instead:
+the calling thread walks the first half of the blocks and a helper thread
+the second, each making the same one-thread BLAS calls on the same rows, so
+every output bit is that of one thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,18 @@ U_BRACKET_CAP = 2.0**20
 # and the vote shares never hold more than about this many at once.  Picked
 # from a sweep over n in {250, 500, 1000} and 250-1000 particles.
 DECISION_BLOCK_ELEMENTS = 2**17
+
+# A matrix that fits in one block is cut in two, one half per thread, from
+# this many entries.  On a 2-vCPU KVM host the split saved about 6% of a
+# call at 90,000 entries and 15-20% at 110,000-130,000 (study size, 250
+# units x 500 particles: 81 -> 68 us), and nothing, or a few us lost, near
+# 70,000, where the hand-off to the helper costs what it saves.
+_SPLIT_ELEMENTS = 5 * 2**14
+
+# Threads that walk the kernel's blocks: the caller and, where the process
+# may run on two CPUs, one helper.  A study's pool workers set it to 1, so
+# that `study --threads k` runs k kernel threads.
+_kernel_threads = 2
 
 
 def _one_blas_thread() -> None:
@@ -138,28 +157,140 @@ def _blocks(size: int, other: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [size])]
 
 
-def _block_decisions(thetas, features, by_units: bool):
-    """Yield (block, decisions) over the blocks of the (n, m) decision
+class _Helper:
+    """A daemon thread that walks the second half of a kernel call's blocks.
+
+    A woken thread may be placed on its waker's CPU, where it would only
+    take turns with the caller: on a 2-vCPU KVM host a 500 x 500 call took
+    180 us on two threads sharing one CPU, the same as on one thread, and
+    115 us with the helper kept off the caller's CPU.  So wherever the
+    caller is found on one of the helper's CPUs, the helper is moved to
+    the others (sched_setaffinity on the helper's own thread only).
+    """
+
+    def __init__(self):
+        try:
+            self._getcpu = ctypes.CDLL(None).sched_getcpu
+            self._getcpu.argtypes, self._getcpu.restype = [], ctypes.c_int
+        except (AttributeError, OSError):  # a libc without sched_getcpu
+            self._getcpu = None
+        self.cpus = None  # the CPUs the helper is kept on, once it is moved
+        self.tasks = queue.SimpleQueue()
+        thread = threading.Thread(target=self._serve, daemon=True,
+                                  name="pbpolicy-kernel")
+        thread.start()
+        self.tid = thread.native_id
+
+    def _serve(self) -> None:
+        while True:
+            task, done = self.tasks.get()
+            try:
+                task()
+            except BaseException as exc:  # raised again in the caller
+                done.put(exc)
+            else:
+                done.put(None)
+            del task, done  # let go of the finished call's arrays
+
+    def start(self, task) -> queue.SimpleQueue:
+        """Hand task to the helper; the queue returned gets None when it is
+        done, or the exception it raised.  Callers on several threads may
+        each move the helper; its tasks run one at a time wherever it is."""
+        cpu = self._getcpu() if self._getcpu is not None else -1
+        if cpu >= 0 and (self.cpus is None or cpu in self.cpus):
+            others = os.sched_getaffinity(0) - {cpu}
+            try:
+                os.sched_setaffinity(self.tid, others)
+                self.cpus = others
+            except (OSError, ValueError):  # e.g. others is empty
+                pass
+        done = queue.SimpleQueue()
+        self.tasks.put((task, done))
+        return done
+
+
+_helper_of = (None, None)  # (pid, its _Helper or None)
+_helper_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # no child inherits the lock held
+    os.register_at_fork(before=_helper_lock.acquire,
+                        after_in_parent=_helper_lock.release,
+                        after_in_child=_helper_lock.release)
+
+
+def _helper():
+    """This process's helper thread, started on first use, or None unless
+    the process may run on two CPUs or more.  It is keyed by the pid, so a
+    forked child starts its own helper rather than wait on one it did not
+    inherit."""
+    global _helper_of
+    pid = os.getpid()
+    if _helper_of[0] != pid:
+        with _helper_lock:
+            if _helper_of[0] != pid:
+                two = (hasattr(os, "sched_getaffinity")
+                       and len(os.sched_getaffinity(0)) >= 2)
+                _helper_of = (pid, _Helper() if two else None)
+    return _helper_of[1]
+
+
+def _block_decisions(thetas, features, by_units: bool, reduce) -> None:
+    """Call reduce(block, decisions) on every block of the (n, m) decision
     matrix, which holds 1.0 where unit i's features treat under rule j
     (features[i] @ thetas[j] > 0), else 0.0: row blocks of the units when
-    by_units, else column blocks of the rules.  Every block is written into
-    one buffer, which the next block overwrites.
+    by_units, else column blocks of the rules.  reduce must write only what
+    belongs to its block, since blocks may run on two threads at once.
+
+    With two kernel threads the caller walks the first half of the blocks
+    and the helper the second, each into its own buffer, which the caller
+    allocates and each block overwrites; a matrix of one block and at least
+    _SPLIT_ELEMENTS entries is cut into two blocks of 8-aligned rows first.
+    An exception in the helper's half is raised again here.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     features = np.asarray(features, dtype=float)
     n, m = features.shape[0], thetas.shape[0]
-    blocks = _blocks(n, m) if by_units else _blocks(m, n)
-    widest = max((b.stop - b.start for b in blocks), default=0)
-    buffer = np.empty(widest * (m if by_units else n))
-    for b in blocks:
-        th, feats = (thetas, features[b]) if by_units else (thetas[b], features)
-        dec = buffer[:feats.shape[0] * th.shape[0]].reshape(
-            feats.shape[0], th.shape[0])
-        # written as floats over the margins in place, so that the products
-        # that follow do not each cast a boolean matrix
-        np.matmul(feats, th.T, out=dec)
-        np.greater(dec, 0.0, out=dec, casting="unsafe")
-        yield b, dec
+    size, other = (n, m) if by_units else (m, n)
+    blocks = _blocks(size, other)
+    helper = _helper() if _kernel_threads > 1 else None
+    if (helper is not None and len(blocks) == 1 and n * m >= _SPLIT_ELEMENTS
+            and size >= 2 * _BLOCK_ALIGN):
+        half = size // 2 // _BLOCK_ALIGN * _BLOCK_ALIGN
+        blocks = [slice(0, half), slice(half, size)]
+
+    def walk(part, buffer):
+        for b in part:
+            th, feats = (thetas, features[b]) if by_units \
+                else (thetas[b], features)
+            dec = buffer[:feats.shape[0] * th.shape[0]].reshape(
+                feats.shape[0], th.shape[0])
+            # written as floats over the margins in place, so that the
+            # products that follow do not each cast a boolean matrix
+            np.matmul(feats, th.T, out=dec)
+            np.greater(dec, 0.0, out=dec, casting="unsafe")
+            reduce(b, dec)
+
+    def widest(part):
+        return max((b.stop - b.start for b in part), default=0) * other
+
+    if helper is None or len(blocks) < 2:
+        walk(blocks, np.empty(widest(blocks)))
+        return
+    cut = (len(blocks) + 1) // 2
+    mine, theirs = blocks[:cut], blocks[cut:]
+    # one allocation for both buffers: glibc hands a freed chunk of this
+    # size back to the next call, where two freed 1 MB chunks were returned
+    # to the system and faulted in again on every call
+    buffers = np.empty(widest(mine) + widest(theirs))
+    my_buffer, their_buffer = np.split(buffers, [widest(mine)])
+    done = helper.start(lambda: walk(theirs, their_buffer))
+    try:
+        walk(mine, my_buffer)
+    finally:
+        # the helper writes into this call's arrays: wait for it even when
+        # the caller's half failed
+        failure = done.get()
+    if failure is not None:
+        raise failure
 
 
 def _check_aligned(scores: IPWScores, features) -> None:
@@ -177,9 +308,12 @@ def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
     _check_aligned(scores, features)
     m = np.atleast_2d(thetas).shape[0]
     w, k = np.empty(m), np.empty(m)
-    for cols, dec in _block_decisions(thetas, features, False):
+
+    def reduce(cols, dec):
         w[cols] = scores.delta_y @ dec
         k[cols] = scores.delta_c @ dec
+
+    _block_decisions(thetas, features, False, reduce)
     w /= scores.n
     k /= scores.n
     return w, k

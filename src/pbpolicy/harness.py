@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, gibbs
 from .data import Sample, ipw_transform, poly_feature_map
 from .dgp import DGPSpec, SimulatedPopulation, generate
 from .gibbs import IsotropicNormalPrior
@@ -380,6 +380,12 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
     return ReplicationResult(index=k, selections=selections, curves=curves)
 
 
+def _one_kernel_thread() -> None:
+    # each pool worker is one of the study's --threads, so its decision
+    # kernel stays on the worker's own thread
+    gibbs._kernel_threads = 1
+
+
 def _replications(jobs, workers: int):
     """Each job's replication as it returns: in order on one worker, in the
     order they finish on a pool of processes (imported only for a pool)."""
@@ -388,7 +394,8 @@ def _replications(jobs, workers: int):
             yield _run_replication(*job)
         return
     from concurrent.futures import ProcessPoolExecutor, as_completed
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_one_kernel_thread) as pool:
         futures = [pool.submit(_run_replication, *job) for job in jobs]
         try:
             for done in as_completed(futures):

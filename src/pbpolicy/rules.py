@@ -8,8 +8,8 @@ nearest the bin edge and greedily treating the highest-scored untreated
 candidates until the ledger hits the edge.
 
 Vote shares walk the units in row blocks of the decision matrix
-(gibbs._blocks), so scoring holds about DECISION_BLOCK_ELEMENTS decisions at
-a time, whatever the number of units and particles.  The shares are bit for
+(gibbs._blocks), so scoring holds about DECISION_BLOCK_ELEMENTS decisions
+per kernel thread at a time, whatever the number of units and particles.  The shares are bit for
 bit those of one product over the whole matrix, with the one exception that
 gibbs._blocks names.
 """
@@ -61,8 +61,11 @@ def _weighted_votes(features: np.ndarray,
     """
     features = np.asarray(features, dtype=float)
     shares = np.empty(features.shape[0])
-    for rows, dec in _block_decisions(particles.thetas, features, True):
+
+    def reduce(rows, dec):
         shares[rows] = dec @ particles.weights
+
+    _block_decisions(particles.thetas, features, True, reduce)
     return shares
 
 

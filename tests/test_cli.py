@@ -1216,8 +1216,9 @@ print(counts)
 @pytest.mark.skipif("openblas" not in NUMPY_BLAS.lower(),
                     reason=f"numpy reports BLAS {NUMPY_BLAS!r}, not OpenBLAS")
 def test_importing_sets_numpys_openblas_to_one_thread():
-    # the kernel's blocks are too small to share across threads, so the
-    # import overrides a thread count asked for before numpy loaded
+    # each of the kernel's blocks is too small for OpenBLAS to split, and
+    # whole blocks go to two Python threads instead, so the import overrides
+    # a thread count asked for before numpy loaded
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE],
                           cwd=root, capture_output=True, text=True, check=True,

@@ -1,10 +1,16 @@
 """Tests for exponential weighting on finite grids and the budget map."""
 
 import math
+import os
+import select
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from pbpolicy import gibbs
 from pbpolicy.data import IPWScores
 from pbpolicy.gibbs import (
     InfeasibleBudgetError,
@@ -16,6 +22,8 @@ from pbpolicy.gibbs import (
     welfare_cost_matrix,
 )
 from pbpolicy.gibbs import _block_decisions, _blocks, _logsumexp
+from pbpolicy.rules import _weighted_votes
+from pbpolicy.smc import WeightedParticles
 
 
 def scores_of(dy, dc):
@@ -405,8 +413,11 @@ def test_blocked_votes_equal_a_one_shot_product_big_enough_to_thread(n, m):
     thetas = rng.normal(size=(m, 6))
     weights = rng.dirichlet(np.ones(m))
     got = np.empty(n)
-    for rows, dec in _block_decisions(thetas, feats, True):
+
+    def reduce(rows, dec):
         got[rows] = dec @ weights
+
+    _block_decisions(thetas, feats, True, reduce)
     want = (feats @ thetas.T > 0.0).astype(float) @ weights
     assert got.tobytes() == want.tobytes()
 
@@ -421,3 +432,159 @@ def test_blocks_cover_the_range_in_aligned_steps():
         assert all((b.stop - b.start) % 8 == 0 for b in blocks[:-1])
         if len(blocks) > 1:
             assert blocks[-1].stop - blocks[-1].start >= 8
+
+
+# ---------------------------------------------------------------------------
+# the kernel's blocks on two threads
+
+TWO_CPUS = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+    else (os.cpu_count() or 1) < 2,
+    reason="the kernel's helper thread runs only where two CPUs are allowed")
+
+# units x particles: one block of rules but two of units, both kinds of
+# many blocks with a remainder, a matrix too narrow to split, and one
+# block just above and just below the entries at which it is cut in two
+_SPLIT_UNITS = gibbs._SPLIT_ELEMENTS // 256
+KERNEL_SHAPES = [(250, 500), (1000, 250), (1003, 1000), (1009, 7),
+                 (20003, 1000), (_SPLIT_UNITS + 1, 256),
+                 (_SPLIT_UNITS - 1, 256)]
+
+
+def _kernel_bytes(n, m):
+    rng = np.random.default_rng(n * 7 + m)
+    feats = rng.normal(size=(n, 6))
+    thetas = rng.normal(size=(m, 6))
+    thetas[::9] = 0.0  # margins of exactly zero do not treat
+    s = scores_of(rng.normal(size=n), rng.normal(size=n))
+    cloud = WeightedParticles(thetas, rng.dirichlet(np.ones(m)), 0, 1.0,
+                              0.0, 0)
+    w, k = welfare_cost_matrix(thetas, s, feats)
+    return w.tobytes() + k.tobytes(), _weighted_votes(feats, cloud).tobytes()
+
+
+@pytest.mark.parametrize("n, m", KERNEL_SHAPES)
+def test_two_kernel_threads_give_the_bytes_of_one(monkeypatch, n, m):
+    monkeypatch.setattr(gibbs, "_kernel_threads", 1)
+    one = _kernel_bytes(n, m)
+    monkeypatch.setattr(gibbs, "_kernel_threads", 2)
+    assert _kernel_bytes(n, m) == one
+
+
+def _walk_threads(n, m, by_units):
+    """{block: thread ident} of one kernel walk over an (n, m) matrix."""
+    rng = np.random.default_rng(5)
+    ran = {}
+
+    def reduce(b, dec):
+        ran[(b.start, b.stop)] = threading.get_ident()
+
+    _block_decisions(rng.normal(size=(m, 3)), rng.normal(size=(n, 3)),
+                     by_units, reduce)
+    return ran
+
+
+@TWO_CPUS
+def test_the_helper_walks_the_second_half_of_the_blocks():
+    for by_units in (True, False):
+        ran = _walk_threads(1003, 1000, by_units)
+        blocks = sorted(ran)
+        cut = (len(blocks) + 1) // 2
+        assert {ran[b] for b in blocks[:cut]} == {threading.get_ident()}
+        assert threading.get_ident() not in {ran[b] for b in blocks[cut:]}
+    # one block is cut into two 8-aligned halves from _SPLIT_ELEMENTS on
+    for by_units in (True, False):
+        above = sorted(_walk_threads(_SPLIT_UNITS + 1, 256, by_units))
+        size = _SPLIT_UNITS + 1 if by_units else 256
+        half = size // 16 * 8
+        assert above == [(0, half), (half, size)]
+        assert len(_walk_threads(_SPLIT_UNITS - 1, 256, by_units)) == 1
+
+
+def test_one_kernel_thread_walks_every_block_itself(monkeypatch):
+    monkeypatch.setattr(gibbs, "_kernel_threads", 1)
+    ran = _walk_threads(1003, 1000, True)
+    assert len(ran) > 1
+    assert set(ran.values()) == {threading.get_ident()}
+    assert len(_walk_threads(_SPLIT_UNITS + 1, 256, True)) == 1
+
+
+@TWO_CPUS
+def test_an_exception_in_the_helpers_half_reaches_the_caller():
+    rng = np.random.default_rng(8)
+    feats, thetas = rng.normal(size=(1003, 4)), rng.normal(size=(1000, 4))
+    last = _blocks(1003, 1000)[-1]
+    ran = {}
+
+    def reduce(b, dec):
+        ran[b.start] = threading.get_ident()
+        if b == last:
+            raise ArithmeticError("the helper's block failed")
+
+    with pytest.raises(ArithmeticError, match="helper's block failed"):
+        _block_decisions(thetas, feats, True, reduce)
+    assert ran[last.start] != threading.get_ident()
+    # the helper survives, and the next call is whole
+    s = scores_of(rng.normal(size=1003), rng.normal(size=1003))
+    dec = (feats @ thetas.T > 0.0).astype(float)
+    w, _ = welfare_cost_matrix(thetas, s, feats)
+    assert w.tobytes() == ((s.delta_y @ dec) / 1003).tobytes()
+
+
+def test_callers_on_many_threads_share_the_helper(monkeypatch):
+    # more calling threads than cores hand their halves to the one helper at
+    # once; each call must still get its own bytes
+    shapes = [(1003, 1000), (250, 500), (20003, 100), (1000, 250)]
+    monkeypatch.setattr(gibbs, "_kernel_threads", 1)
+    want = [_kernel_bytes(n, m) for n, m in shapes]
+    monkeypatch.setattr(gibbs, "_kernel_threads", 2)
+    wrong = []
+
+    def call(i):
+        for _ in range(10):
+            if _kernel_bytes(*shapes[i]) != want[i]:
+                wrong.append(shapes[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(shapes))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_computes_the_same_bytes():
+    # the parent's helper is running when it forks; the child must start
+    # its own rather than wait on a thread that was not copied
+    want = _kernel_bytes(1003, 1000)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as out:
+                out.write(b"".join(_kernel_bytes(1003, 1000)))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    got = b""
+    with os.fdopen(read_end, "rb") as child:
+        while True:
+            if not select.select([child], [], [], 60)[0]:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's kernel hung")
+            chunk = os.read(child.fileno(), 1 << 16)
+            if not chunk:
+                break
+            got += chunk
+    assert os.waitpid(pid, 0)[1] == 0
+    assert got == b"".join(want)

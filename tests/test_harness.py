@@ -3,13 +3,16 @@
 import json
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pbpolicy.gibbs as gibbs
 import pbpolicy.harness as harness
+from pbpolicy.data import IPWScores
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.smc import LAMBDA_CAP, build_default_ladder
 from pbpolicy.harness import (
@@ -333,6 +336,25 @@ def test_a_study_on_two_workers_writes_the_files_of_one_worker(tmp_path):
             assert one == two
         else:
             assert one.read_bytes() == two.read_bytes(), name
+
+
+def _kernel_threads_of_a_worker(*job):
+    # stands in for _run_replication: one kernel call of many blocks, then
+    # the worker's kernel setting and its live threads
+    rng = np.random.default_rng(len(job))
+    gibbs.welfare_cost_matrix(
+        rng.normal(size=(1000, 4)),
+        IPWScores(rng.normal(size=1000), rng.normal(size=1000)),
+        rng.normal(size=(1000, 4)))
+    return gibbs._kernel_threads, threading.active_count()
+
+
+def test_a_study_pool_worker_runs_the_kernel_on_one_thread(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the stand-in replication is patched in by forking")
+    monkeypatch.setattr(harness, "_run_replication",
+                        _kernel_threads_of_a_worker)
+    assert list(harness._replications([(0,), (1,)], 2)) == [(1, 1), (1, 1)]
 
 
 def test_run_study_validation():
