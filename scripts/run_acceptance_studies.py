@@ -6,13 +6,18 @@ Writes results/studies/dgp1, results/studies/dgp2 and
 results/studies/fingerprint.json.  The fingerprint is the package version
 and a sha256 of the six cost-curve CSVs that acceptance criterion 10's tiny
 study writes (a few seconds of compute), so it moves whenever the numerics
-of a study move.  A study whose artifacts exist is skipped only when the
-recorded fingerprint equals the current one; otherwise both studies are
-run again, roughly ten minutes per design on a 2-core machine.  The
-acceptance suite recomputes the fingerprint once per session and fails,
-naming this script, when the studies on disk were built by other numerics.
+of a study move.  It also records the host's numerics (host_numerics):
+numpy's version, its BLAS, the OpenBLAS core type and numpy's SIMD level,
+since another CPU's BLAS and SIMD kernels move the hash of the same code.
+A study whose artifacts exist is skipped only when the recorded
+fingerprint's hash equals the current one; otherwise both studies are run
+again, roughly ten minutes per design on a 2-core machine.  The acceptance
+suite recomputes the fingerprint once per session and fails, naming this
+script, when the studies on disk were built by other numerics, and says
+whether the host's numerics differ or the code's (cache_verdict).
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -20,9 +25,12 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pbpolicy import __version__, cli
+from pbpolicy.gibbs import _openblas_libs
 from pbpolicy.dgp import DGPSpec
 from pbpolicy.harness import StudyConfig, run_study
 from pbpolicy.persist import _write_atomic
@@ -44,8 +52,31 @@ TINY_STUDY_ARGS = [
 ]
 
 
+def host_numerics() -> dict:
+    """What of the host moves a study's bits: numpy's version, its BLAS, the
+    OpenBLAS core type (None where no OpenBLAS reports one) and the highest
+    SIMD target numpy dispatches to on this CPU."""
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    core = None
+    for lib in _openblas_libs():
+        for sym in ("scipy_openblas_get_corename64_",
+                    "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, sym):
+                core = ctypes.CFUNCTYPE(ctypes.c_char_p)((sym, lib))().decode()
+                break
+    return {"numpy_version": np.__version__,
+            "blas": f"{blas.get('name', 'unknown')} "
+                    f"{blas.get('version', 'unknown')}",
+            "openblas_core": core,
+            "simd_level": (simd.get("found") or simd.get("baseline")
+                           or ["unknown"])[-1]}
+
+
 def numerics_fingerprint() -> dict:
-    """Package version and the sha256 of the tiny study's cost curves."""
+    """Package version, the sha256 of the tiny study's cost curves and the
+    host's numerics."""
     with tempfile.TemporaryDirectory() as out:
         if cli.main([*TINY_STUDY_ARGS, "--out", out]) != 0:
             raise RuntimeError("the fingerprint study failed")
@@ -57,7 +88,20 @@ def numerics_fingerprint() -> dict:
             with open(os.path.join(out, name), "rb") as fh:
                 digest.update(fh.read())
     return {"package_version": __version__, "cost_curve_files": names,
-            "sha256": digest.hexdigest()}
+            "sha256": digest.hexdigest(), "host": host_numerics()}
+
+
+def cache_verdict(recorded, current: dict):
+    """None when a cache fingerprinted as recorded was built by the current
+    numerics; else "other host numerics" when the hosts' numerics differ,
+    and "stale cache" when they do not (or recorded names no host)."""
+    if recorded is not None and all(recorded.get(k) == v
+                                    for k, v in current.items()
+                                    if k != "host"):
+        return None
+    if recorded is None or recorded.get("host") in (None, current["host"]):
+        return "stale cache"
+    return "other host numerics"
 
 
 def recorded_fingerprint():
@@ -75,7 +119,7 @@ def write_fingerprint(fingerprint: dict) -> None:
 
 def main():
     current = numerics_fingerprint()
-    fresh = recorded_fingerprint() == current
+    fresh = cache_verdict(recorded_fingerprint(), current) is None
     for name, dgp_id in (("dgp1", "DGP1"), ("dgp2", "DGP2")):
         out = os.path.join(STUDIES, name)
         if fresh and os.path.exists(os.path.join(out, "study_config.json")):

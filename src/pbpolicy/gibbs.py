@@ -5,8 +5,10 @@ The posterior has density proportional to
     prior(theta) * exp[-lambda (u K_n(theta) - W_n(theta))],
 
 where W_n and K_n are the empirical IPW welfare and cost of the rule.  The
-normalized variant (the default) divides both functionals by the mean welfare
-score, which rescales the effective inverse temperature by that mean.  Exact
+normalized variant (the default) divides both functionals by the absolute
+value of the mean welfare score, which rescales the effective inverse
+temperature by it; the sign is kept, so a sample whose mean welfare score is
+negative still favours rules of high welfare and low cost.  Exact
 finite-grid posteriors double as oracles for the SMC sampler, and the budget
 map Lambda_hat(u) with its inverse u_hat(B, lambda) lives here too, as
 grid_posterior(...) @ k on a grid or tilted_weights(...) @ k on a weighted
@@ -67,15 +69,21 @@ _SPLIT_ELEMENTS = 5 * 2**14
 _kernel_threads = 2
 
 
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS mapped in this process (numpy's) to one thread."""
+def _openblas_libs() -> list:
+    """Every OpenBLAS mapped in this process (numpy's), as a ctypes library;
+    none where /proc/self/maps cannot be read."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {ln.split()[-1] for ln in maps if "openblas" in ln.lower()}
     except OSError:
-        return
-    for path in sorted(p for p in paths if p.startswith("/")):
-        lib = ctypes.CDLL(path)
+        return []
+    return [ctypes.CDLL(p) for p in sorted(p for p in paths
+                                           if p.startswith("/"))]
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS mapped in this process (numpy's) to one thread."""
+    for lib in _openblas_libs():
         for sym in ("scipy_openblas_set_num_threads64_",
                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
             if hasattr(lib, sym):
@@ -320,15 +328,16 @@ def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
 
 
 def _scaled(lam: float, normalized: bool, scores: IPWScores) -> float:
-    # normalized variant divides W_n and K_n by the mean welfare score, which
-    # is the same as scaling lambda by 1/mean_delta_y
+    # normalized variant divides W_n and K_n by |mean welfare score|, which
+    # is the same as scaling lambda by 1/|mean_delta_y|; dividing by a
+    # negative mean would turn the posterior upside down
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if not normalized:
         return lam
     if scores.mean_delta_y == 0.0:
         raise ValueError("normalized variant undefined: mean welfare score is zero")
-    return lam / scores.mean_delta_y
+    return lam / abs(scores.mean_delta_y)
 
 
 def _check_penalty(name: str, value: float) -> None:

@@ -19,6 +19,10 @@ import functools
 import importlib.util
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -441,11 +445,52 @@ def _study_cache_valid(folder, dgp_id):
             and doc.get("n_test") == 10_000
             and doc.get("n_bins") == 20):
         return False
-    if STUDIES_SCRIPT.recorded_fingerprint() != _current_fingerprint():
+    verdict = STUDIES_SCRIPT.cache_verdict(
+        STUDIES_SCRIPT.recorded_fingerprint(), _current_fingerprint())
+    if verdict is not None:
         pytest.fail(f"{folder} does not match the current numerics "
-                    "(results/studies/fingerprint.json differs); rebuild it "
+                    f"({verdict}: results/studies/fingerprint.json differs); "
+                    "rebuild it "
                     "with python3 scripts/run_acceptance_studies.py")
     return True
+
+
+# run in a subprocess from the repository root: the fingerprint that a
+# process computes, judged against the committed one
+_VERDICT_PROBE = """
+import json, sys
+sys.path.insert(0, "scripts")
+import run_acceptance_studies as studies
+current = studies.numerics_fingerprint()
+print(json.dumps([current["host"]["openblas_core"],
+                  studies.cache_verdict(studies.recorded_fingerprint(),
+                                        current)]))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE=Haswell names an x86-64 core")
+def test_a_cache_from_another_blas_core_is_other_host_numerics():
+    if STUDIES_SCRIPT.host_numerics()["openblas_core"] in (None, "Haswell"):
+        pytest.skip("no OpenBLAS core type to change, or it is Haswell")
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERDICT_PROBE], cwd=ROOT, capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": "src", "OPENBLAS_CORETYPE": "Haswell"})
+    assert json.loads(proc.stdout) == ["Haswell", "other host numerics"]
+
+
+def test_cache_verdicts():
+    current = {"sha256": "a", "package_version": "1", "host": {"core": "X"}}
+    assert STUDIES_SCRIPT.cache_verdict(dict(current), current) is None
+    # the same bits from another host are the current numerics
+    assert STUDIES_SCRIPT.cache_verdict(
+        {**current, "host": {"core": "Y"}}, current) is None
+    assert STUDIES_SCRIPT.cache_verdict(
+        {**current, "sha256": "b", "host": {"core": "Y"}}, current) \
+        == "other host numerics"
+    for stale in ({**current, "sha256": "b"}, {"sha256": "b"}, None):
+        assert STUDIES_SCRIPT.cache_verdict(stale, current) == "stale cache"
 
 
 def _load_study(folder):

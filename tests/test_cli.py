@@ -219,6 +219,54 @@ def test_fit_budget_meets_its_tolerance(tmp_path, budget_csv, seed, budget):
     assert len(diag["stages"]) == build_default_ladder(diag["u"], 8.0).T
 
 
+@pytest.fixture(scope="module")
+def negative_mean_csv(tmp_path_factory):
+    """simulate --dgp dgp1 --n 500 --seed 3, with y lowered by 2.3 on the
+    treated units: its mean welfare score is -0.695."""
+    out = tmp_path_factory.mktemp("negative_mean")
+    assert cli.main(["simulate", "--dgp", "dgp1", "--n", "500",
+                     "--seed", "3", "--out", str(out)]) == 0
+    path = out / "sample.csv"
+    header, *rows = path.read_text().splitlines()
+    lowered = []
+    for row in rows:
+        y, rest = row.split(",", 1)
+        treated = rest.split(",")[1] == "1"
+        lowered.append(f"{float(y) - 2.3 if treated else float(y)!r},{rest}")
+    path.write_text("\n".join([header, *lowered]) + "\n")
+    scores = ipw_transform(load_sample_csv(path, kappa=0.25))
+    assert round(scores.mean_delta_y, 3) == -0.695
+    return path
+
+
+# treating nobody has welfare 0, and treating everyone the mean welfare
+# score; the fit may fall short of the better of the two by this much
+WELFARE_FLOOR_MARGIN = 0.05
+
+
+def test_fit_on_a_negative_mean_keeps_the_criterions_sign(tmp_path,
+                                                          negative_mean_csv):
+    # dividing lambda by the negative mean itself would favour rules of low
+    # welfare and high cost: such a fit found welfare -0.731 at cost 1.323
+    out = tmp_path / "fit"
+    assert run_cli("fit", negative_mean_csv, "--out", out, "--lambda", "32",
+                   "--u", "0", "--particles", 500, "--seed", 0) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    floor = max(0.0, -0.695)
+    assert diag["estimated_welfare"] >= floor - WELFARE_FLOOR_MARGIN
+
+
+def test_fit_budget_on_a_negative_mean_meets_its_tolerance(tmp_path,
+                                                           negative_mean_csv):
+    # with the sign turned, the tilted cost rose with u and the search
+    # doubled u until the weights broke
+    out = tmp_path / "fit"
+    assert run_cli("fit", negative_mean_csv, "--out", out, "--lambda", "32",
+                   "--budget", 0.3, "--particles", 500, "--seed", 0) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["u_solved"] is True and diag["budget_gap"] <= 1.0
+
+
 def _fixed_ladder_fit(csv, u, lam, particles, seed):
     """The fixed-ladder cloud at (lam, u) that a confirming run of fit
     --budget makes with these flags, with its feature map, scores and
