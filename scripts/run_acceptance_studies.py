@@ -30,8 +30,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pbpolicy import __version__, cli
-from pbpolicy.gibbs import _openblas_libs
 from pbpolicy.dgp import DGPSpec
+from pbpolicy.gibbs import _openblas_libs
 from pbpolicy.harness import StudyConfig, run_study
 from pbpolicy.persist import _write_atomic
 

@@ -52,8 +52,9 @@ __all__ = [
 U_BRACKET_CAP = 2.0**20
 
 # Entries of one block of the decision matrix (1 MB of float64): the kernel
-# and the vote shares never hold more than about this many at once.  Picked
-# from a sweep over n in {250, 500, 1000} and 250-1000 particles.
+# and the vote shares never hold more than about this many at once on each
+# of their two threads.  Picked from a sweep over n in {250, 500, 1000} and
+# 250-1000 particles.
 DECISION_BLOCK_ELEMENTS = 2**17
 
 # A matrix that fits in one block is cut in two, one half per thread, from

@@ -9,9 +9,9 @@ candidates until the ledger hits the edge.
 
 Vote shares walk the units in row blocks of the decision matrix
 (gibbs._blocks), so scoring holds about DECISION_BLOCK_ELEMENTS decisions
-per kernel thread at a time, whatever the number of units and particles.  The shares are bit for
-bit those of one product over the whole matrix, with the one exception that
-gibbs._blocks names.
+per kernel thread at a time, whatever the number of units and particles.
+The shares are bit for bit those of one product over the whole matrix, with
+the one exception that gibbs._blocks names.
 """
 
 from __future__ import annotations
