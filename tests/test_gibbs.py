@@ -444,11 +444,12 @@ TWO_CPUS = pytest.mark.skipif(
 
 # units x particles: one block of rules but two of units, both kinds of
 # many blocks with a remainder, a matrix too narrow to split, and one
-# block just above and just below the entries at which it is cut in two
+# block just above and just below 2^16 entries and the entries at which it
+# is cut in two
 _SPLIT_UNITS = gibbs._SPLIT_ELEMENTS // 256
 KERNEL_SHAPES = [(250, 500), (1000, 250), (1003, 1000), (1009, 7),
-                 (20003, 1000), (_SPLIT_UNITS + 1, 256),
-                 (_SPLIT_UNITS - 1, 256)]
+                 (20003, 1000), (257, 256), (255, 256),
+                 (_SPLIT_UNITS + 1, 256), (_SPLIT_UNITS - 1, 256)]
 
 
 def _kernel_bytes(n, m):
