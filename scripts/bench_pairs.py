@@ -25,11 +25,12 @@ JSON object with every run's metrics, digest and known defects.
 
 With --out BENCH_<n>.json the result is also kept in a file: the machine
 block of run_bench.py's detail line, both commits (the base's and HEAD's,
-with whether tracked files differed from HEAD), and under "workloads" each
+with whether tracked files differed from HEAD, and the git tree id of the
+working tree that ran, the --out file left out), and under "workloads" each
 workload's pairs, summary rows and digest equality.  A later call with the
-same file, base and HEAD adds its workload to it (a traced run under
-"<workload> --trace 1"), so one file holds the claimed gain and the
-no-regression pairs of a change:
+same file, base, HEAD and working tree adds its workload to it (a traced
+run under "<workload> --trace 1"), so one file holds the claimed gain and
+the no-regression pairs of one tree:
 
     python3 scripts/bench_pairs.py --base HEAD~1 --workload study_rep \
         --seed 801 --out BENCH_8.json
@@ -76,13 +77,21 @@ def _extract(tree_ish: str, dest: str) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _working_tree() -> str:
-    """A git tree object of the working tree, written through a temporary
-    index so that the repository's own index stays as it is."""
+def _working_tree(leave_out: str = None) -> str:
+    """A git tree object of the working tree, less the file leave_out,
+    written through a temporary index so that the repository's own index
+    stays as it is."""
     with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
         env = {**os.environ, "GIT_INDEX_FILE": os.path.join(tmp, "index")}
         subprocess.run(["git", "add", "--all"], cwd=ROOT, env=env,
                        capture_output=True, check=True)
+        inside = leave_out is not None and not os.path.relpath(
+            os.path.abspath(leave_out), ROOT).startswith(os.pardir)
+        if inside:
+            subprocess.run(["git", "rm", "--cached", "--quiet",
+                            "--ignore-unmatch", "--",
+                            os.path.abspath(leave_out)],
+                           cwd=ROOT, env=env, capture_output=True, check=True)
         return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env,
                               capture_output=True, text=True,
                               check=True).stdout.strip()
@@ -107,26 +116,31 @@ def _git(*args) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def _commits(base_ref: str) -> dict:
+def _commits(base_ref: str, tree: str) -> dict:
     return {
         "base": {"ref": base_ref,
                  "commit": _git("rev-parse", f"{base_ref}^{{commit}}")},
         "head": {"commit": _git("rev-parse", "HEAD"),
                  "dirty": bool(_git("status", "--porcelain",
-                                    "--untracked-files=no"))},
+                                    "--untracked-files=no")),
+                 "tree": tree},
     }
+
+
+def _ran(commits: dict) -> tuple:
+    # what a document's pairs ran: both commits and the working tree
+    return (commits["base"]["commit"], commits["head"]["commit"],
+            commits["head"].get("tree"))
 
 
 def _kept(path: str, commits: dict) -> dict:
     """The document at path, or a new one; None when it holds other
-    commits."""
+    commits or another working tree."""
     if not os.path.exists(path):
         return {"machine": None, **commits, "workloads": {}}
     with open(path) as fh:
         doc = json.load(fh)
-    same = all(doc[side]["commit"] == commits[side]["commit"]
-               for side in ("base", "head"))
-    return doc if same else None
+    return doc if _ran(doc) == _ran(commits) else None
 
 
 def _keep(path: str, doc: dict, args, seconds: float, machine: dict,
@@ -197,17 +211,18 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = float(bench["run_seconds"])
     spec = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
+    tree = _working_tree(args.out)
     if args.out:
-        doc = _kept(args.out, _commits(args.base))
+        doc = _kept(args.out, _commits(args.base, tree))
         if doc is None:
-            print(f"bench_pairs: {args.out} holds other commits; choose "
-                  "another --out", file=sys.stderr)
+            print(f"bench_pairs: {args.out} holds other commits or another "
+                  "working tree; choose another --out", file=sys.stderr)
             return 2
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"base": os.path.join(tmp, "base"),
                  "head": os.path.join(tmp, "head")}
-        for side, tree_ish in (("base", args.base), ("head", _working_tree())):
+        for side, tree_ish in (("base", args.base), ("head", tree)):
             os.mkdir(trees[side])
             _extract(tree_ish, trees[side])
         if _tree_digest(trees["base"]) != _tree_digest(trees["head"]):

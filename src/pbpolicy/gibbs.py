@@ -16,14 +16,11 @@ particle cloud reweighted ("tilted") across penalties.
 
 Every decision, welfare and cost evaluation goes through one kernel,
 _block_decisions (features @ thetas.T > 0), which walks the units-by-rules
-matrix in blocks of about DECISION_BLOCK_ELEMENTS entries (_blocks).
-Each block is too small for OpenBLAS to split across its own threads, so
-importing this module sets numpy's OpenBLAS to one thread for the whole
-process, once (_one_blas_thread); setting it per kernel call and restoring
-it was slower.  Whole blocks are shared between two Python threads instead:
-the calling thread walks the first half of the blocks and a helper thread
-the second, each making the same one-thread BLAS calls on the same rows, so
-every output bit is that of one thread.
+matrix in blocks of about DECISION_BLOCK_ELEMENTS entries (_blocks) and
+returns the products of the decisions with the vectors it is given.
+Importing this module sets numpy's OpenBLAS to one thread for the whole
+process, once (_one_blas_thread): each block is too small for OpenBLAS to
+split, and setting it per kernel call and restoring it was slower.
 """
 
 from __future__ import annotations
@@ -63,12 +60,6 @@ DECISION_BLOCK_ELEMENTS = 2**17
 # units x 500 particles: 81 -> 68 us), and nothing, or a few us lost, near
 # 70,000, where the hand-off to the helper costs what it saves.
 _SPLIT_ELEMENTS = 5 * 2**14
-
-# Threads that walk the kernel's blocks: the caller and, where the process
-# may run on two CPUs, one helper.  A study's pool workers set it to 1, so
-# that `study --threads k` runs k kernel threads.
-_kernel_threads = 2
-
 
 def _openblas_libs() -> list:
     """Every OpenBLAS mapped in this process (numpy's), as a ctypes library;
@@ -166,7 +157,14 @@ def _blocks(size: int, other: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [size])]
 
 
-class _Helper:
+try:
+    _getcpu = ctypes.CDLL(None).sched_getcpu
+    _getcpu.argtypes, _getcpu.restype = [], ctypes.c_int
+except (AttributeError, OSError):  # a libc without sched_getcpu
+    _getcpu = None
+
+
+class _Helper(threading.Thread):
     """A daemon thread that walks the second half of a kernel call's blocks.
 
     A woken thread may be placed on its waker's CPU, where it would only
@@ -178,19 +176,11 @@ class _Helper:
     """
 
     def __init__(self):
-        try:
-            self._getcpu = ctypes.CDLL(None).sched_getcpu
-            self._getcpu.argtypes, self._getcpu.restype = [], ctypes.c_int
-        except (AttributeError, OSError):  # a libc without sched_getcpu
-            self._getcpu = None
+        super().__init__(daemon=True, name="pbpolicy-kernel")
         self.cpus = None  # the CPUs the helper is kept on, once it is moved
         self.tasks = queue.SimpleQueue()
-        thread = threading.Thread(target=self._serve, daemon=True,
-                                  name="pbpolicy-kernel")
-        thread.start()
-        self.tid = thread.native_id
 
-    def _serve(self) -> None:
+    def run(self) -> None:
         while True:
             task, done = self.tasks.get()
             try:
@@ -201,15 +191,15 @@ class _Helper:
                 done.put(None)
             del task, done  # let go of the finished call's arrays
 
-    def start(self, task) -> queue.SimpleQueue:
+    def submit(self, task) -> queue.SimpleQueue:
         """Hand task to the helper; the queue returned gets None when it is
         done, or the exception it raised.  Callers on several threads may
         each move the helper; its tasks run one at a time wherever it is."""
-        cpu = self._getcpu() if self._getcpu is not None else -1
+        cpu = _getcpu() if _getcpu is not None else -1
         if cpu >= 0 and (self.cpus is None or cpu in self.cpus):
             others = os.sched_getaffinity(0) - {cpu}
             try:
-                os.sched_setaffinity(self.tid, others)
+                os.sched_setaffinity(self.native_id, others)
                 self.cpus = others
             except (OSError, ValueError):  # e.g. others is empty
                 pass
@@ -218,50 +208,76 @@ class _Helper:
         return done
 
 
-_helper_of = (None, None)  # (pid, its _Helper or None)
+# This process's helper: None until the first kernel call that could use
+# it, then the running _Helper, or False where the kernel stays on the
+# caller's thread (one CPU allowed, no thread could be started, or a study
+# pool worker).  A forked child decides again rather than wait on a thread
+# that was not copied.
+_helper = None
 _helper_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):  # no child inherits the lock held
-    os.register_at_fork(before=_helper_lock.acquire,
-                        after_in_parent=_helper_lock.release,
-                        after_in_child=_helper_lock.release)
 
 
-def _helper():
-    """This process's helper thread, started on first use, or None unless
-    the process may run on two CPUs or more.  It is keyed by the pid, so a
-    forked child starts its own helper rather than wait on one it did not
-    inherit."""
-    global _helper_of
-    pid = os.getpid()
-    if _helper_of[0] != pid:
+def _reset_helper() -> None:
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_helper)
+
+
+def _one_kernel_thread() -> None:
+    """Keep this process's kernel on the caller's thread.  A study's pool
+    workers start with it, so that `study --threads k` runs k kernel
+    threads."""
+    global _helper
+    _helper = False
+
+
+def _kernel_helper():
+    """This process's _Helper, started on first use, or False."""
+    global _helper
+    if _helper is None:
         with _helper_lock:
-            if _helper_of[0] != pid:
-                two = (hasattr(os, "sched_getaffinity")
-                       and len(os.sched_getaffinity(0)) >= 2)
-                _helper_of = (pid, _Helper() if two else None)
-    return _helper_of[1]
+            if _helper is None:
+                helper = False
+                if (hasattr(os, "sched_getaffinity")
+                        and len(os.sched_getaffinity(0)) >= 2):
+                    helper = _Helper()
+                    try:
+                        helper.start()
+                    except RuntimeError:  # e.g. "can't start new thread"
+                        helper = False
+                _helper = helper
+    return _helper
 
 
-def _block_decisions(thetas, features, by_units: bool, reduce) -> None:
-    """Call reduce(block, decisions) on every block of the (n, m) decision
-    matrix, which holds 1.0 where unit i's features treat under rule j
-    (features[i] @ thetas[j] > 0), else 0.0: row blocks of the units when
-    by_units, else column blocks of the rules.  reduce must write only what
-    belongs to its block, since blocks may run on two threads at once.
+def _block_decisions(thetas, features, by_units: bool,
+                     vectors) -> np.ndarray:
+    """Products of the (n, m) decision matrix, which holds 1.0 where unit
+    i's features treat under rule j (features[i] @ thetas[j] > 0), else
+    0.0: row i of the array returned is decisions @ vectors[i] (n entries)
+    when by_units, else vectors[i] @ decisions (m entries).  The matrix is
+    walked in row blocks of the units when by_units, else in column blocks
+    of the rules, and never held whole.
 
-    With two kernel threads the caller walks the first half of the blocks
-    and the helper the second, each into its own buffer, which the caller
-    allocates and each block overwrites; a matrix of one block and at least
-    _SPLIT_ELEMENTS entries is cut into two blocks of 8-aligned rows first.
-    An exception in the helper's half is raised again here.
+    Where a helper thread runs, the caller walks the first half of the
+    blocks and the helper the second, each into its own buffer, which the
+    caller allocates and each block overwrites; a matrix of one block and
+    at least _SPLIT_ELEMENTS entries is cut into two blocks of 8-aligned
+    rows first.  Each block makes the same one-thread BLAS calls on the
+    same rows either way, so every output bit is that of one thread.  An
+    exception in the helper's half is raised again here.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     features = np.asarray(features, dtype=float)
     n, m = features.shape[0], thetas.shape[0]
     size, other = (n, m) if by_units else (m, n)
+    out = np.empty((len(vectors), size))
+    rows = list(zip(vectors, out))
     blocks = _blocks(size, other)
-    helper = _helper() if _kernel_threads > 1 else None
-    if (helper is not None and len(blocks) == 1 and n * m >= _SPLIT_ELEMENTS
+    helper = _kernel_helper()
+    if (helper and len(blocks) == 1 and n * m >= _SPLIT_ELEMENTS
             and size >= 2 * _BLOCK_ALIGN):
         half = size // 2 // _BLOCK_ALIGN * _BLOCK_ALIGN
         blocks = [slice(0, half), slice(half, size)]
@@ -276,14 +292,15 @@ def _block_decisions(thetas, features, by_units: bool, reduce) -> None:
             # products that follow do not each cast a boolean matrix
             np.matmul(feats, th.T, out=dec)
             np.greater(dec, 0.0, out=dec, casting="unsafe")
-            reduce(b, dec)
+            for vector, row in rows:
+                row[b] = dec @ vector if by_units else vector @ dec
 
     def widest(part):
         return max((b.stop - b.start for b in part), default=0) * other
 
-    if helper is None or len(blocks) < 2:
+    if not helper or len(blocks) < 2:
         walk(blocks, np.empty(widest(blocks)))
-        return
+        return out
     cut = (len(blocks) + 1) // 2
     mine, theirs = blocks[:cut], blocks[cut:]
     # one allocation for both buffers: glibc hands a freed chunk of this
@@ -291,7 +308,7 @@ def _block_decisions(thetas, features, by_units: bool, reduce) -> None:
     # to the system and faulted in again on every call
     buffers = np.empty(widest(mine) + widest(theirs))
     my_buffer, their_buffer = np.split(buffers, [widest(mine)])
-    done = helper.start(lambda: walk(theirs, their_buffer))
+    done = helper.submit(lambda: walk(theirs, their_buffer))
     try:
         walk(mine, my_buffer)
     finally:
@@ -300,6 +317,7 @@ def _block_decisions(thetas, features, by_units: bool, reduce) -> None:
         failure = done.get()
     if failure is not None:
         raise failure
+    return out
 
 
 def _check_aligned(scores: IPWScores, features) -> None:
@@ -315,16 +333,8 @@ def welfare_cost_matrix(thetas: np.ndarray, scores: IPWScores,
     whole (n, m) decision matrix.
     """
     _check_aligned(scores, features)
-    m = np.atleast_2d(thetas).shape[0]
-    w, k = np.empty(m), np.empty(m)
-
-    def reduce(cols, dec):
-        w[cols] = scores.delta_y @ dec
-        k[cols] = scores.delta_c @ dec
-
-    _block_decisions(thetas, features, False, reduce)
-    w /= scores.n
-    k /= scores.n
+    w, k = _block_decisions(thetas, features, False,
+                            (scores.delta_y, scores.delta_c)) / scores.n
     return w, k
 
 

@@ -7,11 +7,11 @@ of cost bins, picking for each bin the vote rule whose estimated cost is
 nearest the bin edge and greedily treating the highest-scored untreated
 candidates until the ledger hits the edge.
 
-Vote shares walk the units in row blocks of the decision matrix
-(gibbs._blocks), so scoring holds about DECISION_BLOCK_ELEMENTS decisions
-per kernel thread at a time, whatever the number of units and particles.
-The shares are bit for bit those of one product over the whole matrix, with
-the one exception that gibbs._blocks names.
+Vote shares come from the decision kernel (gibbs._block_decisions), which
+walks the units in row blocks of about DECISION_BLOCK_ELEMENTS decisions,
+so scoring never holds the whole units-by-particles matrix.  The shares are
+bit for bit those of one product over the whole matrix, with the one
+exception that gibbs._blocks names.
 """
 
 from __future__ import annotations
@@ -59,14 +59,8 @@ def _weighted_votes(features: np.ndarray,
     The units are walked in row blocks (gibbs._blocks), so memory stays
     bounded whatever the number of units.
     """
-    features = np.asarray(features, dtype=float)
-    shares = np.empty(features.shape[0])
-
-    def reduce(rows, dec):
-        shares[rows] = dec @ particles.weights
-
-    _block_decisions(particles.thetas, features, True, reduce)
-    return shares
+    return _block_decisions(particles.thetas, features, True,
+                            (particles.weights,))[0]
 
 
 def _clipped_votes(features: np.ndarray,

@@ -1275,6 +1275,45 @@ def test_importing_sets_numpys_openblas_to_one_thread():
     assert proc.stdout.strip() == "[1]"
 
 
+# runs fit in this process and prints the kernel helper state on its last
+# line: "_Helper" where a helper thread ran, "bool" where none did
+FIT_PROBE = """
+import sys
+from pbpolicy import cli, gibbs
+rc = cli.main(sys.argv[1:])
+print(type(gibbs._helper).__name__)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to pin a child to one of them")
+def test_a_fit_pinned_to_one_cpu_writes_the_bytes_of_an_unpinned_fit(
+        tmp_path):
+    # on one CPU the kernel starts no helper and walks every block itself
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assert run_cli("simulate", "--dgp", "dgp1", "--n", 1000, "--seed", 5,
+                   "--out", tmp_path / "sim") == 0
+    cpu = min(os.sched_getaffinity(0))
+    helpers = {}
+    for name, pin in (("free", None),
+                      ("pinned", lambda: os.sched_setaffinity(0, {cpu}))):
+        proc = subprocess.run(
+            [sys.executable, "-c", FIT_PROBE, "fit",
+             str(tmp_path / "sim" / "sample.csv"), "--lambda", "4",
+             "--u", "0.5", "--particles", "100", "--seed", "2",
+             "--out", str(tmp_path / name)],
+            cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+            preexec_fn=pin, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        helpers[name] = proc.stdout.split()[-1]
+    assert helpers == {"free": "_Helper", "pinned": "bool"}
+    for name in ("rule.json", "diagnostics.json"):
+        assert (tmp_path / "pinned" / name).read_bytes() \
+            == (tmp_path / "free" / name).read_bytes(), name
+
+
 def test_console_script_installed():
     exe = shutil.which("pbpolicy")
     assert exe, "console script not on PATH"

@@ -412,12 +412,7 @@ def test_blocked_votes_equal_a_one_shot_product_big_enough_to_thread(n, m):
     feats = rng.normal(size=(n, 6))
     thetas = rng.normal(size=(m, 6))
     weights = rng.dirichlet(np.ones(m))
-    got = np.empty(n)
-
-    def reduce(rows, dec):
-        got[rows] = dec @ weights
-
-    _block_decisions(thetas, feats, True, reduce)
+    got = _block_decisions(thetas, feats, True, (weights,))[0]
     want = (feats @ thetas.T > 0.0).astype(float) @ weights
     assert got.tobytes() == want.tobytes()
 
@@ -464,68 +459,84 @@ def _kernel_bytes(n, m):
     return w.tobytes() + k.tobytes(), _weighted_votes(feats, cloud).tobytes()
 
 
+def _one_thread_bytes(monkeypatch, shapes):
+    """_kernel_bytes of each shape with the kernel on the caller's thread;
+    the helper state is restored afterwards."""
+    with monkeypatch.context() as one:
+        one.setattr(gibbs, "_helper", False)
+        return [_kernel_bytes(n, m) for n, m in shapes]
+
+
 @pytest.mark.parametrize("n, m", KERNEL_SHAPES)
 def test_two_kernel_threads_give_the_bytes_of_one(monkeypatch, n, m):
-    monkeypatch.setattr(gibbs, "_kernel_threads", 1)
-    one = _kernel_bytes(n, m)
-    monkeypatch.setattr(gibbs, "_kernel_threads", 2)
-    assert _kernel_bytes(n, m) == one
+    assert _kernel_bytes(n, m) == _one_thread_bytes(monkeypatch, [(n, m)])[0]
 
 
-def _walk_threads(n, m, by_units):
-    """{block: thread ident} of one kernel walk over an (n, m) matrix."""
+def _walk_threads(monkeypatch, n, m, by_units, fail=None, ran=None):
+    """{(start, stop): thread ident} of the blocks of one kernel walk over
+    an (n, m) matrix, read off each block's decision product (numpy.matmul,
+    which gibbs calls by attribute) into ran; the block fail raises."""
     rng = np.random.default_rng(5)
-    ran = {}
+    thetas, feats = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+    whole = feats if by_units else thetas
+    matmul, ran = np.matmul, {} if ran is None else ran
 
-    def reduce(b, dec):
-        ran[(b.start, b.stop)] = threading.get_ident()
+    def probe(a, b, **kwargs):
+        part = a if by_units else b.T
+        start = (part.ctypes.data - whole.ctypes.data) // whole.strides[0]
+        block = (start, start + part.shape[0])
+        ran[block] = threading.get_ident()
+        if block == fail:
+            raise ArithmeticError("the helper's block failed")
+        return matmul(a, b, **kwargs)
 
-    _block_decisions(rng.normal(size=(m, 3)), rng.normal(size=(n, 3)),
-                     by_units, reduce)
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "matmul", probe)
+        _block_decisions(thetas, feats, by_units, (np.ones(m if by_units
+                                                           else n),))
     return ran
 
 
 @TWO_CPUS
-def test_the_helper_walks_the_second_half_of_the_blocks():
+def test_the_helper_walks_the_second_half_of_the_blocks(monkeypatch):
     for by_units in (True, False):
-        ran = _walk_threads(1003, 1000, by_units)
+        ran = _walk_threads(monkeypatch, 1003, 1000, by_units)
         blocks = sorted(ran)
+        assert blocks == [(b.start, b.stop) for b in _blocks(
+            1003 if by_units else 1000, 1000 if by_units else 1003)]
         cut = (len(blocks) + 1) // 2
         assert {ran[b] for b in blocks[:cut]} == {threading.get_ident()}
         assert threading.get_ident() not in {ran[b] for b in blocks[cut:]}
     # one block is cut into two 8-aligned halves from _SPLIT_ELEMENTS on
     for by_units in (True, False):
-        above = sorted(_walk_threads(_SPLIT_UNITS + 1, 256, by_units))
+        above = sorted(_walk_threads(monkeypatch, _SPLIT_UNITS + 1, 256,
+                                     by_units))
         size = _SPLIT_UNITS + 1 if by_units else 256
         half = size // 16 * 8
         assert above == [(0, half), (half, size)]
-        assert len(_walk_threads(_SPLIT_UNITS - 1, 256, by_units)) == 1
+        assert len(_walk_threads(monkeypatch, _SPLIT_UNITS - 1, 256,
+                                 by_units)) == 1
 
 
 def test_one_kernel_thread_walks_every_block_itself(monkeypatch):
-    monkeypatch.setattr(gibbs, "_kernel_threads", 1)
-    ran = _walk_threads(1003, 1000, True)
+    monkeypatch.setattr(gibbs, "_helper", False)
+    ran = _walk_threads(monkeypatch, 1003, 1000, True)
     assert len(ran) > 1
     assert set(ran.values()) == {threading.get_ident()}
-    assert len(_walk_threads(_SPLIT_UNITS + 1, 256, True)) == 1
+    assert len(_walk_threads(monkeypatch, _SPLIT_UNITS + 1, 256, True)) == 1
 
 
 @TWO_CPUS
-def test_an_exception_in_the_helpers_half_reaches_the_caller():
-    rng = np.random.default_rng(8)
-    feats, thetas = rng.normal(size=(1003, 4)), rng.normal(size=(1000, 4))
+def test_an_exception_in_the_helpers_half_reaches_the_caller(monkeypatch):
     last = _blocks(1003, 1000)[-1]
     ran = {}
-
-    def reduce(b, dec):
-        ran[b.start] = threading.get_ident()
-        if b == last:
-            raise ArithmeticError("the helper's block failed")
-
     with pytest.raises(ArithmeticError, match="helper's block failed"):
-        _block_decisions(thetas, feats, True, reduce)
-    assert ran[last.start] != threading.get_ident()
+        _walk_threads(monkeypatch, 1003, 1000, True,
+                      fail=(last.start, last.stop), ran=ran)
+    assert ran[(last.start, last.stop)] != threading.get_ident()
     # the helper survives, and the next call is whole
+    rng = np.random.default_rng(8)
+    feats, thetas = rng.normal(size=(1003, 4)), rng.normal(size=(1000, 4))
     s = scores_of(rng.normal(size=1003), rng.normal(size=1003))
     dec = (feats @ thetas.T > 0.0).astype(float)
     w, _ = welfare_cost_matrix(thetas, s, feats)
@@ -536,9 +547,7 @@ def test_callers_on_many_threads_share_the_helper(monkeypatch):
     # more calling threads than cores hand their halves to the one helper at
     # once; each call must still get its own bytes
     shapes = [(1003, 1000), (250, 500), (20003, 100), (1000, 250)]
-    monkeypatch.setattr(gibbs, "_kernel_threads", 1)
-    want = [_kernel_bytes(n, m) for n, m in shapes]
-    monkeypatch.setattr(gibbs, "_kernel_threads", 2)
+    want = _one_thread_bytes(monkeypatch, shapes)
     wrong = []
 
     def call(i):
@@ -559,6 +568,23 @@ def test_callers_on_many_threads_share_the_helper(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+@TWO_CPUS
+def test_a_helper_that_cannot_start_leaves_the_kernel_on_one_thread(
+        monkeypatch):
+    want = _one_thread_bytes(monkeypatch, [(1003, 1000), (250, 500)])
+    attempts = []
+
+    def refuse(thread):
+        attempts.append(thread.name)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(gibbs, "_helper", None)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert [_kernel_bytes(1003, 1000), _kernel_bytes(250, 500)] == want
+    assert attempts == ["pbpolicy-kernel"]
+    assert gibbs._helper is False
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
