@@ -30,19 +30,18 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 from pbpolicy.bounds import BoundInputs, bound_report
-from pbpolicy.data import (CSV_BLOCK_ROWS, _csv_blocks, ipw_transform,
-                           load_sample_csv, poly_feature_map)
+from pbpolicy.data import (_csv_blocks, _fmt, _read_json, _sample_csv,
+                           _write_atomic, _write_csv, _write_rows,
+                           ipw_transform, load_rule, load_sample_csv,
+                           poly_feature_map, save, save_rule)
 from pbpolicy.dgp import DGP_IDS, DGPSpec, generate
 from pbpolicy.gibbs import (U_BRACKET_CAP, InfeasibleBudgetError,
                             IsotropicNormalPrior, solve_u_hat,
                             tilted_weights, welfare_cost_matrix)
 from pbpolicy.oracle import oracle_report, solve_eta_B
-from pbpolicy.persist import (_fmt, _read_json, _write_atomic, _write_csv,
-                              _write_rows, load_rule, save, save_rule)
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             rule_empirical_cost, rule_empirical_welfare,
                             sample_assignments, treat_probability)
@@ -68,9 +67,12 @@ _LOCATE_RUNS = 4
 # that settled had passed through a bracket narrower than 0.0088.
 _BRACKET_RTOL = 1e-4
 
-# flag spellings for required-value errors, where the argparse dest differs
-# from the flag users type
-_FLAG_NAMES = {"lam": "--lambda"}
+# flags other than "--" and the name, "_" as "-", of the argparse dest or
+# the library field they set
+_FLAG_NAMES = {"lam": "--lambda", "n_particles": "--particles",
+               "n_bins": "--bins", "workers": "--threads",
+               "query_budgets": "--budgets", "epsilon": "--eps",
+               "grid_cardinality": "--grid-size", "u_hat": "--uhat"}
 
 
 def _dgp_id(value) -> str:
@@ -100,26 +102,25 @@ def _float_list(value):
     return [float(v) for v in value]
 
 
+def _flag(name: str) -> str:
+    """The flag that sets a dest or a library field called name."""
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
+
 def _require(cfg: dict, *keys: str):
-    missing = [_FLAG_NAMES.get(k, "--" + k.replace("_", "-"))
-               for k in keys if cfg[k] is None]
+    missing = [_flag(k) for k in keys if cfg[k] is None]
     if missing:
         raise ValueError(
             f"{cfg['command']} requires {' and '.join(missing)}")
 
 
-@contextmanager
-def _flags_named(**flags: str):
-    """Name the flag in a ValueError raised in the block.  The library's
-    checks begin their message with the field they check, and flags maps
-    such a field to the flag that sets it."""
-    try:
-        yield
-    except ValueError as exc:
-        flag = flags.get(str(exc).split(" ", 1)[0])
-        if flag is None:
-            raise
-        raise ValueError(f"{flag}: {exc}") from None
+def _message(exc: Exception, command: argparse.ArgumentParser) -> str:
+    """exc's message, with the flag it is about in front when that is an
+    option of command.  The library's checks begin their message with the
+    field they check; a message that begins otherwise names no flag."""
+    flag = _flag(str(exc).split(" ", 1)[0])
+    options = {_flag(a.dest) for a in command._actions if a.option_strings}
+    return f"{flag}: {exc}" if flag in options else str(exc)
 
 
 def _echo_config(cfg: dict) -> str:
@@ -236,13 +237,11 @@ def _cmd_fit(cfg: dict) -> int:
                              kappa=cfg["kappa"], m_y=cfg["my"], m_c=cfg["mc"])
     scores = ipw_transform(sample)
     normalized = not cfg["raw"]
-    with _flags_named(degree="--degree", sigma="--sigma",
-                      n_particles="--particles", seed="--seed"):
-        fmap = poly_feature_map(cfg["degree"], sample.x.shape[1])
-        prior = IsotropicNormalPrior(q=fmap.dimension, sigma=cfg["sigma"])
-        # every run, budget pilots included, uses the fit's own seed
-        smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=cfg["seed"],
-                            normalized=normalized)
+    fmap = poly_feature_map(cfg["degree"], sample.x.shape[1])
+    prior = IsotropicNormalPrior(q=fmap.dimension, sigma=cfg["sigma"])
+    # every run, budget pilots included, uses the fit's own seed
+    smc_cfg = SMCConfig(n_particles=cfg["particles"], seed=cfg["seed"],
+                        normalized=normalized)
     try:
         fmap = fmap.fit_normalization(sample.x)
     except ValueError as exc:
@@ -315,8 +314,7 @@ def _cmd_score(cfg: dict) -> int:
     if mode not in ("prob", "mv", "sample"):
         raise ValueError(f"unknown score mode {mode!r}")
     if mode == "sample":
-        with _flags_named(seed="--seed"):
-            rng = _StageStreams(cfg["seed"]).at(0)
+        rng = _StageStreams(cfg["seed"]).at(0)
     out = _echo_config(cfg)
 
     particles, fmap = load_rule(cfg["rule"])
@@ -352,16 +350,12 @@ def _cmd_study(cfg: dict) -> int:
     if cfg["reps"] < 1:
         raise ValueError("--reps must be >= 1")
     dgp = DGPSpec(_dgp_id(cfg["dgp"]), cfg["seed"], cfg["n"])
-    with _flags_named(u_grid="--u-grid", lambda_grid="--lambda-grid",
-                      particles="--particles", n_test="--n-test",
-                      n_bins="--bins", workers="--threads",
-                      query_budgets="--budgets"):
-        grids = GridSpec(**{key: cfg[key] for key in ("u_grid", "lambda_grid")
-                            if cfg[key] is not None})
-        study_cfg = StudyConfig(
-            particles=cfg["particles"], n_test=cfg["n_test"],
-            n_bins=cfg["bins"], workers=cfg["threads"], out_dir=cfg["out"],
-            query_budgets=cfg["budgets"])
+    grids = GridSpec(**{key: cfg[key] for key in ("u_grid", "lambda_grid")
+                        if cfg[key] is not None})
+    study_cfg = StudyConfig(
+        particles=cfg["particles"], n_test=cfg["n_test"],
+        n_bins=cfg["bins"], workers=cfg["threads"], out_dir=cfg["out"],
+        query_budgets=cfg["budgets"])
     _echo_config(cfg)
     run_study(dgp, cfg["reps"], grids=grids, config=study_cfg)
     return EXIT_OK
@@ -402,14 +396,7 @@ def _cmd_oracle(cfg: dict) -> int:
 def _cmd_simulate(cfg: dict) -> int:
     _require(cfg, "dgp", "n")
     population = generate(DGPSpec(_dgp_id(cfg["dgp"]), cfg["seed"], cfg["n"]))
-    s = population.sample
-    header = (["y", "c", "d"]
-              + [f"x{j + 1}" for j in range(s.x.shape[1])] + ["e"])
-    columns = [(_fmt, s.y), (_fmt, s.c), (str, s.d.astype(int)),
-               *((_fmt, x) for x in s.x.T), (_fmt, s.e)]
-    blocks = (zip(*(map(fmt, col[lo:lo + CSV_BLOCK_ROWS].tolist())
-                    for fmt, col in columns))
-              for lo in range(0, s.n, CSV_BLOCK_ROWS))
+    header, blocks = _sample_csv(population.sample)
     if cfg["out"] is not None:
         out = _echo_config(cfg)
         _write_csv(os.path.join(out, "sample.csv"), header, blocks)
@@ -631,7 +618,8 @@ def main(argv=None) -> int:
         del cfg["config"]
         return handler(cfg)
     except (ValueError, TypeError, OSError) as exc:
-        print(f"pbpolicy {args.command}: error: {exc}", file=sys.stderr)
+        message = _message(exc, parser.commands[args.command])
+        print(f"pbpolicy {args.command}: error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:
         print(f"pbpolicy {args.command}: {type(exc).__name__}: {exc}",

@@ -1,5 +1,6 @@
-"""Data model, the polynomial feature map, and the inverse propensity
-weighted scores consumed by every other module.
+"""Data model, the polynomial feature map, the inverse propensity weighted
+scores consumed by every other module, the weighted particle cloud, and
+every file form the package reads or writes.
 
 Scores are the per-unit transforms
 
@@ -13,13 +14,23 @@ CSV input is read by one block reader (_csv_blocks): it checks the header
 once, then parses CSV_BLOCK_ROWS rows at a time.  load_sample_csv joins the
 blocks into a Sample; `pbpolicy score` scores and writes each block before
 it reads the next, so its memory holds one block whatever the number of
-units.
+units.  _sample_csv lays a Sample out as the CSV load_sample_csv reads.
+
+Two JSON documents are versioned, bound reports (save) and fitted rules
+(save_rule, load_rule): each carries a schema version, and loading another
+version is a hard error.  Floats pass through Python's shortest round-trip
+decimal form, so values survive a save/load cycle bit for bit.  Every
+output file is written to a temporary file in the target directory, then
+renamed over its target (_open_atomic).
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -31,7 +42,12 @@ __all__ = [
     "PolyFeatureMap",
     "ipw_transform",
     "poly_feature_map",
+    "WeightedParticles",
     "load_sample_csv",
+    "SCHEMA_VERSION",
+    "save",
+    "save_rule",
+    "load_rule",
 ]
 
 # Rows in one block of a CSV read: `score` holds about this many covariate
@@ -41,6 +57,10 @@ CSV_BLOCK_ROWS = 2048
 # of this many rows, and a remainder of fewer rows joins the block before it
 # (gibbs._blocks says why).
 _BLOCK_ALIGN = 8
+
+SCHEMA_VERSION = 1
+_BOUNDS_KIND = "bound_report"
+_RULE_KIND = "fitted_rule"
 
 
 @dataclass
@@ -84,7 +104,8 @@ class Sample:
             raise ValueError(f"kappa must lie in (0, 1/2), got {self.kappa}")
         e = self.e
         if np.any(e < self.kappa - 1e-12) or np.any(e > 1 - self.kappa + 1e-12):
-            raise ValueError("propensity outside [kappa, 1-kappa] on the sample")
+            raise ValueError("a propensity lies outside [kappa, 1-kappa] "
+                             "on the sample")
         if self.m_y is not None and np.any(np.abs(self.y) > self.m_y / 2 + 1e-12):
             raise ValueError("outcome magnitude exceeds declared m_y/2")
         if self.m_c is not None and np.any(np.abs(self.c) > self.m_c / 2 + 1e-12):
@@ -227,6 +248,40 @@ def poly_feature_map(degree: int, d_x: int) -> PolyFeatureMap:
     return PolyFeatureMap(degree=degree, d_x=d_x, exponents=np.array(rows, dtype=int))
 
 
+@dataclass
+class WeightedParticles:
+    """A weighted particle cloud harvested at one ladder step."""
+
+    thetas: np.ndarray  # (N, q)
+    weights: np.ndarray  # (N,), sum to 1
+    step_index: int
+    lam: float
+    u: float
+    seed: int
+
+    def __post_init__(self):
+        self.thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.n_particles < 2:
+            raise ValueError("need at least 2 particles")
+        if self.weights.shape != (self.n_particles,):
+            raise ValueError("weights not aligned with particles")
+        if not np.isfinite(self.thetas).all():
+            raise ValueError("thetas must be finite")
+        if not np.all(self.weights >= 0):
+            raise ValueError("weights must be non-negative")
+        if abs(self.weights.sum() - 1.0) > 1e-10:
+            raise ValueError("weights must sum to 1")
+
+    @property
+    def n_particles(self) -> int:
+        return self.thetas.shape[0]
+
+    @property
+    def q(self) -> int:
+        return self.thetas.shape[1]
+
+
 def load_sample_csv(path, propensity_const: Optional[float] = None,
                     kappa: Optional[float] = None,
                     m_y: Optional[float] = None,
@@ -252,6 +307,20 @@ def load_sample_csv(path, propensity_const: Optional[float] = None,
             raise ValueError("propensities leave no room for a positive kappa")
     return Sample(cols["y"], cols["c"], cols["d"], cols["x"], e, kappa,
                   m_y=m_y, m_c=m_c)
+
+
+def _sample_csv(sample: Sample) -> tuple:
+    """The CSV that load_sample_csv reads back as sample: the header
+    y,c,d,x1..xk,e and blocks of CSV_BLOCK_ROWS rows of string cells."""
+    header = (["y", "c", "d"]
+              + [f"x{j + 1}" for j in range(sample.x.shape[1])] + ["e"])
+    columns = [(_fmt, sample.y), (_fmt, sample.c),
+               (str, sample.d.astype(int)),
+               *((_fmt, x) for x in sample.x.T), (_fmt, sample.e)]
+    blocks = (zip(*(map(fmt, col[lo:lo + CSV_BLOCK_ROWS].tolist())
+                    for fmt, col in columns))
+              for lo in range(0, sample.n, CSV_BLOCK_ROWS))
+    return header, blocks
 
 
 def _csv_blocks(path, required=(), optional=()):
@@ -381,3 +450,134 @@ def _cell_value(cell: str) -> float:
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{what} holds a non-finite value")
+
+
+@contextmanager
+def _open_atomic(path):
+    """A text file that replaces path, by an atomic rename, once the block
+    that writes it ends."""
+    path = os.fspath(path)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        # the target keeps its old bytes; the partial file goes
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_atomic(path, doc: dict) -> None:
+    with _open_atomic(path) as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _write_rows(fh, header, blocks) -> None:
+    """A CSV of a header and blocks of rows of string cells, written to fh
+    with one write per block."""
+    fh.write(",".join(header) + "\n")
+    for rows in blocks:
+        fh.write("\n".join([*map(",".join, rows), ""]))
+
+
+def _write_csv(path, header, blocks) -> None:
+    """A CSV of a header and blocks of rows of string cells, written
+    atomically."""
+    with _open_atomic(path) as fh:
+        _write_rows(fh, header, blocks)
+
+
+def _fmt(value) -> str:
+    # repr of a Python float round-trips exactly, which keeps CSV output
+    # byte-stable across runs
+    return repr(float(value))
+
+
+def _read_json(path):
+    """The JSON value in the file at path; ValueError naming the file when
+    it is not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def save(report: dict, path) -> None:
+    """Write a bound report, certificate name -> value, to a versioned JSON
+    file."""
+    payload = {"values": {k: float(v) for k, v in report.items()}}
+    _write_atomic(path, {"schema_version": SCHEMA_VERSION,
+                         "kind": _BOUNDS_KIND, "payload": payload})
+
+
+def save_rule(particles: WeightedParticles, fmap: PolyFeatureMap,
+              normalized: bool, path) -> None:
+    """Write a fitted rule: its particle cloud, the polynomial feature map
+    it reads covariates through, and the criterion variant."""
+    payload = {
+        "particles": {
+            "thetas": particles.thetas.tolist(),
+            "weights": particles.weights.tolist(),
+            "step_index": int(particles.step_index),
+            "lam": float(particles.lam),
+            "u": float(particles.u),
+            "seed": int(particles.seed),
+        },
+        "feature_map": {
+            "degree": int(fmap.degree),
+            "d_x": int(fmap.d_x),
+            "means": None if fmap.means is None else [float(v) for v in fmap.means],
+            "sds": None if fmap.sds is None else [float(v) for v in fmap.sds],
+        },
+        "normalized": bool(normalized),
+    }
+    doc = {"schema_version": SCHEMA_VERSION, "kind": _RULE_KIND,
+           "payload": payload}
+    _write_atomic(path, doc)
+
+
+def load_rule(path) -> tuple[WeightedParticles, PolyFeatureMap]:
+    """Read back the particle cloud and feature map written by save_rule."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "schema_version" not in doc:
+        raise ValueError(f"{path} is missing a schema_version")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path} has schema_version {doc['schema_version']}, "
+            f"expected {SCHEMA_VERSION}")
+    if doc.get("kind") != _RULE_KIND:
+        raise ValueError(f"{path} is not a fitted rule file")
+    try:
+        payload = doc["payload"]
+        cloud = payload["particles"]
+        particles = WeightedParticles(
+            thetas=cloud["thetas"],
+            weights=cloud["weights"],
+            step_index=_json_int(cloud, "step_index"),
+            lam=float(cloud["lam"]),
+            u=float(cloud["u"]),
+            seed=_json_int(cloud, "seed"),
+        )
+        fm = payload["feature_map"]
+        fmap = poly_feature_map(_json_int(fm, "degree"), _json_int(fm, "d_x"))
+        if particles.q != fmap.dimension:
+            raise ValueError("particle dimension does not match the "
+                             "feature map")
+        fmap = replace(fmap, means=fm.get("means"), sds=fm.get("sds"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} holds an inconsistent rule payload: {exc}") from exc
+    return particles, fmap
+
+
+def _json_int(doc: dict, key: str) -> int:
+    """doc[key], a field the rule format types as int: a JSON integer (not
+    a bool, a float or a string) in [0, 2^64)."""
+    value = doc[key]
+    if type(value) is not int or not 0 <= value < 2**64:
+        raise ValueError(f"{key} must be an integer in [0, 2^64), not "
+                         f"{value!r}")
+    return value

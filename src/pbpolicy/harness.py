@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, gibbs
-from .data import Sample, ipw_transform, poly_feature_map
+from .data import (Sample, _fmt, _write_atomic, _write_csv, ipw_transform,
+                   poly_feature_map)
 from .dgp import DGPSpec, SimulatedPopulation, generate
 from .gibbs import IsotropicNormalPrior
 from .oracle import gain_cost
-from .persist import _fmt, _write_atomic, _write_csv
 # treat_probability, mv_decide, rule_empirical_cost and run_smc are not
 # called here any more, but the benchmark's tracer (bench/tracing.py)
 # rebinds them in this module

@@ -21,9 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
-from pbpolicy.data import IPWScores, PolyFeatureMap
+from pbpolicy.data import IPWScores, PolyFeatureMap, WeightedParticles
 from pbpolicy.gibbs import _block_decisions, _check_aligned
-from pbpolicy.smc import WeightedParticles
 
 __all__ = [
     "GibbsRule",

@@ -59,14 +59,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pbpolicy.data import IPWScores
+from pbpolicy.data import IPWScores, WeightedParticles
 from pbpolicy.gibbs import (IsotropicNormalPrior, _logsumexp, _scaled,
                             welfare_cost_matrix)
 
 __all__ = [
     "TemperatureLadder",
     "AdaptiveLadder",
-    "WeightedParticles",
     "SMCConfig",
     "build_default_ladder",
     "ess",
@@ -214,40 +213,6 @@ class AdaptiveLadder(_Ladder):
 
     def _proposal_scale(self, t: int, q: int) -> float:
         return RW_SCALE / q
-
-
-@dataclass
-class WeightedParticles:
-    """A weighted particle cloud harvested at one ladder step."""
-
-    thetas: np.ndarray  # (N, q)
-    weights: np.ndarray  # (N,), sum to 1
-    step_index: int
-    lam: float
-    u: float
-    seed: int
-
-    def __post_init__(self):
-        self.thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.n_particles < 2:
-            raise ValueError("need at least 2 particles")
-        if self.weights.shape != (self.n_particles,):
-            raise ValueError("weights not aligned with particles")
-        if not np.isfinite(self.thetas).all():
-            raise ValueError("thetas must be finite")
-        if not np.all(self.weights >= 0):
-            raise ValueError("weights must be non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-10:
-            raise ValueError("weights must sum to 1")
-
-    @property
-    def n_particles(self) -> int:
-        return self.thetas.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.thetas.shape[1]
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,15 @@ import numpy as np
 import pytest
 
 from pbpolicy import cli, smc
-from pbpolicy.data import (CSV_BLOCK_ROWS, ipw_transform, load_sample_csv,
-                           poly_feature_map)
+from pbpolicy.data import (CSV_BLOCK_ROWS, WeightedParticles, _fmt,
+                           ipw_transform, load_rule, load_sample_csv,
+                           poly_feature_map, save_rule)
+from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import IsotropicNormalPrior, welfare_cost_matrix
-from pbpolicy.persist import _fmt, load_rule, save_rule
 from pbpolicy.rules import (GibbsRule, MajorityVoteRule, mv_decide,
                             sample_assignments, treat_probability)
 from pbpolicy.smc import (MH_STEPS_PER_STAGE, AdaptiveLadder, SMCConfig,
-                          TemperatureLadder, WeightedParticles, _StageStreams,
+                          TemperatureLadder, _StageStreams,
                           build_default_ladder, run_smc)
 
 
@@ -75,6 +76,21 @@ def test_simulate_writes_the_same_csv_to_stdout_and_to_a_file(tmp_path,
     assert (tmp_path / "sample.csv").read_text() == printed
 
 
+@pytest.mark.parametrize("design", ["dgp1", "dgp2"])
+@pytest.mark.parametrize("seed", [3, 2**63 + 7])
+def test_simulate_csv_reads_back_as_the_generated_sample(tmp_path, design,
+                                                        seed):
+    # one row past two blocks, so the rows cross both block edges
+    n = 2 * CSV_BLOCK_ROWS + 1
+    assert run_cli("simulate", "--dgp", design, "--n", n, "--seed", seed,
+                   "--out", tmp_path) == 0
+    got = load_sample_csv(tmp_path / "sample.csv")
+    want = generate(DGPSpec(design.upper(), seed, n)).sample
+    for column in ("y", "c", "d", "x", "e"):
+        assert np.array_equal(getattr(got, column), getattr(want, column))
+    assert got.kappa == 0.49
+
+
 def test_simulate_file_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("simulate", "--dgp", "dgp2", "--n", 8, "--seed", 5,
@@ -109,8 +125,8 @@ def test_design_commands_reject_a_seed_outside_64_bits(capsys, argv):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"error: seed must be a non-negative integer below 2^64, "
-            f"got {argv[-1]}") in captured.err
+    assert (f"error: --seed: seed must be a non-negative integer below "
+            f"2^64, got {argv[-1]}") in captured.err
 
 
 def test_study_takes_any_integer_master_seed(tmp_path):
@@ -489,9 +505,15 @@ def test_fit_flag_validation(tmp_path, sample_csv, capsys):
 
 
 _FIT_ARGS = ("--lambda", 4, "--u", 0, "--particles", 20)
-_STUDY_ARGS = ("--dgp", "dgp1", "--reps", 1, "--n", 50, "--particles", 30,
-               "--n-test", 120, "--bins", 3, "--u-grid", "0,0.8",
-               "--lambda-grid", "4")
+_DESIGN_ARGS = {
+    "study": ("--dgp", "dgp1", "--reps", 1, "--n", 50, "--particles", 30,
+              "--n-test", 120, "--bins", 3, "--u-grid", "0,0.8",
+              "--lambda-grid", "4"),
+    "simulate": ("--dgp", "dgp1", "--n", 5),
+    "oracle": ("--dgp", "dgp1", "--budget", 0.5, "--n", 50),
+    "bounds": ("--n", 20000, "--kappa", 0.25, "--my", 2, "--mc", 2,
+               "--lambda", 16, "--u", 0.5, "--eps", 0.05),
+}
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
@@ -508,13 +530,24 @@ _STUDY_ARGS = ("--dgp", "dgp1", "--reps", 1, "--n", 50, "--particles", 30,
     ("study", "--reps", 0, "--reps must be >= 1"),
     ("study", "--threads", 0, "--threads: workers must be >= 1"),
     ("study", "--u-grid", 0.5, "--u-grid: u_grid needs at least 2 values"),
+    ("simulate", "--n", 0, "--n: n must be >= 1"),
+    ("simulate", "--seed", -1, "--seed: seed must be a non-negative integer"),
+    ("oracle", "--n", 0, "--n: n must be >= 1"),
+    ("oracle", "--budget", -1, "--budget: budget -1.0 is at or below"),
+    ("bounds", "--grid-size", 0,
+     "--grid-size: grid_cardinality must be a positive integer"),
+    ("bounds", "--eps", 0, "--eps: epsilon must lie in (0, 1]"),
+    ("bounds", "--uhat", -1, "--uhat: u_hat must be non-negative"),
+    ("bounds", "--kappa", 0.7, "--kappa: kappa must lie in (0, 1/2]"),
+    # a message that does not begin with a field names no flag
+    ("bounds", "--dkl", -1, "KL divergence must be non-negative"),
 ])
 def test_bad_settings_write_nothing_and_name_the_flag(tmp_path, sample_csv,
                                                       capsys, command, flag,
                                                       value, message):
     out = tmp_path / "o"
     argv = ((command, sample_csv, *_FIT_ARGS) if command == "fit"
-            else (command, *_STUDY_ARGS))
+            else (command, *_DESIGN_ARGS[command]))
     assert run_cli(*argv, flag, value, "--out", out) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
@@ -957,6 +990,29 @@ def test_score_rejects_wrong_kind(tmp_path, sample_csv, capsys):
     assert run_cli("score", impostor, sample_csv,
                    "--out", tmp_path / "o") == 1
     assert "not a fitted rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("feature_map", "degree", 2.7),
+    ("feature_map", "d_x", "3"),
+    ("feature_map", "d_x", 3.9),
+    ("particles", "step_index", 1.5),
+    ("particles", "step_index", -1),
+    ("particles", "seed", -5),
+    ("particles", "seed", 2.5),
+    ("particles", "seed", True),
+    ("particles", "seed", 2**64),
+])
+def test_score_rejects_a_rule_whose_int_field_is_not_an_integer(
+        tmp_path, fitted, sample_csv, capsys, section, key, value):
+    doc = json.loads((fitted / "rule.json").read_text())
+    doc["payload"][section][key] = value
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps(doc))
+    assert run_cli("score", rule, sample_csv, "--out", tmp_path / "o") == 1
+    assert (f"{rule} holds an inconsistent rule payload: {key} must be an "
+            f"integer") in capsys.readouterr().err
+    assert not (tmp_path / "o" / "assignments.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pbpolicy import gibbs
-from pbpolicy.data import IPWScores
+from pbpolicy.data import IPWScores, WeightedParticles
 from pbpolicy.gibbs import (
     InfeasibleBudgetError,
     IsotropicNormalPrior,
@@ -23,7 +23,6 @@ from pbpolicy.gibbs import (
 )
 from pbpolicy.gibbs import _block_decisions, _blocks, _logsumexp
 from pbpolicy.rules import _weighted_votes
-from pbpolicy.smc import WeightedParticles
 
 
 def scores_of(dy, dc):

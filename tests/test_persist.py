@@ -7,9 +7,8 @@ import pytest
 
 from pbpolicy import cli
 from pbpolicy.bounds import BoundInputs, bound_report
-from pbpolicy.data import poly_feature_map
-from pbpolicy.persist import SCHEMA_VERSION, load_rule, save, save_rule
-from pbpolicy.smc import WeightedParticles
+from pbpolicy.data import (SCHEMA_VERSION, WeightedParticles, load_rule,
+                           poly_feature_map, save, save_rule)
 
 
 def random_particles(rng, n=16, q=3):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pbpolicy.data import IPWScores, poly_feature_map
+from pbpolicy.data import IPWScores, WeightedParticles, poly_feature_map
 from pbpolicy.gibbs import welfare_cost_matrix
 from pbpolicy.rules import (
     BatchCandidates,
@@ -19,7 +19,6 @@ from pbpolicy.rules import (
 )
 from pbpolicy.gibbs import _blocks
 from pbpolicy.rules import _weighted_votes
-from pbpolicy.smc import WeightedParticles
 
 
 def cloud(thetas, weights):

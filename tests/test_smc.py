@@ -6,7 +6,8 @@ import pytest
 
 from gridprior import GridMixturePrior, random_grid_problem
 from reference_smc import reference_run_adaptive, reference_run_smc
-from pbpolicy.data import IPWScores, ipw_transform, poly_feature_map
+from pbpolicy.data import (IPWScores, WeightedParticles, ipw_transform,
+                           poly_feature_map)
 from pbpolicy.dgp import DGPSpec, generate
 from pbpolicy.gibbs import (
     IsotropicNormalPrior,
@@ -18,7 +19,6 @@ from pbpolicy.smc import (
     AdaptiveLadder,
     SMCConfig,
     TemperatureLadder,
-    WeightedParticles,
     build_default_ladder,
     ess,
     mh_move,
