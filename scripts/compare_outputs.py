@@ -14,8 +14,10 @@ one that ends a row past a block edge of score's CSV reader, the decision
 kernel's split of one block between two threads (fit) and its many blocks
 on a unit count that is not a multiple of 8 (score), oracle and
 bounds on stdout and with --out, both Python demos, and
-run_acceptance_studies.py's tiny study, serially and on two worker
-processes; then fit, bounds and the study again from their own
+run_acceptance_studies.py's tiny study on one worker, on two worker
+processes, and on one worker with 3 penalties, which its two threads may
+finish out of grid order and the replication puts back in it; then fit,
+bounds and the study again from their own
 run_config.json echoes, so that a config file's values, grid lists
 included, are byte-checked too.  One fit and one score read CSVs written
 here in every form the CSV reader takes (_write_odd_csvs): quoted cells,
@@ -125,6 +127,9 @@ RUNS = [
     # overrides TINY_STUDY_ARGS' own
     ("study_threads", [*TINY_STUDY_ARGS, "--threads", "2",
                        "--out", "study_threads"]),
+    # an odd penalty count on one worker, whose penalties two threads share
+    ("study_odd_penalties", [*TINY_STUDY_ARGS, "--u-grid", "0.0,0.7,1.4",
+                             "--out", "study_odd_penalties"]),
     # replays of earlier runs from their run_config.json echoes
     ("fit_u_replay", ["fit", "sim_dgp1/sample.csv",
                       "--config", "fit_u/run_config.json",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
@@ -57,6 +58,10 @@ CSV_BLOCK_ROWS = 2048
 # of this many rows, and a remainder of fewer rows joins the block before it
 # (gibbs._blocks says why).
 _BLOCK_ALIGN = 8
+
+# The top of every tempering ladder (smc), so the largest lam a rule file
+# may hold.
+LAMBDA_CAP = 1024.0
 
 SCHEMA_VERSION = 1
 _BOUNDS_KIND = "bound_report"
@@ -558,10 +563,14 @@ def load_rule(path) -> tuple[WeightedParticles, PolyFeatureMap]:
             thetas=cloud["thetas"],
             weights=cloud["weights"],
             step_index=_json_int(cloud, "step_index"),
-            lam=float(cloud["lam"]),
-            u=float(cloud["u"]),
+            lam=_json_float(cloud, "lam", lambda v: 0.0 < v <= LAMBDA_CAP,
+                            f"in (0, {LAMBDA_CAP:g}]"),
+            u=_json_float(cloud, "u", lambda v: v >= 0.0, ">= 0"),
             seed=_json_int(cloud, "seed"),
         )
+        if type(payload["normalized"]) is not bool:
+            raise ValueError("normalized must be true or false, not "
+                             f"{payload['normalized']!r}")
         fm = payload["feature_map"]
         fmap = poly_feature_map(_json_int(fm, "degree"), _json_int(fm, "d_x"))
         if particles.q != fmap.dimension:
@@ -571,6 +580,21 @@ def load_rule(path) -> tuple[WeightedParticles, PolyFeatureMap]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} holds an inconsistent rule payload: {exc}") from exc
     return particles, fmap
+
+
+def _json_float(doc: dict, key: str, ok, where: str) -> float:
+    """doc[key], a field the rule format types as float: a JSON number (not
+    a bool or a string) that is finite as a float and for which ok holds;
+    where says what ok asks."""
+    value = doc[key]
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer past the largest float
+        number = math.inf
+    if not (math.isfinite(number) and ok(number)):
+        raise ValueError(f"{key} must be a finite number {where}, not "
+                         f"{value!r}")
+    return number
 
 
 def _json_int(doc: dict, key: str) -> int:

@@ -30,6 +30,7 @@ import math
 import os
 import queue
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,11 +211,13 @@ class _Helper(threading.Thread):
 
 # This process's helper: None until the first kernel call that could use
 # it, then the running _Helper, or False where the kernel stays on the
-# caller's thread (one CPU allowed, no thread could be started, or a study
-# pool worker).  A forked child decides again rather than wait on a thread
-# that was not copied.
+# caller's thread (one CPU allowed, or no thread could be started).  A
+# forked child decides again rather than wait on a thread that was not
+# copied.
 _helper = None
 _helper_lock = threading.Lock()
+# .one_thread is set on the threads whose kernel calls stay on themselves
+_thread_state = threading.local()
 
 
 def _reset_helper() -> None:
@@ -226,23 +229,46 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_helper)
 
 
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs."""
+    return (hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
 def _one_kernel_thread() -> None:
-    """Keep this process's kernel on the caller's thread.  A study's pool
-    workers start with it, so that `study --threads k` runs k kernel
-    threads."""
-    global _helper
-    _helper = False
+    """Keep the calling thread's kernel calls on that thread; other threads
+    still share theirs with the helper.  A study's pool workers start with
+    it: its worker processes, so that `study --threads k` runs k kernel
+    threads, and the thread that shares a one-worker study's penalties
+    with the study's own thread."""
+    _thread_state.one_thread = True
+
+
+@contextmanager
+def _kernel_on_this_thread():
+    """Keep the calling thread's kernel calls on that thread inside the
+    block: a one-worker study's own thread while it runs penalties beside
+    its pool thread, where halves handed to the helper would take turns
+    with the other penalty's calls on two CPUs."""
+    before = getattr(_thread_state, "one_thread", False)
+    _thread_state.one_thread = True
+    try:
+        yield
+    finally:
+        _thread_state.one_thread = before
 
 
 def _kernel_helper():
-    """This process's _Helper, started on first use, or False."""
+    """This process's _Helper, started on first use, or False; False on a
+    thread that _one_kernel_thread set."""
     global _helper
+    if getattr(_thread_state, "one_thread", False):
+        return False
     if _helper is None:
         with _helper_lock:
             if _helper is None:
                 helper = False
-                if (hasattr(os, "sched_getaffinity")
-                        and len(os.sched_getaffinity(0)) >= 2):
+                if _two_cpus():
                     helper = _Helper()
                     try:
                         helper.start()

@@ -6,15 +6,25 @@ two-fold cross-validation, then scores every rule on a frozen test
 population where the truth is known.  Per-replication gain-cost points are
 interpolated into curves and averaged vertically across replications.
 
+The penalties of a replication are independent tempering runs.  A study on
+one worker shares them between its own thread and one pool thread where
+two CPUs are allowed, each thread keeping its kernel calls to itself, and
+assembles their results in grid order; `workers` > 1 runs whole
+replications on that many processes instead, each running its penalties
+in turn.  Either way the output bytes are those of one thread.
+
 The published comparison methods that rank units by estimated scores are
 replaced here by oracle-score variants that rank by the true conditional
 effects; study reports carry a note saying so.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -293,6 +303,9 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample,
             dec = (prob > 0.5).astype(float)
             totals["gibbs"][j] += float(np.mean(penalized * prob))
             totals["mv"][j] += float(np.mean(penalized * dec))
+        # freed before the next fold's run, not after it: one cloud per
+        # candidate, and a one-worker study runs two penalties at once
+        del clouds
     return {"lambda": lambdas,
             **{kind: v / CV_FOLDS for kind, v in totals.items()}}
 
@@ -312,8 +325,11 @@ def _select_lambdas(u: float, lambda_grid, training: Sample, particles: int,
 
 
 def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
-                     config: StudyConfig,
-                     test_pop: SimulatedPopulation) -> ReplicationResult:
+                     config: StudyConfig, test_pop: SimulatedPopulation,
+                     penalty_map=map) -> ReplicationResult:
+    """Replication k of the study.  Its penalties are independent, and
+    penalty_map (map, or a thread pool's map) runs them; the results are
+    assembled in grid order either way."""
     rep_seed = subseed(dgp.seed, "rep", k)
     training = generate(DGPSpec(dgp.id, rep_seed, dgp.n)).sample
     # every penalty's final fit is normalized on the whole training sample,
@@ -322,10 +338,9 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
     test_feats = fmap.transform(test_pop.x)
     dy, dc = test_pop.cate, test_pop.expected_cost
 
-    selections = []
-    sa_points, mv_points = [], []
-    mv_rules_by_u, mv_shares_by_u = {}, {}
-    for i, u in enumerate(grids.u_grid):
+    def fit_penalty(i, u):
+        """The selection record, sa and mv points, majority-vote rule with
+        its estimated cost, and test vote shares of u, the grid's i-th."""
         u_seed = subseed(rep_seed, "u", i)
         lam_sa, lam_mv = _select_lambdas(u, grids.lambda_grid, training,
                                          config.particles, u_seed)
@@ -345,18 +360,20 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         mv_shares = test[lam_mv]
         gain_sa, cost_sa = gain_cost(test[lam_sa], dy, dc)
         gain_mv, cost_mv = gain_cost((mv_shares > 0.5).astype(float), dy, dc)
-
-        mv_rules_by_u[float(u)] = (MajorityVoteRule(clouds[lam_mv], fmap),
-                                   est_cost_mv)
-        mv_shares_by_u[float(u)] = mv_shares
-        sa_points.append((cost_sa, gain_sa))
-        mv_points.append((cost_mv, gain_mv))
-        selections.append({
+        selection = {
             "u": float(u), "lambda_sa": lam_sa, "lambda_mv": lam_mv,
             "est_cost_sa": est_cost_sa, "est_cost_mv": est_cost_mv,
             "true_cost_sa": cost_sa, "true_gain_sa": gain_sa,
             "true_cost_mv": cost_mv, "true_gain_mv": gain_mv,
-        })
+        }
+        return (selection, (cost_sa, gain_sa), (cost_mv, gain_mv),
+                (MajorityVoteRule(clouds[lam_mv], fmap), est_cost_mv),
+                mv_shares)
+
+    selections, sa_points, mv_points, mv_rules, mv_shares = zip(
+        *penalty_map(fit_penalty, range(grids.u_grid.size), grids.u_grid))
+    mv_rules_by_u = dict(zip(grids.u_grid.tolist(), mv_rules))
+    mv_shares_by_u = dict(zip(grids.u_grid.tolist(), mv_shares))
 
     cap = max(est for _, est in mv_rules_by_u.values())
     m = test_pop.n
@@ -377,17 +394,74 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
         "pb_mv": build_cost_curve(mv_points),
         "pb_batch": build_cost_curve(batch_points),
     }
-    return ReplicationResult(index=k, selections=selections, curves=curves)
+    return ReplicationResult(index=k, selections=list(selections),
+                             curves=curves)
+
+
+def _map_on_two_threads(pool, fn, *iterables) -> list:
+    """[fn(*args) for args in zip(*iterables)], run on this thread and on
+    the one thread of pool, each taking the next args when it is free; both
+    keep their kernel calls to themselves.
+
+    A failed call, or an interrupt, leaves the args not yet taken untaken.
+    The error raised is that of the first failed call in order, as on one
+    thread: every call before it was taken, and has finished.
+    """
+    pending = list(enumerate(zip(*iterables)))[::-1]
+    results = [None] * len(pending)
+    failures = {}
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                if not pending:
+                    return
+                i, args = pending.pop()
+            try:
+                results[i] = fn(*args)
+            except Exception as exc:
+                with lock:
+                    failures[i] = exc
+                    pending.clear()
+
+    try:
+        other = pool.submit(work)
+        with gibbs._kernel_on_this_thread():
+            work()
+        other.result()
+    finally:
+        with lock:
+            pending.clear()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _replications(jobs, workers: int):
     """Each job's replication as it returns: in order on one worker, in the
-    order they finish on a pool of processes (imported only for a pool)."""
-    if workers == 1:
+    order they finish on a pool of processes (imported only for a pool).
+
+    On one worker, where two CPUs are allowed, the study's own thread and
+    one pool thread share the penalties of every replication
+    (_map_on_two_threads).  A second pool thread in place of the study's
+    own raised the benchmark's peak RSS by a further 1-2 MB: its own malloc
+    arena.  A pool worker process runs its penalties in turn, so that
+    `study --threads k` runs k kernel threads.
+    """
+    if workers == 1 and not gibbs._two_cpus():
         for job in jobs:
             yield _run_replication(*job)
         return
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
+                                    as_completed)
+    if workers == 1:
+        with ThreadPoolExecutor(1, initializer=gibbs._one_kernel_thread) \
+                as pool:
+            for job in jobs:
+                yield _run_replication(
+                    *job, penalty_map=partial(_map_on_two_threads, pool))
+        return
     with ProcessPoolExecutor(max_workers=workers,
                              initializer=gibbs._one_kernel_thread) as pool:
         futures = [pool.submit(_run_replication, *job) for job in jobs]
@@ -421,10 +495,12 @@ def run_study(dgp: DGPSpec, replications: int, grids: GridSpec = None,
 
     jobs = [(dgp, k, grids, config, test_pop) for k in range(replications)]
     reps = []
-    for rep in _replications(jobs, config.workers):
-        reps.append(rep)
-        if config.out_dir is not None:
-            _write_replication(config.out_dir, rep)
+    # closed on the way out, so that a failed write also shuts the pools
+    with contextlib.closing(_replications(jobs, config.workers)) as done:
+        for rep in done:
+            reps.append(rep)
+            if config.out_dir is not None:
+                _write_replication(config.out_dir, rep)
     reps.sort(key=lambda rep: rep.index)
 
     curves, gain_se = {}, {}

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pbpolicy.data import IPWScores, WeightedParticles
+from pbpolicy.data import LAMBDA_CAP, IPWScores, WeightedParticles
 from pbpolicy.gibbs import (IsotropicNormalPrior, _logsumexp, _scaled,
                             welfare_cost_matrix)
 
@@ -78,7 +78,6 @@ __all__ = [
 LADDER_KNOT_STEPS = (0, 200, 320, 470, 800)
 LADDER_KNOT_LAMBDAS = (0.0, 4.0, 32.0, 256.0, 1024.0)
 U_RAMP_END = 200
-LAMBDA_CAP = 1024.0
 U_RAMP_LAMBDA = LADDER_KNOT_LAMBDAS[1]  # lambda at step U_RAMP_END
 
 # Adaptive stages keep the conditional ESS at CESS_FRACTION * N and propose

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import signal
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -338,15 +340,135 @@ def test_a_study_on_two_workers_writes_the_files_of_one_worker(tmp_path):
             assert one.read_bytes() == two.read_bytes(), name
 
 
+def test_a_one_worker_study_writes_the_files_of_one_thread(tmp_path,
+                                                         monkeypatch):
+    # the penalties of three-penalty replications run on the study's own
+    # thread and its pool thread, which switch often here, and are
+    # assembled in grid order
+    grids = GridSpec(u_grid=[0.0, 0.6, 1.2], lambda_grid=[4.0, 32.0])
+    outs = {}
+    interval = sys.getswitchinterval()
+    for name, two_cpus in (("threads", True), ("one_thread", False)):
+        outs[name] = tmp_path / name
+        with monkeypatch.context() as cpus:
+            # on one CPU the first kernel call sets _helper to False
+            cpus.setattr(gibbs, "_helper", gibbs._helper)
+            cpus.setattr(gibbs, "_two_cpus", lambda: two_cpus)
+            sys.setswitchinterval(1e-5)
+            try:
+                run_study(DGPSpec("DGP1", 29, 60), replications=2,
+                          grids=grids,
+                          config=StudyConfig(out_dir=str(outs[name]),
+                                             particles=30, n_test=100,
+                                             n_bins=3))
+            finally:
+                sys.setswitchinterval(interval)
+    names = sorted(os.listdir(outs["threads"]))
+    assert sorted(os.listdir(outs["one_thread"])) == names
+    for name in names:
+        assert (outs["threads"] / name).read_bytes() \
+            == (outs["one_thread"] / name).read_bytes(), name
+
+
+TWO_CPUS = pytest.mark.skipif(not gibbs._two_cpus(),
+                              reason="a one-worker study shares its "
+                                     "penalties only where two CPUs are "
+                                     "allowed")
+
+
+@TWO_CPUS
+def test_a_one_worker_study_never_hands_a_kernel_call_to_the_helper(
+        monkeypatch):
+    handed = []
+    submit = gibbs._Helper.submit
+
+    def counted(helper, task):
+        handed.append(threading.current_thread().name)
+        return submit(helper, task)
+
+    monkeypatch.setattr(gibbs._Helper, "submit", counted)
+    # fold fits of 200 units x 420 particles: one block of the kernel, which
+    # the helper would take half of on any other thread
+    n, particles = 400, 420
+    assert n // 2 * particles >= gibbs._SPLIT_ELEMENTS
+    run_study(DGPSpec("DGP1", 5, n), replications=1,
+              grids=GridSpec(u_grid=[0.0, 1.0], lambda_grid=[4.0, 8.0]),
+              config=StudyConfig(particles=particles, n_test=200, n_bins=2))
+    assert handed == []
+    # the same shape on this thread does go to the helper
+    rng = np.random.default_rng(2)
+    gibbs.welfare_cost_matrix(
+        rng.normal(size=(particles, 6)),
+        IPWScores(rng.normal(size=n // 2), rng.normal(size=n // 2)),
+        rng.normal(size=(n // 2, 6)))
+    assert handed == [threading.current_thread().name]
+
+
+def _pool_threads() -> set:
+    return {t for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor")}
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("failure", ["error", "interrupt"])
+def test_a_failed_penalty_stops_a_one_worker_study(monkeypatch, failure):
+    # penalty 0 raises, or interrupts the study's own thread as Ctrl-C
+    # does; every other penalty sleeps and then raises an error of its own
+    started = []
+
+    def select(u, *args):
+        started.append(float(u))
+        if u == 0.0:
+            if failure == "error":
+                raise ArithmeticError("penalty 0 failed")
+            # once both threads run a penalty, where a Ctrl-C during a
+            # study finds them
+            time.sleep(0.1)
+            signal.pthread_kill(threading.main_thread().ident,
+                                signal.SIGINT)
+        time.sleep(0.3)
+        raise LookupError("a later penalty failed")
+
+    def study():
+        run_study(DGPSpec("DGP1", 3, 60), replications=2,
+                  grids=GridSpec(u_grid=np.linspace(0.0, 1.4, 8),
+                                 lambda_grid=[4.0]),
+                  config=StudyConfig(particles=20, n_test=50, n_bins=2))
+
+    monkeypatch.setattr(harness, "_select_lambdas", select)
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    before = _pool_threads()
+    try:
+        with pytest.raises(ArithmeticError if failure == "error"
+                           else KeyboardInterrupt) as raised:
+            study()
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    # besides penalty 0, at most the other thread's penalty ran; the other
+    # six were never taken
+    assert 0.0 in started and len(started) <= 2
+    assert _pool_threads() <= before
+    if failure == "error":
+        # the error of one thread
+        started.clear()
+        monkeypatch.setattr(gibbs, "_helper", gibbs._helper)
+        monkeypatch.setattr(gibbs, "_two_cpus", lambda: False)
+        with pytest.raises(ArithmeticError) as alone:
+            study()
+        assert started == [0.0]
+        assert str(alone.value) == str(raised.value)
+
+
 def _kernel_helper_of_a_worker(*job):
     # stands in for _run_replication: one kernel call of many blocks, then
-    # the worker's kernel helper state and its live threads
+    # whether the kernel hands blocks off on the worker's thread, the
+    # worker's helper (None: never started) and its live threads
     rng = np.random.default_rng(len(job))
     gibbs.welfare_cost_matrix(
         rng.normal(size=(1000, 4)),
         IPWScores(rng.normal(size=1000), rng.normal(size=1000)),
         rng.normal(size=(1000, 4)))
-    return gibbs._helper, threading.active_count()
+    return gibbs._kernel_helper(), gibbs._helper, threading.active_count()
 
 
 def test_a_study_pool_worker_runs_the_kernel_on_one_thread(monkeypatch):
@@ -355,7 +477,7 @@ def test_a_study_pool_worker_runs_the_kernel_on_one_thread(monkeypatch):
     monkeypatch.setattr(harness, "_run_replication",
                         _kernel_helper_of_a_worker)
     assert list(harness._replications([(0,), (1,)], 2)) \
-        == [(False, 1), (False, 1)]
+        == [(False, None, 1), (False, None, 1)]
 
 
 def test_run_study_validation():

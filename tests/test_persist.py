@@ -122,6 +122,61 @@ def test_dimension_inconsistency_rejected(tmp_path):
         assert not (out / "assignments.csv").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # the three edits that scored with exit 0 when lam and u went through
+    # float() and normalized was not read
+    ("lam", "16", "lam must be a finite number in (0, 1024], not '16'"),
+    ("u", "nan", "u must be a finite number >= 0, not 'nan'"),
+    ("normalized", "yes", "normalized must be true or false, not 'yes'"),
+    ("lam", True, "lam must be a finite number"),
+    ("lam", 0, "lam must be a finite number in (0, 1024], not 0"),
+    ("lam", 1024.5, "lam must be a finite number in (0, 1024]"),
+    ("lam", float("inf"), "lam must be a finite number"),
+    ("u", -0.5, "u must be a finite number >= 0, not -0.5"),
+    ("u", float("nan"), "u must be a finite number >= 0, not nan"),
+    ("u", 10**400, "u must be a finite number >= 0"),
+    ("u", None, "u must be a finite number"),
+    ("normalized", 1, "normalized must be true or false, not 1"),
+    ("normalized", None, "normalized must be true or false, not None"),
+])
+def test_rule_fields_typed_float_and_bool_are_checked(tmp_path, field, value,
+                                                      message):
+    fmap = poly_feature_map(2, 2)
+    path = tmp_path / "rule.json"
+    save_rule(random_particles(np.random.default_rng(64), q=fmap.dimension),
+              fmap, True, path)
+    doc = json.loads(path.read_text())
+    payload = doc["payload"]
+    (payload if field == "normalized" else payload["particles"])[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as raised:
+        load_rule(path)
+    assert str(raised.value).startswith(
+        f"{path} holds an inconsistent rule payload: ")
+    assert message in str(raised.value)
+    covariates = tmp_path / "x.csv"
+    covariates.write_text("x1,x2\n0.1,0.2\n")
+    out = tmp_path / "scored"
+    assert cli.main(["score", str(path), str(covariates),
+                     "--out", str(out)]) == 1
+    assert not (out / "assignments.csv").exists()
+
+
+def test_rule_floats_at_their_bounds_load(tmp_path):
+    fmap = poly_feature_map(2, 2)
+    path = tmp_path / "rule.json"
+    for lam, u, normalized in ((1024.0, 0.0, False), (1e-300, 2.0**20, True),
+                               (16, 3, True)):
+        p = random_particles(np.random.default_rng(65), q=fmap.dimension)
+        save_rule(p, fmap, normalized, path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["particles"].update(lam=lam, u=u)
+        path.write_text(json.dumps(doc))
+        got, _ = load_rule(path)
+        assert (got.lam, got.u) == (lam, u)
+        assert type(got.lam) is float and type(got.u) is float
+
+
 def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
