@@ -15,9 +15,10 @@ kernel's split of one block between two threads (fit) and its many blocks
 on a unit count that is not a multiple of 8 (score), oracle and
 bounds on stdout and with --out, both Python demos, and
 run_acceptance_studies.py's tiny study on one worker, on two worker
-processes, and on one worker with 3 penalties, which its two threads may
-finish out of grid order and the replication puts back in it; then fit,
-bounds and the study again from their own
+processes, and on one worker with 3 penalties, both where the one worker
+hands its penalties to two worker processes, which the replication puts
+back in grid order, and in a child pinned to one CPU, which runs them in
+turn in its own process; then fit, bounds and the study again from their own
 run_config.json echoes, so that a config file's values, grid lists
 included, are byte-checked too.  One fit and one score read CSVs written
 here in every form the CSV reader takes (_write_odd_csvs): quoted cells,
@@ -127,9 +128,12 @@ RUNS = [
     # overrides TINY_STUDY_ARGS' own
     ("study_threads", [*TINY_STUDY_ARGS, "--threads", "2",
                        "--out", "study_threads"]),
-    # an odd penalty count on one worker, whose penalties two threads share
+    # an odd penalty count on one worker, whose penalties two worker
+    # processes share, and the same on one CPU (ONE_CPU_RUNS)
     ("study_odd_penalties", [*TINY_STUDY_ARGS, "--u-grid", "0.0,0.7,1.4",
                              "--out", "study_odd_penalties"]),
+    ("study_one_cpu", [*TINY_STUDY_ARGS, "--u-grid", "0.0,0.7,1.4",
+                       "--out", "study_one_cpu"]),
     # replays of earlier runs from their run_config.json echoes
     ("fit_u_replay", ["fit", "sim_dgp1/sample.csv",
                       "--config", "fit_u/run_config.json",
@@ -139,6 +143,13 @@ RUNS = [
     ("study_replay", ["study", "--config", "study/run_config.json",
                       "--out", "study_replay"]),
 ]
+
+# runs made in a child pinned to one CPU
+ONE_CPU_RUNS = {"study_one_cpu"}
+
+
+def _pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 # a cell's text forms, and its dress, cycled through a file's cells
@@ -189,7 +200,9 @@ def _run_all(tree: str, work: str) -> None:
         cmd = ([sys.executable, os.path.join(tree, argv[0])]
                if argv[0].endswith(".py")
                else [sys.executable, "-m", "pbpolicy.cli", *argv])
-        got = subprocess.run(cmd, cwd=work, env=env, capture_output=True)
+        got = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
+                             preexec_fn=_pin_to_one_cpu
+                             if name in ONE_CPU_RUNS else None)
         text = got.stdout
         if got.returncode != 0:
             text += f"[exit {got.returncode}]\n".encode()

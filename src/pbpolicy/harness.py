@@ -7,11 +7,10 @@ population where the truth is known.  Per-replication gain-cost points are
 interpolated into curves and averaged vertically across replications.
 
 The penalties of a replication are independent tempering runs.  A study on
-one worker shares them between its own thread and one pool thread where
-two CPUs are allowed, each thread keeping its kernel calls to itself, and
-assembles their results in grid order; `workers` > 1 runs whole
-replications on that many processes instead, each running its penalties
-in turn.  Either way the output bytes are those of one thread.
+one worker shares them between two worker processes where two CPUs are
+allowed, and assembles their results in grid order; `workers` > 1 runs
+whole replications on that many processes instead, each running its
+penalties in turn.  Either way the output bytes are those of one process.
 
 The published comparison methods that rank units by estimated scores are
 replaced here by oracle-score variants that rank by the true conditional
@@ -22,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -304,7 +302,7 @@ def _holdout_objectives(u: float, lambda_grid, training: Sample,
             totals["gibbs"][j] += float(np.mean(penalized * prob))
             totals["mv"][j] += float(np.mean(penalized * dec))
         # freed before the next fold's run, not after it: one cloud per
-        # candidate, and a one-worker study runs two penalties at once
+        # candidate
         del clouds
     return {"lambda": lambdas,
             **{kind: v / CV_FOLDS for kind, v in totals.items()}}
@@ -324,54 +322,60 @@ def _select_lambdas(u: float, lambda_grid, training: Sample, particles: int,
                  for kind in ("gibbs", "mv"))
 
 
+def _fit_penalty(lambda_grid, particles: int, training: Sample, prepared,
+                 test, u_seed: int, u: float):
+    """The selection record, sa and mv points, majority-vote rule with its
+    estimated cost, and test vote shares of penalty u, whose streams derive
+    from u_seed.  prepared is _prepare(training), and test holds the test
+    population's covariates, true effects and expected costs.  Every
+    argument pickles, so a worker process can run it."""
+    fmap, feats, scores, prior = prepared
+    test_x, dy, dc = test
+    test_feats = fmap.transform(test_x)
+    lam_sa, lam_mv = _select_lambdas(u, lambda_grid, training, particles,
+                                     u_seed)
+    # one tempering run, cut at the larger target, harvests both rules
+    clouds = temper(scores, feats, prior, u, [lam_sa, lam_mv], particles,
+                    subseed(u_seed, "fit"))
+    # the training and test vote shares of each distinct cloud: the two
+    # rules often share one
+    train, shares = {}, {}
+    for lam in {lam_sa, lam_mv}:
+        train[lam] = _weighted_votes(feats, clouds[lam])
+        shares[lam] = _clipped_votes(test_feats, clouds[lam])
+
+    est_cost_sa = float(scores.delta_c @ train[lam_sa] / scores.n)
+    est_cost_mv = float(scores.delta_c @ (train[lam_mv] > 0.5) / scores.n)
+    mv_shares = shares[lam_mv]
+    gain_sa, cost_sa = gain_cost(shares[lam_sa], dy, dc)
+    gain_mv, cost_mv = gain_cost((mv_shares > 0.5).astype(float), dy, dc)
+    selection = {
+        "u": float(u), "lambda_sa": lam_sa, "lambda_mv": lam_mv,
+        "est_cost_sa": est_cost_sa, "est_cost_mv": est_cost_mv,
+        "true_cost_sa": cost_sa, "true_gain_sa": gain_sa,
+        "true_cost_mv": cost_mv, "true_gain_mv": gain_mv,
+    }
+    return (selection, (cost_sa, gain_sa), (cost_mv, gain_mv),
+            (MajorityVoteRule(clouds[lam_mv], fmap), est_cost_mv), mv_shares)
+
+
 def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
                      config: StudyConfig, test_pop: SimulatedPopulation,
                      penalty_map=map) -> ReplicationResult:
     """Replication k of the study.  Its penalties are independent, and
-    penalty_map (map, or a thread pool's map) runs them; the results are
-    assembled in grid order either way."""
+    penalty_map (map, or a process pool's map) runs them; the results come
+    back in grid order either way."""
     rep_seed = subseed(dgp.seed, "rep", k)
     training = generate(DGPSpec(dgp.id, rep_seed, dgp.n)).sample
     # every penalty's final fit is normalized on the whole training sample,
-    # so its features and the test population's are built once here
-    fmap, feats, scores, prior = _prepare(training)
-    test_feats = fmap.transform(test_pop.x)
-    dy, dc = test_pop.cate, test_pop.expected_cost
-
-    def fit_penalty(i, u):
-        """The selection record, sa and mv points, majority-vote rule with
-        its estimated cost, and test vote shares of u, the grid's i-th."""
-        u_seed = subseed(rep_seed, "u", i)
-        lam_sa, lam_mv = _select_lambdas(u, grids.lambda_grid, training,
-                                         config.particles, u_seed)
-        # one tempering run, cut at the larger target, harvests both rules
-        clouds = temper(scores, feats, prior, u, [lam_sa, lam_mv],
-                        config.particles, subseed(u_seed, "fit"))
-        # the training and test vote shares of each distinct cloud: the
-        # two rules often share one
-        train, test = {}, {}
-        for lam in {lam_sa, lam_mv}:
-            train[lam] = _weighted_votes(feats, clouds[lam])
-            test[lam] = _clipped_votes(test_feats, clouds[lam])
-
-        est_cost_sa = float(scores.delta_c @ train[lam_sa] / scores.n)
-        est_cost_mv = float(scores.delta_c @ (train[lam_mv] > 0.5)
-                            / scores.n)
-        mv_shares = test[lam_mv]
-        gain_sa, cost_sa = gain_cost(test[lam_sa], dy, dc)
-        gain_mv, cost_mv = gain_cost((mv_shares > 0.5).astype(float), dy, dc)
-        selection = {
-            "u": float(u), "lambda_sa": lam_sa, "lambda_mv": lam_mv,
-            "est_cost_sa": est_cost_sa, "est_cost_mv": est_cost_mv,
-            "true_cost_sa": cost_sa, "true_gain_sa": gain_sa,
-            "true_cost_mv": cost_mv, "true_gain_mv": gain_mv,
-        }
-        return (selection, (cost_sa, gain_sa), (cost_mv, gain_mv),
-                (MajorityVoteRule(clouds[lam_mv], fmap), est_cost_mv),
-                mv_shares)
-
+    # so its features are built once here; each penalty maps the test
+    # population itself, which was faster than pickling its features
+    fit = partial(_fit_penalty, grids.lambda_grid, config.particles,
+                  training, _prepare(training),
+                  (test_pop.x, test_pop.cate, test_pop.expected_cost))
+    u_seeds = [subseed(rep_seed, "u", i) for i in range(grids.u_grid.size)]
     selections, sa_points, mv_points, mv_rules, mv_shares = zip(
-        *penalty_map(fit_penalty, range(grids.u_grid.size), grids.u_grid))
+        *penalty_map(fit, u_seeds, grids.u_grid))
     mv_rules_by_u = dict(zip(grids.u_grid.tolist(), mv_rules))
     mv_shares_by_u = dict(zip(grids.u_grid.tolist(), mv_shares))
 
@@ -398,78 +402,38 @@ def _run_replication(dgp: DGPSpec, k: int, grids: GridSpec,
                              curves=curves)
 
 
-def _map_on_two_threads(pool, fn, *iterables) -> list:
-    """[fn(*args) for args in zip(*iterables)], run on this thread and on
-    the one thread of pool, each taking the next args when it is free; both
-    keep their kernel calls to themselves.
-
-    A failed call, or an interrupt, leaves the args not yet taken untaken.
-    The error raised is that of the first failed call in order, as on one
-    thread: every call before it was taken, and has finished.
-    """
-    pending = list(enumerate(zip(*iterables)))[::-1]
-    results = [None] * len(pending)
-    failures = {}
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                if not pending:
-                    return
-                i, args = pending.pop()
-            try:
-                results[i] = fn(*args)
-            except Exception as exc:
-                with lock:
-                    failures[i] = exc
-                    pending.clear()
-
-    try:
-        other = pool.submit(work)
-        with gibbs._kernel_on_this_thread():
-            work()
-        other.result()
-    finally:
-        with lock:
-            pending.clear()
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
 def _replications(jobs, workers: int):
     """Each job's replication as it returns: in order on one worker, in the
     order they finish on a pool of processes (imported only for a pool).
 
-    On one worker, where two CPUs are allowed, the study's own thread and
-    one pool thread share the penalties of every replication
-    (_map_on_two_threads).  A second pool thread in place of the study's
-    own raised the benchmark's peak RSS by a further 1-2 MB: its own malloc
-    arena.  A pool worker process runs its penalties in turn, so that
-    `study --threads k` runs k kernel threads.
+    On one worker, where two CPUs are allowed, two worker processes share
+    the penalties of every replication; two threads would take turns at
+    the interpreter lock, which most of a tempering run holds.  A pool
+    worker runs its kernel calls on its own thread, so that
+    `study --threads k` runs k kernel threads.  A failure cancels the
+    tasks not yet handed to the workers; those already in the pool's call
+    queue, one more than its workers, still run before the error is
+    raised.
     """
     if workers == 1 and not gibbs._two_cpus():
         for job in jobs:
             yield _run_replication(*job)
         return
-    from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
-                                    as_completed)
-    if workers == 1:
-        with ThreadPoolExecutor(1, initializer=gibbs._one_kernel_thread) \
-                as pool:
-            for job in jobs:
-                yield _run_replication(
-                    *job, penalty_map=partial(_map_on_two_threads, pool))
-        return
-    with ProcessPoolExecutor(max_workers=workers,
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    with ProcessPoolExecutor(max(workers, 2),
                              initializer=gibbs._one_kernel_thread) as pool:
-        futures = [pool.submit(_run_replication, *job) for job in jobs]
         try:
-            for done in as_completed(futures):
-                yield done.result()
+            if workers == 1:
+                for job in jobs:
+                    yield _run_replication(*job, penalty_map=pool.map)
+            else:
+                futures = [pool.submit(_run_replication, *job)
+                           for job in jobs]
+                for done in as_completed(futures):
+                    yield done.result()
         finally:
-            # a failed replication ends the study without running the rest
+            # a failed replication or penalty ends the study without
+            # running the rest
             pool.shutdown(cancel_futures=True)
 
 

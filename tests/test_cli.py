@@ -1283,7 +1283,7 @@ _POOL = ["concurrent.futures.process", "multiprocessing"]
 def test_importing_loads_neither_the_study_harness_nor_a_process_pool(
         module, absent):
     # fit and score start without them; study imports the harness when it
-    # runs, and the harness imports the pool only for more than one worker
+    # runs, and the harness imports the pool only when a study opens one
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     probe = (f"import sys, {module}; "
              f"print([m for m in {absent!r} if m in sys.modules])")

@@ -518,7 +518,10 @@ def test_the_helper_walks_the_second_half_of_the_blocks(monkeypatch):
 
 
 def test_one_kernel_thread_walks_every_block_itself(monkeypatch):
-    monkeypatch.setattr(gibbs, "_helper", False)
+    # as in a study's pool worker, which starts with _one_kernel_thread
+    monkeypatch.setattr(gibbs, "_helper", gibbs._helper)
+    gibbs._one_kernel_thread()
+    assert gibbs._kernel_helper() is False
     ran = _walk_threads(monkeypatch, 1003, 1000, True)
     assert len(ran) > 1
     assert set(ran.values()) == {threading.get_ident()}

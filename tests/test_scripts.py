@@ -31,6 +31,7 @@ def test_the_evidence_scripts_import_and_name_each_run_once():
     compare_outputs = _load("compare_outputs")
     names = [name for name, _ in compare_outputs.RUNS]
     assert names and len(set(names)) == len(names)
+    assert compare_outputs.ONE_CPU_RUNS <= set(names)
 
 
 def _commits(tree):
