@@ -372,7 +372,7 @@ FORK = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 @TWO_CPUS
-def test_a_one_worker_studys_parent_never_hands_a_kernel_call_to_the_helper(
+def test_a_one_worker_study_never_hands_a_kernel_call_to_the_helper(
         monkeypatch):
     handed = []
     submit = gibbs._Helper.submit
